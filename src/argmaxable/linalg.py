@@ -12,9 +12,15 @@ at heart but settled numerically:
 
 Minors are relative-thresholded: a minor over rows I counts as zero when
 |det| < tau_det * prod_{i in I} ||row_i||, which makes every verdict
-invariant under row rescaling.  Row index sets are reported 0-based;
-human-facing label/row numbers elsewhere are 1-based, and BoundaryError
-follows the 1-based convention because its rows name labels.
+invariant under row rescaling.  General position and the sign verdict
+share this one threshold and one scan: the d-subsets are generated in
+colexicographic order as numpy index blocks of bounded size, and each
+block gets one batched determinant call and one vectorized threshold
+test, so memory stays flat however large C(n, d) is.
+
+Row index sets are reported 0-based; human-facing label/row numbers
+elsewhere are 1-based, and BoundaryError follows the 1-based convention
+because its rows name labels.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterator, Optional
 
 import numpy as np
@@ -49,6 +56,7 @@ DEFAULT_TAU_DET = 1e-10
 DEFAULT_TAU_SIGN = 1e-12
 DEFAULT_MINOR_BUDGET = 10**6
 DEFAULT_DET_DIM_CAP = 512
+_MINOR_CHUNK = 2048
 
 _PROVENANCE_KINDS = ("random", "dft", "dft+slack")
 
@@ -178,27 +186,44 @@ def determinant(matrix: np.ndarray, dim_cap: int = DEFAULT_DET_DIM_CAP) -> float
     return float(np.linalg.det(arr))
 
 
-def _colex_index_sets(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All d-subsets of range(n) in colexicographic order: sets are sorted
-    ascending and ordered by their largest element first."""
-    if d == 0:
-        yield ()
-        return
-    for top in range(d - 1, n):
-        for rest in _colex_index_sets(top, d - 1):
-            yield rest + (top,)
+def _colex_blocks(
+    n: int, d: int, chunk: int, suffix: tuple[int, ...] = ()
+) -> Iterator[np.ndarray]:
+    """All d-subsets of range(n), each followed by ``suffix``, in
+    colexicographic order, as intp blocks of at most ``chunk`` rows.
+
+    The leading sets whose largest element is below ``head`` are all the
+    d-subsets of range(head); they form one block as long as C(head, d)
+    fits.  Past that the sets are split on their largest element, and
+    each part recurses with one element fewer.
+    """
+    head = d
+    while head < n and math.comb(head + 1, d) <= chunk:
+        head += 1
+    rows = math.comb(head, d)
+    # Lex order over the descending range, reversed on both axes, is
+    # colex order over the ascending one.
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(head - 1, -1, -1), d)),
+        dtype=np.intp,
+        count=rows * d,
+    )
+    block = np.empty((rows, d + len(suffix)), dtype=np.intp)
+    block[:, :d] = flat.reshape(rows, d)[::-1, ::-1]
+    block[:, d:] = suffix
+    yield block
+    for top in range(head, n):
+        yield from _colex_blocks(top, d - 1, chunk, (top,) + suffix)
 
 
-def maximal_minors(
-    w: WeightMatrix,
-    budget: int = DEFAULT_MINOR_BUDGET,
-    chunk: int = 2048,
-) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Stream (row index set, d x d minor) pairs for every d-subset of rows.
+def _minor_blocks(
+    w: WeightMatrix, budget: int, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Validate the scan, then stream (index block, determinants) pairs.
 
-    Index sets are 0-based ascending tuples, emitted in colexicographic
-    order.  Determinants are evaluated in batches for throughput.  Raises
-    MinorBudgetError before any work if C(n, d) exceeds ``budget``.
+    The checks run eagerly so a refusal comes before any work; the
+    blocks themselves are produced lazily, which keeps memory bounded by
+    ``chunk`` d x d matrices whatever C(n, d) is.
     """
     n, d = w.n, w.d
     if n < d:
@@ -208,40 +233,31 @@ def maximal_minors(
         raise MinorBudgetError(
             f"{total} maximal minors (C({n},{d})) exceed the budget {budget}"
         )
-    return _minor_stream(w.entries, n, d, chunk)
+    entries = w.entries
+    return (
+        (idx, np.linalg.det(entries[idx])) for idx in _colex_blocks(n, d, chunk)
+    )
 
 
-def _minor_stream(
-    entries: np.ndarray, n: int, d: int, chunk: int
+def maximal_minors(
+    w: WeightMatrix,
+    budget: int = DEFAULT_MINOR_BUDGET,
+    chunk: int = _MINOR_CHUNK,
 ) -> Iterator[tuple[tuple[int, ...], float]]:
-    batch: list[tuple[int, ...]] = []
-    for index_set in _colex_index_sets(n, d):
-        batch.append(index_set)
-        if len(batch) == chunk:
-            yield from _eval_minor_batch(entries, batch)
-            batch = []
-    if batch:
-        yield from _eval_minor_batch(entries, batch)
+    """Stream (row index set, d x d minor) pairs for every d-subset of rows.
 
-
-def _eval_minor_batch(
-    entries: np.ndarray, batch: list[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], float]]:
-    stacked = entries[np.array(batch, dtype=np.intp)]
-    dets = np.linalg.det(stacked)
-    for index_set, det in zip(batch, dets):
-        yield index_set, float(det)
-
-
-def _minor_threshold(w: WeightMatrix, tau_det: float):
-    """Per-subset degeneracy cutoff: tau_det times the norms of the
-    selected rows, so the test is invariant under row rescaling."""
-    norms = w.row_norms
-
-    def threshold(index_set: tuple[int, ...]) -> float:
-        return tau_det * float(np.prod(norms[list(index_set)]))
-
-    return threshold
+    Index sets are 0-based ascending tuples, emitted in colexicographic
+    order.  This is a per-minor view over the same chunked scan that
+    ``gr_plus_status`` runs: index sets are built and determinants
+    evaluated in numpy blocks of at most ``chunk`` minors.  Raises
+    MinorBudgetError before any work if C(n, d) exceeds ``budget``.
+    """
+    blocks = _minor_blocks(w, budget, chunk)
+    return (
+        (tuple(index_set), det)
+        for idx, dets in blocks
+        for index_set, det in zip(idx.tolist(), dets.tolist())
+    )
 
 
 def is_general_position(
@@ -251,22 +267,20 @@ def is_general_position(
 ) -> bool:
     """True when every size-min(n, d) subset of rows is independent.
 
-    For n >= d this means every maximal minor satisfies
-    |det| >= tau_det * product of the selected row norms.  With fewer
-    rows than columns the condition degrades to full row rank, tested
-    through the Gram determinant: det(W W^T) equals the sum of squared
-    wide-minors, so its square root is compared against the same
-    rescaling-invariant threshold.
+    For n >= d this is the minor scan of ``gr_plus_status``: the matrix is
+    in general position exactly when its verdict is not degenerate, i.e.
+    every maximal minor satisfies |det| >= tau_det * product of the
+    selected row norms.  With fewer rows than columns the condition
+    degrades to full row rank, tested through the Gram determinant:
+    det(W W^T) equals the sum of squared wide-minors, so its square root
+    is compared against the same rescaling-invariant threshold.
     """
     if w.n < w.d:
         gram = w.entries @ w.entries.T
         value = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
         return value >= tau_det * float(np.prod(w.row_norms))
-    threshold = _minor_threshold(w, tau_det)
-    for index_set, det in maximal_minors(w, budget=budget):
-        if abs(det) < threshold(index_set):
-            return False
-    return True
+    status = gr_plus_status(w, tau_det=tau_det, budget=budget)
+    return status.verdict is not GrVerdict.DEGENERATE
 
 
 class GrVerdict(Enum):
@@ -308,20 +322,29 @@ def gr_plus_status(
     of the strict positive region of the Grassmannian, up to column sign).
     Degenerate: some minor falls below the threshold.  Mixed-signs: all
     minors clear the threshold but disagree in sign.
+
+    The scan runs block by block in colex order and stops at the first
+    minor below the threshold, so ``checked_minors`` and ``min_abs_minor``
+    count exactly the minors up to and including that one.
     """
-    threshold = _minor_threshold(w, tau_det)
+    norms = w.row_norms
     min_abs = math.inf
     checked = 0
     saw_pos = saw_neg = False
-    for index_set, det in maximal_minors(w, budget=budget):
-        checked += 1
-        min_abs = min(min_abs, abs(det))
-        if abs(det) < threshold(index_set):
+    for idx, dets in _minor_blocks(w, budget, _MINOR_CHUNK):
+        mags = np.abs(dets)
+        below = mags < tau_det * np.prod(norms[idx], axis=1)
+        degenerate = bool(below.any())
+        if degenerate:
+            mags = mags[: int(np.argmax(below)) + 1]
+        # fmin skips NaN the way a running min() from +inf does.
+        min_abs = float(np.fmin.reduce(mags, initial=min_abs))
+        checked += mags.size
+        if degenerate:
             return GrStatus(GrVerdict.DEGENERATE, min_abs, checked)
-        if det > 0:
-            saw_pos = True
-        else:
-            saw_neg = True
+        positive = dets > 0
+        saw_pos = saw_pos or bool(positive.any())
+        saw_neg = saw_neg or not positive.all()
     if saw_pos and saw_neg:
         verdict = GrVerdict.MIXED_SIGNS
     elif saw_pos:

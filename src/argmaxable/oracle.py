@@ -30,6 +30,7 @@ from .labelspace import LabelAssignment, cover_count
 from .linalg import (
     DEFAULT_MINOR_BUDGET,
     DEFAULT_TAU_SIGN,
+    MinorBudgetError,
     WeightMatrix,
     is_general_position,
     sign_vector,
@@ -176,12 +177,18 @@ def enumerate_regions_sampled(
     if general_position is None:
         try:
             general_position = is_general_position(w, budget=minor_budget)
-        except Exception:
+        except MinorBudgetError:
             general_position = False
     target = cover_count(n, d) if general_position else None
     rng = np.random.default_rng(seed)
     use_int_codes = n <= 62
-    full_mask = (1 << n) - 1
+    # XOR with the n-bit mask gives the antipode's code; the packbits
+    # padding bits stay zero.
+    full_mask = (
+        np.int64((1 << n) - 1)
+        if use_int_codes
+        else np.packbits(np.ones(n, dtype=bool))
+    )
     seen: set = set()
     used = 0
     skips = 0
@@ -202,16 +209,17 @@ def enumerate_regions_sampled(
         clean = good_length & (np.abs(logits) >= tau_sign).all(axis=1)
         used += chunk
         skips += int(chunk - np.count_nonzero(clean))
-        active = logits[clean] > 0.0
+        positive = logits > 0.0
+        # Most draws of a chunk repeat a region, so dedupe in numpy before
+        # anything reaches the Python set.
         if use_int_codes:
-            codes = active.astype(np.int64) @ bit_weights
+            codes = np.unique((positive.astype(np.int64) @ bit_weights)[clean])
             seen.update(codes.tolist())
-            seen.update((full_mask ^ code for code in codes.tolist()))
+            seen.update((codes ^ full_mask).tolist())
         else:
-            pos = np.packbits(active, axis=1)
-            neg = np.packbits(~active, axis=1)
-            seen.update(row.tobytes() for row in pos)
-            seen.update(row.tobytes() for row in neg)
+            codes = np.unique(np.packbits(positive, axis=1)[clean], axis=0)
+            seen.update(row.tobytes() for row in codes)
+            seen.update(row.tobytes() for row in codes ^ full_mask)
         if target is not None and len(seen) >= target:
             break
     decode = _decode_int_codes if use_int_codes else _decode_byte_codes

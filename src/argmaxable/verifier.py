@@ -11,10 +11,11 @@ linear program over (x, eps):
                 eps >= eps_floor
 
 A feasible optimum certifies the assignment with its radius and witness
-point; a certified-infeasible LP proves no point achieves y with margin
-eps_floor; anything else the solver reports (numerical trouble, iteration
-limits) is surfaced as Indeterminate rather than guessed.  The box bound
-exists only to keep the optimum finite on unbounded regions.
+point, provided the radius honours eps >= eps_floor; a certified-infeasible
+LP proves no point achieves y with margin eps_floor; anything else the
+solver reports (numerical trouble, iteration limits, an "optimal" radius
+below the floor) is surfaced as Indeterminate rather than guessed.  The
+box bound exists only to keep the optimum finite on unbounded regions.
 """
 
 from __future__ import annotations
@@ -137,10 +138,22 @@ def chebyshev_verify(
         )
     elapsed = time.perf_counter() - start
     if res.status == 0:
+        radius = float(res.x[-1])
+        if radius >= cfg.eps_floor:
+            return VerifyResult(
+                VerifyStatus.ARGMAXABLE,
+                radius=radius,
+                witness=np.array(res.x[:d]),
+                wall_time=elapsed,
+            )
+        # Ill-conditioned solves can report an optimum that breaks the
+        # LP's own bound eps >= eps_floor; that certifies nothing.
         return VerifyResult(
-            VerifyStatus.ARGMAXABLE,
-            radius=float(res.x[-1]),
-            witness=np.array(res.x[:d]),
+            VerifyStatus.INDETERMINATE,
+            reason=(
+                f"solver status 0 returned radius {radius!r}, "
+                f"below eps_floor {cfg.eps_floor!r}"
+            ),
             wall_time=elapsed,
         )
     if res.status == 2:

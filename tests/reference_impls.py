@@ -1,14 +1,17 @@
 """Deliberately naive reference implementations used as test oracles.
 
 Everything here trades speed for obviousness and shares no code with the
-package: determinants by cofactor expansion, sign-vector families by
-filtering all 2^n strings, ranked metrics by explicit sorting loops.
+package: determinants by cofactor expansion, the minor scan one subset
+at a time, sign-vector families by filtering all 2^n strings, ranked
+metrics by explicit sorting loops.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def cofactor_det(rows):
@@ -81,3 +84,35 @@ def naive_ndcg_at_k(scores, gold_active: set, k: int):
         for rank in range(1, min(k, len(gold_active)) + 1)
     )
     return dcg / ideal
+
+
+def reference_minor_scan(entries, tau_det: float = 1e-10):
+    """The all-minors sign scan, one subset at a time.
+
+    Index sets come from itertools in colexicographic order (sorted by
+    their reversed tuple), each minor is a scalar determinant, and each is
+    compared against tau_det times the product of the selected row norms.
+    Returns (verdict value, min |minor| seen, minors checked, all minors
+    as [(index set, minor), ...] in colex order).
+    """
+    n, d = entries.shape
+    norms = np.linalg.norm(entries, axis=1)
+    subsets = sorted(itertools.combinations(range(n), d), key=lambda s: s[::-1])
+    minors = [(s, float(np.linalg.det(entries[list(s)]))) for s in subsets]
+    min_abs = math.inf
+    saw_pos = saw_neg = False
+    for checked, (s, det) in enumerate(minors, start=1):
+        min_abs = min(min_abs, abs(det))
+        if abs(det) < tau_det * float(np.prod(norms[list(s)])):
+            return "degenerate", min_abs, checked, minors
+        if det > 0:
+            saw_pos = True
+        else:
+            saw_neg = True
+    if saw_pos and saw_neg:
+        verdict = "mixed-signs"
+    elif saw_pos:
+        verdict = "uniform-positive"
+    else:
+        verdict = "uniform-negative"
+    return verdict, min_abs, len(minors), minors

@@ -1,10 +1,12 @@
 """Determinants, maximal minors, general position, and sign evaluation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from argmaxable import linalg
 from argmaxable.labelspace import alt
 from argmaxable.linalg import (
     BoundaryError,
@@ -20,7 +22,7 @@ from argmaxable.linalg import (
     sign_vector,
 )
 
-from reference_impls import cofactor_det
+from reference_impls import cofactor_det, reference_minor_scan
 
 
 def vandermonde_rows(ts):
@@ -213,6 +215,63 @@ class TestGrStatus:
         w = vandermonde_rows(np.sort(rng.uniform(0.0, 3.0, size=6)))
         scaled = WeightMatrix(w.entries * np.array([3.0, 0.25]))
         assert gr_plus_status(w).verdict is gr_plus_status(scaled).verdict
+
+
+def _scan_inputs():
+    """Matrices covering every verdict, with the first degenerate minor
+    placed early, inside a block and at the very end of the scan."""
+    rng = np.random.default_rng(12)
+    cases = {}
+    for n, d in ((7, 3), (9, 3), (8, 4), (10, 2)):
+        cases[f"random-{n}x{d}"] = rng.standard_normal((n, d))
+    early = rng.standard_normal((9, 3))
+    early[1] = early[0]
+    cases["duplicate-first"] = early
+    mid = rng.standard_normal((9, 3))
+    mid[5] = -2.0 * mid[3]
+    cases["duplicate-mid"] = mid
+    last = rng.standard_normal((9, 3))
+    last[8] = last[6] + last[7]  # only the last colex subset {6, 7, 8}
+    cases["dependent-last"] = last
+    ts = np.array([0.0, 1.0, 2.0, 2.5, 3.0, 4.0])
+    cases["vandermonde"] = np.stack([np.ones_like(ts), ts, ts**2], axis=1)
+    cases["reordered-vandermonde"] = cases["vandermonde"][[0, 2, 1, 4, 5, 3]]
+    cases["one-column"] = rng.standard_normal((6, 1))
+    cases["one-column-with-zero-row"] = np.array([[1.0], [2.0], [0.0], [-1.0]])
+    cases["square"] = rng.standard_normal((4, 4))
+    return cases
+
+
+class TestScanMatchesReference:
+    @pytest.mark.parametrize("chunk", [1, 7, 2048])
+    @pytest.mark.parametrize("name", sorted(_scan_inputs()))
+    def test_status_general_position_and_minors(self, name, chunk, monkeypatch):
+        entries = _scan_inputs()[name]
+        w = WeightMatrix(entries)
+        verdict, min_abs, checked, minors = reference_minor_scan(entries)
+        monkeypatch.setattr(linalg, "_MINOR_CHUNK", chunk)
+        status = gr_plus_status(w)
+        assert status.verdict.value == verdict
+        assert status.checked_minors == checked
+        assert status.min_abs_minor == min_abs
+        assert is_general_position(w) == (verdict != "degenerate")
+        assert list(maximal_minors(w, chunk=chunk)) == minors
+
+    def test_degenerate_cases_stop_where_intended(self):
+        cases = _scan_inputs()
+        total = math.comb(9, 3)
+        assert reference_minor_scan(cases["duplicate-first"])[2] == 1
+        assert 1 < reference_minor_scan(cases["duplicate-mid"])[2] < total
+        verdict, _, checked, _ = reference_minor_scan(cases["dependent-last"])
+        assert (verdict, checked) == ("degenerate", total)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2048])
+    def test_blocks_are_bounded_colex_intp(self, chunk):
+        blocks = list(linalg._colex_blocks(11, 4, chunk))
+        assert all(b.dtype == np.intp and 1 <= len(b) <= chunk for b in blocks)
+        sets = [tuple(row) for b in blocks for row in b.tolist()]
+        colex = sorted(itertools.combinations(range(11), 4), key=lambda s: s[::-1])
+        assert sets == colex
 
 
 class TestSignVector:

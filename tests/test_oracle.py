@@ -12,6 +12,7 @@ from argmaxable.labelspace import (
     cover_count,
     enumerate_family,
 )
+from argmaxable import oracle
 from argmaxable.linalg import WeightMatrix
 from argmaxable.oracle import (
     DegeneracyError,
@@ -142,6 +143,40 @@ class TestSampledEnumeration:
             w, budget=2 * 10**5, seed=5, general_position=False
         )
         assert humble.method is EnumerationMethod.SAMPLED_PARTIAL
+
+    def test_over_budget_minor_scan_means_unknown(self):
+        w = build_dft_matrix(6, 1)
+        regions = enumerate_regions_sampled(w, budget=10**5, seed=0, minor_budget=1)
+        assert regions.method is EnumerationMethod.SAMPLED_PARTIAL
+        assert len(regions.members) == 32
+
+    def test_a_failing_minor_scan_is_not_swallowed(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("scan bug")
+
+        monkeypatch.setattr(oracle, "is_general_position", broken)
+        with pytest.raises(ZeroDivisionError):
+            enumerate_regions_sampled(build_dft_matrix(6, 1), budget=10**5)
+
+    def test_draw_counts_are_pinned_on_the_spectral_ten_by_five(self):
+        # Per-chunk dedupe must not change what is drawn or when sampling
+        # stops: these counts were measured with one set insert per draw.
+        regions = enumerate_regions_sampled(build_dft_matrix(10, 2), seed=2)
+        assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
+        assert regions.samples_used == 1998848
+        assert regions.boundary_skips == 0
+        expected = set(enumerate_family(FamilySpec(10, 4, FamilyKind.ALTERNATING)))
+        assert len(expected) == 512
+        assert regions.members == frozenset(expected)
+
+    def test_byte_codes_beyond_62_rows_match_the_exact_walk(self):
+        # n > 62 does not fit an int64 code and takes the packbits path.
+        rng = np.random.default_rng(40)
+        angles = np.pi * (np.arange(70) + 0.5 * rng.random(70)) / 70
+        w = WeightMatrix(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+        sampled = enumerate_regions_sampled(w, budget=10**6, seed=6)
+        assert sampled.method is EnumerationMethod.SAMPLED_COMPLETE
+        assert sampled.members == enumerate_regions_2d(w).members
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(37)

@@ -1,6 +1,7 @@
 """Chebyshev LP certification: soundness, golden instances, batching."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from argmaxable.labelspace import (
     alt,
     enumerate_family,
 )
+from argmaxable import verifier
 from argmaxable.linalg import WeightMatrix, sign_vector
 from argmaxable.verifier import (
     LpConfig,
@@ -102,6 +104,18 @@ class TestChebyshevVerify:
         res = chebyshev_verify(w, dense("+"))
         assert res.status is VerifyStatus.ARGMAXABLE
         assert res.radius == pytest.approx(1e4)
+
+    def test_optimum_below_the_eps_floor_is_indeterminate(self, monkeypatch):
+        # Ill-conditioned solves have come back with status 0, radius -0.0
+        # and a zero witness, breaking the LP's own bound eps >= eps_floor.
+        def solved_at_zero(cost, **kwargs):
+            return SimpleNamespace(status=0, x=np.array([0.0, 0.0, -0.0]), message="")
+
+        monkeypatch.setattr(verifier, "linprog", solved_at_zero)
+        res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
+        assert res.status is VerifyStatus.INDETERMINATE
+        assert res.radius is None and res.witness is None
+        assert "-0.0" in res.reason and "status 0" in res.reason
 
     def test_rejects_dimension_mismatch_and_zero_rows(self):
         w = WeightMatrix(np.eye(2))
