@@ -12,11 +12,12 @@ at heart but settled numerically:
 
 Minors are relative-thresholded: a minor over rows I counts as zero when
 |det| < tau_det * prod_{i in I} ||row_i||, which makes every verdict
-invariant under row rescaling.  General position and the sign verdict
-share this one threshold and one scan: the d-subsets are generated in
-colexicographic order as numpy index blocks of bounded size, and each
-block gets one batched determinant call and one vectorized threshold
-test, so memory stays flat however large C(n, d) is.
+invariant under row rescaling.  A zero row puts 0 on both sides of that
+test, so any minor that selects one counts as zero outright.  General
+position and the sign verdict share this one threshold and one scan: the
+d-subsets are generated in colexicographic order as numpy index blocks of
+bounded size, and each block gets one batched determinant call and one
+vectorized threshold test, so memory stays flat however large C(n, d) is.
 
 Row index sets are reported 0-based; human-facing label/row numbers
 elsewhere are 1-based, and BoundaryError follows the 1-based convention
@@ -41,12 +42,10 @@ __all__ = [
     "GrStatus",
     "BoundaryError",
     "MinorBudgetError",
-    "determinant",
     "maximal_minors",
     "is_general_position",
     "gr_plus_status",
     "sign_vector",
-    "perturb_input",
     "DEFAULT_TAU_DET",
     "DEFAULT_TAU_SIGN",
     "DEFAULT_MINOR_BUDGET",
@@ -55,7 +54,6 @@ __all__ = [
 DEFAULT_TAU_DET = 1e-10
 DEFAULT_TAU_SIGN = 1e-12
 DEFAULT_MINOR_BUDGET = 10**6
-DEFAULT_DET_DIM_CAP = 512
 _MINOR_CHUNK = 2048
 
 _PROVENANCE_KINDS = ("random", "dft", "dft+slack")
@@ -171,21 +169,6 @@ class MinorBudgetError(ValueError):
     """Raised when C(n, d) exceeds the minor enumeration budget."""
 
 
-def determinant(matrix: np.ndarray, dim_cap: int = DEFAULT_DET_DIM_CAP) -> float:
-    """Determinant of a square real matrix via LU with partial pivoting.
-
-    The dimension cap is a plumbing guard: nothing in this package needs
-    determinants beyond d x d blocks, so an unexpectedly large input is
-    more likely a transposed or misshaped argument than a real request.
-    """
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"determinant needs a square matrix, got shape {arr.shape}")
-    if arr.shape[0] > dim_cap:
-        raise ValueError(f"dimension {arr.shape[0]} exceeds cap {dim_cap}")
-    return float(np.linalg.det(arr))
-
-
 def _colex_blocks(
     n: int, d: int, chunk: int, suffix: tuple[int, ...] = ()
 ) -> Iterator[np.ndarray]:
@@ -270,12 +253,15 @@ def is_general_position(
     For n >= d this is the minor scan of ``gr_plus_status``: the matrix is
     in general position exactly when its verdict is not degenerate, i.e.
     every maximal minor satisfies |det| >= tau_det * product of the
-    selected row norms.  With fewer rows than columns the condition
-    degrades to full row rank, tested through the Gram determinant:
-    det(W W^T) equals the sum of squared wide-minors, so its square root
-    is compared against the same rescaling-invariant threshold.
+    selected row norms and selects no zero row.  With fewer rows than
+    columns the condition degrades to full row rank, tested through the
+    Gram determinant: det(W W^T) equals the sum of squared wide-minors,
+    so its square root is compared against the same rescaling-invariant
+    threshold, after the same refusal of a zero row.
     """
     if w.n < w.d:
+        if not w.row_norms.all():
+            return False
         gram = w.entries @ w.entries.T
         value = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
         return value >= tau_det * float(np.prod(w.row_norms))
@@ -320,20 +306,26 @@ def gr_plus_status(
     Uniform-positive / uniform-negative: every minor clears the relative
     threshold and they all share one sign (the matrix represents a point
     of the strict positive region of the Grassmannian, up to column sign).
-    Degenerate: some minor falls below the threshold.  Mixed-signs: all
-    minors clear the threshold but disagree in sign.
+    Degenerate: some minor falls below the threshold or selects a zero
+    row.  Mixed-signs: all minors clear the threshold but disagree in sign.
 
     The scan runs block by block in colex order and stops at the first
-    minor below the threshold, so ``checked_minors`` and ``min_abs_minor``
-    count exactly the minors up to and including that one.
+    degenerate minor, so ``checked_minors`` and ``min_abs_minor`` count
+    exactly the minors up to and including that one.
     """
     norms = w.row_norms
+    zero_rows = np.flatnonzero(norms == 0.0)
+    # Colex order puts every subset of range(z) first, then {0..d-2, z}:
+    # the first minor that selects the lowest zero row z is number C(z, d).
+    first_zero = math.comb(int(zero_rows[0]), w.d) if zero_rows.size else -1
     min_abs = math.inf
     checked = 0
     saw_pos = saw_neg = False
     for idx, dets in _minor_blocks(w, budget, _MINOR_CHUNK):
         mags = np.abs(dets)
         below = mags < tau_det * np.prod(norms[idx], axis=1)
+        if checked <= first_zero < checked + len(idx):
+            below[first_zero - checked] = True
         degenerate = bool(below.any())
         if degenerate:
             mags = mags[: int(np.argmax(below)) + 1]
@@ -371,21 +363,3 @@ def sign_vector(w: WeightMatrix, x: np.ndarray, tau_sign: float = DEFAULT_TAU_SI
         raise BoundaryError(tuple(int(i) + 1 for i in on_boundary))
     return LabelAssignment(np.where(logits > 0, 1, -1).astype(np.int8))
 
-
-def perturb_input(
-    x: np.ndarray, seed: int, scale: float = 1e-9
-) -> np.ndarray:
-    """Nudge x off a hyperplane: add a seeded uniform direction of length
-    scale * ||x|| (or just ``scale`` when x is the origin).  Intended as
-    the retry step after BoundaryError."""
-    point = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    direction = rng.uniform(-1.0, 1.0, size=point.shape)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:  # probability zero, but keep the contract total
-        direction = np.ones_like(point)
-        norm = float(np.linalg.norm(direction))
-    magnitude = scale * float(np.linalg.norm(point))
-    if magnitude == 0.0:
-        magnitude = scale
-    return point + direction * (magnitude / norm)

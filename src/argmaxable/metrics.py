@@ -80,19 +80,50 @@ class NdcgResult(NamedTuple):
     skipped: int
 
 
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ties broken by ascending index."""
-    return np.argsort(-scores, kind="stable")[:k]
+def _stack(
+    records: Sequence[PredictionRecord],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and gold activity of all records as (records, labels)
+    arrays; every record must have the same label count."""
+    if not records:
+        raise ValueError("no records")
+    n = records[0].n
+    for rec in records:
+        if rec.n != n:
+            raise ValueError("all records must share one label count")
+    scores = np.stack([rec.scores for rec in records])
+    active = np.stack([rec.gold.signs for rec in records]) > 0
+    return scores, active
 
 
-def _harmonic(p: float, r: float) -> float:
-    if p + r == 0.0:
-        return 0.0
-    if p == r:
-        # The harmonic mean of equal values is that value; routing the
-        # equal case through 2pr/(p+r) can lose the identity by an ulp.
-        return p
-    return 2.0 * p * r / (p + r)
+def _top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """Per row, True at the labels of the k largest scores, ties at the
+    k-th largest value broken by ascending label index.
+
+    ``np.partition`` finds each row's k-th largest value without a sort,
+    and every label at or above it is taken.  Only rows where ties at
+    that value overfill the k places are redone: the labels above it,
+    then the tied ones in ascending index order until k are taken.
+    """
+    n = scores.shape[1]
+    kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
+    chosen = scores >= kth
+    rows = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k)
+    if rows.size:
+        sub, cut = scores[rows], kth[rows]
+        above = sub > cut
+        tied = sub == cut
+        room = k - np.count_nonzero(above, axis=1)
+        chosen[rows] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    return chosen
+
+
+def _harmonic(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Elementwise harmonic mean of nonnegative p and r.  Where p == r
+    (zero included) it is p itself: the harmonic mean of equal values is
+    that value, and routing them through 2pr/(p+r) can lose it by an ulp."""
+    equal = np.array(p, dtype=np.float64)
+    return np.divide(2.0 * p * r, p + r, out=equal, where=p != r)
 
 
 def prec_rec_f1_at_k(
@@ -104,35 +135,27 @@ def prec_rec_f1_at_k(
     hits/k and recall hits/act(gold) (1.0 when the gold set is empty).
     By default F1 is the harmonic mean of the dataset-averaged precision
     and recall; with ``per_record_f1`` the harmonic mean is taken per
-    record and then averaged.
+    record and then averaged.  All records must share one label count.
     """
-    if not records:
-        raise ValueError("no records")
+    scores, active = _stack(records)
     if k < 1:
         raise ValueError("k must be >= 1")
-    precs = []
-    recs = []
-    f1s = []
-    empty = 0
-    for rec in records:
-        if k > rec.n:
-            raise ValueError(f"k={k} exceeds label count n={rec.n}")
-        top = _top_k(rec.scores, k)
-        hits = int(np.count_nonzero(rec.gold.signs[top] > 0))
-        active = int(np.count_nonzero(rec.gold.signs > 0))
-        p = hits / k
-        if active == 0:
-            r = 1.0
-            empty += 1
-        else:
-            r = hits / active
-        precs.append(p)
-        recs.append(r)
-        f1s.append(_harmonic(p, r))
-    mean_p = float(np.mean(precs))
-    mean_r = float(np.mean(recs))
-    f1 = float(np.mean(f1s)) if per_record_f1 else _harmonic(mean_p, mean_r)
-    return AtKResult(mean_p, mean_r, f1, empty)
+    n = scores.shape[1]
+    if k > n:
+        raise ValueError(f"k={k} exceeds label count n={n}")
+    hits = np.count_nonzero(_top_k_mask(scores, k) & active, axis=1)
+    counts = np.count_nonzero(active, axis=1)
+    empty = counts == 0
+    precs = hits / k
+    recs = np.divide(hits, counts, out=np.ones(len(records)), where=~empty)
+    mean_p = np.mean(precs)
+    mean_r = np.mean(recs)
+    if per_record_f1:
+        f1 = np.mean(_harmonic(precs, recs))
+    else:
+        f1 = _harmonic(mean_p, mean_r)
+    empty_gold = int(np.count_nonzero(empty))
+    return AtKResult(float(mean_p), float(mean_r), float(f1), empty_gold)
 
 
 def micro_macro_f1(
@@ -145,14 +168,8 @@ def micro_macro_f1(
     over every (record, label) pair; macro computes F1 per label and
     averages over all n labels.
     """
-    if not records:
-        raise ValueError("no records")
-    n = records[0].n
-    for rec in records:
-        if rec.n != n:
-            raise ValueError("all records must share one label count")
-    predicted = np.stack([rec.scores > threshold for rec in records])
-    actual = np.stack([rec.gold.signs > 0 for rec in records])
+    scores, actual = _stack(records)
+    predicted = scores > threshold
     tp = (predicted & actual).sum(axis=0).astype(np.int64)
     fp = (predicted & ~actual).sum(axis=0).astype(np.int64)
     fn = (~predicted & actual).sum(axis=0).astype(np.int64)
@@ -173,28 +190,36 @@ def ndcg_at_k(records: Sequence[PredictionRecord], k: int) -> NdcgResult:
     with empty gold are skipped and counted; if every record is skipped
     there is nothing to average and a ValueError is raised.
     """
-    if not records:
-        raise ValueError("no records")
+    scores, active = _stack(records)
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = 0.0
-    scored = 0
-    skipped = 0
-    for rec in records:
-        active = int(np.count_nonzero(rec.gold.signs > 0))
-        if active == 0:
-            skipped += 1
-            continue
-        top = _top_k(rec.scores, min(k, rec.n))
-        dcg = 0.0
-        for rank, label in enumerate(top, start=1):
-            if rec.gold.signs[label] > 0:
-                dcg += 1.0 / math.log2(rank + 1)
-        ideal = sum(
-            1.0 / math.log2(rank + 1) for rank in range(1, min(k, active) + 1)
-        )
-        total += dcg / ideal
-        scored += 1
+    counts = np.count_nonzero(active, axis=1)
+    keep = counts > 0
+    scored = int(np.count_nonzero(keep))
     if scored == 0:
         raise ValueError("every record has an empty gold set")
-    return NdcgResult(total / scored, scored, skipped)
+    k = min(k, scores.shape[1])
+    scores, active = scores[keep], active[keep]
+    # The k chosen labels in ascending index order, then stably sorted by
+    # descending score: the rank order with ties by ascending index.
+    labels = np.nonzero(_top_k_mask(scores, k))[1].reshape(scored, k)
+    picked = np.take_along_axis(scores, labels, axis=1)
+    ranked = np.take_along_axis(
+        labels, np.argsort(-picked, axis=1, kind="stable"), axis=1
+    )
+    hit = np.take_along_axis(active, ranked, axis=1)
+    discounts = [1.0 / math.log2(rank + 1) for rank in range(1, k + 1)]
+    # Summed in rank order, as one record at a time would: adding a 0.0
+    # for a miss leaves the running sum unchanged.
+    dcg = np.zeros(scored)
+    for col, discount in enumerate(discounts):
+        dcg += np.where(hit[:, col], discount, 0.0)
+    # The ideal DCG is the builtin sum() of the first min(k, |gold|)
+    # discounts, as per record, once per distinct length.
+    ideal_at = np.minimum(counts[keep], k)
+    ideals = {a: sum(discounts[:a]) for a in np.unique(ideal_at).tolist()}
+    ideal = np.array([ideals[a] for a in ideal_at.tolist()])
+    total = 0.0
+    for ratio in (dcg / ideal).tolist():
+        total += ratio
+    return NdcgResult(total / scored, scored, len(records) - scored)

@@ -74,10 +74,37 @@ def _read_text(path: Union[str, Path]) -> str:
         raise ParseError(path, f"cannot read file: {exc.strerror or exc}")
 
 
-def _parse_float_rows(path: Union[str, Path], text: str) -> list[list[float]]:
+def _parse_float_rows(path: Union[str, Path], text: str) -> np.ndarray:
+    """Parse rectangular CSV text of floats into a float64 array.
+
+    The happy path is one C-level ``np.loadtxt`` pass.  Its cells go
+    through the same ``PyOS_string_to_double`` as ``float()``, but it
+    strips ``\\x1f`` around a cell where ``float()`` does not, and it
+    rejects some cells ``float()`` accepts (``1_0``, non-ASCII digits).
+    It also skips blank lines (and warns when nothing is left), so its
+    array is taken only when no line is blank, no ``\\x1f`` occurs and
+    the shape is one row per line.  Anything else re-reads the text cell
+    by cell, which either produces the array or raises the ParseError
+    that names the first bad line and column.
+    """
+    lines = text.splitlines()
+    if lines and "\x1f" not in text and all(line.strip() for line in lines):
+        try:
+            arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if arr.shape == (len(lines), lines[0].count(",") + 1):
+                return arr
+    return np.array(_parse_cells(path, lines), dtype=np.float64)
+
+
+def _parse_cells(path: Union[str, Path], lines: list[str]) -> list[list[float]]:
+    """The per-cell parse with ``float()``; the reference for every error
+    message and for any cell the vectorized path does not take."""
     rows: list[list[float]] = []
     width: Optional[int] = None
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             raise ParseError(path, "blank line inside numeric data", line=line_no)
         cells = line.split(",")
@@ -138,8 +165,7 @@ def _provenance_from_sidecar(path: Path, obj: dict, n: int, d: int) -> Provenanc
 def parse_matrix(path: Union[str, Path]) -> WeightMatrix:
     """Read a weight matrix from CSV, with provenance from the JSON
     sidecar (same path, .json suffix) when one exists."""
-    rows = _parse_float_rows(path, _read_text(path))
-    entries = np.array(rows, dtype=np.float64)
+    entries = _parse_float_rows(path, _read_text(path))
     provenance = Provenance.random()
     sidecar = _sidecar_path(path)
     if sidecar.exists() and sidecar != Path(path):
@@ -283,8 +309,7 @@ def serialize_labels(
 
 def parse_scores(path: Union[str, Path]) -> np.ndarray:
     """Read a score file: CSV of floats, one record per line, rectangular."""
-    rows = _parse_float_rows(path, _read_text(path))
-    arr = np.array(rows, dtype=np.float64)
+    arr = _parse_float_rows(path, _read_text(path))
     if not np.all(np.isfinite(arr)):
         raise ParseError(path, "scores must be finite")
     return arr

@@ -3,7 +3,9 @@
 Everything here trades speed for obviousness and shares no code with the
 package: determinants by cofactor expansion, the minor scan one subset
 at a time, sign-vector families by filtering all 2^n strings, ranked
-metrics by explicit sorting loops.
+metrics by explicit sorting loops.  Two small numeric helpers that only
+the tests need (a guarded determinant and a seeded nudge off a
+hyperplane) live here too.
 """
 
 from __future__ import annotations
@@ -12,6 +14,36 @@ import itertools
 import math
 
 import numpy as np
+
+
+def determinant(matrix, dim_cap: int = 512) -> float:
+    """Determinant of a square real matrix via LU with partial pivoting.
+
+    The dimension cap is a plumbing guard: an unexpectedly large input is
+    more likely a transposed or misshaped argument than a real request.
+    """
+    arr = np.asarray(matrix, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"determinant needs a square matrix, got shape {arr.shape}")
+    if arr.shape[0] > dim_cap:
+        raise ValueError(f"dimension {arr.shape[0]} exceeds cap {dim_cap}")
+    return float(np.linalg.det(arr))
+
+
+def perturb_input(x, seed: int, scale: float = 1e-9):
+    """Nudge x off a hyperplane: add a seeded uniform direction of length
+    scale * ||x|| (or just ``scale`` when x is the origin)."""
+    point = np.asarray(x, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    direction = rng.uniform(-1.0, 1.0, size=point.shape)
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:  # probability zero, but keep the contract total
+        direction = np.ones_like(point)
+        norm = float(np.linalg.norm(direction))
+    magnitude = scale * float(np.linalg.norm(point))
+    if magnitude == 0.0:
+        magnitude = scale
+    return point + direction * (magnitude / norm)
 
 
 def cofactor_det(rows):
@@ -74,11 +106,10 @@ def naive_ndcg_at_k(scores, gold_active: set, k: int):
     if not gold_active:
         return None
     top = ranked_labels(scores)[:k]
-    dcg = sum(
-        1.0 / math.log2(rank + 1)
-        for rank, label in enumerate(top, start=1)
-        if label in gold_active
-    )
+    dcg = 0.0
+    for rank, label in enumerate(top, start=1):
+        if label in gold_active:
+            dcg += 1.0 / math.log2(rank + 1)
     ideal = sum(
         1.0 / math.log2(rank + 1)
         for rank in range(1, min(k, len(gold_active)) + 1)
@@ -86,12 +117,48 @@ def naive_ndcg_at_k(scores, gold_active: set, k: int):
     return dcg / ideal
 
 
+def _harmonic(p: float, r: float) -> float:
+    return p if p == r else 2.0 * p * r / (p + r)
+
+
+def reference_prec_rec_f1_at_k(scores, golds, k: int, per_record_f1=False):
+    """(Prec@k, Rec@k, F1@k, empty-gold count) over a dataset, one record
+    at a time: per-record hits/k and hits/|gold| ratios averaged with
+    np.mean, F1 as 2pr/(p+r), or p itself when p == r."""
+    precs, recs = [], []
+    for row, gold in zip(scores, golds):
+        p, r = naive_prec_rec_at_k(row, gold, k)
+        precs.append(p)
+        recs.append(r)
+    mean_p = float(np.mean(precs))
+    mean_r = float(np.mean(recs))
+    if per_record_f1:
+        f1 = float(np.mean([_harmonic(p, r) for p, r in zip(precs, recs)]))
+    else:
+        f1 = _harmonic(mean_p, mean_r)
+    return mean_p, mean_r, f1, sum(1 for gold in golds if not gold)
+
+
+def reference_ndcg_at_k(scores, golds, k: int):
+    """(nDCG@k, scored, skipped) over a dataset: per-record nDCG summed
+    in record order over the records with a non-empty gold set."""
+    total = 0.0
+    scored = 0
+    for row, gold in zip(scores, golds):
+        value = naive_ndcg_at_k(row, gold, k)
+        if value is not None:
+            total += value
+            scored += 1
+    return total / scored, scored, len(golds) - scored
+
+
 def reference_minor_scan(entries, tau_det: float = 1e-10):
     """The all-minors sign scan, one subset at a time.
 
     Index sets come from itertools in colexicographic order (sorted by
     their reversed tuple), each minor is a scalar determinant, and each is
-    compared against tau_det times the product of the selected row norms.
+    compared against tau_det times the product of the selected row norms;
+    a minor that selects a zero-norm row is degenerate outright.
     Returns (verdict value, min |minor| seen, minors checked, all minors
     as [(index set, minor), ...] in colex order).
     """
@@ -103,7 +170,8 @@ def reference_minor_scan(entries, tau_det: float = 1e-10):
     saw_pos = saw_neg = False
     for checked, (s, det) in enumerate(minors, start=1):
         min_abs = min(min_abs, abs(det))
-        if abs(det) < tau_det * float(np.prod(norms[list(s)])):
+        selected = norms[list(s)]
+        if abs(det) < tau_det * float(np.prod(selected)) or 0.0 in selected:
             return "degenerate", min_abs, checked, minors
         if det > 0:
             saw_pos = True

@@ -66,6 +66,15 @@ class TestDftAndCheck:
         obj = _report_from(capsys)
         assert obj["payload"]["verdict"] == "mixed-signs"
 
+    def test_check_calls_a_zero_row_degenerate(self, tmp_path, capsys):
+        matrix = tmp_path / "w.csv"
+        matrix.write_text("1.0,0.0\n0.0,0.0\n0.0,1.0\n1.0,1.0\n")
+        assert run(["check", "--matrix", str(matrix)]) == ExitCode.OK
+        payload = _report_from(capsys)["payload"]
+        assert payload["verdict"] == "degenerate"
+        assert payload["general_position"] is False
+        assert payload["checked_minors"] == 1
+
 
 class TestVerify:
     def test_all_assignments_of_a_spectral_layer(self, tmp_path, capsys):

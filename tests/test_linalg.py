@@ -14,15 +14,18 @@ from argmaxable.linalg import (
     MinorBudgetError,
     Provenance,
     WeightMatrix,
-    determinant,
     gr_plus_status,
     is_general_position,
     maximal_minors,
-    perturb_input,
     sign_vector,
 )
 
-from reference_impls import cofactor_det, reference_minor_scan
+from reference_impls import (
+    cofactor_det,
+    determinant,
+    perturb_input,
+    reference_minor_scan,
+)
 
 
 def vandermonde_rows(ts):
@@ -177,6 +180,12 @@ class TestGeneralPosition:
         near[3] = near[2] * 1e-5  # dependent pair, tiny norm
         assert not is_general_position(WeightMatrix(near))
 
+    def test_zero_row_with_fewer_rows_than_columns_is_not(self):
+        # The n < d branch tests the Gram determinant, 0 against 0 here.
+        w = WeightMatrix(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+        assert not is_general_position(w)
+        assert is_general_position(WeightMatrix(np.eye(2, 3)))
+
 
 class TestGrStatus:
     def test_vandermonde_uniform_positive(self):
@@ -208,6 +217,14 @@ class TestGrStatus:
         assert status.verdict is GrVerdict.DEGENERATE
         assert status.checked_minors < math.comb(4, 2)
 
+    def test_zero_row_is_degenerate_at_its_first_minor(self):
+        # 0 < tau * 0 fails, so the threshold alone would pass a zero row.
+        w = WeightMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        status = gr_plus_status(w)
+        assert status.verdict is GrVerdict.DEGENERATE
+        assert (status.checked_minors, status.min_abs_minor) == (1, 0.0)
+        assert not is_general_position(w)
+
     def test_column_rescaling_preserves_uniformity(self):
         # Positive diagonal column scaling scales every minor by the same
         # positive factor, so the verdict class cannot change.
@@ -233,6 +250,10 @@ def _scan_inputs():
     last = rng.standard_normal((9, 3))
     last[8] = last[6] + last[7]  # only the last colex subset {6, 7, 8}
     cases["dependent-last"] = last
+    for name, row in (("first", 0), ("mid", 5), ("last", 8)):
+        zero = rng.standard_normal((9, 3))
+        zero[row] = 0.0
+        cases[f"zero-row-{name}"] = zero
     ts = np.array([0.0, 1.0, 2.0, 2.5, 3.0, 4.0])
     cases["vandermonde"] = np.stack([np.ones_like(ts), ts, ts**2], axis=1)
     cases["reordered-vandermonde"] = cases["vandermonde"][[0, 2, 1, 4, 5, 3]]
@@ -264,6 +285,10 @@ class TestScanMatchesReference:
         assert 1 < reference_minor_scan(cases["duplicate-mid"])[2] < total
         verdict, _, checked, _ = reference_minor_scan(cases["dependent-last"])
         assert (verdict, checked) == ("degenerate", total)
+        # The first colex subset holding row z is {0, 1, z}, number C(z, 3) + 1.
+        for name, row in (("first", 0), ("mid", 5), ("last", 8)):
+            verdict, _, checked, _ = reference_minor_scan(cases[f"zero-row-{name}"])
+            assert (verdict, checked) == ("degenerate", math.comb(row, 3) + 1)
 
     @pytest.mark.parametrize("chunk", [1, 7, 2048])
     def test_blocks_are_bounded_colex_intp(self, chunk):

@@ -18,7 +18,13 @@ from argmaxable.metrics import (
     ndcg_at_k,
     prec_rec_f1_at_k,
 )
-from reference_impls import naive_ndcg_at_k, naive_prec_rec_at_k, ranked_labels
+from reference_impls import (
+    naive_ndcg_at_k,
+    naive_prec_rec_at_k,
+    ranked_labels,
+    reference_ndcg_at_k,
+    reference_prec_rec_f1_at_k,
+)
 
 
 def _record(scores, gold):
@@ -267,6 +273,63 @@ class TestNdcg:
             )
             out = ndcg_at_k([rec], k=4)
             assert 0.0 <= out.ndcg <= 1.0 + 1e-12
+
+
+def _dataset(rng, kind, m, n):
+    """Score rows and 0-based gold sets; every third record has empty
+    gold.  The kinds stress the tie rule: 'rounded' rows hold a few
+    repeated integers (zeros of both signs included), 'equal' rows are
+    constant."""
+    scores = rng.standard_normal((m, n))
+    if kind == "rounded":
+        scores = np.round(scores)
+        zeros = scores == 0.0
+        scores[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    elif kind == "equal":
+        scores = np.repeat(rng.standard_normal((m, 1)), n, axis=1)
+    golds = [
+        set() if r % 3 == 2 else set(np.flatnonzero(rng.random(n) < 0.3).tolist())
+        for r in range(m)
+    ]
+    return scores, golds
+
+
+class TestExactAgainstReference:
+    """Dataset-level metrics equal (==, not approx) a one-record-at-a-time
+    reference that keeps the same float operations in the same order."""
+
+    @pytest.mark.parametrize("kind", ["random", "rounded", "equal"])
+    @pytest.mark.parametrize("m, n", [(1, 1), (5, 4), (30, 17), (12, 60)])
+    def test_at_k_and_ndcg(self, kind, m, n):
+        rng = np.random.default_rng(m * 100 + n)
+        scores, golds = _dataset(rng, kind, m, n)
+        records = [_record(row, gold) for row, gold in zip(scores, golds)]
+        rows = [list(row) for row in scores]
+        for k in sorted({1, min(2, n), max(1, n // 2), n}):
+            for flag in (False, True):
+                got = prec_rec_f1_at_k(records, k, per_record_f1=flag)
+                assert tuple(got) == reference_prec_rec_f1_at_k(rows, golds, k, flag)
+        for k in sorted({1, 2, n, n + 3}):
+            if not any(golds):
+                with pytest.raises(ValueError, match="empty gold set"):
+                    ndcg_at_k(records, k)
+                continue
+            assert tuple(ndcg_at_k(records, k)) == reference_ndcg_at_k(rows, golds, k)
+
+    def test_ties_at_the_cut_fill_in_label_order(self):
+        # Four labels tie at the 2nd-largest value: labels 1 and 3 win
+        # the two places left after label 2, then rank in index order.
+        rec = _record([0.0, 1.0, 2.0, 1.0, 1.0, 1.0], {3, 4})
+        assert prec_rec_f1_at_k([rec], k=3).prec == 1 / 3
+        assert ndcg_at_k([rec], k=3).ndcg == (1 / math.log2(4)) / (
+            1 + 1 / math.log2(3)
+        )
+
+    @pytest.mark.parametrize("metric", [prec_rec_f1_at_k, ndcg_at_k])
+    def test_mixed_label_counts_rejected(self, metric):
+        records = [_record([0.5, 0.2], {0}), _record([0.5, 0.2, 0.1], {0})]
+        with pytest.raises(ValueError, match="share one label count"):
+            metric(records, 1)
 
 
 class TestPredictionRecord:

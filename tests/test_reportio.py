@@ -1,11 +1,17 @@
 """File formats: matrix CSV, sidecars, label files, score files, reports."""
 
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from argmaxable import reportio
 from argmaxable.labelspace import LabelAssignment
 from argmaxable.linalg import Provenance, WeightMatrix
 from argmaxable.reportio import (
@@ -234,6 +240,98 @@ class TestScoreFiles:
         target.write_text("0.5,0.25\n0.125\n")
         with pytest.raises(ParseError):
             parse_scores(target)
+
+
+_VALID_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | (
+    st.sampled_from(["0", "-0.0", "+2", "1e-3", " 1.5 ", "\t7", "3.\xa0"])
+)
+# Cells on which float() and np.loadtxt might disagree, or both refuse.
+_ODD_CELLS = st.sampled_from(
+    ["", " ", "1_0", "\uff11", "inf", "-inf", "nan", "1e500", "-1e-500",
+     '"1"', "'1'", "#", "1#", "0x1", "1e", "1 2", "\x1f4", "\x00", "\ufeff1"]
+)
+_CELLS = st.integers(0, 9).flatmap(lambda i: _ODD_CELLS if i == 0 else _VALID_CELLS)
+_BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\x0c", "\u2028"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """Mostly rectangular CSV text, with blank, whitespace-only and ragged
+    lines, trailing commas and unusual line breaks mixed in."""
+    width = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells = draw(st.lists(_CELLS, min_size=width, max_size=width))
+        kind = draw(
+            st.sampled_from(["row"] * 16 + ["ragged", "comma", "blank", "space"])
+        )
+        lines.append(
+            {
+                "row": ",".join(cells),
+                "ragged": ",".join(cells + cells[:1]),
+                "comma": ",".join(cells) + ",",
+                "blank": "",
+                "space": " \t",
+            }[kind]
+        )
+    text = ""
+    for line in lines:
+        text += line + draw(_BREAKS)
+    if text and draw(st.booleans()):
+        text = text[: -1]
+    return text
+
+
+def _per_cell(path, text):
+    return np.array(reportio._parse_cells(path, text.splitlines()), dtype=np.float64)
+
+
+def _outcome(parse):
+    """The parsed array bit for bit (so -0.0 counts), or the error text."""
+    try:
+        arr = parse()
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", arr.shape, arr.view(np.int64).tolist()
+
+
+@pytest.mark.filterwarnings("error")
+class TestVectorizedParse:
+    """The np.loadtxt fast path is an optimization only: on any text it
+    gives the per-cell float() parse's array or its exact ParseError, and
+    it never warns."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_csv_texts())
+    def test_rows_match_the_per_cell_parse(self, text):
+        fast = _outcome(lambda: reportio._parse_float_rows("data.csv", text))
+        assert fast == _outcome(lambda: _per_cell("data.csv", text))
+
+    @pytest.mark.parametrize(
+        "parse", [parse_scores, lambda path: parse_matrix(path).entries]
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(text=_csv_texts())
+    def test_parsers_match_the_per_cell_parse(self, parse, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "data.csv"
+            target.write_bytes(text.encode("utf-8"))
+            fast = _outcome(lambda: parse(target))
+            with mock.patch.object(reportio, "_parse_float_rows", _per_cell):
+                assert fast == _outcome(lambda: parse(target))
+
+    @pytest.mark.parametrize("text", ["\n", " \n\n", "1\n\n"])
+    def test_blank_lines_are_reported_not_skipped(self, text):
+        with pytest.raises(ParseError, match="blank line inside numeric data"):
+            reportio._parse_float_rows("data.csv", text)
+
+    def test_well_formed_text_skips_the_per_cell_parse(self, monkeypatch):
+        def refuse(path, lines):
+            raise AssertionError("per-cell parse used")
+
+        monkeypatch.setattr(reportio, "_parse_cells", refuse)
+        arr = reportio._parse_float_rows("data.csv", "1.5,-0.0\n2e3, 4 \n")
+        assert arr.tolist() == [[1.5, -0.0], [2000.0, 4.0]]
 
 
 class TestReportEnvelope:
