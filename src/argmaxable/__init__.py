@@ -48,6 +48,7 @@ from .oracle import (
 )
 from .metrics import (
     PredictionRecord,
+    StackedRecords,
     micro_macro_f1,
     ndcg_at_k,
     prec_rec_f1_at_k,

@@ -29,7 +29,7 @@ from . import __version__
 from .dftlayer import augment_slack, build_dft_matrix
 from .labelspace import FamilyKind, FamilySpec, cover_count
 from .linalg import GrVerdict, gr_plus_status
-from .metrics import PredictionRecord, micro_macro_f1, ndcg_at_k, prec_rec_f1_at_k
+from .metrics import StackedRecords, micro_macro_f1, ndcg_at_k, prec_rec_f1_at_k
 from .oracle import DegeneracyError, enumerate_regions_2d, enumerate_regions_sampled
 from .reportio import (
     ParseError,
@@ -503,9 +503,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             args.scores,
             f"{scores.shape[0]} score records but {len(gold)} gold assignments",
         )
-    records = [
-        PredictionRecord(scores=row, gold=y) for row, y in zip(scores, gold)
-    ]
+    records = StackedRecords.from_gold(scores, gold)
     if not args.k:
         raise _UsageError("--k needs at least one rank")
     at_k = []

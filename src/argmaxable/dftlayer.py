@@ -28,6 +28,7 @@ from .linalg import Provenance, WeightMatrix
 __all__ = [
     "DftSpec",
     "build_dft_matrix",
+    "dft_entry_error_bound",
     "augment_slack",
     "build_layer",
     "logits_direct",
@@ -96,6 +97,20 @@ def build_dft_matrix(n: int, k: int) -> WeightMatrix:
         cols[:, 2 * freq - 1] = amp * np.cos(freq * t)
         cols[:, 2 * freq] = amp * np.sin(freq * t)
     return WeightMatrix(cols, provenance=Provenance.dft(k))
+
+
+def dft_entry_error_bound(n: int, k: int) -> float:
+    """Bound on |build_dft_matrix(n, k) - exact DFT| for every entry.
+
+    In units of u = 2**-53: computing t_i costs at most 3 roundings and
+    the product with a frequency k' <= k one more, so the argument is off
+    by less than 4u * 2*pi*k; cos and sin are 1-Lipschitz.  What remains
+    is the sin/cos evaluation (up to 4 ulp of a value below 1) and the
+    roundings in ``amp`` and the final product (about 2.5u of amp).  The
+    constant column is off by at most 2u of 1/sqrt(n) < amp.  Hence
+    amp * u * (8*pi*k + 8) with amp = sqrt(2/n).
+    """
+    return math.sqrt(2.0 / n) * 2.0**-53 * (8.0 * math.pi * k + 8.0)
 
 
 def slack_block(n: int, s: int, seed: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .labelspace import LabelAssignment
 
 __all__ = [
     "PredictionRecord",
+    "StackedRecords",
     "AtKResult",
     "MicroMacroResult",
     "NdcgResult",
@@ -61,6 +62,47 @@ class PredictionRecord:
         return int(self.scores.size)
 
 
+@dataclass(frozen=True)
+class StackedRecords:
+    """Many records as two (records, labels) arrays: finite scores and
+    the matching gold activity.  Every metric takes one in place of a
+    record sequence, so a caller asking for several ranks stacks once."""
+
+    scores: np.ndarray
+    active: np.ndarray
+
+    @classmethod
+    def from_gold(
+        cls, scores: np.ndarray, gold: Sequence[LabelAssignment]
+    ) -> "StackedRecords":
+        """Pair each row of a 2-d score array with its gold assignment.
+        A bad row raises the ValueError its PredictionRecord would."""
+        arr = np.asarray(scores, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] != len(gold):
+            raise ValueError(
+                f"need one score row per gold assignment, got shape "
+                f"{arr.shape} for {len(gold)} assignments"
+            )
+        finite = np.isfinite(arr).all(axis=1)
+        sized = np.array([y.n == arr.shape[1] for y in gold], dtype=bool)
+        bad = np.flatnonzero(~(finite & sized))
+        if bad.size:
+            first = int(bad[0])
+            if not finite[first]:
+                raise ValueError("scores must be finite")
+            raise ValueError(
+                f"scores have length {arr.shape[1]}, gold has n={gold[first].n}"
+            )
+        active = np.array([y.signs for y in gold]).reshape(arr.shape) > 0
+        return cls(arr, active)
+
+    def __len__(self) -> int:
+        return int(self.scores.shape[0])
+
+
+Records = Union[Sequence[PredictionRecord], StackedRecords]
+
+
 class AtKResult(NamedTuple):
     prec: float
     rec: float
@@ -80,13 +122,13 @@ class NdcgResult(NamedTuple):
     skipped: int
 
 
-def _stack(
-    records: Sequence[PredictionRecord],
-) -> tuple[np.ndarray, np.ndarray]:
+def _stack(records: Records) -> tuple[np.ndarray, np.ndarray]:
     """Scores and gold activity of all records as (records, labels)
     arrays; every record must have the same label count."""
-    if not records:
+    if not len(records):
         raise ValueError("no records")
+    if isinstance(records, StackedRecords):
+        return records.scores, records.active
     n = records[0].n
     for rec in records:
         if rec.n != n:
@@ -127,7 +169,7 @@ def _harmonic(p: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def prec_rec_f1_at_k(
-    records: Sequence[PredictionRecord], k: int, per_record_f1: bool = False
+    records: Records, k: int, per_record_f1: bool = False
 ) -> AtKResult:
     """Precision, recall, and F1 at rank k, averaged over records.
 
@@ -159,7 +201,7 @@ def prec_rec_f1_at_k(
 
 
 def micro_macro_f1(
-    records: Sequence[PredictionRecord], threshold: float = 0.5
+    records: Records, threshold: float = 0.5
 ) -> MicroMacroResult:
     """Micro- and macro-averaged F1 of thresholded predictions.
 
@@ -181,7 +223,7 @@ def micro_macro_f1(
     return MicroMacroResult(float(micro), float(per_label.mean()), zero_support)
 
 
-def ndcg_at_k(records: Sequence[PredictionRecord], k: int) -> NdcgResult:
+def ndcg_at_k(records: Records, k: int) -> NdcgResult:
     """Normalized discounted cumulative gain at rank k, averaged over the
     records that have at least one active gold label.
 

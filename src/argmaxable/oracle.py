@@ -35,7 +35,7 @@ from .linalg import (
     is_general_position,
     sign_vector,
 )
-from .verifier import LpConfig, VerifyStatus, verify_batch
+from .verifier import LpConfig, VerifyStatus, _lp_results
 
 __all__ = [
     "DegeneracyError",
@@ -291,12 +291,14 @@ def cross_check(
     else:
         oracle = enumerate_regions_sampled(w, budget=budget, seed=seed)
     everything = list(_all_assignments(n))
-    batch = verify_batch(w, everything, cfg, jobs=jobs)
+    # The LP itself is on trial here, so no item takes verify_batch's
+    # alternation shortcut.
+    results = _lp_results(w, everything, cfg, jobs)
     lp_only = []
     oracle_only = []
     indeterminate = []
     agreements = 0
-    for y, res in zip(everything, batch.results):
+    for y, res in zip(everything, results):
         in_oracle = y in oracle.members
         if res.status is VerifyStatus.INDETERMINATE:
             indeterminate.append(y)

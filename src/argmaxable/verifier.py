@@ -16,6 +16,19 @@ LP proves no point achieves y with margin eps_floor; anything else the
 solver reports (numerical trouble, iteration limits, an "optimal" radius
 below the floor) is surfaced as Indeterminate rather than guessed.  The
 box bound exists only to keep the optimum finite on unbounded regions.
+
+``verify_batch`` answers one class of items without an LP.  When W is
+bit for bit ``build_dft_matrix(n, k)``, every Wx samples a trigonometric
+polynomial of degree k at increasing points of one period, which has at
+most 2k roots there; so no x gives an assignment with alt(y) > 2k (Karp,
+"Sign variation, the Grassmannian, and total positivity", JCTA 2017).
+The stored matrix is off the exact one by at most delta per row in l1
+(``dft_entry_error_bound`` times d), so any LP witness for it has radius
+at most box * delta / min ||w_i||.  When that bound is below eps_floor
+the LP is infeasible, and such items are NOT_EPS_ARGMAXABLE with wall
+time 0 and no radius.  Every other item, including the whole batch when
+the bound is too loose (e.g. the mimic3 shape at the default box), goes
+to ``chebyshev_verify``.
 """
 
 from __future__ import annotations
@@ -30,8 +43,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .labelspace import FamilySpec, LabelAssignment, enumerate_family
-from .linalg import WeightMatrix, sign_vector
+from .dftlayer import build_dft_matrix, dft_entry_error_bound
+from .labelspace import FamilySpec, LabelAssignment, alt, enumerate_family
+from .linalg import WeightMatrix
 
 __all__ = [
     "LpConfig",
@@ -71,11 +85,11 @@ class VerifyStatus(Enum):
 
 @dataclass(frozen=True)
 class VerifyResult:
-    """Outcome of one LP solve.
+    """Outcome of one item.
 
     radius and witness are set only for ARGMAXABLE; reason only for
     INDETERMINATE (solver message or input problem).  wall_time is the
-    solve time in seconds.
+    solve time in seconds, 0 for an item decided without an LP.
     """
 
     status: VerifyStatus
@@ -199,6 +213,34 @@ def _verify_one_safely(
         return VerifyResult(VerifyStatus.INDETERMINATE, reason=str(exc))
 
 
+def _lp_results(
+    w: WeightMatrix,
+    ys: Sequence[LabelAssignment],
+    cfg: LpConfig,
+    jobs: int,
+) -> tuple[VerifyResult, ...]:
+    """One Chebyshev LP per assignment, results in input order."""
+    _ = w.row_norms  # materialize the shared cache before any workers start
+    if jobs > 1 and len(ys) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return tuple(pool.map(lambda y: _verify_one_safely(w, y, cfg), ys))
+    return tuple(_verify_one_safely(w, y, cfg) for y in ys)
+
+
+def _decided_by_alternation(w: WeightMatrix, cfg: LpConfig) -> bool:
+    """True when w is exactly the unslacked truncated-DFT layer and its
+    float error cannot hold a ball of radius eps_floor (module docstring),
+    so alt(y) > d - 1 proves NOT_EPS_ARGMAXABLE."""
+    n, d = w.n, w.d
+    k = (d - 1) // 2
+    if d % 2 == 0 or k < 1 or d > n:
+        return False
+    if not np.array_equal(w.entries, build_dft_matrix(n, k).entries):
+        return False
+    row_error = d * dft_entry_error_bound(n, k)
+    return cfg.box_bound * row_error / float(np.min(w.row_norms)) < cfg.eps_floor
+
+
 def verify_batch(
     w: WeightMatrix,
     ys: Sequence[LabelAssignment],
@@ -210,14 +252,22 @@ def verify_batch(
     Results come back in input order regardless of completion order.
     Row norms are computed once on ``w`` and shared.  Per-item failures
     (e.g. a mismatched n) become Indeterminate results with the error as
-    the reason instead of aborting the rest.
+    the reason instead of aborting the rest.  On the unslacked DFT layer,
+    items with more than d - 1 alternations are decided without an LP
+    (module docstring).
     """
-    _ = w.row_norms  # materialize the shared cache before any workers start
-    if jobs > 1 and len(ys) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = tuple(pool.map(lambda y: _verify_one_safely(w, y, cfg), ys))
-    else:
-        results = tuple(_verify_one_safely(w, y, cfg) for y in ys)
+    over = {
+        i for i, y in enumerate(ys) if y.n == w.n and alt(y) > w.d - 1
+    }
+    if over and not _decided_by_alternation(w, cfg):
+        over = set()
+    solved = iter(
+        _lp_results(w, [y for i, y in enumerate(ys) if i not in over], cfg, jobs)
+    )
+    results = tuple(
+        VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE) if i in over else next(solved)
+        for i in range(len(ys))
+    )
     return BatchResult(results=results, summary=summarize(results))
 
 

@@ -115,6 +115,31 @@ class TestVerify:
         assert obj["payload"]["summary"]["indeterminate"] == 1
         assert "reason" in obj["payload"]["results"][0]
 
+    def test_dft_file_round_trips_into_the_alternation_shortcut(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from argmaxable import verifier
+
+        calls = []
+        real = verifier.chebyshev_verify
+
+        def counted(w, y, cfg):
+            calls.append(y)
+            return real(w, y, cfg)
+
+        monkeypatch.setattr(verifier, "chebyshev_verify", counted)
+        matrix = tmp_path / "w.csv"
+        run(["dft", "--n", "12", "--k", "2", "--out", str(matrix)])
+        labels = tmp_path / "labels.txt"
+        labels.write_text("+-+-+-++++++\n+-----------\n")
+        code = run(["verify", "--matrix", str(matrix), "--labels", str(labels)])
+        assert code == ExitCode.UNARGMAXABLE
+        assert len(calls) == 1
+        first, second = _report_from(capsys)["payload"]["results"]
+        assert first["status"] == "not_eps_argmaxable"
+        assert first["seconds"] == 0.0 and first["radius"] is None
+        assert second["status"] == "argmaxable"
+
     def test_deterministic_reports_are_byte_identical(self, tmp_path):
         matrix = tmp_path / "w.csv"
         run(["dft", "--n", "6", "--k", "1", "--out", str(matrix)])

@@ -12,6 +12,7 @@ from argmaxable.dftlayer import (
     bias_init,
     build_dft_matrix,
     build_layer,
+    dft_entry_error_bound,
     logits_direct,
     logits_fft,
     slack_block,
@@ -96,6 +97,23 @@ class TestBuildDftMatrix:
     def test_rejects_too_many_frequencies(self):
         with pytest.raises(ValueError):
             build_dft_matrix(6, 3)
+
+    @pytest.mark.parametrize(
+        "n, k, row_step", [(6, 1, 1), (20, 4, 1), (500, 10, 1), (8921, 80, 97)]
+    )
+    def test_entries_within_the_error_bound(self, n, k, row_step):
+        mpmath = pytest.importorskip("mpmath")
+        w = build_dft_matrix(n, k).entries
+        bound = dft_entry_error_bound(n, k)
+        with mpmath.workdps(50):
+            amp = mpmath.sqrt(mpmath.mpf(2) / n)
+            for i in range(0, n, row_step):
+                t = 2 * mpmath.pi * i / n
+                exact = [1 / mpmath.sqrt(n)]
+                for freq in range(1, k + 1):
+                    exact += [amp * mpmath.cos(freq * t), amp * mpmath.sin(freq * t)]
+                for j, value in enumerate(exact):
+                    assert abs(mpmath.mpf(float(w[i, j])) - value) <= bound, (i, j)
 
 
 class TestAugmentSlack:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from argmaxable.labelspace import LabelAssignment
 from argmaxable.metrics import (
     PredictionRecord,
+    StackedRecords,
     micro_macro_f1,
     ndcg_at_k,
     prec_rec_f1_at_k,
@@ -330,6 +331,48 @@ class TestExactAgainstReference:
         records = [_record([0.5, 0.2], {0}), _record([0.5, 0.2, 0.1], {0})]
         with pytest.raises(ValueError, match="share one label count"):
             metric(records, 1)
+
+
+class TestStackedRecords:
+    """One stacking per run gives the numbers and errors of the record
+    sequence it stands for."""
+
+    @pytest.mark.parametrize("kind", ["random", "rounded", "equal"])
+    def test_same_numbers_as_the_records(self, kind):
+        rng = np.random.default_rng(17)
+        scores, golds = _dataset(rng, kind, 25, 12)
+        records = [_record(row, gold) for row, gold in zip(scores, golds)]
+        stacked = StackedRecords.from_gold(scores, [r.gold for r in records])
+        assert len(stacked) == 25
+        for k in (1, 3, 12):
+            for flag in (False, True):
+                assert prec_rec_f1_at_k(stacked, k, flag) == prec_rec_f1_at_k(
+                    records, k, flag
+                )
+            assert ndcg_at_k(stacked, k) == ndcg_at_k(records, k)
+        for threshold in (-0.5, 0.0, 0.5):
+            assert micro_macro_f1(stacked, threshold) == micro_macro_f1(
+                records, threshold
+            )
+
+    def test_bad_rows_raise_the_record_errors(self):
+        gold = [LabelAssignment.from_active(2, [1])] * 2
+        short = [gold[0], LabelAssignment.from_active(3, [1])]
+        scores = np.array([[0.5, 0.1], [0.2, 0.3]])
+        for rows, golds in ((scores, short), (np.array([[0.5, 0.1], [0.2, np.inf]]), gold)):
+            with pytest.raises(ValueError) as record_error:
+                [PredictionRecord(row, y) for row, y in zip(rows, golds)]
+            with pytest.raises(ValueError) as stacked_error:
+                StackedRecords.from_gold(rows, golds)
+            assert str(stacked_error.value) == str(record_error.value)
+        with pytest.raises(ValueError, match="one score row per gold"):
+            StackedRecords.from_gold(scores, gold[:1])
+
+    @pytest.mark.parametrize("metric", [prec_rec_f1_at_k, ndcg_at_k])
+    def test_no_records(self, metric):
+        empty = StackedRecords.from_gold(np.zeros((0, 3)), [])
+        with pytest.raises(ValueError, match="no records"):
+            metric(empty, 1)
 
 
 class TestPredictionRecord:

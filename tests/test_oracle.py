@@ -202,6 +202,23 @@ class TestCrossCheck:
         assert report.lp_yes_oracle_no == ()
         assert report.oracle_yes_lp_no == ()
 
+    def test_the_lp_judges_every_assignment_of_a_spectral_layer(self, monkeypatch):
+        # verify_batch would answer the 32 over-alternating assignments
+        # without an LP; the cross-check must put each one to the LP.
+        from argmaxable import verifier
+
+        calls = []
+        real = verifier.chebyshev_verify
+
+        def counted(w, y, cfg):
+            calls.append(y)
+            return real(w, y, cfg)
+
+        monkeypatch.setattr(verifier, "chebyshev_verify", counted)
+        report = cross_check(build_dft_matrix(6, 1), seed=9)
+        assert len(calls) == 64
+        assert report.clean
+
     def test_two_column_instance_uses_the_exact_walk(self):
         rng = np.random.default_rng(39)
         w = WeightMatrix(rng.standard_normal((4, 2)))

@@ -259,3 +259,140 @@ class TestAgainstEnumeration:
         expected = set(enumerate_family(FamilySpec(6, 2, FamilyKind.ALTERNATING)))
         assert feasible == expected
         assert all(alt(y) <= 2 for y in feasible)
+
+
+def _counting_lp(monkeypatch):
+    """Route chebyshev_verify through a counter and return the counter."""
+    calls = []
+    real = verifier.chebyshev_verify
+
+    def counted(w, y, cfg=LpConfig()):
+        calls.append(y)
+        return real(w, y, cfg)
+
+    monkeypatch.setattr(verifier, "chebyshev_verify", counted)
+    return calls
+
+
+def _dft_cases(max_n: int = 10):
+    for n in range(3, max_n + 1):
+        for k in range(1, (n - 1) // 2 + 1):
+            yield n, k
+
+
+class TestAlternationShortcut:
+    """On the unslacked DFT layer no x yields more than 2k alternations,
+    so verify_batch answers those items without an LP."""
+
+    def test_the_lp_agrees_with_the_theorem(self):
+        # -y has the same LP as y (x -> -x), so y_1 = + covers both.
+        for n, k in _dft_cases():
+            w = build_dft_matrix(n, k)
+            for y in all_assignments(n):
+                if y.signs[0] > 0 and alt(y) > 2 * k:
+                    res = chebyshev_verify(w, y)
+                    assert res.status is not VerifyStatus.ARGMAXABLE, (n, k, y)
+
+    def test_over_alternating_items_skip_the_lp(self, monkeypatch):
+        calls = _counting_lp(monkeypatch)
+        for n, k in _dft_cases(7):
+            ys = list(all_assignments(n))
+            calls.clear()
+            batch = verify_batch(build_dft_matrix(n, k), ys)
+            over = [alt(y) > 2 * k for y in ys]
+            assert len(calls) == over.count(False)
+            assert all(alt(y) <= 2 * k for y in calls)
+            for y, is_over, res in zip(ys, over, batch.results):
+                if is_over:
+                    assert res.status is VerifyStatus.NOT_EPS_ARGMAXABLE
+                    assert res.radius is None and res.wall_time == 0.0
+                else:
+                    assert res.status is VerifyStatus.ARGMAXABLE, (n, k, y)
+
+    def test_parallel_shortcut_keeps_input_order(self):
+        w = build_dft_matrix(8, 1)
+        ys = list(all_assignments(8))
+        serial = verify_batch(w, ys, jobs=1)
+        parallel = verify_batch(w, ys, jobs=3)
+        assert [r.status for r in serial.results] == [
+            r.status for r in parallel.results
+        ]
+
+    def _declined(self, monkeypatch, w, ys, cfg=LpConfig()):
+        calls = _counting_lp(monkeypatch)
+        batch = verify_batch(w, ys, cfg)
+        assert len(calls) == len(ys)
+        return batch
+
+    def _over(self, n, d):
+        return [y for y in all_assignments(n) if alt(y) > d - 1][:12]
+
+    def test_declined_one_ulp_off(self, monkeypatch):
+        entries = build_dft_matrix(8, 1).entries.copy()
+        entries[3, 1] = np.nextafter(entries[3, 1], np.inf)
+        batch = self._declined(monkeypatch, WeightMatrix(entries), self._over(8, 3))
+        assert batch.summary.argmaxable == 0
+
+    def test_declined_with_slack_columns(self, monkeypatch):
+        # 3 + 2 columns: odd, yet not build_dft_matrix(8, 2).
+        w = augment_slack(build_dft_matrix(8, 1), 2, seed=0)
+        self._declined(monkeypatch, w, self._over(8, 5))
+
+    def test_declined_for_even_d(self, monkeypatch):
+        w = WeightMatrix(build_dft_matrix(8, 2).entries[:, :4])
+        self._declined(monkeypatch, w, self._over(8, 4))
+
+    def test_declined_on_a_rolled_layer(self, monkeypatch):
+        w = WeightMatrix(np.roll(build_dft_matrix(8, 1).entries, 1, axis=0))
+        batch = self._declined(monkeypatch, w, self._over(8, 3))
+        assert batch.summary.argmaxable == 0
+
+    def test_declined_when_the_box_loosens_the_bound(self, monkeypatch):
+        from argmaxable.dftlayer import dft_entry_error_bound
+
+        n, k = 8, 1
+        w = build_dft_matrix(n, k)
+        ys = self._over(n, 2 * k + 1)
+        # The box at which box * delta / min ||w_i|| reaches eps_floor.
+        delta = (2 * k + 1) * dft_entry_error_bound(n, k)
+        edge = LpConfig().eps_floor * float(np.min(w.row_norms)) / delta
+        calls = _counting_lp(monkeypatch)
+        verify_batch(w, ys, LpConfig(box_bound=edge / 2))
+        assert calls == []
+        batch = verify_batch(w, ys, LpConfig(box_bound=edge * 2))
+        assert len(calls) == len(ys)
+        assert batch.summary.argmaxable == 0
+
+    def test_declined_at_the_mimic3_shape(self, monkeypatch):
+        # There the builder's error bound allows a radius above eps_floor
+        # at the default box, so the LP still runs.
+        calls = []
+
+        def stub(w, y, cfg=LpConfig()):
+            calls.append(y)
+            return verifier.VerifyResult(VerifyStatus.INDETERMINATE, reason="stub")
+
+        monkeypatch.setattr(verifier, "chebyshev_verify", stub)
+        n, k = 8921, 80
+        y = LabelAssignment(np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int8))
+        verify_batch(build_dft_matrix(n, k), [y])
+        assert len(calls) == 1
+        calls.clear()
+        n, k = 500, 10
+        y = LabelAssignment(np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int8))
+        batch = verify_batch(build_dft_matrix(n, k), [y])
+        assert calls == []
+        assert batch.results[0].status is VerifyStatus.NOT_EPS_ARGMAXABLE
+
+    def test_mismatched_n_still_reaches_the_lp(self, monkeypatch):
+        calls = _counting_lp(monkeypatch)
+        ys = [dense("+-+-+-"), dense("+-+-+-+"), dense("+-----")]
+        batch = verify_batch(build_dft_matrix(6, 1), ys)
+        assert len(calls) == 2
+        statuses = [r.status for r in batch.results]
+        assert statuses == [
+            VerifyStatus.NOT_EPS_ARGMAXABLE,
+            VerifyStatus.INDETERMINATE,
+            VerifyStatus.ARGMAXABLE,
+        ]
+        assert "assignment has n=7, matrix has n=6" in batch.results[1].reason
