@@ -85,11 +85,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _int_list(text: str) -> list[int]:
+def _rank_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        ranks = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+    if not ranks:
+        raise argparse.ArgumentTypeError("needs at least one rank")
+    if min(ranks) < 1:
+        raise argparse.ArgumentTypeError(f"ranks must be >= 1, got {min(ranks)}")
+    return ranks
 
 
 def _float_list(text: str) -> list[float]:
@@ -256,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True, help="gold label file")
     p.add_argument(
         "--k",
-        type=_int_list,
+        type=_rank_list,
         required=True,
         help="comma-separated ranks for the @k metrics, e.g. 8,10",
     )
@@ -367,15 +372,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _lp_config(args: argparse.Namespace) -> LpConfig:
+    if not args.feas_tol < args.eps:
+        raise _UsageError(
+            f"error: --feas-tol ({args.feas_tol!r}) must be below --eps ({args.eps!r})"
+        )
     return LpConfig(
         box_bound=args.box, eps_floor=args.eps, solver_feas_tol=args.feas_tol
     )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    cfg = _lp_config(args)
     w = parse_matrix(args.matrix)
     ys = parse_labels(args.labels)
-    cfg = _lp_config(args)
     batch = verify_batch(w, ys, cfg, jobs=args.jobs)
     deterministic = args.deterministic
     results = []
@@ -456,10 +465,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_radii(args: argparse.Namespace) -> int:
+    cfg = _lp_config(args)
     w = parse_matrix(args.matrix)
     kind = FamilyKind(args.kind)
     family = FamilySpec(n=w.n, k=args.k, kind=kind)
-    cfg = _lp_config(args)
     report = radius_report(
         w,
         family,
@@ -504,8 +513,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             f"{scores.shape[0]} score records but {len(gold)} gold assignments",
         )
     records = StackedRecords.from_gold(scores, gold)
-    if not args.k:
-        raise _UsageError("--k needs at least one rank")
     at_k = []
     empty_gold = 0
     for k in args.k:
@@ -572,3 +579,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -184,3 +184,33 @@ def reference_minor_scan(entries, tau_det: float = 1e-10):
     else:
         verdict = "uniform-negative"
     return verdict, min_abs, len(minors), minors
+
+
+def reference_chebyshev_verify(entries, signs, box_bound=1e4, eps_floor=1e-8, feas_tol=1e-9):
+    """The Chebyshev LP as first written: the same rows and bounds, solved
+    by HiGHS with its default presolve.  Returns (status value, radius,
+    witness); radius and witness are None unless the item is argmaxable."""
+    from scipy.optimize import linprog
+
+    w = np.asarray(entries, dtype=np.float64)
+    y = np.asarray(signs, dtype=np.float64)
+    n, d = w.shape
+    cost = np.zeros(d + 1)
+    cost[-1] = -1.0
+    a_ub = np.hstack([-(y[:, None] * w), np.linalg.norm(w, axis=1)[:, None]])
+    res = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=np.zeros(n),
+        bounds=[(-box_bound, box_bound)] * d + [(eps_floor, None)],
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": feas_tol,
+            "dual_feasibility_tolerance": feas_tol,
+        },
+    )
+    if res.status == 0 and res.x[-1] >= eps_floor:
+        return "argmaxable", float(res.x[-1]), np.array(res.x[:d])
+    if res.status == 2:
+        return "not_eps_argmaxable", None, None
+    return "indeterminate", None, None

@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ import pytest
 from argmaxable.cli import ExitCode, run
 from argmaxable.labelspace import cover_count
 from argmaxable.reportio import validate_report
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write_all_assignments(path, n):
@@ -335,6 +341,50 @@ class TestExitCodes:
         code = run(["check", "--matrix", str(tmp_path / "nope.csv")])
         assert code == ExitCode.INPUT
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--labels", "{missing}", "--feas-tol", "1e-8"],
+            ["verify", "--labels", "{missing}", "--eps", "1e-10"],
+            ["radii", "--kind", "active", "--k", "1", "--feas-tol", "1e-7"],
+        ],
+    )
+    def test_tolerance_conflicts_are_usage_before_any_read(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "nope.txt")
+        argv = [a.replace("{missing}", missing) for a in argv]
+        code = run(argv[:1] + ["--matrix", str(tmp_path / "nope.csv")] + argv[1:])
+        assert code == ExitCode.USAGE
+        assert "--feas-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ranks", [",", "0", "-1", "5,0,1"])
+    def test_bad_ranks_are_usage_before_any_read(self, ranks, tmp_path, capsys):
+        code = run(
+            [
+                "metrics",
+                "--scores",
+                str(tmp_path / "nope.csv"),
+                "--gold",
+                str(tmp_path / "nope.txt"),
+                "--k",
+                ranks,
+            ]
+        )
+        assert code == ExitCode.USAGE
+        assert "--k" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for module in ("argmaxable", "argmaxable.cli"):
+            done = subprocess.run(
+                [sys.executable, "-m", module, "count", "--n", "20", "--d", "4"],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == f"{cover_count(20, 4)}\n"
 
     def test_version_exits_zero(self, capsys):
         assert run(["--version"]) == 0

@@ -23,6 +23,7 @@ from argmaxable.verifier import (
     radius_report,
     verify_batch,
 )
+from reference_impls import reference_chebyshev_verify
 
 
 def dense(text: str) -> LabelAssignment:
@@ -396,3 +397,86 @@ class TestAlternationShortcut:
             VerifyStatus.ARGMAXABLE,
         ]
         assert "assignment has n=7, matrix has n=6" in batch.results[1].reason
+
+
+def _alternating(rng, n: int, changes: int) -> LabelAssignment:
+    """A seeded assignment of length n with exactly ``changes`` sign changes."""
+    cuts = np.zeros(n, dtype=np.int64)
+    cuts[1 + rng.choice(n - 1, size=changes, replace=False)] = 1
+    first = 1 if rng.random() < 0.5 else -1
+    return LabelAssignment((first * (-1) ** np.cumsum(cuts)).astype(np.int8))
+
+
+def _predicted(rng, w: WeightMatrix, count: int) -> list:
+    return [sign_vector(w, rng.standard_normal(w.d)) for _ in range(count)]
+
+
+def _random_signs(rng, n: int, count: int) -> list:
+    return [
+        LabelAssignment(np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8))
+        for _ in range(count)
+    ]
+
+
+class TestPresolveOff:
+    """chebyshev_verify skips HiGHS presolve.  It must give the verdicts of
+    the presolving reference; radii and witnesses may move only in their
+    last digits."""
+
+    def _compare(self, w, ys, rel):
+        """Compare every item with the reference, bit for bit when rel is
+        0; return the statuses seen."""
+        box = LpConfig().box_bound
+        statuses = set()
+        for y in ys:
+            res = chebyshev_verify(w, y)
+            status, radius, witness = reference_chebyshev_verify(w.entries, y.signs)
+            assert res.status.value == status, y.to_dense()
+            statuses.add(status)
+            if radius is None:
+                assert res.radius is None and res.witness is None
+            elif rel == 0:
+                assert res.radius == radius, y.to_dense()
+                assert np.array_equal(res.witness, witness), y.to_dense()
+            else:
+                assert res.radius == pytest.approx(radius, rel=rel), y.to_dense()
+                assert np.allclose(res.witness, witness, rtol=0, atol=1e-13 * box)
+        return statuses
+
+    def _dft_items(self):
+        rng = np.random.default_rng(41)
+        return [_alternating(rng, 40, int(c)) for c in rng.integers(0, 7, size=24)]
+
+    # On the spectral layers the constant assignments (every time) and a
+    # few with one or two alternations come out of the two solves with
+    # radii a few ulps apart and witnesses ~1e-15 box apart.
+
+    def test_feasible_items_of_the_spectral_layer(self):
+        ys = self._dft_items()
+        assert all(alt(y) <= 6 for y in ys)
+        self._compare(build_dft_matrix(40, 3), ys, rel=1e-14)
+
+    def test_the_spectral_layer_with_slack_columns(self):
+        w = augment_slack(build_dft_matrix(40, 3), 4, seed=3)
+        self._compare(w, self._dft_items(), rel=1e-14)
+
+    def test_a_gaussian_layer_is_bit_identical(self):
+        rng = np.random.default_rng(42)
+        w = WeightMatrix(rng.standard_normal((60, 5)))
+        ys = _predicted(rng, w, 16) + _random_signs(rng, 60, 16)
+        assert self._compare(w, ys, rel=0) == {"argmaxable", "not_eps_argmaxable"}
+
+    def test_parallel_rows_keep_their_verdicts(self):
+        # Presolve merges exactly parallel rows.
+        rng = np.random.default_rng(43)
+        base = rng.standard_normal((30, 4))
+        w = WeightMatrix(np.vstack([base, base[:10], 3.0 * base[10:15]]))
+        ys = _predicted(rng, w, 16) + _random_signs(rng, w.n, 8)
+        assert self._compare(w, ys, rel=1e-12) == {"argmaxable", "not_eps_argmaxable"}
+
+    @pytest.mark.filterwarnings("error::scipy.optimize.OptimizeWarning")
+    def test_every_highs_option_is_recognized(self):
+        # scipy only warns about an unknown option and then ignores it;
+        # as an error, the warning would turn this item INDETERMINATE.
+        res = chebyshev_verify(build_dft_matrix(6, 1), dense("+-----"))
+        assert res.status is VerifyStatus.ARGMAXABLE and res.reason is None
