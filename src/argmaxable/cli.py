@@ -18,7 +18,7 @@ times zeroed, so identical inputs and seeds give byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from datetime import datetime, timezone
 from enum import IntEnum
@@ -34,6 +34,7 @@ from .oracle import DegeneracyError, enumerate_regions_2d, enumerate_regions_sam
 from .reportio import (
     ParseError,
     ReportEnvelope,
+    matrix_csv,
     parse_labels,
     parse_matrix,
     parse_scores,
@@ -97,11 +98,14 @@ def _rank_list(text: str) -> list[int]:
     return ranks
 
 
-def _float_list(text: str) -> list[float]:
+def _percentile_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list: {text!r}")
+    if not values or not all(0.0 <= v <= 100.0 for v in values):
+        raise argparse.ArgumentTypeError(f"needs percentiles in [0, 100], got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_nonneg_int, required=True, help="family bound k")
     p.add_argument(
         "--percentiles",
-        type=_float_list,
+        type=_percentile_list,
         default=[1.0, 5.0, 25.0, 50.0, 100.0],
         help="comma-separated percentiles (default 1,5,25,50,100)",
     )
@@ -294,7 +298,7 @@ def _add_determinism_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _timestamp(args: argparse.Namespace) -> Optional[str]:
-    if getattr(args, "deterministic", False):
+    if args.deterministic:
         return None
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -306,17 +310,20 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _emit_report(
-    args: argparse.Namespace, command: str, config: dict, payload: dict
-) -> None:
+# Parsed attributes that route a run and its output; every other one is config.
+_NOT_CONFIG = {"command", "handler", "out", "deterministic"}
+
+
+def _emit_report(args: argparse.Namespace, payload: dict) -> None:
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     envelope = ReportEnvelope(
         tool_version=__version__,
-        command=command,
+        command=args.command,
         config=config,
         timestamp=_timestamp(args),
         payload=payload,
     )
-    _emit(envelope.to_json(), getattr(args, "out", "-"))
+    _emit(envelope.to_json(), args.out)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -324,28 +331,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(f"{count}\n")
         return ExitCode.OK
-    _emit_report(
-        args,
-        "count",
-        {"n": args.n, "d": args.d},
-        # Counts overflow doubles long before they overflow anyone's
-        # patience, so they travel as decimal strings.
-        {"n": args.n, "d": args.d, "count": str(count)},
-    )
+    # Counts overflow doubles long before they overflow anyone's
+    # patience, so they travel as decimal strings.
+    _emit_report(args, {"n": args.n, "d": args.d, "count": str(count)})
     return ExitCode.OK
 
 
 def _cmd_dft(args: argparse.Namespace) -> int:
     w = augment_slack(build_dft_matrix(args.n, args.k), args.s, args.seed)
     if args.out == "-":
-        lines = [",".join(repr(float(v)) for v in row) for row in w.entries]
-        sys.stdout.write("\n".join(lines) + "\n")
+        _emit(matrix_csv(w), "-")
         return ExitCode.OK
-    serialize_matrix(w, args.out, sidecar=False)
-    sidecar = {"n": args.n, "k": args.k, "s": args.s, "seed": args.seed}
-    Path(args.out).with_suffix(".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    try:
+        serialize_matrix(w, args.out)
+    except ValueError as exc:  # an --out path the sidecar would overwrite
+        raise _UsageError(f"error: --out: {exc}")
     return ExitCode.OK
 
 
@@ -362,12 +362,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # matrix is degenerate exactly when some minor falls below it.
         "general_position": status.verdict is not GrVerdict.DEGENERATE,
     }
-    config = {
-        "matrix": args.matrix,
-        "tau_det": args.tau_det,
-        "minor_budget": args.minor_budget,
-    }
-    _emit_report(args, "check", config, payload)
+    _emit_report(args, payload)
     return ExitCode.OK
 
 
@@ -401,22 +396,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "matrix": {"n": w.n, "d": w.d, "provenance": w.provenance.to_json()},
         "results": results,
-        "summary": {
-            "argmaxable": batch.summary.argmaxable,
-            "one_argmaxable": batch.summary.one_argmaxable,
-            "not_eps": batch.summary.not_eps,
-            "indeterminate": batch.summary.indeterminate,
-        },
+        "summary": dataclasses.asdict(batch.summary),
     }
-    config = {
-        "matrix": args.matrix,
-        "labels": args.labels,
-        "eps": args.eps,
-        "box": args.box,
-        "feas_tol": args.feas_tol,
-        "jobs": args.jobs,
-    }
-    _emit_report(args, "verify", config, payload)
+    _emit_report(args, payload)
     if batch.summary.indeterminate:
         return ExitCode.INDETERMINATE
     if batch.summary.not_eps:
@@ -454,13 +436,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "samples_used": regions.samples_used,
         "boundary_skips": regions.boundary_skips,
     }
-    config = {
-        "matrix": args.matrix,
-        "method": args.method,
-        "budget": args.budget,
-        "seed": args.seed,
-    }
-    _emit_report(args, "enumerate", config, payload)
+    _emit_report(args, payload)
     return ExitCode.OK
 
 
@@ -489,18 +465,7 @@ def _cmd_radii(args: argparse.Namespace) -> int:
             "indeterminate": report.indeterminate,
         },
     }
-    config = {
-        "matrix": args.matrix,
-        "kind": kind.value,
-        "k": args.k,
-        "percentiles": args.percentiles,
-        "budget": args.budget,
-        "eps": args.eps,
-        "box": args.box,
-        "feas_tol": args.feas_tol,
-        "jobs": args.jobs,
-    }
-    _emit_report(args, "radii", config, payload)
+    _emit_report(args, payload)
     return ExitCode.OK
 
 
@@ -540,14 +505,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         "zero_support_labels": mm.zero_support_labels,
         "empty_gold_records": empty_gold,
     }
-    config = {
-        "scores": args.scores,
-        "gold": args.gold,
-        "k": args.k,
-        "threshold": args.threshold,
-        "per_record_f1": args.per_record_f1,
-    }
-    _emit_report(args, "metrics", config, payload)
+    _emit_report(args, payload)
     return ExitCode.OK
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "LabelAssignment",
+    "DENSE_CHARS",
     "FamilyKind",
     "FamilySpec",
     "EnumerationBudgetError",
@@ -44,6 +45,7 @@ __all__ = [
 PLUS_CHAR = "+"
 MINUS_CHAR = "−"
 _INPUT_MINUS = {"-", MINUS_CHAR}
+DENSE_CHARS = frozenset({PLUS_CHAR, *_INPUT_MINUS})
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .labelspace import LabelAssignment
+from .labelspace import DENSE_CHARS, LabelAssignment
 from .linalg import Provenance, WeightMatrix
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "ReportEnvelope",
     "SCHEMA_VERSION",
     "parse_matrix",
+    "matrix_csv",
     "serialize_matrix",
     "parse_labels",
     "serialize_labels",
@@ -152,7 +153,8 @@ def _provenance_from_sidecar(path: Path, obj: dict, n: int, d: int) -> Provenanc
         except ValueError as exc:
             raise ParseError(path, str(exc))
     if "k" in obj:
-        # Spectral-layer sidecar shape: {n, k, s, seed}.
+        # The flat {n, k, s, seed} shape of older spectral-layer files;
+        # read only, never written.
         k = obj["k"]
         s = obj.get("s", 0)
         seed = obj.get("seed", 0)
@@ -182,30 +184,32 @@ def parse_matrix(path: Union[str, Path]) -> WeightMatrix:
         raise ParseError(path, str(exc))
 
 
-def serialize_matrix(
-    w: WeightMatrix, path: Union[str, Path], sidecar: bool = True
-) -> None:
-    """Write a matrix as CSV (shortest round-trip floats) plus, by
-    default, the {n, d, provenance} JSON sidecar."""
-    lines = [
-        ",".join(repr(float(v)) for v in row) for row in w.entries
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if sidecar:
-        meta = {"n": w.n, "d": w.d, "provenance": w.provenance.to_json()}
-        _sidecar_path(path).write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+def matrix_csv(w: WeightMatrix) -> str:
+    """A matrix as CSV text, one row per line, shortest round-trip floats."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in w.entries)
 
 
-_DENSE_CHARS = {"+", "-", "−"}
+def serialize_matrix(w: WeightMatrix, path: Union[str, Path]) -> None:
+    """Write a matrix as CSV plus its {n, d, provenance} JSON sidecar.
+
+    Raises ValueError, before writing anything, when the sidecar path is
+    the CSV path itself (a ``.json`` target).
+    """
+    sidecar = _sidecar_path(path)
+    if sidecar == Path(path):
+        raise ValueError(f"{path}: a .json matrix path would be its own sidecar")
+    Path(path).write_text(matrix_csv(w), encoding="utf-8")
+    meta = {"n": w.n, "d": w.d, "provenance": w.provenance.to_json()}
+    sidecar.write_text(
+        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
 
 
 def _parse_dense_line(
     path: Union[str, Path], line: str, line_no: int, expected_n: Optional[int]
 ) -> LabelAssignment:
     for col_no, ch in enumerate(line, start=1):
-        if ch not in _DENSE_CHARS:
+        if ch not in DENSE_CHARS:
             hint = ""
             if ch.isdigit():
                 hint = " (sparse files need an n=<count> header line)"
@@ -547,21 +551,7 @@ _PAYLOAD_SCHEMAS: dict[str, dict] = {
 }
 
 
-# The spectral-layer subcommand writes its matrix metadata as a flat
-# sidecar rather than a report envelope; the general matrix sidecar
-# carries shape plus provenance.  Both shapes are accepted on read.
 SIDECAR_SCHEMAS: dict[str, dict] = {
-    "dft": {
-        "type": "object",
-        "required": ["n", "k", "s", "seed"],
-        "properties": {
-            "n": {"type": "integer", "minimum": 1},
-            "k": {"type": "integer", "minimum": 1},
-            "s": {"type": "integer", "minimum": 0},
-            "seed": {"type": "integer"},
-        },
-        "additionalProperties": False,
-    },
     "matrix": {
         "type": "object",
         "required": ["n", "d", "provenance"],

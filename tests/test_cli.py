@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from argmaxable.cli import ExitCode, run
 from argmaxable.labelspace import cover_count
-from argmaxable.reportio import validate_report
+from argmaxable.reportio import SIDECAR_SCHEMAS, validate_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -48,12 +49,19 @@ class TestDftAndCheck:
         matrix = tmp_path / "w.csv"
         assert run(["dft", "--n", "6", "--k", "1", "--out", str(matrix)]) == 0
         sidecar = json.loads((tmp_path / "w.json").read_text())
-        assert sidecar == {"n": 6, "k": 1, "s": 0, "seed": 0}
+        assert sidecar == {"n": 6, "d": 3, "provenance": {"kind": "dft", "k": 1}}
+        jsonschema.validate(sidecar, SIDECAR_SCHEMAS["matrix"])
         assert run(["check", "--matrix", str(matrix)]) == ExitCode.OK
         obj = _report_from(capsys)
         assert obj["payload"]["verdict"] == "uniform-positive"
         assert obj["payload"]["general_position"] is True
         assert obj["payload"]["checked_minors"] == 20
+
+    def test_dft_refuses_a_json_out_path(self, tmp_path, capsys):
+        code = run(["dft", "--n", "6", "--k", "1", "--out", str(tmp_path / "w.json")])
+        assert code == ExitCode.USAGE
+        assert "own sidecar" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_dft_to_stdout_prints_csv_without_sidecar(self, capsys):
         assert run(["dft", "--n", "6", "--k", "1", "--out", "-"]) == ExitCode.OK
@@ -324,6 +332,76 @@ class TestMetrics:
         assert "gold assignments" in capsys.readouterr().err
 
 
+class TestReportConfig:
+    """Each report's ``config`` is exactly the flags that produced it, so a
+    new parser flag cannot leak into reports unnoticed."""
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (
+                ["count", "--n", "7", "--d", "3", "--out", "-"],
+                {"n": 7, "d": 3},
+            ),
+            (
+                ["check", "--matrix", "{w}", "--tau-det", "1e-9",
+                 "--minor-budget", "5000"],
+                {"matrix": "{w}", "tau_det": 1e-9, "minor_budget": 5000},
+            ),
+            (
+                ["verify", "--matrix", "{w}", "--labels", "{labels}",
+                 "--eps", "1e-7", "--box", "100", "--feas-tol", "1e-10",
+                 "--jobs", "2"],
+                {"matrix": "{w}", "labels": "{labels}", "eps": 1e-7,
+                 "box": 100.0, "feas_tol": 1e-10, "jobs": 2},
+            ),
+            (
+                ["enumerate", "--matrix", "{w}", "--method", "sampled",
+                 "--budget", "5000", "--seed", "3"],
+                {"matrix": "{w}", "method": "sampled", "budget": 5000,
+                 "seed": 3},
+            ),
+            (
+                ["radii", "--matrix", "{w}", "--kind", "active", "--k", "1",
+                 "--percentiles", "10,90", "--budget", "100", "--eps", "1e-7",
+                 "--box", "100", "--feas-tol", "1e-10", "--jobs", "2"],
+                {"matrix": "{w}", "kind": "active", "k": 1,
+                 "percentiles": [10.0, 90.0], "budget": 100, "eps": 1e-7,
+                 "box": 100.0, "feas_tol": 1e-10, "jobs": 2},
+            ),
+            (
+                ["metrics", "--scores", "{scores}", "--gold", "{gold}",
+                 "--k", "1,2", "--threshold", "0.4", "--per-record-f1"],
+                {"scores": "{scores}", "gold": "{gold}", "k": [1, 2],
+                 "threshold": 0.4, "per_record_f1": True},
+            ),
+        ],
+        ids=["count", "check", "verify", "enumerate", "radii", "metrics"],
+    )
+    def test_config_is_exactly_the_flags(self, argv, config, tmp_path, capsys):
+        files = {
+            "w": tmp_path / "w.csv",
+            "labels": tmp_path / "labels.txt",
+            "scores": tmp_path / "scores.csv",
+            "gold": tmp_path / "gold.txt",
+        }
+        files["w"].write_text("1.0,0.0\n0.0,1.0\n-1.0,-1.0\n")
+        files["labels"].write_text("+--\n-+-\n")
+        files["scores"].write_text("0.9,0.2,0.1\n0.1,0.8,0.3\n")
+        files["gold"].write_text("+--\n-++\n")
+
+        def fill(value):
+            for key, path in files.items():
+                if value == "{" + key + "}":
+                    return str(path)
+            return value
+
+        run([fill(a) for a in argv] + ["--deterministic"])
+        obj = _report_from(capsys)
+        assert obj["command"] == argv[0]
+        assert obj["config"] == {key: fill(v) for key, v in config.items()}
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage(self, capsys):
         assert run(["transmogrify"]) == ExitCode.USAGE
@@ -348,6 +426,10 @@ class TestExitCodes:
             ["verify", "--labels", "{missing}", "--feas-tol", "1e-8"],
             ["verify", "--labels", "{missing}", "--eps", "1e-10"],
             ["radii", "--kind", "active", "--k", "1", "--feas-tol", "1e-7"],
+            ["radii", "--kind", "active", "--k", "1", "--percentiles", "150"],
+            ["radii", "--kind", "active", "--k", "1", "--percentiles", "-1"],
+            ["radii", "--kind", "active", "--k", "1", "--percentiles", ","],
+            ["radii", "--kind", "active", "--k", "1", "--percentiles", "abc"],
         ],
     )
     def test_tolerance_conflicts_are_usage_before_any_read(self, argv, tmp_path, capsys):
@@ -355,7 +437,8 @@ class TestExitCodes:
         argv = [a.replace("{missing}", missing) for a in argv]
         code = run(argv[:1] + ["--matrix", str(tmp_path / "nope.csv")] + argv[1:])
         assert code == ExitCode.USAGE
-        assert "--feas-tol" in capsys.readouterr().err
+        # The diagnostic names the offending flag, the last one given.
+        assert argv[-2] in capsys.readouterr().err
 
     @pytest.mark.parametrize("ranks", [",", "0", "-1", "5,0,1"])
     def test_bad_ranks_are_usage_before_any_read(self, ranks, tmp_path, capsys):

@@ -85,12 +85,11 @@ class TestMatrixRoundTrip:
         obj = json.loads((tmp_path / "w.json").read_text())
         jsonschema.validate(obj, SIDECAR_SCHEMAS["matrix"])
 
-    def test_flat_shape_matches_the_other_schema(self):
-        jsonschema.validate(
-            {"n": 6, "k": 1, "s": 0, "seed": 0}, SIDECAR_SCHEMAS["dft"]
-        )
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate({"n": 6}, SIDECAR_SCHEMAS["dft"])
+    def test_json_target_is_refused_before_any_write(self, tmp_path):
+        target = tmp_path / "w.json"
+        with pytest.raises(ValueError, match="own sidecar"):
+            serialize_matrix(WeightMatrix(np.eye(2)), target)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMatrixDiagnostics:
