@@ -13,6 +13,19 @@ judgment over the LP verifier.  Two routes:
   provably complete.  Budget exhaustion yields an explicitly partial
   result, never an error.
 
+Most chunks of draws are never normalised.  With u = 2^-53 and M the
+largest |entry| of a chunk, the raw product of the chunk with W^T has the
+sign pattern of the normalised logits, and every normalised logit clears
+tau_sign, whenever
+
+    min |raw| > sqrt(d) * (tau_sign + 4 (d + 2) u max_i ||w_i||) * M
+
+(a rounding bound, derived at ``_guard_factor``).  Such a chunk records
+the same vectors with no boundary skips; a chunk that misses the bound is
+normalised and tested draw by draw.  A zero row with tau_sign > 0 puts
+every draw on a boundary, so that case returns its empty partial set
+without drawing.
+
 Members come closed under global sign flip by construction: the
 arrangement is central, so sign(W(-x)) = -sign(Wx).
 """
@@ -30,6 +43,7 @@ from .labelspace import LabelAssignment, cover_count
 from .linalg import (
     DEFAULT_MINOR_BUDGET,
     DEFAULT_TAU_SIGN,
+    BoundaryError,
     MinorBudgetError,
     WeightMatrix,
     is_general_position,
@@ -50,6 +64,10 @@ __all__ = [
 
 DEFAULT_SAMPLE_BUDGET = 10**7
 _SAMPLE_CHUNK = 1 << 15
+_UNIT_ROUNDOFF = 2.0**-53
+# Scales of max_i ||w_i|| and of a chunk's largest draw inside which the
+# guard needs no overflow or underflow clause of its own.
+_GUARD_LOW, _GUARD_HIGH = 2.0**-400, 2.0**400
 
 
 class DegeneracyError(Exception):
@@ -120,7 +138,7 @@ def enumerate_regions_2d(
         direction = np.array([math.cos(phi), math.sin(phi)])
         try:
             members.add(sign_vector(w, direction, tau_sign=tau_sign))
-        except Exception as exc:
+        except BoundaryError as exc:
             raise DegeneracyError(
                 f"sector midpoint at angle {phi:.6f} has no clean sign vector"
             ) from exc
@@ -151,6 +169,56 @@ def _decode_byte_codes(codes, n: int) -> frozenset:
     return frozenset(members)
 
 
+def _guard_factor(w: WeightMatrix, tau_sign: float) -> Optional[float]:
+    """The factor F such that a chunk of raw draws with largest |entry| M
+    in [2^-400, 2^400] needs no normalisation when min |raw| > F * M, where
+    raw = fl(draws @ W^T); None when W's scale or tau_sign rules it out.
+
+    F = sqrt(d) * (tau_sign + c u omega) with u = 2^-53, c = 4 (d + 2) and
+    omega = max_i fl(||w_i||).  Write gamma_k = k u / (1 - k u).  For one
+    draw x and one row w let s = w . x exactly and t = sum_j |w_j x_j|,
+    so t <= ||x|| ||w|| <= sqrt(d) M ||w||.
+
+    * A d-term dot product, in any summation order and with or without
+      FMA, is within gamma_d t of s (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, ch. 3).  So r = fl(x . w) = s + e_r with
+      |e_r| <= gamma_d t.
+    * The normalised path computes L = fl(||x||) = ||x|| (1 + theta),
+      |theta| <= gamma_{d+1}; then xh_j = (x_j / L)(1 + delta_j),
+      |delta_j| <= u; then g = fl(xh . w) = xh . w + e with
+      |e| <= gamma_d (1 + u) t / L.  Times L: L g = s + e_g with
+      |e_g| <= (u + (1 + u) gamma_d) t <= gamma_{d+1} t, so
+      |L g - r| <= gamma_{2d+1} t.
+    * So once |r| > gamma_{2d+1} t, g is nonzero with the sign of r
+      (L > 0), and since L <= sqrt(d) M (1 + gamma_{d+1}), |g| >= tau_sign
+      follows from  |r| >= sqrt(d) M (tau_sign (1 + gamma_{d+1})
+      + gamma_{2d+1} ||w||).  (*)
+    * The guard's right side takes five roundings and
+      omega >= ||w|| (1 - gamma_{d+1}), so it is at least
+      sqrt(d) M (tau_sign + c u omega)(1 - gamma_5).  A passing |r| is
+      at most (1 + gamma_d) t, which forces tau_sign < 1.01 omega.  Then
+      (*) holds when c u (1 - gamma_5) >= 1.01 gamma_{d+6}
+      + gamma_{2d+1} / (1 - gamma_{d+1}), about (3d + 7) u; c = 4 (d + 2)
+      leaves (d + 1) u omega sqrt(d) M to spare.
+    * Scale: with omega and M in [2^-400, 2^400] nothing overflows.  A
+      passing draw has max_j |x_j| > u M, so L > 0 and the draw passes
+      the length test.  Gradual underflow adds at most 2^-1075 to a
+      product or quotient (sums are then exact): d 2^-1075 (omega + 2)
+      in all, and a relative d 2^-169 in L, which the spare absorbs for
+      any d < 2^100.
+
+    tau_sign < 0 (or NaN) is excluded: a raw zero would then pass with a
+    normalised logit of either sign.
+    """
+    if not tau_sign >= 0.0:
+        return None
+    omega = float(w.row_norms.max())
+    if not _GUARD_LOW <= omega <= _GUARD_HIGH:
+        return None
+    d = w.d
+    return math.sqrt(d) * (tau_sign + 4 * (d + 2) * _UNIT_ROUNDOFF * omega)
+
+
 def enumerate_regions_sampled(
     w: WeightMatrix,
     budget: int = DEFAULT_SAMPLE_BUDGET,
@@ -174,6 +242,17 @@ def enumerate_regions_sampled(
     so no completeness is claimed).
     """
     n, d = w.n, w.d
+    if tau_sign > 0.0 and not w.entries.any(axis=1).all():
+        # A zero row's logit is exactly 0 < tau_sign at every draw.
+        spent = max(budget, 0)
+        return RegionSet(
+            n=n,
+            d=d,
+            members=frozenset(),
+            method=EnumerationMethod.SAMPLED_PARTIAL,
+            samples_used=spent,
+            boundary_skips=spent,
+        )
     if general_position is None:
         try:
             general_position = is_general_position(w, budget=minor_budget)
@@ -198,26 +277,35 @@ def enumerate_regions_sampled(
         if use_int_codes
         else None
     )
+    factor = _guard_factor(w, tau_sign)
     while used < budget:
         chunk = min(_SAMPLE_CHUNK, budget - used)
         draws = rng.standard_normal((chunk, d))
-        lengths = np.linalg.norm(draws, axis=1, keepdims=True)
-        good_length = lengths[:, 0] > 0.0
-        lengths[~good_length] = 1.0
-        draws /= lengths
-        logits = draws @ transpose
-        clean = good_length & (np.abs(logits) >= tau_sign).all(axis=1)
         used += chunk
-        skips += int(chunk - np.count_nonzero(clean))
-        positive = logits > 0.0
+        raw = draws @ transpose
+        positive = raw > 0.0
+        peak = max(float(draws.max()), -float(draws.min()))
+        if not (
+            factor is not None
+            and _GUARD_LOW <= peak <= _GUARD_HIGH
+            and float(np.abs(raw, out=raw).min()) > factor * peak
+        ):
+            lengths = np.linalg.norm(draws, axis=1, keepdims=True)
+            good_length = lengths[:, 0] > 0.0
+            lengths[~good_length] = 1.0
+            draws /= lengths
+            logits = draws @ transpose
+            clean = good_length & (np.abs(logits) >= tau_sign).all(axis=1)
+            skips += int(chunk - np.count_nonzero(clean))
+            positive = (logits > 0.0)[clean]
         # Most draws of a chunk repeat a region, so dedupe in numpy before
         # anything reaches the Python set.
         if use_int_codes:
-            codes = np.unique((positive.astype(np.int64) @ bit_weights)[clean])
+            codes = np.unique(positive.astype(np.int64) @ bit_weights)
             seen.update(codes.tolist())
             seen.update((codes ^ full_mask).tolist())
         else:
-            codes = np.unique(np.packbits(positive, axis=1)[clean], axis=0)
+            codes = np.unique(np.packbits(positive, axis=1), axis=0)
             seen.update(row.tobytes() for row in codes)
             seen.update(row.tobytes() for row in codes ^ full_mask)
         if target is not None and len(seen) >= target:

@@ -5,7 +5,8 @@ package: determinants by cofactor expansion, the minor scan one subset
 at a time, sign-vector families by filtering all 2^n strings, ranked
 metrics by explicit sorting loops.  Two small numeric helpers that only
 the tests need (a guarded determinant and a seeded nudge off a
-hyperplane) live here too.
+hyperplane) live here too, and so does the sampled enumeration loop as
+it was before its rounding-bound fast path.
 """
 
 from __future__ import annotations
@@ -214,3 +215,63 @@ def reference_chebyshev_verify(entries, signs, box_bound=1e4, eps_floor=1e-8, fe
     if res.status == 2:
         return "not_eps_argmaxable", None, None
     return "indeterminate", None, None
+
+
+def reference_sampled_enumeration(entries, budget, seed, tau_sign, target):
+    """Sampled region enumeration with every draw normalised.
+
+    The loop of ``enumerate_regions_sampled`` before its fast path: each
+    2^15-draw chunk is scaled to the unit sphere, multiplied by W^T and
+    tested row by row against tau_sign; clean draws and their antipodes
+    are recorded.  Sampling stops at ``budget`` draws or once ``target``
+    distinct vectors are seen (None: never early).  Returns (samples
+    used, boundary skips, the set of sign tuples).
+    """
+    w = np.asarray(entries, dtype=np.float64)
+    n, d = w.shape
+    rng = np.random.default_rng(seed)
+    use_int_codes = n <= 62
+    full_mask = (
+        np.int64((1 << n) - 1)
+        if use_int_codes
+        else np.packbits(np.ones(n, dtype=bool))
+    )
+    seen: set = set()
+    used = 0
+    skips = 0
+    transpose = np.ascontiguousarray(w.T)
+    bit_weights = (
+        np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
+        if use_int_codes
+        else None
+    )
+    while used < budget:
+        chunk = min(1 << 15, budget - used)
+        draws = rng.standard_normal((chunk, d))
+        lengths = np.linalg.norm(draws, axis=1, keepdims=True)
+        good_length = lengths[:, 0] > 0.0
+        lengths[~good_length] = 1.0
+        draws /= lengths
+        logits = draws @ transpose
+        clean = good_length & (np.abs(logits) >= tau_sign).all(axis=1)
+        used += chunk
+        skips += int(chunk - np.count_nonzero(clean))
+        positive = logits > 0.0
+        if use_int_codes:
+            codes = np.unique((positive.astype(np.int64) @ bit_weights)[clean])
+            seen.update(codes.tolist())
+            seen.update((codes ^ full_mask).tolist())
+        else:
+            codes = np.unique(np.packbits(positive, axis=1)[clean], axis=0)
+            seen.update(row.tobytes() for row in codes)
+            seen.update(row.tobytes() for row in codes ^ full_mask)
+        if target is not None and len(seen) >= target:
+            break
+    members = set()
+    for code in seen:
+        if use_int_codes:
+            bits = [(int(code) >> i) & 1 for i in range(n)]
+        else:
+            bits = np.unpackbits(np.frombuffer(code, dtype=np.uint8), count=n)
+        members.add(tuple(1 if bit else -1 for bit in bits))
+    return used, skips, members

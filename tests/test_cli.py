@@ -229,6 +229,21 @@ class TestEnumerate:
         assert obj["payload"]["method"] == "sampled-partial"
         assert obj["payload"]["count"] == 4
 
+    def test_zero_row_fallback_spends_the_budget_without_drawing(self, tmp_path, capsys):
+        matrix = tmp_path / "z.csv"
+        matrix.write_text("1.0,0.5\n0.0,0.0\n-0.3,1.0\n")
+        code = run(
+            ["enumerate", "--matrix", str(matrix), "--budget", str(10**12),
+             "--deterministic", "--out", "-"]
+        )
+        assert code == ExitCode.OK
+        out, err = capsys.readouterr()
+        assert "falling back" in err
+        payload = json.loads(out)["payload"]
+        assert payload["method"] == "sampled-partial"
+        assert payload["members"] == []
+        assert payload["samples_used"] == payload["boundary_skips"] == 10**12
+
     def test_degenerate_explicit_2d_propagates(self, tmp_path):
         matrix = tmp_path / "w.csv"
         matrix.write_text("1.0,0.0\n2.0,0.0\n")

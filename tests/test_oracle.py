@@ -13,7 +13,7 @@ from argmaxable.labelspace import (
     enumerate_family,
 )
 from argmaxable import oracle
-from argmaxable.linalg import WeightMatrix
+from argmaxable.linalg import BoundaryError, WeightMatrix, is_general_position
 from argmaxable.oracle import (
     DegeneracyError,
     EnumerationMethod,
@@ -21,6 +21,7 @@ from argmaxable.oracle import (
     enumerate_regions_2d,
     enumerate_regions_sampled,
 )
+from reference_impls import reference_sampled_enumeration, region_count_formula
 
 
 class TestExactWalk2D:
@@ -64,6 +65,22 @@ class TestExactWalk2D:
         anti = WeightMatrix(np.array([[1.0, 1.0], [-3.0, -3.0], [0.0, 1.0]]))
         with pytest.raises(DegeneracyError):
             enumerate_regions_2d(anti)
+
+    def test_only_a_boundary_midpoint_becomes_degeneracy(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sign bug")
+
+        monkeypatch.setattr(oracle, "sign_vector", broken)
+        w = WeightMatrix(np.random.default_rng(38).standard_normal((3, 2)))
+        with pytest.raises(RuntimeError, match="sign bug"):
+            enumerate_regions_2d(w)
+
+        def on_boundary(*args, **kwargs):
+            raise BoundaryError((1,))
+
+        monkeypatch.setattr(oracle, "sign_vector", on_boundary)
+        with pytest.raises(DegeneracyError):
+            enumerate_regions_2d(w)
 
     def test_zero_row_refuses(self):
         with pytest.raises(DegeneracyError):
@@ -185,6 +202,87 @@ class TestSampledEnumeration:
         b = enumerate_regions_sampled(w, budget=10**5, seed=11)
         assert a.members == b.members
         assert a.samples_used == b.samples_used
+
+
+def _random(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def _with_zero_row():
+    entries = _random((6, 3), 50)
+    entries[2] = 0.0
+    return entries
+
+
+def _with_tiny_row():
+    entries = _random((6, 3), 51)
+    entries[4] *= 1e-6
+    return entries
+
+
+def _with_duplicated_rows():
+    base = _random((4, 3), 52)
+    return np.vstack([base, base[[0, 2]]])
+
+
+class TestSampledMatchesTheNormalisedLoop:
+    """The rounding-bound fast path must report exactly what normalising
+    every draw reports: the same draws, skips and members."""
+
+    @staticmethod
+    def _assert_matches(entries, budget, seed, tau_sign):
+        w = WeightMatrix(entries)
+        regions = enumerate_regions_sampled(
+            w, budget=budget, seed=seed, tau_sign=tau_sign
+        )
+        target = region_count_formula(w.n, w.d) if is_general_position(w) else None
+        used, skips, members = reference_sampled_enumeration(
+            w.entries, budget, seed, tau_sign, target
+        )
+        assert regions.samples_used == used
+        assert regions.boundary_skips == skips
+        assert {tuple(int(v) for v in y.signs) for y in regions.members} == members
+        return regions
+
+    @pytest.mark.parametrize(
+        "entries, tau_sign",
+        [
+            (_random((8, 3), 53), 1e-3),
+            (_random((8, 3), 53), 0.05),
+            (build_dft_matrix(10, 2).entries, 0.05),
+            (_with_zero_row(), 1e-12),
+            (_with_tiny_row(), 1e-3),
+        ],
+        ids=["random-tau-1e-3", "random-tau-0.05", "spectral-tau-0.05",
+             "zero-row", "tiny-row-tau-1e-3"],
+    )
+    def test_boundary_skips_are_counted_alike(self, entries, tau_sign):
+        regions = self._assert_matches(entries, 100_003, 9, tau_sign)
+        assert regions.boundary_skips > 0
+
+    @pytest.mark.parametrize(
+        "entries, tau_sign",
+        [
+            (_random((8, 3), 54), 0.0),
+            (_with_zero_row(), 0.0),
+            (_with_tiny_row(), 1e-12),
+            (_with_duplicated_rows(), 1e-12),
+            (_random((5, 1), 55), 1e-12),
+            (_random((70, 3), 56), 1e-12),
+            (_random((70, 3), 56), 1e-3),
+        ],
+        ids=["tau-0", "zero-row-tau-0", "tiny-row", "duplicated-rows", "d-1",
+             "n-70", "n-70-tau-1e-3"],
+    )
+    def test_edge_inputs(self, entries, tau_sign):
+        self._assert_matches(entries, 70_001, 10, tau_sign)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spectral_ten_by_five_at_the_default_budget(self, seed):
+        regions = self._assert_matches(
+            build_dft_matrix(10, 2).entries, 10**7, seed, 1e-12
+        )
+        assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
 
 
 class TestCrossCheck:
