@@ -122,8 +122,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
+    # Flags shared by several subcommands, each declared once.
+    deterministic = argparse.ArgumentParser(add_help=False)
+    deterministic.add_argument(
+        "--deterministic",
+        action="store_true",
+        help="omit timestamps and wall times so identical inputs give "
+        "byte-identical reports",
+    )
+    report = argparse.ArgumentParser(add_help=False, parents=[deterministic])
+    report.add_argument("--out", default="-", help="report path (default stdout)")
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("--matrix", required=True, help="matrix CSV path")
+    lp = argparse.ArgumentParser(add_help=False)
+    lp.add_argument(
+        "--eps",
+        type=_positive_float,
+        default=1e-8,
+        help="smallest radius that counts as feasible (default 1e-8)",
+    )
+    lp.add_argument(
+        "--box",
+        type=_positive_float,
+        default=1e4,
+        help="coordinate box bound for the witness (default 1e4)",
+    )
+    lp.add_argument(
+        "--feas-tol",
+        type=_positive_float,
+        default=1e-9,
+        help="LP feasibility tolerance, must be < --eps (default 1e-9)",
+    )
+    lp.add_argument("--jobs", type=_positive_int, default=1, help="worker count")
+
     p = sub.add_parser(
         "count",
+        parents=[deterministic],
         help="exact number of feasible sign regions of a generic n x d layer",
     )
     p.add_argument("--n", type=_positive_int, required=True, help="label count")
@@ -133,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write a JSON report here ('-' for stdout); default prints the bare count",
     )
-    _add_determinism_flag(p)
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser(
@@ -149,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
+        parents=[matrix, report],
         help="minor-sign scan: uniform / mixed / degenerate, plus general position",
     )
-    p.add_argument("--matrix", required=True, help="matrix CSV path")
     p.add_argument(
         "--tau-det",
         type=_positive_float,
@@ -164,44 +197,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=10**6,
         help="refuse if C(n,d) exceeds this (default 1000000)",
     )
-    p.add_argument("--out", default="-", help="report path (default stdout)")
-    _add_determinism_flag(p)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser(
         "verify",
+        parents=[matrix, lp, report],
         help="LP-certify each assignment in a label file against a matrix",
     )
-    p.add_argument("--matrix", required=True, help="matrix CSV path")
     p.add_argument("--labels", required=True, help="label file (dense or sparse)")
-    p.add_argument(
-        "--eps",
-        type=_positive_float,
-        default=1e-8,
-        help="smallest radius that counts as feasible (default 1e-8)",
-    )
-    p.add_argument(
-        "--box",
-        type=_positive_float,
-        default=1e4,
-        help="coordinate box bound for the witness (default 1e4)",
-    )
-    p.add_argument(
-        "--feas-tol",
-        type=_positive_float,
-        default=1e-9,
-        help="LP feasibility tolerance, must be < --eps (default 1e-9)",
-    )
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker count")
-    p.add_argument("--out", default="-", help="report path (default stdout)")
-    _add_determinism_flag(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser(
         "enumerate",
+        parents=[matrix, report],
         help="enumerate the feasible sign vectors of a matrix",
     )
-    p.add_argument("--matrix", required=True, help="matrix CSV path")
     p.add_argument(
         "--method",
         choices=("auto", "2d", "sampled"),
@@ -215,15 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling budget (default 10000000)",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument("--out", default="-", help="report path (default stdout)")
-    _add_determinism_flag(p)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser(
         "radii",
+        parents=[matrix, lp, report],
         help="Chebyshev radius percentiles over a whole assignment family",
     )
-    p.add_argument("--matrix", required=True, help="matrix CSV path")
     p.add_argument(
         "--kind",
         choices=("active", "alternating"),
@@ -243,22 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=10**6,
         help="family enumeration budget (default 1000000)",
     )
-    p.add_argument(
-        "--eps", type=_positive_float, default=1e-8, help="radius floor (default 1e-8)"
-    )
-    p.add_argument(
-        "--box", type=_positive_float, default=1e4, help="box bound (default 1e4)"
-    )
-    p.add_argument(
-        "--feas-tol", type=_positive_float, default=1e-9, help="LP tolerance"
-    )
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker count")
-    p.add_argument("--out", default="-", help="report path (default stdout)")
-    _add_determinism_flag(p)
     p.set_defaults(handler=_cmd_radii)
 
     p = sub.add_parser(
         "metrics",
+        parents=[report],
         help="ranked and thresholded multi-label metrics over a score file",
     )
     p.add_argument("--scores", required=True, help="score CSV, one record per line")
@@ -281,20 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="average per-record harmonic means instead of taking the "
         "harmonic mean of averaged P and R",
     )
-    p.add_argument("--out", default="-", help="report path (default stdout)")
-    _add_determinism_flag(p)
     p.set_defaults(handler=_cmd_metrics)
 
     return parser
-
-
-def _add_determinism_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="omit timestamps and wall times so identical inputs give "
-        "byte-identical reports",
-    )
 
 
 def _timestamp(args: argparse.Namespace) -> Optional[str]:
@@ -338,7 +324,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_dft(args: argparse.Namespace) -> int:
-    w = augment_slack(build_dft_matrix(args.n, args.k), args.s, args.seed)
+    try:
+        w = augment_slack(build_dft_matrix(args.n, args.k), args.s, args.seed)
+    except ValueError as exc:  # a --k too large for --n; no file is involved
+        raise _UsageError(f"error: --k: {exc}")
     if args.out == "-":
         _emit(matrix_csv(w), "-")
         return ExitCode.OK
@@ -514,23 +503,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "handler", None) is None:
+            raise _UsageError(parser.format_usage())
+        return int(args.handler(args))
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return ExitCode.USAGE
     except SystemExit as exc:  # --help / --version paths
         return int(exc.code or 0)
-    if getattr(args, "handler", None) is None:
-        print(parser.format_usage(), file=sys.stderr)
-        return ExitCode.USAGE
-    try:
-        return int(args.handler(args))
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return ExitCode.USAGE
-    except (ParseError, DegeneracyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitCode.INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DegeneracyError) as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.INPUT
 

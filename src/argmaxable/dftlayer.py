@@ -96,7 +96,7 @@ def build_dft_matrix(n: int, k: int) -> WeightMatrix:
     for freq in range(1, k + 1):
         cols[:, 2 * freq - 1] = amp * np.cos(freq * t)
         cols[:, 2 * freq] = amp * np.sin(freq * t)
-    return WeightMatrix(cols, provenance=Provenance.dft(k))
+    return WeightMatrix(cols, provenance=Provenance(kind="dft", k=k))
 
 
 def dft_entry_error_bound(n: int, k: int) -> float:
@@ -133,8 +133,8 @@ def augment_slack(w: WeightMatrix, s: int, seed: int) -> WeightMatrix:
         return w
     block = slack_block(w.n, s, seed)
     entries = np.hstack([w.entries, block])
-    provenance = Provenance.dft_with_slack(
-        k=w.provenance.k, s=s, seed=seed
+    provenance = Provenance(
+        kind="dft+slack", k=w.provenance.k, s=s, seed=seed
     ) if w.provenance.kind in ("dft", "dft+slack") else Provenance(
         kind="random", seed=seed
     )

@@ -77,18 +77,6 @@ class Provenance:
         if self.kind not in _PROVENANCE_KINDS:
             raise ValueError(f"unknown provenance kind {self.kind!r}")
 
-    @classmethod
-    def random(cls, seed: Optional[int] = None) -> "Provenance":
-        return cls(kind="random", seed=seed)
-
-    @classmethod
-    def dft(cls, k: int) -> "Provenance":
-        return cls(kind="dft", k=k)
-
-    @classmethod
-    def dft_with_slack(cls, k: int, s: int, seed: int) -> "Provenance":
-        return cls(kind="dft+slack", k=k, s=s, seed=seed)
-
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
         for field in ("k", "s", "seed"):
@@ -200,13 +188,14 @@ def _colex_blocks(
 
 
 def _minor_blocks(
-    w: WeightMatrix, budget: int, chunk: int
+    w: WeightMatrix, budget: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Validate the scan, then stream (index block, determinants) pairs.
 
     The checks run eagerly so a refusal comes before any work; the
     blocks themselves are produced lazily, which keeps memory bounded by
-    ``chunk`` d x d matrices whatever C(n, d) is.
+    ``_MINOR_CHUNK`` d x d matrices (read at call time) whatever C(n, d)
+    is.
     """
     n, d = w.n, w.d
     if n < d:
@@ -218,24 +207,23 @@ def _minor_blocks(
         )
     entries = w.entries
     return (
-        (idx, np.linalg.det(entries[idx])) for idx in _colex_blocks(n, d, chunk)
+        (idx, np.linalg.det(entries[idx]))
+        for idx in _colex_blocks(n, d, _MINOR_CHUNK)
     )
 
 
 def maximal_minors(
-    w: WeightMatrix,
-    budget: int = DEFAULT_MINOR_BUDGET,
-    chunk: int = _MINOR_CHUNK,
+    w: WeightMatrix, budget: int = DEFAULT_MINOR_BUDGET
 ) -> Iterator[tuple[tuple[int, ...], float]]:
     """Stream (row index set, d x d minor) pairs for every d-subset of rows.
 
     Index sets are 0-based ascending tuples, emitted in colexicographic
     order.  This is a per-minor view over the same chunked scan that
     ``gr_plus_status`` runs: index sets are built and determinants
-    evaluated in numpy blocks of at most ``chunk`` minors.  Raises
+    evaluated in numpy blocks of at most ``_MINOR_CHUNK`` minors.  Raises
     MinorBudgetError before any work if C(n, d) exceeds ``budget``.
     """
-    blocks = _minor_blocks(w, budget, chunk)
+    blocks = _minor_blocks(w, budget)
     return (
         (tuple(index_set), det)
         for idx, dets in blocks
@@ -321,7 +309,7 @@ def gr_plus_status(
     min_abs = math.inf
     checked = 0
     saw_pos = saw_neg = False
-    for idx, dets in _minor_blocks(w, budget, _MINOR_CHUNK):
+    for idx, dets in _minor_blocks(w, budget):
         mags = np.abs(dets)
         below = mags < tau_det * np.prod(norms[idx], axis=1)
         if checked <= first_zero < checked + len(idx):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -37,10 +37,8 @@ __all__ = [
     "matrix_csv",
     "serialize_matrix",
     "parse_labels",
-    "serialize_labels",
     "parse_scores",
     "report_schema",
-    "SIDECAR_SCHEMAS",
     "validate_report",
 ]
 
@@ -159,16 +157,16 @@ def _provenance_from_sidecar(path: Path, obj: dict, n: int, d: int) -> Provenanc
         s = obj.get("s", 0)
         seed = obj.get("seed", 0)
         if s:
-            return Provenance.dft_with_slack(k=k, s=s, seed=seed)
-        return Provenance.dft(k=k)
-    return Provenance.random(seed=obj.get("seed"))
+            return Provenance(kind="dft+slack", k=k, s=s, seed=seed)
+        return Provenance(kind="dft", k=k)
+    return Provenance(kind="random", seed=obj.get("seed"))
 
 
 def parse_matrix(path: Union[str, Path]) -> WeightMatrix:
     """Read a weight matrix from CSV, with provenance from the JSON
     sidecar (same path, .json suffix) when one exists."""
     entries = _parse_float_rows(path, _read_text(path))
-    provenance = Provenance.random()
+    provenance = Provenance()
     sidecar = _sidecar_path(path)
     if sidecar.exists() and sidecar != Path(path):
         try:
@@ -293,24 +291,6 @@ def parse_labels(path: Union[str, Path]) -> list[LabelAssignment]:
     return out
 
 
-def serialize_labels(
-    assignments: Sequence[LabelAssignment], sparse: bool = False
-) -> str:
-    """Render assignments as file text in dense or sparse form."""
-    if not assignments:
-        raise ValueError("no assignments to serialize")
-    if not sparse:
-        return "\n".join(y.to_dense() for y in assignments) + "\n"
-    n = assignments[0].n
-    for y in assignments:
-        if y.n != n:
-            raise ValueError("sparse form needs one shared n")
-    lines = [f"n={n}"]
-    for y in assignments:
-        lines.append(",".join(str(i) for i in y.active_indices()))
-    return "\n".join(lines) + "\n"
-
-
 def parse_scores(path: Union[str, Path]) -> np.ndarray:
     """Read a score file: CSV of floats, one record per line, rectangular."""
     arr = _parse_float_rows(path, _read_text(path))
@@ -345,36 +325,6 @@ class ReportEnvelope:
             "payload": self.payload,
         }
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReportEnvelope":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad report JSON: {exc}")
-        if not isinstance(obj, dict):
-            raise ValueError("report must be a JSON object")
-        version = obj.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
-            )
-        missing = {
-            "tool_version",
-            "command",
-            "config",
-            "timestamp",
-            "payload",
-        } - set(obj)
-        if missing:
-            raise ValueError(f"report missing fields {sorted(missing)}")
-        return cls(
-            tool_version=obj["tool_version"],
-            command=obj["command"],
-            config=obj["config"],
-            timestamp=obj["timestamp"],
-            payload=obj["payload"],
-        )
 
 
 _STATUS_STRINGS = ["argmaxable", "not_eps_argmaxable", "indeterminate"]
@@ -545,30 +495,6 @@ _PAYLOAD_SCHEMAS: dict[str, dict] = {
             "macro_f1": {"type": "number"},
             "zero_support_labels": {"type": "integer", "minimum": 0},
             "empty_gold_records": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-}
-
-
-SIDECAR_SCHEMAS: dict[str, dict] = {
-    "matrix": {
-        "type": "object",
-        "required": ["n", "d", "provenance"],
-        "properties": {
-            "n": {"type": "integer", "minimum": 1},
-            "d": {"type": "integer", "minimum": 1},
-            "provenance": {
-                "type": "object",
-                "required": ["kind"],
-                "properties": {
-                    "kind": {"enum": ["random", "dft", "dft+slack"]},
-                    "k": {"type": "integer", "minimum": 1},
-                    "s": {"type": "integer", "minimum": 0},
-                    "seed": {"type": "integer"},
-                },
-                "additionalProperties": False,
-            },
         },
         "additionalProperties": False,
     },

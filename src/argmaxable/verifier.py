@@ -338,7 +338,12 @@ def radius_report(
         for r in batch.results
         if r.status is not VerifyStatus.INDETERMINATE
     )
-    rows = tuple((float(p), _nearest_rank(radii, p)) for p in percentiles)
+    if batch.results and not radii:
+        raise ValueError(
+            f"no radii to take percentiles of: all {len(ys)} members are "
+            f"indeterminate (first: {batch.results[0].reason})"
+        )
+    rows =tuple((float(p), _nearest_rank(radii, p)) for p in percentiles)
     return RadiusReport(
         family=family,
         rows=rows,

@@ -7,13 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
 from argmaxable.cli import ExitCode, run
 from argmaxable.labelspace import cover_count
-from argmaxable.reportio import SIDECAR_SCHEMAS, validate_report
+from argmaxable.reportio import validate_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,7 +49,6 @@ class TestDftAndCheck:
         assert run(["dft", "--n", "6", "--k", "1", "--out", str(matrix)]) == 0
         sidecar = json.loads((tmp_path / "w.json").read_text())
         assert sidecar == {"n": 6, "d": 3, "provenance": {"kind": "dft", "k": 1}}
-        jsonschema.validate(sidecar, SIDECAR_SCHEMAS["matrix"])
         assert run(["check", "--matrix", str(matrix)]) == ExitCode.OK
         obj = _report_from(capsys)
         assert obj["payload"]["verdict"] == "uniform-positive"
@@ -291,6 +289,16 @@ class TestRadii:
         assert obj["payload"]["members"] == 7
         assert obj["payload"]["summary"]["argmaxable"] == 7
 
+    def test_an_all_indeterminate_family_says_why(self, tmp_path, capsys):
+        matrix = tmp_path / "z.csv"
+        matrix.write_text("1.0,0.0\n0.0,1.0\n0.0,0.0\n")
+        code = run(["radii", "--matrix", str(matrix), "--kind", "active", "--k", "1"])
+        assert code == ExitCode.INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "all 4 members are indeterminate" in err
+        assert "zero-norm row(s) 3" in err
+
 
 class TestMetrics:
     def _write_inputs(self, tmp_path):
@@ -438,22 +446,32 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "--labels", "{missing}", "--feas-tol", "1e-8"],
-            ["verify", "--labels", "{missing}", "--eps", "1e-10"],
-            ["radii", "--kind", "active", "--k", "1", "--feas-tol", "1e-7"],
-            ["radii", "--kind", "active", "--k", "1", "--percentiles", "150"],
-            ["radii", "--kind", "active", "--k", "1", "--percentiles", "-1"],
-            ["radii", "--kind", "active", "--k", "1", "--percentiles", ","],
-            ["radii", "--kind", "active", "--k", "1", "--percentiles", "abc"],
+            ["verify", "--matrix", "{matrix}", "--labels", "{missing}",
+             "--feas-tol", "1e-8"],
+            ["verify", "--matrix", "{matrix}", "--labels", "{missing}",
+             "--eps", "1e-10"],
+            ["radii", "--matrix", "{matrix}", "--kind", "active", "--k", "1",
+             "--feas-tol", "1e-7"],
+            ["radii", "--matrix", "{matrix}", "--kind", "active", "--k", "1",
+             "--percentiles", "150"],
+            ["radii", "--matrix", "{matrix}", "--kind", "active", "--k", "1",
+             "--percentiles", "-1"],
+            ["radii", "--matrix", "{matrix}", "--kind", "active", "--k", "1",
+             "--percentiles", ","],
+            ["radii", "--matrix", "{matrix}", "--kind", "active", "--k", "1",
+             "--percentiles", "abc"],
+            ["dft", "--out", "-", "--n", "3", "--k", "2"],
         ],
     )
     def test_tolerance_conflicts_are_usage_before_any_read(self, argv, tmp_path, capsys):
-        missing = str(tmp_path / "nope.txt")
-        argv = [a.replace("{missing}", missing) for a in argv]
-        code = run(argv[:1] + ["--matrix", str(tmp_path / "nope.csv")] + argv[1:])
-        assert code == ExitCode.USAGE
+        files = {"{matrix}": str(tmp_path / "nope.csv"),
+                 "{missing}": str(tmp_path / "nope.txt")}
+        argv = [files.get(a, a) for a in argv]
+        assert run(argv) == ExitCode.USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
         # The diagnostic names the offending flag, the last one given.
-        assert argv[-2] in capsys.readouterr().err
+        assert argv[-2] in err
 
     @pytest.mark.parametrize("ranks", [",", "0", "-1", "5,0,1"])
     def test_bad_ranks_are_usage_before_any_read(self, ranks, tmp_path, capsys):
@@ -491,3 +509,15 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["count", "dft", "check", "verify", "enumerate", "radii", "metrics"],
+    )
+    def test_subcommand_help_exits_zero(self, command, capsys):
+        assert run([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        if command in ("verify", "radii"):
+            for flag in ("--eps", "--box", "--feas-tol", "--jobs", "--matrix",
+                         "--out", "--deterministic"):
+                assert flag in out

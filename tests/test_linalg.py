@@ -59,9 +59,9 @@ class TestWeightMatrix:
 
     def test_provenance_round_trip(self):
         for p in (
-            Provenance.random(seed=3),
-            Provenance.dft(k=4),
-            Provenance.dft_with_slack(k=2, s=16, seed=9),
+            Provenance(kind="random", seed=3),
+            Provenance(kind="dft", k=4),
+            Provenance(kind="dft+slack", k=2, s=16, seed=9),
         ):
             assert Provenance.from_json(p.to_json()) == p
         with pytest.raises(ValueError):
@@ -126,11 +126,13 @@ class TestMaximalMinors:
         w = WeightMatrix(rng.standard_normal((8, 3)))
         assert len(list(maximal_minors(w))) == math.comb(8, 3)
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(2)
         w = WeightMatrix(rng.standard_normal((9, 2)))
-        small = list(maximal_minors(w, chunk=5))
-        large = list(maximal_minors(w, chunk=10**6))
+        monkeypatch.setattr(linalg, "_MINOR_CHUNK", 5)
+        small = list(maximal_minors(w))
+        monkeypatch.setattr(linalg, "_MINOR_CHUNK", 10**6)
+        large = list(maximal_minors(w))
         assert [i for i, _ in small] == [i for i, _ in large]
         assert np.allclose([v for _, v in small], [v for _, v in large])
 
@@ -276,7 +278,7 @@ class TestScanMatchesReference:
         assert status.checked_minors == checked
         assert status.min_abs_minor == min_abs
         assert is_general_position(w) == (verdict != "degenerate")
-        assert list(maximal_minors(w, chunk=chunk)) == minors
+        assert list(maximal_minors(w)) == minors
 
     def test_degenerate_cases_stop_where_intended(self):
         cases = _scan_inputs()

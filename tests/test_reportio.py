@@ -15,15 +15,12 @@ from argmaxable import reportio
 from argmaxable.labelspace import LabelAssignment
 from argmaxable.linalg import Provenance, WeightMatrix
 from argmaxable.reportio import (
-    SCHEMA_VERSION,
-    SIDECAR_SCHEMAS,
     ParseError,
     ReportEnvelope,
     parse_labels,
     parse_matrix,
     parse_scores,
     report_schema,
-    serialize_labels,
     serialize_matrix,
     validate_report,
 )
@@ -41,7 +38,7 @@ class TestMatrixRoundTrip:
 
     def test_sidecar_carries_provenance(self, tmp_path):
         w = WeightMatrix(
-            np.eye(3), provenance=Provenance.dft_with_slack(k=1, s=2, seed=9)
+            np.eye(3), provenance=Provenance(kind="dft+slack", k=1, s=2, seed=9)
         )
         target = tmp_path / "w.csv"
         serialize_matrix(w, target)
@@ -61,7 +58,7 @@ class TestMatrixRoundTrip:
             json.dumps({"n": 2, "k": 1, "s": 0, "seed": 0})
         )
         back = parse_matrix(target)
-        assert back.provenance == Provenance.dft(k=1)
+        assert back.provenance == Provenance(kind="dft", k=1)
 
     def test_flat_sidecar_with_slack_columns(self, tmp_path):
         target = tmp_path / "w.csv"
@@ -70,7 +67,7 @@ class TestMatrixRoundTrip:
             json.dumps({"n": 2, "k": 1, "s": 3, "seed": 7})
         )
         back = parse_matrix(target)
-        assert back.provenance == Provenance.dft_with_slack(k=1, s=3, seed=7)
+        assert back.provenance == Provenance(kind="dft+slack", k=1, s=3, seed=7)
 
     def test_sidecar_shape_mismatch_rejected(self, tmp_path):
         target = tmp_path / "w.csv"
@@ -79,11 +76,11 @@ class TestMatrixRoundTrip:
         with pytest.raises(ParseError):
             parse_matrix(target)
 
-    def test_written_sidecar_validates_against_its_schema(self, tmp_path):
-        w = WeightMatrix(np.eye(2), provenance=Provenance.dft(k=1))
+    def test_written_sidecar_is_the_general_shape(self, tmp_path):
+        w = WeightMatrix(np.eye(2), provenance=Provenance(kind="dft", k=1))
         serialize_matrix(w, tmp_path / "w.csv")
         obj = json.loads((tmp_path / "w.json").read_text())
-        jsonschema.validate(obj, SIDECAR_SCHEMAS["matrix"])
+        assert obj == {"n": 2, "d": 2, "provenance": {"kind": "dft", "k": 1}}
 
     def test_json_target_is_refused_before_any_write(self, tmp_path):
         target = tmp_path / "w.json"
@@ -134,23 +131,23 @@ class TestMatrixDiagnostics:
 
 
 class TestLabelFiles:
-    def test_dense_round_trip(self, tmp_path):
+    def test_dense_file(self, tmp_path):
         ys = [
             LabelAssignment.from_dense("+-+"),
             LabelAssignment.from_dense("---"),
         ]
         target = tmp_path / "labels.txt"
-        target.write_text(serialize_labels(ys))
+        target.write_text("+-+\n---\n")
         assert parse_labels(target) == ys
 
-    def test_sparse_round_trip(self, tmp_path):
+    def test_sparse_file(self, tmp_path):
         ys = [
             LabelAssignment.from_active(4, [1, 4]),
             LabelAssignment.from_active(4, []),
             LabelAssignment.from_active(4, [2]),
         ]
         target = tmp_path / "labels.txt"
-        target.write_text(serialize_labels(ys, sparse=True))
+        target.write_text("n=4\n1,4\n\n2\n")
         assert parse_labels(target) == ys
 
     def test_dense_and_sparse_describe_the_same_assignment(self, tmp_path):
@@ -206,18 +203,6 @@ class TestLabelFiles:
         target.write_text("n=zero\n1\n")
         with pytest.raises(ParseError):
             parse_labels(target)
-
-    def test_serialize_sparse_requires_one_n(self):
-        ys = [
-            LabelAssignment.from_active(3, [1]),
-            LabelAssignment.from_active(4, [1]),
-        ]
-        with pytest.raises(ValueError):
-            serialize_labels(ys, sparse=True)
-
-    def test_serialized_dense_uses_the_canonical_minus(self):
-        text = serialize_labels([LabelAssignment.from_dense("+-")])
-        assert text == "+−\n"
 
 
 class TestScoreFiles:
@@ -343,10 +328,6 @@ class TestReportEnvelope:
             payload={"n": 6, "d": 3, "count": "32"},
         )
 
-    def test_round_trip(self):
-        env = self._envelope()
-        assert ReportEnvelope.from_json(env.to_json()) == env
-
     def test_equal_envelopes_serialize_to_identical_bytes(self):
         assert self._envelope().to_json() == self._envelope().to_json()
 
@@ -355,22 +336,6 @@ class TestReportEnvelope:
         assert text.endswith("}\n")
         keys = list(json.loads(text))
         assert keys == sorted(keys)
-
-    def test_wrong_schema_version_rejected(self):
-        obj = json.loads(self._envelope().to_json())
-        obj["schema_version"] = SCHEMA_VERSION + 1
-        with pytest.raises(ValueError):
-            ReportEnvelope.from_json(json.dumps(obj))
-
-    def test_missing_field_rejected(self):
-        obj = json.loads(self._envelope().to_json())
-        del obj["payload"]
-        with pytest.raises(ValueError):
-            ReportEnvelope.from_json(json.dumps(obj))
-
-    def test_malformed_json_rejected(self):
-        with pytest.raises(ValueError):
-            ReportEnvelope.from_json("{not json")
 
 
 class TestSchemas:
