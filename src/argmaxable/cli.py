@@ -3,7 +3,7 @@
 One executable, seven subcommands, deterministic exit codes:
 
     0  success
-    1  usage error (bad flags)
+    1  usage error (bad flags, or a budget flag below what the input needs)
     2  input or parse error (bad files, bad data)
     3  verification found unargmaxable assignments
     4  verification produced indeterminate results
@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .dftlayer import augment_slack, build_dft_matrix
-from .labelspace import FamilyKind, FamilySpec, cover_count
-from .linalg import GrVerdict, gr_plus_status
+from .labelspace import EnumerationBudgetError, FamilyKind, FamilySpec, cover_count
+from .linalg import GrVerdict, MinorBudgetError, gr_plus_status
 from .metrics import StackedRecords, micro_macro_f1, ndcg_at_k, prec_rec_f1_at_k
 from .oracle import DegeneracyError, enumerate_regions_2d, enumerate_regions_sampled
 from .reportio import (
@@ -511,6 +511,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return ExitCode.USAGE
     except SystemExit as exc:  # --help / --version paths
         return int(exc.code or 0)
+    except (EnumerationBudgetError, MinorBudgetError) as exc:
+        # Well-formed input over a budget: the flag is at fault, not the file.
+        flag = "--minor-budget" if isinstance(exc, MinorBudgetError) else "--budget"
+        print(f"error: {flag}: {exc}", file=sys.stderr)
+        return ExitCode.USAGE
     except (ValueError, OSError, DegeneracyError) as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.INPUT

@@ -473,6 +473,22 @@ class TestExitCodes:
         # The diagnostic names the offending flag, the last one given.
         assert argv[-2] in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["radii", "--kind", "active", "--k", "5", "--budget", "10"], "--budget"),
+            (["check", "--minor-budget", "10"], "--minor-budget"),
+        ],
+    )
+    def test_a_budget_below_the_input_is_usage(self, argv, flag, tmp_path, capsys):
+        matrix = str(tmp_path / "w.csv")
+        assert run(["dft", "--n", "12", "--k", "2", "--out", matrix]) == ExitCode.OK
+        capsys.readouterr()
+        assert run([argv[0], "--matrix", matrix, *argv[1:]]) == ExitCode.USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {flag}: ") and "budget 10" in err
+
     @pytest.mark.parametrize("ranks", [",", "0", "-1", "5,0,1"])
     def test_bad_ranks_are_usage_before_any_read(self, ranks, tmp_path, capsys):
         code = run(

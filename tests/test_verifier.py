@@ -109,8 +109,16 @@ class TestChebyshevVerify:
     def test_optimum_below_the_eps_floor_is_indeterminate(self, monkeypatch):
         # Ill-conditioned solves have come back with status 0, radius -0.0
         # and a zero witness, breaking the LP's own bound eps >= eps_floor.
+        # The stub answers the dual (fun, eqlin) and the primal fallback (x).
         def solved_at_zero(cost, **kwargs):
-            return SimpleNamespace(status=0, x=np.array([0.0, 0.0, -0.0]), message="")
+            zero = np.array([0.0, 0.0, -0.0])
+            return SimpleNamespace(
+                status=0,
+                fun=-0.0,
+                eqlin=SimpleNamespace(marginals=zero),
+                x=zero,
+                message="",
+            )
 
         monkeypatch.setattr(verifier, "linprog", solved_at_zero)
         res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
@@ -419,9 +427,10 @@ def _random_signs(rng, n: int, count: int) -> list:
 
 
 class TestPresolveOff:
-    """chebyshev_verify skips HiGHS presolve.  It must give the verdicts of
-    the presolving reference; radii and witnesses may move only in their
-    last digits."""
+    """The primal LP, which backs chebyshev_verify when the dual decides
+    nothing, skips HiGHS presolve.  It must give the verdicts of the
+    presolving reference; radii and witnesses may move only in their last
+    digits."""
 
     def _compare(self, w, ys, rel):
         """Compare every item with the reference, bit for bit when rel is
@@ -429,7 +438,7 @@ class TestPresolveOff:
         box = LpConfig().box_bound
         statuses = set()
         for y in ys:
-            res = chebyshev_verify(w, y)
+            res = verifier._primal_lp(w, y, LpConfig())
             status, radius, witness = reference_chebyshev_verify(w.entries, y.signs)
             assert res.status.value == status, y.to_dense()
             statuses.add(status)
@@ -480,3 +489,123 @@ class TestPresolveOff:
         # as an error, the warning would turn this item INDETERMINATE.
         res = chebyshev_verify(build_dft_matrix(6, 1), dense("+-----"))
         assert res.status is VerifyStatus.ARGMAXABLE and res.reason is None
+
+
+class TestDualForm:
+    """chebyshev_verify solves the dual LP.  It must give the verdicts of
+    the primal reference, with witnesses that reproduce y.  Each layer's
+    tolerances are the largest differences measured on these items (radius
+    relative, witness in units of the box), rounded up to the next power of
+    ten."""
+
+    _dft_items = TestPresolveOff._dft_items
+
+    def _compare(self, w, ys, radius_rel, witness_rel):
+        box = LpConfig().box_bound
+        statuses = set()
+        for y in ys:
+            res = chebyshev_verify(w, y)
+            status, radius, witness = reference_chebyshev_verify(w.entries, y.signs)
+            assert res.status.value == status, y.to_dense()
+            statuses.add(status)
+            if radius is None:
+                assert res.radius is None and res.witness is None
+                continue
+            assert sign_vector(w, res.witness) == y, y.to_dense()
+            assert res.radius == pytest.approx(radius, rel=radius_rel), y.to_dense()
+            assert np.allclose(res.witness, witness, rtol=0, atol=witness_rel * box)
+        return statuses
+
+    def test_feasible_items_of_the_spectral_layer(self):
+        # Measured: 3.4e-12 and 6.0e-14.
+        self._compare(build_dft_matrix(40, 3), self._dft_items(), 1e-11, 1e-13)
+
+    def test_the_spectral_layer_with_slack_columns(self):
+        # Measured: 1.0e-13 and 1.1e-14.
+        w = augment_slack(build_dft_matrix(40, 3), 4, seed=3)
+        self._compare(w, self._dft_items(), 1e-12, 1e-13)
+
+    def test_a_gaussian_layer(self):
+        # Measured: 1.3e-14 and 1.6e-15.
+        rng = np.random.default_rng(42)
+        w = WeightMatrix(rng.standard_normal((60, 5)))
+        ys = _predicted(rng, w, 16) + _random_signs(rng, 60, 16)
+        statuses = self._compare(w, ys, 1e-13, 1e-14)
+        assert statuses == {"argmaxable", "not_eps_argmaxable"}
+
+    def test_parallel_rows(self):
+        # Measured: 1.1e-14 and 3.6e-15.
+        rng = np.random.default_rng(43)
+        base = rng.standard_normal((30, 4))
+        w = WeightMatrix(np.vstack([base, base[:10], 3.0 * base[10:15]]))
+        ys = _predicted(rng, w, 16) + _random_signs(rng, w.n, 8)
+        statuses = self._compare(w, ys, 1e-13, 1e-14)
+        assert statuses == {"argmaxable", "not_eps_argmaxable"}
+
+
+def _failing_dual(monkeypatch, dual_failure, primal_failure=None):
+    """Route the dual solve (the one with equality rows) to
+    ``dual_failure`` and the primal to ``primal_failure``, or to HiGHS when
+    that is None; return the list of forms solved, in order."""
+    real = verifier.linprog
+    forms = []
+
+    def stub(cost, **kwargs):
+        form = "dual" if "A_eq" in kwargs else "primal"
+        forms.append(form)
+        failure = dual_failure if form == "dual" else primal_failure
+        if failure is None:
+            return real(cost, **kwargs)
+        return failure()
+
+    monkeypatch.setattr(verifier, "linprog", stub)
+    return forms
+
+
+def _solve_error():
+    return SimpleNamespace(status=4, message="(HiGHS Status 4: Solve error)")
+
+
+def _raises():
+    raise RuntimeError("numerical trouble")
+
+
+class TestPrimalFallback:
+    """A dual solve that decides nothing is solved once more in the primal
+    form; only when both fail is the item INDETERMINATE."""
+
+    @pytest.mark.parametrize("failure", [_solve_error, _raises])
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("+-----", VerifyStatus.ARGMAXABLE), ("+-+---", VerifyStatus.NOT_EPS_ARGMAXABLE)],
+    )
+    def test_the_primal_decides_what_the_dual_did_not(
+        self, monkeypatch, failure, text, expected
+    ):
+        forms = _failing_dual(monkeypatch, failure)
+        w, y = build_dft_matrix(6, 1), dense(text)
+        res = chebyshev_verify(w, y)
+        assert forms == ["dual", "primal"]
+        assert res.status is expected and res.reason is None
+        if expected is VerifyStatus.ARGMAXABLE:
+            assert sign_vector(w, res.witness) == y
+            assert res.radius >= LpConfig().eps_floor
+
+    def test_both_failures_are_named_in_the_reason(self, monkeypatch):
+        def iteration_limit():
+            return SimpleNamespace(status=1, message="Iteration limit reached.")
+
+        forms = _failing_dual(monkeypatch, _solve_error, iteration_limit)
+        res = chebyshev_verify(build_dft_matrix(6, 1), dense("+-----"))
+        assert forms == ["dual", "primal"]
+        assert res.status is VerifyStatus.INDETERMINATE
+        assert res.radius is None and res.witness is None
+        assert "dual LP: solver status 4" in res.reason
+        assert "Solve error" in res.reason
+        assert "primal LP: solver status 1" in res.reason
+
+    def test_a_decided_dual_is_not_solved_again(self, monkeypatch):
+        forms = _failing_dual(monkeypatch, None)
+        for text in ("+-----", "+-+---"):
+            chebyshev_verify(build_dft_matrix(6, 1), dense(text))
+        assert forms == ["dual", "dual"]
