@@ -3,7 +3,7 @@
 One executable, seven subcommands, deterministic exit codes:
 
     0  success
-    1  usage error (bad flags, or a budget flag below what the input needs)
+    1  usage error (bad flags, or a budget or --k flag the input cannot meet)
     2  input or parse error (bad files, bad data)
     3  verification found unargmaxable assignments
     4  verification produced indeterminate results
@@ -433,7 +433,10 @@ def _cmd_radii(args: argparse.Namespace) -> int:
     cfg = _lp_config(args)
     w = parse_matrix(args.matrix)
     kind = FamilyKind(args.kind)
-    family = FamilySpec(n=w.n, k=args.k, kind=kind)
+    try:
+        family = FamilySpec(n=w.n, k=args.k, kind=kind)
+    except ValueError as exc:  # a --k past the family's largest statistic
+        raise _UsageError(f"error: --k: {exc}")
     report = radius_report(
         w,
         family,
@@ -470,7 +473,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     at_k = []
     empty_gold = 0
     for k in args.k:
-        pr = prec_rec_f1_at_k(records, k, per_record_f1=args.per_record_f1)
+        try:
+            pr = prec_rec_f1_at_k(records, k, per_record_f1=args.per_record_f1)
+        except ValueError as exc:  # a rank past the label count
+            raise _UsageError(f"error: --k: {exc}")
         empty_gold = pr.empty_gold
         try:
             ndcg = ndcg_at_k(records, k).ndcg

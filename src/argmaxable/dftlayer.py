@@ -72,10 +72,6 @@ class DftSpec:
             raise ValueError("s must be >= 0")
 
     @property
-    def dft_columns(self) -> int:
-        return 2 * self.k + 1
-
-    @property
     def total_columns(self) -> int:
         return 2 * self.k + 1 + self.s
 
@@ -135,7 +131,7 @@ def augment_slack(w: WeightMatrix, s: int, seed: int) -> WeightMatrix:
     entries = np.hstack([w.entries, block])
     provenance = Provenance(
         kind="dft+slack", k=w.provenance.k, s=s, seed=seed
-    ) if w.provenance.kind in ("dft", "dft+slack") else Provenance(
+    ) if w.provenance.kind == "dft" else Provenance(
         kind="random", seed=seed
     )
     return WeightMatrix(entries, provenance=provenance)
@@ -192,16 +188,16 @@ def logits_fft(
     return z
 
 
-def bias_init(n: int, k: int, s: int = 0) -> np.ndarray:
+def bias_init(n: int, k: int) -> np.ndarray:
     """Input-space bias that makes every sigmoid output start at k/n.
 
-    Returns the (2k+1+s)-vector with first entry sqrt(n) * log(k / (n-k))
+    Returns the (2k+1)-vector with first entry sqrt(n) * log(k / (n-k))
     and zeros elsewhere: the constant column 1/sqrt(n) turns that entry
     into a uniform logit of log-odds(k/n) on every label.  Requires
     0 < k < n.
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    vec = np.zeros(2 * k + 1 + s, dtype=np.float64)
+    vec = np.zeros(2 * k + 1, dtype=np.float64)
     vec[0] = math.sqrt(n) * math.log(k / (n - k))
     return vec

@@ -110,10 +110,6 @@ class LabelAssignment:
     def to_dense(self) -> str:
         return "".join(PLUS_CHAR if s > 0 else MINUS_CHAR for s in self.signs)
 
-    def active_indices(self) -> tuple[int, ...]:
-        """1-based indices of the active labels, ascending."""
-        return tuple(int(i) + 1 for i in np.flatnonzero(self.signs > 0))
-
     def flip(self) -> "LabelAssignment":
         """The antipodal assignment -y."""
         return LabelAssignment(-self.signs)

@@ -12,12 +12,15 @@ at heart but settled numerically:
 
 Minors are relative-thresholded: a minor over rows I counts as zero when
 |det| < tau_det * prod_{i in I} ||row_i||, which makes every verdict
-invariant under row rescaling.  A zero row puts 0 on both sides of that
-test, so any minor that selects one counts as zero outright.  General
-position and the sign verdict share this one threshold and one scan: the
-d-subsets are generated in colexicographic order as numpy index blocks of
-bounded size, and each block gets one batched determinant call and one
-vectorized threshold test, so memory stays flat however large C(n, d) is.
+invariant under row rescaling.  tau_det is a parameter of
+``gr_plus_status`` only; ``is_general_position`` uses ``DEFAULT_TAU_DET``
+and ``sign_vector`` tests logits against ``DEFAULT_TAU_SIGN``.  A zero
+row puts 0 on both sides of that test, so any minor that selects one
+counts as zero outright.  General position and the sign verdict share
+this one threshold and one scan: the d-subsets are generated in
+colexicographic order as numpy index blocks of bounded size, and each
+block gets one batched determinant call and one vectorized threshold
+test, so memory stays flat however large C(n, d) is.
 
 Row index sets are reported 0-based; human-facing label/row numbers
 elsewhere are 1-based, and BoundaryError follows the 1-based convention
@@ -212,18 +215,17 @@ def _minor_blocks(
     )
 
 
-def maximal_minors(
-    w: WeightMatrix, budget: int = DEFAULT_MINOR_BUDGET
-) -> Iterator[tuple[tuple[int, ...], float]]:
+def maximal_minors(w: WeightMatrix) -> Iterator[tuple[tuple[int, ...], float]]:
     """Stream (row index set, d x d minor) pairs for every d-subset of rows.
 
     Index sets are 0-based ascending tuples, emitted in colexicographic
     order.  This is a per-minor view over the same chunked scan that
     ``gr_plus_status`` runs: index sets are built and determinants
     evaluated in numpy blocks of at most ``_MINOR_CHUNK`` minors.  Raises
-    MinorBudgetError before any work if C(n, d) exceeds ``budget``.
+    MinorBudgetError before any work if C(n, d) exceeds
+    ``DEFAULT_MINOR_BUDGET``.
     """
-    blocks = _minor_blocks(w, budget)
+    blocks = _minor_blocks(w, DEFAULT_MINOR_BUDGET)
     return (
         (tuple(index_set), det)
         for idx, dets in blocks
@@ -231,30 +233,27 @@ def maximal_minors(
     )
 
 
-def is_general_position(
-    w: WeightMatrix,
-    tau_det: float = DEFAULT_TAU_DET,
-    budget: int = DEFAULT_MINOR_BUDGET,
-) -> bool:
+def is_general_position(w: WeightMatrix) -> bool:
     """True when every size-min(n, d) subset of rows is independent.
 
-    For n >= d this is the minor scan of ``gr_plus_status``: the matrix is
-    in general position exactly when its verdict is not degenerate, i.e.
-    every maximal minor satisfies |det| >= tau_det * product of the
-    selected row norms and selects no zero row.  With fewer rows than
-    columns the condition degrades to full row rank, tested through the
-    Gram determinant: det(W W^T) equals the sum of squared wide-minors,
-    so its square root is compared against the same rescaling-invariant
-    threshold, after the same refusal of a zero row.
+    For n >= d this is the minor scan of ``gr_plus_status`` at its
+    defaults: the matrix is in general position exactly when its verdict
+    is not degenerate, i.e. every maximal minor satisfies |det| >=
+    ``DEFAULT_TAU_DET`` * product of the selected row norms and selects
+    no zero row; more than ``DEFAULT_MINOR_BUDGET`` minors raise
+    MinorBudgetError.  With fewer rows than columns the condition
+    degrades to full row rank, tested through the Gram determinant:
+    det(W W^T) equals the sum of squared wide-minors, so its square root
+    is compared against the same rescaling-invariant threshold, after the
+    same refusal of a zero row.
     """
     if w.n < w.d:
         if not w.row_norms.all():
             return False
         gram = w.entries @ w.entries.T
         value = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
-        return value >= tau_det * float(np.prod(w.row_norms))
-    status = gr_plus_status(w, tau_det=tau_det, budget=budget)
-    return status.verdict is not GrVerdict.DEGENERATE
+        return value >= DEFAULT_TAU_DET * float(np.prod(w.row_norms))
+    return gr_plus_status(w).verdict is not GrVerdict.DEGENERATE
 
 
 class GrVerdict(Enum):
@@ -278,10 +277,6 @@ class GrStatus:
     verdict: GrVerdict
     min_abs_minor: float
     checked_minors: int
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.verdict in (GrVerdict.UNIFORM_POSITIVE, GrVerdict.UNIFORM_NEGATIVE)
 
 
 def gr_plus_status(
@@ -334,11 +329,12 @@ def gr_plus_status(
     return GrStatus(verdict, min_abs, checked)
 
 
-def sign_vector(w: WeightMatrix, x: np.ndarray, tau_sign: float = DEFAULT_TAU_SIGN):
+def sign_vector(w: WeightMatrix, x: np.ndarray):
     """Sign vector of W x as a LabelAssignment.
 
     Raises BoundaryError (1-based rows) when any logit has |W_i x| <
-    tau_sign; a sign vector is never fabricated on the boundary.
+    ``DEFAULT_TAU_SIGN``; a sign vector is never fabricated on the
+    boundary.
     """
     from .labelspace import LabelAssignment
 
@@ -346,7 +342,7 @@ def sign_vector(w: WeightMatrix, x: np.ndarray, tau_sign: float = DEFAULT_TAU_SI
     if point.shape != (w.d,):
         raise ValueError(f"x must have shape ({w.d},), got {point.shape}")
     logits = w.entries @ point
-    on_boundary = np.flatnonzero(np.abs(logits) < tau_sign)
+    on_boundary = np.flatnonzero(np.abs(logits) < DEFAULT_TAU_SIGN)
     if on_boundary.size:
         raise BoundaryError(tuple(int(i) + 1 for i in on_boundary))
     return LabelAssignment(np.where(logits > 0, 1, -1).astype(np.int8))

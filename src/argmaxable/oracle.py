@@ -6,7 +6,8 @@ judgment over the LP verifier.  Two routes:
 
 * d = 2: exact.  Each row contributes two boundary directions at +-90
   degrees from its normal; walking the sorted boundary angles around the
-  unit circle visits every region exactly once.
+  unit circle visits every region exactly once.  Directions closer than
+  ``_TAU_ANGLE`` radians count as coincident and are refused.
 * any d: sampled.  Uniform unit-sphere draws, with the region count
   formula as a termination certificate: once the distinct sign vectors
   hit cover_count(n, d) (valid for general-position W), the set is
@@ -41,7 +42,6 @@ import numpy as np
 
 from .labelspace import LabelAssignment, cover_count
 from .linalg import (
-    DEFAULT_MINOR_BUDGET,
     DEFAULT_TAU_SIGN,
     BoundaryError,
     MinorBudgetError,
@@ -64,6 +64,8 @@ __all__ = [
 
 DEFAULT_SAMPLE_BUDGET = 10**7
 _SAMPLE_CHUNK = 1 << 15
+# Boundary angles of the 2D walk closer than this count as coincident.
+_TAU_ANGLE = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
 # Scales of max_i ||w_i|| and of a chunk's largest draw inside which the
 # guard needs no overflow or underflow clause of its own.
@@ -85,11 +87,12 @@ class EnumerationMethod(Enum):
 class RegionSet:
     """A set of achievable sign vectors with its provenance.
 
-    ``complete`` is True for the exact walk and for sampling that hit the
-    region-count certificate; a partial set is still sound (every member
-    was witnessed by a concrete x) but may miss regions.  samples_used
-    counts examined draws at chunk granularity; boundary_skips the draws
-    discarded for landing numerically on a hyperplane.
+    ``method`` says whether the set is complete: the exact walk and
+    sampling that hit the region-count certificate are; a partial set is
+    still sound (every member was witnessed by a concrete x) but may miss
+    regions.  samples_used counts examined draws at chunk granularity;
+    boundary_skips the draws discarded for landing numerically on a
+    hyperplane.
     """
 
     n: int
@@ -99,27 +102,18 @@ class RegionSet:
     samples_used: int = 0
     boundary_skips: int = 0
 
-    @property
-    def complete(self) -> bool:
-        return self.method in (
-            EnumerationMethod.EXACT_2D,
-            EnumerationMethod.SAMPLED_COMPLETE,
-        )
 
-
-def enumerate_regions_2d(
-    w: WeightMatrix,
-    tau_angle: float = 1e-12,
-    tau_sign: float = DEFAULT_TAU_SIGN,
-) -> RegionSet:
+def enumerate_regions_2d(w: WeightMatrix) -> RegionSet:
     """Exact region enumeration for d = 2 by walking boundary angles.
 
     Row i's hyperplane meets the unit circle at the two directions
     orthogonal to its normal; collecting all 2n such angles, sorting them,
     and evaluating the sign vector at each sector midpoint yields each of
     the 2n regions exactly once.  Raises DegeneracyError when two
-    boundary angles (near-)coincide, which happens iff two rows are
-    collinear, or when a zero row leaves a sector undefined.
+    boundary angles lie within ``_TAU_ANGLE`` radians, which happens iff
+    two rows are (near-)collinear, when a zero row leaves a sector
+    undefined, or when a midpoint's sign vector is not clean under
+    ``DEFAULT_TAU_SIGN``.
     """
     if w.d != 2:
         raise ValueError(f"exact walk needs d = 2, got d = {w.d}")
@@ -130,14 +124,14 @@ def enumerate_regions_2d(
     boundaries = np.mod(boundaries, 2 * np.pi)
     order = np.sort(boundaries)
     gaps = np.diff(order, append=order[0] + 2 * np.pi)
-    if float(np.min(gaps)) < tau_angle:
+    if float(np.min(gaps)) < _TAU_ANGLE:
         raise DegeneracyError("collinear rows: coincident boundary directions")
     midpoints = order + gaps / 2.0
     members = set()
     for phi in midpoints:
         direction = np.array([math.cos(phi), math.sin(phi)])
         try:
-            members.add(sign_vector(w, direction, tau_sign=tau_sign))
+            members.add(sign_vector(w, direction))
         except BoundaryError as exc:
             raise DegeneracyError(
                 f"sector midpoint at angle {phi:.6f} has no clean sign vector"
@@ -151,22 +145,10 @@ def enumerate_regions_2d(
     )
 
 
-def _decode_int_codes(codes, n: int) -> frozenset:
-    members = set()
-    for code in codes:
-        signs = np.where(
-            (int(code) >> np.arange(n)) & 1, 1, -1
-        ).astype(np.int8)
-        members.add(LabelAssignment(signs))
-    return frozenset(members)
-
-
-def _decode_byte_codes(codes, n: int) -> frozenset:
-    members = set()
-    for blob in codes:
-        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8), count=n)
-        members.add(LabelAssignment(np.where(bits, 1, -1).astype(np.int8)))
-    return frozenset(members)
+def _assignments(bits: np.ndarray) -> list[LabelAssignment]:
+    """One assignment per row of a (rows, n) 0/1 array: bit 1 is +1."""
+    signs = np.where(bits, 1, -1).astype(np.int8)
+    return [LabelAssignment(row) for row in signs]
 
 
 def _guard_factor(w: WeightMatrix, tau_sign: float) -> Optional[float]:
@@ -224,8 +206,6 @@ def enumerate_regions_sampled(
     budget: int = DEFAULT_SAMPLE_BUDGET,
     seed: int = 0,
     tau_sign: float = DEFAULT_TAU_SIGN,
-    general_position: Optional[bool] = None,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
 ) -> RegionSet:
     """Sampled region enumeration with a counting-certificate stop rule.
 
@@ -236,10 +216,9 @@ def enumerate_regions_sampled(
     proof of completeness and sampling stops early; otherwise the result
     is SampledPartial however many members were found.
 
-    ``general_position`` short-circuits the internal minor scan when the
-    caller already knows the answer; None means decide it here (counted
-    against ``minor_budget``; an over-budget scan is treated as unknown,
-    so no completeness is claimed).
+    General position is decided here by the minor scan, under
+    ``DEFAULT_MINOR_BUDGET``; a scan over that budget counts as unknown,
+    so no completeness is claimed.
     """
     n, d = w.n, w.d
     if tau_sign > 0.0 and not w.entries.any(axis=1).all():
@@ -253,11 +232,10 @@ def enumerate_regions_sampled(
             samples_used=spent,
             boundary_skips=spent,
         )
-    if general_position is None:
-        try:
-            general_position = is_general_position(w, budget=minor_budget)
-        except MinorBudgetError:
-            general_position = False
+    try:
+        general_position = is_general_position(w)
+    except MinorBudgetError:
+        general_position = False
     target = cover_count(n, d) if general_position else None
     rng = np.random.default_rng(seed)
     use_int_codes = n <= 62
@@ -310,8 +288,14 @@ def enumerate_regions_sampled(
             seen.update(row.tobytes() for row in codes ^ full_mask)
         if target is not None and len(seen) >= target:
             break
-    decode = _decode_int_codes if use_int_codes else _decode_byte_codes
-    members = decode(seen, n)
+    if use_int_codes:
+        codes = np.fromiter(seen, dtype=np.int64, count=len(seen))
+        bits = (codes[:, None] >> np.arange(n)) & 1
+    else:
+        blobs = np.frombuffer(b"".join(seen), dtype=np.uint8)
+        rows = blobs.reshape(len(seen), (n + 7) // 8)
+        bits = np.unpackbits(rows, axis=1, count=n)
+    members = frozenset(_assignments(bits))
     complete = target is not None and len(members) == target
     return RegionSet(
         n=n,
@@ -353,23 +337,13 @@ class CrossCheckReport:
         )
 
 
-def _all_assignments(n: int):
-    for code in range(1 << n):
-        signs = np.where((code >> np.arange(n)) & 1, 1, -1).astype(np.int8)
-        yield LabelAssignment(signs)
-
-
-def cross_check(
-    w: WeightMatrix,
-    cfg: LpConfig = LpConfig(),
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-    seed: int = 0,
-    jobs: int = 1,
-) -> CrossCheckReport:
+def cross_check(w: WeightMatrix, seed: int = 0) -> CrossCheckReport:
     """Run the LP on every assignment and diff against the oracle.
 
     Exponential in n by design; refuses n > 16.  Uses the exact walk for
-    d = 2 and certificate-stopped sampling otherwise.
+    d = 2 and certificate-stopped sampling otherwise (``seed``,
+    ``DEFAULT_SAMPLE_BUDGET`` draws); the LPs run in one process under
+    the default ``LpConfig``.
     """
     n = w.n
     if n > 16:
@@ -377,11 +351,12 @@ def cross_check(
     if w.d == 2:
         oracle = enumerate_regions_2d(w)
     else:
-        oracle = enumerate_regions_sampled(w, budget=budget, seed=seed)
-    everything = list(_all_assignments(n))
+        oracle = enumerate_regions_sampled(w, seed=seed)
+    codes = np.arange(1 << n)
+    everything = _assignments((codes[:, None] >> np.arange(n)) & 1)
     # The LP itself is on trial here, so no item takes verify_batch's
     # alternation shortcut.
-    results = _lp_results(w, everything, cfg, jobs)
+    results = _lp_results(w, everything, LpConfig(), 1)
     lp_only = []
     oracle_only = []
     indeterminate = []

@@ -268,10 +268,6 @@ class BatchSummary:
     not_eps: int
     indeterminate: int
 
-    @property
-    def total(self) -> int:
-        return self.argmaxable + self.not_eps + self.indeterminate
-
 
 @dataclass(frozen=True)
 class BatchResult:

@@ -489,6 +489,27 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: {flag}: ") and "budget 10" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["metrics", "--scores", "{scores}", "--gold", "{gold}", "--k", "1,5"],
+             "k=5 exceeds label count n=3"),
+            (["radii", "--matrix", "{matrix}", "--kind", "alternating", "--k", "12"],
+             "k=12 exceeds the maximum alternating statistic 11"),
+        ],
+    )
+    def test_a_k_the_input_cannot_meet_is_usage(self, argv, message, tmp_path, capsys):
+        files = {"{scores}": tmp_path / "s.csv", "{gold}": tmp_path / "g.txt",
+                 "{matrix}": tmp_path / "w.csv"}
+        files["{scores}"].write_text("0.9,0.1,0.2\n0.3,0.8,0.1\n")
+        files["{gold}"].write_text("+--\n-+-\n")
+        assert run(["dft", "--n", "12", "--k", "2", "--out", str(files["{matrix}"])]) == 0
+        capsys.readouterr()
+        assert run([str(files.get(a, a)) for a in argv]) == ExitCode.USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: --k: {message}")
+
     @pytest.mark.parametrize("ranks", [",", "0", "-1", "5,0,1"])
     def test_bad_ranks_are_usage_before_any_read(self, ranks, tmp_path, capsys):
         code = run(

@@ -17,7 +17,13 @@ from argmaxable.dftlayer import (
     logits_fft,
     slack_block,
 )
-from argmaxable.linalg import GrVerdict, WeightMatrix, gr_plus_status, maximal_minors
+from argmaxable.linalg import (
+    GrVerdict,
+    Provenance,
+    WeightMatrix,
+    gr_plus_status,
+    maximal_minors,
+)
 
 
 class TestDftSpec:
@@ -33,7 +39,6 @@ class TestDftSpec:
 
     def test_column_counts(self):
         spec = DftSpec(n=100, k=3, s=16)
-        assert spec.dft_columns == 7
         assert spec.total_columns == 23
 
     def test_presets_are_valid_specs(self):
@@ -84,7 +89,7 @@ class TestBuildDftMatrix:
                 if 2 * k + 1 >= n:
                     continue
                 status = gr_plus_status(build_dft_matrix(n, k))
-                assert status.is_uniform, (n, k)
+                assert status.verdict is GrVerdict.UNIFORM_POSITIVE, (n, k)
 
     def test_squared_minors_sum_to_one(self):
         # Orthonormal columns: sum of squared maximal minors is
@@ -133,6 +138,14 @@ class TestAugmentSlack:
         assert aug.provenance.k == 2
         assert aug.provenance.s == 4
         assert aug.provenance.seed == 7
+
+    def test_slack_on_a_slacked_layer_is_random(self):
+        # Slack on slack has no (k, s, seed) that rebuilds it: the 12
+        # columns here are not the 2k+1+s = 9 that dft+slack would claim.
+        once = augment_slack(build_dft_matrix(12, 2), 3, seed=1)
+        twice = augment_slack(once, 4, seed=2)
+        assert twice.d == 12
+        assert twice.provenance == Provenance(kind="random", seed=2)
 
     def test_random_base_stays_random(self):
         rng = np.random.default_rng(0)
@@ -220,8 +233,8 @@ class TestLogits:
 
 class TestBiasInit:
     def test_shape_and_zero_tail(self):
-        vec = bias_init(10, 3, s=4)
-        assert vec.shape == (11,)
+        vec = bias_init(10, 3)
+        assert vec.shape == (7,)
         assert np.all(vec[1:] == 0.0)
 
     def test_balanced_case_is_zero(self):

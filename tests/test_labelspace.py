@@ -40,10 +40,6 @@ class TestLabelAssignment:
         assert LabelAssignment.from_active(4, (1, 4)) == dense("+--+")
         assert LabelAssignment.from_active(3, ()) == dense("---")
 
-    def test_active_indices_are_one_based_ascending(self):
-        assert dense("+--+").active_indices() == (1, 4)
-        assert dense("----").active_indices() == ()
-
     def test_flip_is_involutive(self):
         y = dense("+-+-")
         assert y.flip().to_dense() == "−+−+"

@@ -13,7 +13,12 @@ from argmaxable.labelspace import (
     enumerate_family,
 )
 from argmaxable import oracle
-from argmaxable.linalg import BoundaryError, WeightMatrix, is_general_position
+from argmaxable.linalg import (
+    BoundaryError,
+    MinorBudgetError,
+    WeightMatrix,
+    is_general_position,
+)
 from argmaxable.oracle import (
     DegeneracyError,
     EnumerationMethod,
@@ -32,7 +37,6 @@ class TestExactWalk2D:
             regions = enumerate_regions_2d(w)
             assert len(regions.members) == 6
             assert regions.method is EnumerationMethod.EXACT_2D
-            assert regions.complete
 
     def test_increasing_node_rows_give_low_alternation_vectors(self):
         t = np.array([0.0, 1.0, 2.0, 3.0])
@@ -150,22 +154,15 @@ class TestSampledEnumeration:
         regions = enumerate_regions_sampled(w, budget=10**5, seed=4)
         assert regions.method is EnumerationMethod.SAMPLED_PARTIAL
 
-    def test_caller_can_assert_general_position(self):
-        w = build_dft_matrix(6, 1)
-        regions = enumerate_regions_sampled(
-            w, budget=10**6, seed=5, general_position=True
-        )
-        assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
-        humble = enumerate_regions_sampled(
-            w, budget=2 * 10**5, seed=5, general_position=False
-        )
-        assert humble.method is EnumerationMethod.SAMPLED_PARTIAL
-
     def test_over_budget_minor_scan_means_unknown(self):
-        w = build_dft_matrix(6, 1)
-        regions = enumerate_regions_sampled(w, budget=10**5, seed=0, minor_budget=1)
+        # C(40, 8) ~ 7.7e7 minors is over the scan's budget, so general
+        # position is unknown and no completeness is claimed.
+        w = WeightMatrix(np.random.default_rng(38).standard_normal((40, 8)))
+        with pytest.raises(MinorBudgetError):
+            is_general_position(w)
+        regions = enumerate_regions_sampled(w, budget=10**4, seed=0)
         assert regions.method is EnumerationMethod.SAMPLED_PARTIAL
-        assert len(regions.members) == 32
+        assert regions.members
 
     def test_a_failing_minor_scan_is_not_swallowed(self, monkeypatch):
         def broken(*args, **kwargs):

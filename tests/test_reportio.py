@@ -168,7 +168,7 @@ class TestLabelFiles:
         target = tmp_path / "labels.txt"
         target.write_text("n=3\n\n")
         (only,) = parse_labels(target)
-        assert only.active_indices() == ()
+        assert only == LabelAssignment.from_active(3, ())
 
     def test_digit_in_dense_line_hints_at_the_header(self, tmp_path):
         target = tmp_path / "labels.txt"

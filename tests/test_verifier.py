@@ -17,6 +17,7 @@ from argmaxable.labelspace import (
 from argmaxable import verifier
 from argmaxable.linalg import WeightMatrix, sign_vector
 from argmaxable.verifier import (
+    BatchSummary,
     LpConfig,
     VerifyStatus,
     chebyshev_verify,
@@ -166,7 +167,6 @@ class TestVerifyBatch:
         assert batch.summary.argmaxable == 2
         assert batch.summary.not_eps == 1
         assert batch.summary.indeterminate == 0
-        assert batch.summary.total == 3
 
     def test_exactly_half_of_the_hypercube_is_feasible_at_six_three(self):
         w = build_dft_matrix(6, 1)
@@ -177,7 +177,7 @@ class TestVerifyBatch:
     def test_empty_batch(self):
         batch = verify_batch(build_dft_matrix(6, 1), [])
         assert batch.results == ()
-        assert batch.summary.total == 0
+        assert batch.summary == BatchSummary(0, 0, 0, 0)
 
     def test_parallel_matches_serial(self):
         w = build_dft_matrix(8, 1)
