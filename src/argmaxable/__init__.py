@@ -47,7 +47,6 @@ from .oracle import (
     enumerate_regions_sampled,
 )
 from .metrics import (
-    PredictionRecord,
     StackedRecords,
     micro_macro_f1,
     ndcg_at_k,

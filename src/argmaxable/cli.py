@@ -3,7 +3,8 @@
 One executable, seven subcommands, deterministic exit codes:
 
     0  success
-    1  usage error (bad flags, or a budget or --k flag the input cannot meet)
+    1  usage error (bad flags, or a budget, --k or --method flag the input
+       cannot meet)
     2  input or parse error (bad files, bad data)
     3  verification found unargmaxable assignments
     4  verification produced indeterminate results
@@ -27,10 +28,27 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .dftlayer import augment_slack, build_dft_matrix
-from .labelspace import EnumerationBudgetError, FamilyKind, FamilySpec, cover_count
-from .linalg import GrVerdict, MinorBudgetError, gr_plus_status
+from .labelspace import (
+    DEFAULT_ENUMERATION_BUDGET,
+    EnumerationBudgetError,
+    FamilyKind,
+    FamilySpec,
+    cover_count,
+)
+from .linalg import (
+    DEFAULT_MINOR_BUDGET,
+    DEFAULT_TAU_DET,
+    GrVerdict,
+    MinorBudgetError,
+    gr_plus_status,
+)
 from .metrics import StackedRecords, micro_macro_f1, ndcg_at_k, prec_rec_f1_at_k
-from .oracle import DegeneracyError, enumerate_regions_2d, enumerate_regions_sampled
+from .oracle import (
+    DEFAULT_SAMPLE_BUDGET,
+    DegeneracyError,
+    enumerate_regions_2d,
+    enumerate_regions_sampled,
+)
 from .reportio import (
     ParseError,
     ReportEnvelope,
@@ -135,24 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     matrix = argparse.ArgumentParser(add_help=False)
     matrix.add_argument("--matrix", required=True, help="matrix CSV path")
     lp = argparse.ArgumentParser(add_help=False)
-    lp.add_argument(
-        "--eps",
-        type=_positive_float,
-        default=1e-8,
-        help="smallest radius that counts as feasible (default 1e-8)",
-    )
-    lp.add_argument(
-        "--box",
-        type=_positive_float,
-        default=1e4,
-        help="coordinate box bound for the witness (default 1e4)",
-    )
-    lp.add_argument(
-        "--feas-tol",
-        type=_positive_float,
-        default=1e-9,
-        help="LP feasibility tolerance, must be < --eps (default 1e-9)",
-    )
+    for flag, default, text in (
+        ("--eps", LpConfig.eps_floor, "smallest radius that counts as feasible"),
+        ("--box", LpConfig.box_bound, "coordinate box bound for the witness"),
+        ("--feas-tol", LpConfig.solver_feas_tol, "LP feasibility tolerance, < --eps"),
+    ):
+        help_text = text + " (default %(default)s)"
+        lp.add_argument(flag, type=_positive_float, default=default, help=help_text)
     lp.add_argument("--jobs", type=_positive_int, default=1, help="worker count")
 
     p = sub.add_parser(
@@ -188,14 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tau-det",
         type=_positive_float,
-        default=1e-10,
-        help="relative degeneracy threshold for minors (default 1e-10)",
+        default=DEFAULT_TAU_DET,
+        help="relative degeneracy threshold for minors (default %(default)s)",
     )
     p.add_argument(
         "--minor-budget",
         type=_positive_int,
-        default=10**6,
-        help="refuse if C(n,d) exceeds this (default 1000000)",
+        default=DEFAULT_MINOR_BUDGET,
+        help="refuse if C(n,d) exceeds this (default %(default)s)",
     )
     p.set_defaults(handler=_cmd_check)
 
@@ -221,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=_nonneg_int,
-        default=10**7,
-        help="sampling budget (default 10000000)",
+        default=DEFAULT_SAMPLE_BUDGET,
+        help="sampling budget (default %(default)s)",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.set_defaults(handler=_cmd_enumerate)
@@ -248,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=_positive_int,
-        default=10**6,
-        help="family enumeration budget (default 1000000)",
+        default=DEFAULT_ENUMERATION_BUDGET,
+        help="family enumeration budget (default %(default)s)",
     )
     p.set_defaults(handler=_cmd_radii)
 
@@ -317,8 +324,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(f"{count}\n")
         return ExitCode.OK
-    # Counts overflow doubles long before they overflow anyone's
-    # patience, so they travel as decimal strings.
     _emit_report(args, {"n": args.n, "d": args.d, "count": str(count)})
     return ExitCode.OK
 
@@ -400,9 +405,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     method = args.method
     if method == "auto":
         method = "2d" if w.d == 2 else "sampled"
+    regions = None
     if method == "2d":
-        if w.d != 2:
-            raise ParseError(args.matrix, f"exact walk needs d = 2, matrix has d = {w.d}")
+        if w.d != 2:  # a well-formed matrix the flag cannot apply to
+            raise _UsageError(
+                f"error: --method: exact walk needs d = 2, matrix has d = {w.d}"
+            )
         try:
             regions = enumerate_regions_2d(w)
         except DegeneracyError:
@@ -412,8 +420,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 "warning: degenerate 2d instance, falling back to sampling",
                 file=sys.stderr,
             )
-            regions = enumerate_regions_sampled(w, budget=args.budget, seed=args.seed)
-    else:
+    if regions is None:
         regions = enumerate_regions_sampled(w, budget=args.budget, seed=args.seed)
     members = sorted(y.to_dense() for y in regions.members)
     payload = {

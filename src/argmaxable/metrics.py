@@ -1,9 +1,11 @@
 """Ranked and thresholded multi-label evaluation metrics.
 
-Inputs are per-example score vectors paired with gold sign vectors.  The
-ranked metrics (Prec@k, Rec@k, F1@k, nDCG@k) look only at the order of
-the scores; ties are broken by ascending label index so every quantity
-here is deterministic.  Conventions for degenerate records are explicit
+Every metric takes a ``StackedRecords``: a (records, labels) score array
+and the matching gold activity, built from gold assignments with
+``StackedRecords.from_gold(scores, golds)``.  The ranked metrics
+(Prec@k, Rec@k, F1@k, nDCG@k) look only at the order of the scores; ties
+are broken by ascending label index so every quantity here is
+deterministic.  Conventions for degenerate records are explicit
 and surfaced in the results rather than silently folded in:
 
 * Rec@k of a record with no active gold labels is 1 (nothing to find,
@@ -18,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .labelspace import LabelAssignment
 
 __all__ = [
-    "PredictionRecord",
     "StackedRecords",
     "AtKResult",
     "MicroMacroResult",
@@ -37,70 +38,49 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    """One example: a finite score per label plus the gold assignment."""
-
-    scores: np.ndarray
-    gold: LabelAssignment
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.scores, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("scores must be a 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("scores must be finite")
-        if arr.size != self.gold.n:
-            raise ValueError(
-                f"scores have length {arr.size}, gold has n={self.gold.n}"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "scores", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.scores.size)
-
-
-@dataclass(frozen=True)
 class StackedRecords:
     """Many records as two (records, labels) arrays: finite scores and
-    the matching gold activity.  Every metric takes one in place of a
-    record sequence, so a caller asking for several ranks stacks once."""
+    the matching boolean gold activity.  Every metric takes one, so a
+    caller asking for several ranks stacks once."""
 
     scores: np.ndarray
     active: np.ndarray
+
+    def __post_init__(self) -> None:
+        scores = np.asarray(self.scores, dtype=np.float64)
+        if scores.ndim != 2:
+            raise ValueError("scores must be a 2-d (records, labels) array")
+        if not np.isfinite(scores).all():
+            raise ValueError("scores must be finite")
+        active = np.asarray(self.active)
+        if active.dtype != np.bool_ or active.shape != scores.shape:
+            raise ValueError(
+                f"active must be a boolean array of the scores' shape {scores.shape}"
+            )
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "active", active)
 
     @classmethod
     def from_gold(
         cls, scores: np.ndarray, gold: Sequence[LabelAssignment]
     ) -> "StackedRecords":
-        """Pair each row of a 2-d score array with its gold assignment.
-        A bad row raises the ValueError its PredictionRecord would."""
+        """Pair each row of a 2-d score array with its gold assignment."""
         arr = np.asarray(scores, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != len(gold):
             raise ValueError(
                 f"need one score row per gold assignment, got shape "
                 f"{arr.shape} for {len(gold)} assignments"
             )
-        finite = np.isfinite(arr).all(axis=1)
-        sized = np.array([y.n == arr.shape[1] for y in gold], dtype=bool)
-        bad = np.flatnonzero(~(finite & sized))
-        if bad.size:
-            first = int(bad[0])
-            if not finite[first]:
-                raise ValueError("scores must be finite")
-            raise ValueError(
-                f"scores have length {arr.shape[1]}, gold has n={gold[first].n}"
-            )
+        for y in gold:
+            if y.n != arr.shape[1]:
+                raise ValueError(
+                    f"scores have length {arr.shape[1]}, gold has n={y.n}"
+                )
         active = np.array([y.signs for y in gold]).reshape(arr.shape) > 0
         return cls(arr, active)
 
     def __len__(self) -> int:
         return int(self.scores.shape[0])
-
-
-Records = Union[Sequence[PredictionRecord], StackedRecords]
 
 
 class AtKResult(NamedTuple):
@@ -122,20 +102,10 @@ class NdcgResult(NamedTuple):
     skipped: int
 
 
-def _stack(records: Records) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and gold activity of all records as (records, labels)
-    arrays; every record must have the same label count."""
+def _stack(records: StackedRecords) -> tuple[np.ndarray, np.ndarray]:
     if not len(records):
         raise ValueError("no records")
-    if isinstance(records, StackedRecords):
-        return records.scores, records.active
-    n = records[0].n
-    for rec in records:
-        if rec.n != n:
-            raise ValueError("all records must share one label count")
-    scores = np.stack([rec.scores for rec in records])
-    active = np.stack([rec.gold.signs for rec in records]) > 0
-    return scores, active
+    return records.scores, records.active
 
 
 def _top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
@@ -169,7 +139,7 @@ def _harmonic(p: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def prec_rec_f1_at_k(
-    records: Records, k: int, per_record_f1: bool = False
+    records: StackedRecords, k: int, per_record_f1: bool = False
 ) -> AtKResult:
     """Precision, recall, and F1 at rank k, averaged over records.
 
@@ -177,7 +147,7 @@ def prec_rec_f1_at_k(
     hits/k and recall hits/act(gold) (1.0 when the gold set is empty).
     By default F1 is the harmonic mean of the dataset-averaged precision
     and recall; with ``per_record_f1`` the harmonic mean is taken per
-    record and then averaged.  All records must share one label count.
+    record and then averaged.
     """
     scores, active = _stack(records)
     if k < 1:
@@ -201,7 +171,7 @@ def prec_rec_f1_at_k(
 
 
 def micro_macro_f1(
-    records: Records, threshold: float = 0.5
+    records: StackedRecords, threshold: float = 0.5
 ) -> MicroMacroResult:
     """Micro- and macro-averaged F1 of thresholded predictions.
 
@@ -223,13 +193,13 @@ def micro_macro_f1(
     return MicroMacroResult(float(micro), float(per_label.mean()), zero_support)
 
 
-def ndcg_at_k(records: Records, k: int) -> NdcgResult:
+def ndcg_at_k(records: StackedRecords, k: int) -> NdcgResult:
     """Normalized discounted cumulative gain at rank k, averaged over the
     records that have at least one active gold label.
 
     Gain is 1 for an active label, 0 otherwise; the discount at rank r is
-    1/log2(r+1); the normalizer is the DCG of a perfect ranking.  Records
-    with empty gold are skipped and counted; if every record is skipped
+    1/log2(r+1); the normalizer is the DCG of a perfect ranking.  A record
+    with empty gold is skipped and counted; if every record is skipped
     there is nothing to average and a ValueError is raised.
     """
     scores, active = _stack(records)

@@ -17,7 +17,7 @@ judgment over the LP verifier.  Two routes:
 Most chunks of draws are never normalised.  With u = 2^-53 and M the
 largest |entry| of a chunk, the raw product of the chunk with W^T has the
 sign pattern of the normalised logits, and every normalised logit clears
-tau_sign, whenever
+tau_sign = ``DEFAULT_TAU_SIGN``, whenever
 
     min |raw| > sqrt(d) * (tau_sign + 4 (d + 2) u max_i ||w_i||) * M
 
@@ -154,7 +154,8 @@ def _assignments(bits: np.ndarray) -> list[LabelAssignment]:
 def _guard_factor(w: WeightMatrix, tau_sign: float) -> Optional[float]:
     """The factor F such that a chunk of raw draws with largest |entry| M
     in [2^-400, 2^400] needs no normalisation when min |raw| > F * M, where
-    raw = fl(draws @ W^T); None when W's scale or tau_sign rules it out.
+    raw = fl(draws @ W^T) and tau_sign >= 0; None when W's scale rules it
+    out.
 
     F = sqrt(d) * (tau_sign + c u omega) with u = 2^-53, c = 4 (d + 2) and
     omega = max_i fl(||w_i||).  Write gamma_k = k u / (1 - k u).  For one
@@ -188,12 +189,7 @@ def _guard_factor(w: WeightMatrix, tau_sign: float) -> Optional[float]:
       product or quotient (sums are then exact): d 2^-1075 (omega + 2)
       in all, and a relative d 2^-169 in L, which the spare absorbs for
       any d < 2^100.
-
-    tau_sign < 0 (or NaN) is excluded: a raw zero would then pass with a
-    normalised logit of either sign.
     """
-    if not tau_sign >= 0.0:
-        return None
     omega = float(w.row_norms.max())
     if not _GUARD_LOW <= omega <= _GUARD_HIGH:
         return None
@@ -205,22 +201,23 @@ def enumerate_regions_sampled(
     w: WeightMatrix,
     budget: int = DEFAULT_SAMPLE_BUDGET,
     seed: int = 0,
-    tau_sign: float = DEFAULT_TAU_SIGN,
 ) -> RegionSet:
     """Sampled region enumeration with a counting-certificate stop rule.
 
     Draws points uniformly on the unit sphere (seeded), records the sign
     vector of each draw and of its antipode (free by central symmetry),
-    and skips draws that land within tau_sign of a hyperplane.  When W is
-    in general position, reaching cover_count(n, d) distinct vectors is
-    proof of completeness and sampling stops early; otherwise the result
-    is SampledPartial however many members were found.
+    and skips draws that land within tau_sign = ``DEFAULT_TAU_SIGN`` (read
+    at call time) of a hyperplane.  When W is in general position,
+    reaching cover_count(n, d) distinct vectors is proof of completeness
+    and sampling stops early; otherwise the result is SampledPartial
+    however many members were found.
 
     General position is decided here by the minor scan, under
     ``DEFAULT_MINOR_BUDGET``; a scan over that budget counts as unknown,
     so no completeness is claimed.
     """
     n, d = w.n, w.d
+    tau_sign = DEFAULT_TAU_SIGN
     if tau_sign > 0.0 and not w.entries.any(axis=1).all():
         # A zero row's logit is exactly 0 < tau_sign at every draw.
         spent = max(budget, 0)

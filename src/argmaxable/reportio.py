@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .labelspace import DENSE_CHARS, LabelAssignment
-from .linalg import Provenance, WeightMatrix
+from .labelspace import DENSE_CHARS, FamilyKind, LabelAssignment
+from .linalg import GrVerdict, Provenance, WeightMatrix
+from .oracle import EnumerationMethod
+from .verifier import VerifyStatus
 
 __all__ = [
     "ParseError",
@@ -206,7 +209,11 @@ def serialize_matrix(w: WeightMatrix, path: Union[str, Path]) -> None:
 def _parse_dense_line(
     path: Union[str, Path], line: str, line_no: int, expected_n: Optional[int]
 ) -> LabelAssignment:
-    for col_no, ch in enumerate(line, start=1):
+    """One dense line, without its surrounding whitespace; a column in an
+    error counts from the start of the raw line."""
+    indent = len(line) - len(line.lstrip())
+    line = line.strip()
+    for col_no, ch in enumerate(line, start=indent + 1):
         if ch not in DENSE_CHARS:
             hint = ""
             if ch.isdigit():
@@ -281,12 +288,11 @@ def parse_labels(path: Union[str, Path]) -> list[LabelAssignment]:
         return out
     expected: Optional[int] = None
     for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
+        if not line.strip():
             raise ParseError(
                 path, "blank line in dense label file", line=line_no
             )
-        out.append(_parse_dense_line(path, stripped, line_no, expected))
+        out.append(_parse_dense_line(path, line, line_no, expected))
         expected = out[-1].n
     return out
 
@@ -316,188 +322,121 @@ class ReportEnvelope:
     payload: dict
 
     def to_json(self) -> str:
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "config": self.config,
-            "timestamp": self.timestamp,
-            "payload": self.payload,
-        }
+        obj = {"schema_version": SCHEMA_VERSION, **vars(self)}
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-_STATUS_STRINGS = ["argmaxable", "not_eps_argmaxable", "indeterminate"]
-_METHOD_STRINGS = ["exact-2d", "sampled-complete", "sampled-partial"]
+def _object(fields: dict, optional: Optional[dict] = None) -> dict:
+    """A closed JSON object: every field in ``fields`` is required, in
+    order, and those in ``optional`` may follow them."""
+    return {
+        "type": "object",
+        "required": list(fields),
+        "properties": {**fields, **(optional or {})},
+        "additionalProperties": False,
+    }
+
+
+def _enum(kind: type[Enum]) -> dict:
+    return {"enum": [member.value for member in kind]}
+
+
+def _array(items: dict) -> dict:
+    return {"type": "array", "items": items}
+
+
+_POSITIVE = {"type": "integer", "minimum": 1}
+_COUNT = {"type": "integer", "minimum": 0}
+_NUMBER = {"type": "number"}
 
 _PAYLOAD_SCHEMAS: dict[str, dict] = {
-    "count": {
-        "type": "object",
-        "required": ["n", "d", "count"],
-        "properties": {
-            "n": {"type": "integer", "minimum": 1},
-            "d": {"type": "integer", "minimum": 1},
+    "count": _object(
+        {
+            "n": _POSITIVE,
+            "d": _POSITIVE,
             # Counts can exceed 2^53, so they travel as decimal strings.
             "count": {"type": "string", "pattern": "^[0-9]+$"},
-        },
-        "additionalProperties": False,
-    },
-    "check": {
-        "type": "object",
-        "required": [
-            "n",
-            "d",
-            "verdict",
-            "min_abs_minor",
-            "checked_minors",
-            "general_position",
-        ],
-        "properties": {
-            "n": {"type": "integer", "minimum": 1},
-            "d": {"type": "integer", "minimum": 1},
-            "verdict": {
-                "enum": [
-                    "uniform-positive",
-                    "uniform-negative",
-                    "mixed-signs",
-                    "degenerate",
-                ]
-            },
-            "min_abs_minor": {"type": "number"},
-            "checked_minors": {"type": "integer", "minimum": 0},
+        }
+    ),
+    "check": _object(
+        {
+            "n": _POSITIVE,
+            "d": _POSITIVE,
+            "verdict": _enum(GrVerdict),
+            "min_abs_minor": _NUMBER,
+            "checked_minors": _COUNT,
             "general_position": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "verify": {
-        "type": "object",
-        "required": ["matrix", "results", "summary"],
-        "properties": {
-            "matrix": {
-                "type": "object",
-                "required": ["n", "d", "provenance"],
-                "properties": {
-                    "n": {"type": "integer", "minimum": 1},
-                    "d": {"type": "integer", "minimum": 1},
-                    "provenance": {"type": "object"},
-                },
-                "additionalProperties": False,
-            },
-            "results": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["index", "status", "radius", "seconds"],
-                    "properties": {
-                        "index": {"type": "integer", "minimum": 0},
-                        "status": {"enum": _STATUS_STRINGS},
+        }
+    ),
+    "verify": _object(
+        {
+            "matrix": _object(
+                {"n": _POSITIVE, "d": _POSITIVE, "provenance": {"type": "object"}}
+            ),
+            "results": _array(
+                _object(
+                    {
+                        "index": _COUNT,
+                        "status": _enum(VerifyStatus),
                         "radius": {"type": ["number", "null"]},
-                        "seconds": {"type": "number"},
-                        "reason": {"type": "string"},
+                        "seconds": _NUMBER,
                     },
-                    "additionalProperties": False,
-                },
-            },
-            "summary": {
-                "type": "object",
-                "required": [
-                    "argmaxable",
-                    "one_argmaxable",
-                    "not_eps",
-                    "indeterminate",
-                ],
-                "properties": {
-                    "argmaxable": {"type": "integer", "minimum": 0},
-                    "one_argmaxable": {"type": "integer", "minimum": 0},
-                    "not_eps": {"type": "integer", "minimum": 0},
-                    "indeterminate": {"type": "integer", "minimum": 0},
-                },
-                "additionalProperties": False,
-            },
+                    optional={"reason": {"type": "string"}},
+                )
+            ),
+            "summary": _object(
+                {
+                    "argmaxable": _COUNT,
+                    "one_argmaxable": _COUNT,
+                    "not_eps": _COUNT,
+                    "indeterminate": _COUNT,
+                }
+            ),
+        }
+    ),
+    "enumerate": _object(
+        {
+            "n": _POSITIVE,
+            "d": _POSITIVE,
+            "method": _enum(EnumerationMethod),
+            "count": _COUNT,
+            "members": _array({"type": "string"}),
         },
-        "additionalProperties": False,
-    },
-    "enumerate": {
-        "type": "object",
-        "required": ["n", "d", "method", "count", "members"],
-        "properties": {
-            "n": {"type": "integer", "minimum": 1},
-            "d": {"type": "integer", "minimum": 1},
-            "method": {"enum": _METHOD_STRINGS},
-            "count": {"type": "integer", "minimum": 0},
-            "members": {"type": "array", "items": {"type": "string"}},
-            "samples_used": {"type": "integer", "minimum": 0},
-            "boundary_skips": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "radii": {
-        "type": "object",
-        "required": ["family", "percentiles", "members", "summary"],
-        "properties": {
-            "family": {
-                "type": "object",
-                "required": ["n", "k", "kind"],
-                "properties": {
-                    "n": {"type": "integer", "minimum": 1},
-                    "k": {"type": "integer", "minimum": 0},
-                    "kind": {"enum": ["active", "alternating"]},
-                },
-                "additionalProperties": False,
-            },
-            "percentiles": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["percentile", "radius"],
-                    "properties": {
-                        "percentile": {"type": "number"},
-                        "radius": {"type": "number"},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "members": {"type": "integer", "minimum": 0},
-            "summary": {
-                "type": "object",
-                "required": ["argmaxable", "not_eps", "indeterminate"],
-                "properties": {
-                    "argmaxable": {"type": "integer", "minimum": 0},
-                    "not_eps": {"type": "integer", "minimum": 0},
-                    "indeterminate": {"type": "integer", "minimum": 0},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "additionalProperties": False,
-    },
-    "metrics": {
-        "type": "object",
-        "required": ["records", "at_k", "micro_f1", "macro_f1"],
-        "properties": {
-            "records": {"type": "integer", "minimum": 1},
-            "at_k": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["k", "prec", "rec", "f1", "ndcg"],
-                    "properties": {
-                        "k": {"type": "integer", "minimum": 1},
-                        "prec": {"type": "number"},
-                        "rec": {"type": "number"},
-                        "f1": {"type": "number"},
+        optional={"samples_used": _COUNT, "boundary_skips": _COUNT},
+    ),
+    "radii": _object(
+        {
+            "family": _object(
+                {"n": _POSITIVE, "k": _COUNT, "kind": _enum(FamilyKind)}
+            ),
+            "percentiles": _array(
+                _object({"percentile": _NUMBER, "radius": _NUMBER})
+            ),
+            "members": _COUNT,
+            "summary": _object(
+                {"argmaxable": _COUNT, "not_eps": _COUNT, "indeterminate": _COUNT}
+            ),
+        }
+    ),
+    "metrics": _object(
+        {
+            "records": _POSITIVE,
+            "at_k": _array(
+                _object(
+                    {
+                        "k": _POSITIVE,
+                        "prec": _NUMBER,
+                        "rec": _NUMBER,
+                        "f1": _NUMBER,
                         "ndcg": {"type": ["number", "null"]},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "micro_f1": {"type": "number"},
-            "macro_f1": {"type": "number"},
-            "zero_support_labels": {"type": "integer", "minimum": 0},
-            "empty_gold_records": {"type": "integer", "minimum": 0},
+                    }
+                )
+            ),
+            "micro_f1": _NUMBER,
+            "macro_f1": _NUMBER,
         },
-        "additionalProperties": False,
-    },
+        optional={"zero_support_labels": _COUNT, "empty_gold_records": _COUNT},
+    ),
 }
 
 
@@ -505,26 +444,16 @@ def report_schema(command: str) -> dict:
     """JSON schema for a full report envelope of the given command."""
     if command not in _PAYLOAD_SCHEMAS:
         raise KeyError(f"no schema for command {command!r}")
-    return {
-        "type": "object",
-        "required": [
-            "schema_version",
-            "tool_version",
-            "command",
-            "config",
-            "timestamp",
-            "payload",
-        ],
-        "properties": {
+    return _object(
+        {
             "schema_version": {"const": SCHEMA_VERSION},
             "tool_version": {"type": "string"},
             "command": {"const": command},
             "config": {"type": "object"},
             "timestamp": {"type": ["string", "null"]},
             "payload": _PAYLOAD_SCHEMAS[command],
-        },
-        "additionalProperties": False,
-    }
+        }
+    )
 
 
 def validate_report(obj: dict) -> None:

@@ -77,7 +77,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dftlayer import build_dft_matrix, dft_entry_error_bound
-from .labelspace import FamilySpec, LabelAssignment, alt, enumerate_family
+from .labelspace import (
+    DEFAULT_ENUMERATION_BUDGET,
+    FamilySpec,
+    LabelAssignment,
+    alt,
+    enumerate_family,
+)
 from .linalg import WeightMatrix
 
 __all__ = [
@@ -378,7 +384,7 @@ def radius_report(
     family: FamilySpec,
     cfg: LpConfig = LpConfig(),
     percentiles: Sequence[float] = (1.0, 5.0, 25.0, 50.0, 100.0),
-    budget: int = 10**6,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
     jobs: int = 1,
 ) -> RadiusReport:
     """Verify every member of a family and report radius percentiles."""

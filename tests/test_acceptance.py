@@ -53,7 +53,7 @@ from argmaxable.linalg import (
     maximal_minors,
     sign_vector,
 )
-from argmaxable.metrics import PredictionRecord, ndcg_at_k, prec_rec_f1_at_k
+from argmaxable.metrics import StackedRecords, ndcg_at_k, prec_rec_f1_at_k
 from argmaxable.oracle import (
     EnumerationMethod,
     enumerate_regions_2d,
@@ -312,10 +312,11 @@ class TestAcceptance:
                     int(i)
                     for i in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
                 )
-                rec = PredictionRecord(
-                    scores, LabelAssignment.from_active(n, sorted(i + 1 for i in gold))
+                rec = StackedRecords.from_gold(
+                    scores[None, :],
+                    [LabelAssignment.from_active(n, sorted(i + 1 for i in gold))],
                 )
-                out = prec_rec_f1_at_k([rec], k=k)
+                out = prec_rec_f1_at_k(rec, k=k)
                 prec, recall = naive_prec_rec_at_k(scores, gold, k)
                 assert abs(out.prec - prec) <= 1e-12
                 assert abs(out.rec - recall) <= 1e-12
@@ -326,9 +327,9 @@ class TestAcceptance:
                 naive_nd = naive_ndcg_at_k(scores, gold, k)
                 if naive_nd is None:
                     with pytest.raises(ValueError):
-                        ndcg_at_k([rec], k=k)
+                        ndcg_at_k(rec, k=k)
                 else:
-                    nd = ndcg_at_k([rec], k=k)
+                    nd = ndcg_at_k(rec, k=k)
                     assert nd.scored == 1
                     assert abs(nd.ndcg - naive_nd) <= 1e-12
 
@@ -339,10 +340,10 @@ class TestAcceptance:
                 k = int(rng.integers(1, n))
                 scores = rng.standard_normal(n)
                 gold = rng.choice(n, size=k, replace=False)
-                rec = PredictionRecord(
-                    scores,
-                    LabelAssignment.from_active(n, sorted(int(i) + 1 for i in gold)),
+                rec = StackedRecords.from_gold(
+                    scores[None, :],
+                    [LabelAssignment.from_active(n, sorted(int(i) + 1 for i in gold))],
                 )
-                out = prec_rec_f1_at_k([rec], k=k)
+                out = prec_rec_f1_at_k(rec, k=k)
                 assert out.prec == out.rec
                 assert out.f1 == out.prec

@@ -207,11 +207,15 @@ class TestEnumerate:
         assert obj["payload"]["count"] == 8
 
     def test_explicit_2d_on_three_columns_is_an_input_error(self, tmp_path, capsys):
+        # The file is well formed; the flag asks for what it cannot give.
         matrix = tmp_path / "w.csv"
         matrix.write_text("1.0,0.0,0.0\n0.0,1.0,0.0\n")
         code = run(["enumerate", "--matrix", str(matrix), "--method", "2d"])
-        assert code == ExitCode.INPUT
-        assert "d = 2" in capsys.readouterr().err
+        assert code == ExitCode.USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --method: ")
+        assert "d = 2" in err
 
     def test_degenerate_auto_falls_back_to_sampling(self, tmp_path, capsys):
         matrix = tmp_path / "w.csv"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from argmaxable.labelspace import LabelAssignment
 from argmaxable.metrics import (
-    PredictionRecord,
     StackedRecords,
     micro_macro_f1,
     ndcg_at_k,
@@ -30,9 +29,16 @@ from reference_impls import (
 
 def _record(scores, gold):
     """Scores plus a 0-based set of active gold labels."""
-    arr = np.asarray(scores, dtype=float)
-    assignment = LabelAssignment.from_active(arr.size, [i + 1 for i in gold])
-    return PredictionRecord(arr, assignment)
+    return np.asarray(scores, dtype=float), gold
+
+
+def _stacked(records):
+    """A non-empty sequence of ``_record`` pairs as one StackedRecords."""
+    golds = [
+        LabelAssignment.from_active(scores.size, [i + 1 for i in gold])
+        for scores, gold in records
+    ]
+    return StackedRecords.from_gold(np.array([r[0] for r in records]), golds)
 
 
 class TestTopKPrecisionRecall:
@@ -40,7 +46,7 @@ class TestTopKPrecisionRecall:
         # Ranking is label 0, then 1, then 2; gold is {1}; k=2 picks
         # labels {0, 1} so one of two retrieved is relevant.
         rec = _record([0.9, 0.8, 0.1], {1})
-        out = prec_rec_f1_at_k([rec], k=2)
+        out = prec_rec_f1_at_k(_stacked([rec]), k=2)
         assert out.prec == pytest.approx(0.5)
         assert out.rec == pytest.approx(1.0)
         assert out.f1 == pytest.approx(2 / 3)
@@ -48,7 +54,7 @@ class TestTopKPrecisionRecall:
 
     def test_perfect_ranking(self):
         rec = _record([0.1, 0.9, 0.8, 0.2], {1, 2})
-        out = prec_rec_f1_at_k([rec], k=2)
+        out = prec_rec_f1_at_k(_stacked([rec]), k=2)
         assert out.prec == 1.0
         assert out.rec == 1.0
         assert out.f1 == 1.0
@@ -62,7 +68,7 @@ class TestTopKPrecisionRecall:
             scores = rng.standard_normal(8)
             gold = set(map(int, rng.choice(8, size=3, replace=False)))
             records.append(_record(scores, gold))
-        out = prec_rec_f1_at_k(records, k=3)
+        out = prec_rec_f1_at_k(_stacked(records), k=3)
         assert out.prec == pytest.approx(out.rec)
         assert out.f1 == pytest.approx(out.prec)
 
@@ -74,23 +80,23 @@ class TestTopKPrecisionRecall:
         scores = [0.9, 0.8, 0.1, 0.0]
         a = _record(scores, {0, 1, 2, 3})
         b = _record(scores, {0})
-        merged = prec_rec_f1_at_k([a, b], k=2)
+        merged = prec_rec_f1_at_k(_stacked([a, b]), k=2)
         assert merged.prec == pytest.approx(0.75)
         assert merged.rec == pytest.approx(0.75)
         assert merged.f1 == pytest.approx(0.75)
-        with_flag = prec_rec_f1_at_k([a, b], k=2, per_record_f1=True)
+        with_flag = prec_rec_f1_at_k(_stacked([a, b]), k=2, per_record_f1=True)
         assert with_flag.f1 == pytest.approx(2 / 3)
 
     def test_empty_gold_counts_as_full_recall_and_is_flagged(self):
         rec = _record([0.3, 0.2], set())
-        out = prec_rec_f1_at_k([rec], k=1)
+        out = prec_rec_f1_at_k(_stacked([rec]), k=1)
         assert out.rec == 1.0
         assert out.prec == 0.0
         assert out.empty_gold == 1
 
     def test_ties_break_toward_lower_index(self):
         rec = _record([0.5, 0.5, 0.5], {2})
-        out = prec_rec_f1_at_k([rec], k=2)
+        out = prec_rec_f1_at_k(_stacked([rec]), k=2)
         # Labels 0 and 1 win the tie, so the single gold label at
         # index 2 is missed.
         assert out.prec == 0.0
@@ -99,15 +105,16 @@ class TestTopKPrecisionRecall:
     def test_k_beyond_label_count_rejected(self):
         rec = _record([0.5, 0.1], {0, 1})
         with pytest.raises(ValueError):
-            prec_rec_f1_at_k([rec], k=10)
+            prec_rec_f1_at_k(_stacked([rec]), k=10)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            prec_rec_f1_at_k([_record([0.5], {0})], k=0)
+            prec_rec_f1_at_k(_stacked([_record([0.5], {0})]), k=0)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            prec_rec_f1_at_k([], k=1)
+        empty = StackedRecords.from_gold(np.zeros((0, 2)), [])
+        with pytest.raises(ValueError, match="no records"):
+            prec_rec_f1_at_k(empty, k=1)
 
     def test_agrees_with_naive_reference(self):
         rng = np.random.default_rng(51)
@@ -118,7 +125,7 @@ class TestTopKPrecisionRecall:
             gold = set(
                 map(int, rng.choice(n, size=int(rng.integers(1, n)), replace=False))
             )
-            mine = prec_rec_f1_at_k([_record(scores, gold)], k=k)
+            mine = prec_rec_f1_at_k(_stacked([_record(scores, gold)]), k=k)
             ref_p, ref_r = naive_prec_rec_at_k(list(scores), gold, k)
             assert mine.prec == pytest.approx(ref_p, abs=1e-12)
             assert mine.rec == pytest.approx(ref_r, abs=1e-12)
@@ -136,9 +143,9 @@ class TestTopKPrecisionRecall:
             st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
         )
         k = data.draw(st.integers(1, n))
-        base = prec_rec_f1_at_k([_record(scores, gold)], k=k)
+        base = prec_rec_f1_at_k(_stacked([_record(scores, gold)]), k=k)
         warped = prec_rec_f1_at_k(
-            [_record([math.tanh(s) for s in scores], gold)], k=k
+            _stacked([_record([math.tanh(s) for s in scores], gold)]), k=k
         )
         assert warped.prec == pytest.approx(base.prec)
         assert warped.rec == pytest.approx(base.rec)
@@ -149,8 +156,8 @@ class TestTopKPrecisionRecall:
             _record(rng.standard_normal(6), set(map(int, rng.choice(6, size=2))))
             for _ in range(12)
         ]
-        fwd = prec_rec_f1_at_k(records, k=2)
-        rev = prec_rec_f1_at_k(records[::-1], k=2)
+        fwd = prec_rec_f1_at_k(_stacked(records), k=2)
+        rev = prec_rec_f1_at_k(_stacked(records[::-1]), k=2)
         assert fwd == rev
 
 
@@ -160,7 +167,7 @@ class TestMicroMacroF1:
         # are {0} and {2}.  Pooled TP=2, FP=1, FN=0.
         a = _record([0.9, 0.2, 0.4], {0})
         b = _record([0.8, 0.1, 0.7], {2})
-        out = micro_macro_f1([a, b])
+        out = micro_macro_f1(_stacked([a, b]))
         assert out.micro_f1 == pytest.approx(2 * 2 / (2 * 2 + 1 + 0))
 
     def test_macro_averages_per_label(self):
@@ -168,37 +175,39 @@ class TestMicroMacroF1:
         # predicted though always gold: per-label F1s are 1 and 0.
         a = _record([0.9, 0.2], {0, 1})
         b = _record([0.8, 0.3], {0, 1})
-        out = micro_macro_f1([a, b])
+        out = micro_macro_f1(_stacked([a, b]))
         assert out.macro_f1 == pytest.approx(0.5)
         assert out.zero_support_labels == 0
 
     def test_label_without_support_counts_as_zero_and_is_flagged(self):
         # Label 1 is never gold and never predicted.
         a = _record([0.9, 0.2], {0})
-        out = micro_macro_f1([a])
+        out = micro_macro_f1(_stacked([a]))
         assert out.zero_support_labels == 1
         assert out.macro_f1 == pytest.approx(0.5)
 
     def test_threshold_is_strict(self):
         rec = _record([0.5, 0.6], {0, 1})
-        out = micro_macro_f1([rec], threshold=0.5)
+        out = micro_macro_f1(_stacked([rec]), threshold=0.5)
         # 0.5 itself is not above the threshold, so only label 1 is
         # predicted: TP=1, FN=1, FP=0.
         assert out.micro_f1 == pytest.approx(2 / 3)
 
     def test_all_correct_gives_one(self):
         recs = [_record([0.9, 0.1, 0.8], {0, 2}), _record([0.2, 0.7, 0.1], {1})]
-        out = micro_macro_f1(recs)
+        out = micro_macro_f1(_stacked(recs))
         assert out.micro_f1 == 1.0
         assert out.macro_f1 == 1.0
 
     def test_mixed_label_counts_rejected(self):
+        # Rows of two lengths never make a stack, so no metric sees them.
         with pytest.raises(ValueError):
-            micro_macro_f1([_record([0.5], {0}), _record([0.5, 0.5], {0})])
+            _stacked([_record([0.5], {0}), _record([0.5, 0.5], {0})])
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            micro_macro_f1([])
+        empty = StackedRecords.from_gold(np.zeros((0, 2)), [])
+        with pytest.raises(ValueError, match="no records"):
+            micro_macro_f1(empty)
 
     def test_micro_bounds(self):
         rng = np.random.default_rng(53)
@@ -210,7 +219,7 @@ class TestMicroMacroF1:
                 )
                 for _ in range(4)
             ]
-            out = micro_macro_f1(recs)
+            out = micro_macro_f1(_stacked(recs))
             assert 0.0 <= out.micro_f1 <= 1.0
             assert 0.0 <= out.macro_f1 <= 1.0
 
@@ -218,38 +227,38 @@ class TestMicroMacroF1:
 class TestNdcg:
     def test_single_relevant_at_rank_two(self):
         rec = _record([0.9, 0.8, 0.1], {1})
-        out = ndcg_at_k([rec], k=3)
+        out = ndcg_at_k(_stacked([rec]), k=3)
         assert out.ndcg == pytest.approx(1.0 / math.log2(3))
         assert out.scored == 1
         assert out.skipped == 0
 
     def test_perfect_order_gives_one(self):
         rec = _record([0.9, 0.8, 0.1, 0.05], {0, 1})
-        out = ndcg_at_k([rec], k=2)
+        out = ndcg_at_k(_stacked([rec]), k=2)
         assert out.ndcg == pytest.approx(1.0)
 
     def test_all_relevant_below_k_gives_zero(self):
         rec = _record([0.9, 0.8, 0.1], {2})
-        out = ndcg_at_k([rec], k=2)
+        out = ndcg_at_k(_stacked([rec]), k=2)
         assert out.ndcg == pytest.approx(0.0)
 
     def test_empty_gold_records_are_skipped(self):
         good = _record([0.9, 0.1], {0})
         empty = _record([0.9, 0.1], set())
-        out = ndcg_at_k([good, empty], k=1)
+        out = ndcg_at_k(_stacked([good, empty]), k=1)
         assert out.ndcg == pytest.approx(1.0)
         assert out.scored == 1
         assert out.skipped == 1
 
     def test_every_record_empty_is_an_error(self):
         with pytest.raises(ValueError):
-            ndcg_at_k([_record([0.5, 0.1], set())], k=1)
+            ndcg_at_k(_stacked([_record([0.5, 0.1], set())]), k=1)
 
     def test_ideal_normalizer_truncates_at_k(self):
         # Three gold labels but k=2: the ideal DCG only counts two
         # hits, so placing two gold labels on top already scores 1.
         rec = _record([0.9, 0.8, 0.1, 0.05], {0, 1, 3})
-        out = ndcg_at_k([rec], k=2)
+        out = ndcg_at_k(_stacked([rec]), k=2)
         assert out.ndcg == pytest.approx(1.0)
 
     def test_agrees_with_naive_reference(self):
@@ -261,7 +270,7 @@ class TestNdcg:
             gold = set(
                 map(int, rng.choice(n, size=int(rng.integers(1, n)), replace=False))
             )
-            mine = ndcg_at_k([_record(scores, gold)], k=k)
+            mine = ndcg_at_k(_stacked([_record(scores, gold)]), k=k)
             ref = naive_ndcg_at_k(list(scores), gold, k)
             assert mine.ndcg == pytest.approx(ref, abs=1e-12)
 
@@ -272,7 +281,7 @@ class TestNdcg:
                 rng.standard_normal(7),
                 set(map(int, rng.choice(7, size=3, replace=False))),
             )
-            out = ndcg_at_k([rec], k=4)
+            out = ndcg_at_k(_stacked([rec]), k=4)
             assert 0.0 <= out.ndcg <= 1.0 + 1e-12
 
 
@@ -304,7 +313,7 @@ class TestExactAgainstReference:
     def test_at_k_and_ndcg(self, kind, m, n):
         rng = np.random.default_rng(m * 100 + n)
         scores, golds = _dataset(rng, kind, m, n)
-        records = [_record(row, gold) for row, gold in zip(scores, golds)]
+        records = _stacked([_record(row, gold) for row, gold in zip(scores, golds)])
         rows = [list(row) for row in scores]
         for k in sorted({1, min(2, n), max(1, n // 2), n}):
             for flag in (False, True):
@@ -321,50 +330,52 @@ class TestExactAgainstReference:
         # Four labels tie at the 2nd-largest value: labels 1 and 3 win
         # the two places left after label 2, then rank in index order.
         rec = _record([0.0, 1.0, 2.0, 1.0, 1.0, 1.0], {3, 4})
-        assert prec_rec_f1_at_k([rec], k=3).prec == 1 / 3
-        assert ndcg_at_k([rec], k=3).ndcg == (1 / math.log2(4)) / (
+        assert prec_rec_f1_at_k(_stacked([rec]), k=3).prec == 1 / 3
+        assert ndcg_at_k(_stacked([rec]), k=3).ndcg == (1 / math.log2(4)) / (
             1 + 1 / math.log2(3)
         )
 
-    @pytest.mark.parametrize("metric", [prec_rec_f1_at_k, ndcg_at_k])
-    def test_mixed_label_counts_rejected(self, metric):
-        records = [_record([0.5, 0.2], {0}), _record([0.5, 0.2, 0.1], {0})]
-        with pytest.raises(ValueError, match="share one label count"):
-            metric(records, 1)
+    def test_ranking_helper_matches_stable_sort(self):
+        scores = [0.5, 0.9, 0.5, 0.1]
+        assert ranked_labels(scores) == [1, 0, 2, 3]
 
 
 class TestStackedRecords:
-    """One stacking per run gives the numbers and errors of the record
-    sequence it stands for."""
+    """The one input form of every metric: checked when built, so no
+    metric sees a ragged, non-finite or mismatched record."""
 
     @pytest.mark.parametrize("kind", ["random", "rounded", "equal"])
     def test_same_numbers_as_the_records(self, kind):
+        # Micro/macro F1 of the stack against a record-by-record count.
         rng = np.random.default_rng(17)
         scores, golds = _dataset(rng, kind, 25, 12)
-        records = [_record(row, gold) for row, gold in zip(scores, golds)]
-        stacked = StackedRecords.from_gold(scores, [r.gold for r in records])
+        stacked = _stacked([_record(row, gold) for row, gold in zip(scores, golds)])
         assert len(stacked) == 25
-        for k in (1, 3, 12):
-            for flag in (False, True):
-                assert prec_rec_f1_at_k(stacked, k, flag) == prec_rec_f1_at_k(
-                    records, k, flag
-                )
-            assert ndcg_at_k(stacked, k) == ndcg_at_k(records, k)
         for threshold in (-0.5, 0.0, 0.5):
-            assert micro_macro_f1(stacked, threshold) == micro_macro_f1(
-                records, threshold
-            )
+            tp, fp, fn = [0] * 12, [0] * 12, [0] * 12
+            for row, gold in zip(scores.tolist(), golds):
+                for label, score in enumerate(row):
+                    predicted, actual = score > threshold, label in gold
+                    tp[label] += predicted and actual
+                    fp[label] += predicted and not actual
+                    fn[label] += actual and not predicted
+            dens = [2 * t + p + n for t, p, n in zip(tp, fp, fn)]
+            micro_den = sum(dens)
+            micro = 0.0 if micro_den == 0 else 2.0 * sum(tp) / micro_den
+            macro = sum(2.0 * t / d if d else 0.0 for t, d in zip(tp, dens)) / 12
+            out = micro_macro_f1(stacked, threshold)
+            assert out.micro_f1 == micro
+            assert out.macro_f1 == pytest.approx(macro, rel=1e-15, abs=0.0)
+            assert out.zero_support_labels == dens.count(0)
 
     def test_bad_rows_raise_the_record_errors(self):
         gold = [LabelAssignment.from_active(2, [1])] * 2
         short = [gold[0], LabelAssignment.from_active(3, [1])]
         scores = np.array([[0.5, 0.1], [0.2, 0.3]])
-        for rows, golds in ((scores, short), (np.array([[0.5, 0.1], [0.2, np.inf]]), gold)):
-            with pytest.raises(ValueError) as record_error:
-                [PredictionRecord(row, y) for row, y in zip(rows, golds)]
-            with pytest.raises(ValueError) as stacked_error:
-                StackedRecords.from_gold(rows, golds)
-            assert str(stacked_error.value) == str(record_error.value)
+        with pytest.raises(ValueError, match=r"^scores have length 2, gold has n=3$"):
+            StackedRecords.from_gold(scores, short)
+        with pytest.raises(ValueError, match=r"^scores must be finite$"):
+            StackedRecords.from_gold(np.array([[0.5, 0.1], [0.2, np.inf]]), gold)
         with pytest.raises(ValueError, match="one score row per gold"):
             StackedRecords.from_gold(scores, gold[:1])
 
@@ -374,18 +385,18 @@ class TestStackedRecords:
         with pytest.raises(ValueError, match="no records"):
             metric(empty, 1)
 
-
-class TestPredictionRecord:
     def test_length_mismatch_rejected(self):
-        gold = LabelAssignment.from_active(3, [1])
-        with pytest.raises(ValueError):
-            PredictionRecord(np.array([0.5, 0.1]), gold)
+        with pytest.raises(ValueError, match="boolean array of the scores' shape"):
+            StackedRecords(np.zeros((2, 3)), np.zeros((2, 2), dtype=bool))
 
     def test_nonfinite_scores_rejected(self):
-        gold = LabelAssignment.from_active(2, [1])
-        with pytest.raises(ValueError):
-            PredictionRecord(np.array([0.5, np.nan]), gold)
+        with pytest.raises(ValueError, match="finite"):
+            StackedRecords(np.array([[0.5, np.nan]]), np.array([[True, False]]))
 
-    def test_ranking_helper_matches_stable_sort(self):
-        scores = [0.5, 0.9, 0.5, 0.1]
-        assert ranked_labels(scores) == [1, 0, 2, 3]
+    def test_scores_must_be_two_d(self):
+        with pytest.raises(ValueError, match="2-d"):
+            StackedRecords(np.array([0.5, 0.1]), np.array([True, False]))
+
+    def test_active_must_be_boolean(self):
+        with pytest.raises(ValueError, match="boolean"):
+            StackedRecords(np.array([[0.5, 0.1]]), np.array([[1, 0]]))

@@ -227,11 +227,10 @@ class TestSampledMatchesTheNormalisedLoop:
     every draw reports: the same draws, skips and members."""
 
     @staticmethod
-    def _assert_matches(entries, budget, seed, tau_sign):
+    def _assert_matches(monkeypatch, entries, budget, seed, tau_sign):
+        monkeypatch.setattr(oracle, "DEFAULT_TAU_SIGN", tau_sign)
         w = WeightMatrix(entries)
-        regions = enumerate_regions_sampled(
-            w, budget=budget, seed=seed, tau_sign=tau_sign
-        )
+        regions = enumerate_regions_sampled(w, budget=budget, seed=seed)
         target = region_count_formula(w.n, w.d) if is_general_position(w) else None
         used, skips, members = reference_sampled_enumeration(
             w.entries, budget, seed, tau_sign, target
@@ -253,8 +252,8 @@ class TestSampledMatchesTheNormalisedLoop:
         ids=["random-tau-1e-3", "random-tau-0.05", "spectral-tau-0.05",
              "zero-row", "tiny-row-tau-1e-3"],
     )
-    def test_boundary_skips_are_counted_alike(self, entries, tau_sign):
-        regions = self._assert_matches(entries, 100_003, 9, tau_sign)
+    def test_boundary_skips_are_counted_alike(self, monkeypatch, entries, tau_sign):
+        regions = self._assert_matches(monkeypatch, entries, 100_003, 9, tau_sign)
         assert regions.boundary_skips > 0
 
     @pytest.mark.parametrize(
@@ -271,13 +270,13 @@ class TestSampledMatchesTheNormalisedLoop:
         ids=["tau-0", "zero-row-tau-0", "tiny-row", "duplicated-rows", "d-1",
              "n-70", "n-70-tau-1e-3"],
     )
-    def test_edge_inputs(self, entries, tau_sign):
-        self._assert_matches(entries, 70_001, 10, tau_sign)
+    def test_edge_inputs(self, monkeypatch, entries, tau_sign):
+        self._assert_matches(monkeypatch, entries, 70_001, 10, tau_sign)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_spectral_ten_by_five_at_the_default_budget(self, seed):
+    def test_spectral_ten_by_five_at_the_default_budget(self, monkeypatch, seed):
         regions = self._assert_matches(
-            build_dft_matrix(10, 2).entries, 10**7, seed, 1e-12
+            monkeypatch, build_dft_matrix(10, 2).entries, 10**7, seed, 1e-12
         )
         assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
 

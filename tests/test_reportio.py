@@ -184,6 +184,14 @@ class TestLabelFiles:
             parse_labels(target)
         assert exc.value.line == 2
 
+    def test_dense_error_column_counts_leading_whitespace(self, tmp_path):
+        target = tmp_path / "labels.txt"
+        target.write_text("+-+-\n  +x--\n")
+        with pytest.raises(ParseError) as exc:
+            parse_labels(target)
+        assert (exc.value.line, exc.value.column) == (2, 4)
+        assert str(exc.value).startswith(f"{target}:2:4: illegal character 'x'")
+
     def test_sparse_duplicate_index_rejected(self, tmp_path):
         target = tmp_path / "labels.txt"
         target.write_text("n=4\n2,2\n")
