@@ -58,7 +58,7 @@ from .reportio import (
     parse_scores,
     serialize_matrix,
 )
-from .verifier import LpConfig, radius_report, verify_batch
+from .verifier import DEFAULT_PERCENTILES, LpConfig, radius_report, verify_batch
 
 __all__ = ["ExitCode", "run", "main", "build_parser"]
 
@@ -249,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--percentiles",
         type=_percentile_list,
-        default=[1.0, 5.0, 25.0, 50.0, 100.0],
-        help="comma-separated percentiles (default 1,5,25,50,100)",
+        default=DEFAULT_PERCENTILES,
+        help="comma-separated percentiles, default %(default)s",
     )
     p.add_argument(
         "--budget",

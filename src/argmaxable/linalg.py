@@ -14,9 +14,9 @@ Minors are relative-thresholded: a minor over rows I counts as zero when
 |det| < tau_det * prod_{i in I} ||row_i||, which makes every verdict
 invariant under row rescaling.  tau_det is a parameter of
 ``gr_plus_status`` only; ``is_general_position`` uses ``DEFAULT_TAU_DET``
-and ``sign_vector`` tests logits against ``DEFAULT_TAU_SIGN``.  A zero
-row puts 0 on both sides of that test, so any minor that selects one
-counts as zero outright.  General position and the sign verdict share
+and ``sign_vector`` tests logits against ``DEFAULT_TAU_SIGN``.  The
+threshold needs every row norm positive and finite, which
+``WeightMatrix`` guarantees.  General position and the sign verdict share
 this one threshold and one scan: the d-subsets are generated in
 colexicographic order as numpy index blocks of bounded size, and each
 block gets one batched determinant call and one vectorized threshold
@@ -30,9 +30,8 @@ because its rows name labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterator, Optional
 
@@ -69,6 +68,7 @@ class Provenance:
     kind is one of 'random', 'dft', 'dft+slack'; k is the frequency count
     for the spectral kinds, s the number of slack columns, seed the RNG
     seed used for random content (slack columns or a fully random matrix).
+    Each of k, s, seed is None or an integer (not a bool); k >= 1, s >= 0.
     """
 
     kind: str = "random"
@@ -79,13 +79,21 @@ class Provenance:
     def __post_init__(self) -> None:
         if self.kind not in _PROVENANCE_KINDS:
             raise ValueError(f"unknown provenance kind {self.kind!r}")
+        for name, low in (("k", 1), ("s", 0), ("seed", None)):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"provenance {name} must be an integer, got {value!r}")
+            if low is not None and value < low:
+                raise ValueError(f"provenance {name} must be >= {low}, got {value}")
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
-        for field in ("k", "s", "seed"):
-            value = getattr(self, field)
+        for name in ("k", "s", "seed"):
+            value = getattr(self, name)
             if value is not None:
-                out[field] = int(value)
+                out[name] = int(value)
         return out
 
     @classmethod
@@ -106,10 +114,16 @@ class Provenance:
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """An immutable n x d real matrix of hyperplane normals (one per row)."""
+    """An immutable n x d real matrix of hyperplane normals (one per row).
+
+    Every row's float64 Euclidean norm must be positive and finite: a row
+    of norm 0 is a label whose logit is always 0, and an infinite norm
+    leaves no finite threshold.  ``row_norms`` holds those norms.
+    """
 
     entries: np.ndarray
     provenance: Provenance = Provenance()
+    row_norms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries, dtype=np.float64)
@@ -117,9 +131,19 @@ class WeightMatrix:
             raise ValueError("entries must be a 2-d array with n, d >= 1")
         if not np.all(np.isfinite(arr)):
             raise ValueError("entries must be finite")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(arr, axis=1)
+        bad = np.flatnonzero((norms == 0.0) | (norms == np.inf))
+        if bad.size:
+            raise ValueError(
+                "row norms must be positive and finite, not in row(s) "
+                + ", ".join(str(int(r) + 1) for r in bad)
+            )
         arr = arr.copy()
-        arr.setflags(write=False)
+        for frozen in (arr, norms):
+            frozen.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "row_norms", norms)
 
     @property
     def n(self) -> int:
@@ -128,13 +152,6 @@ class WeightMatrix:
     @property
     def d(self) -> int:
         return int(self.entries.shape[1])
-
-    @cached_property
-    def row_norms(self) -> np.ndarray:
-        """Euclidean norm of each row, computed once and cached."""
-        norms = np.linalg.norm(self.entries, axis=1)
-        norms.setflags(write=False)
-        return norms
 
     def __repr__(self) -> str:
         return (
@@ -239,17 +256,14 @@ def is_general_position(w: WeightMatrix) -> bool:
     For n >= d this is the minor scan of ``gr_plus_status`` at its
     defaults: the matrix is in general position exactly when its verdict
     is not degenerate, i.e. every maximal minor satisfies |det| >=
-    ``DEFAULT_TAU_DET`` * product of the selected row norms and selects
-    no zero row; more than ``DEFAULT_MINOR_BUDGET`` minors raise
-    MinorBudgetError.  With fewer rows than columns the condition
-    degrades to full row rank, tested through the Gram determinant:
-    det(W W^T) equals the sum of squared wide-minors, so its square root
-    is compared against the same rescaling-invariant threshold, after the
-    same refusal of a zero row.
+    ``DEFAULT_TAU_DET`` * product of the selected row norms; more than
+    ``DEFAULT_MINOR_BUDGET`` minors raise MinorBudgetError.  With fewer
+    rows than columns the condition degrades to full row rank, tested
+    through the Gram determinant: det(W W^T) equals the sum of squared
+    wide-minors, so its square root is compared against the same
+    rescaling-invariant threshold.
     """
     if w.n < w.d:
-        if not w.row_norms.all():
-            return False
         gram = w.entries @ w.entries.T
         value = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
         return value >= DEFAULT_TAU_DET * float(np.prod(w.row_norms))
@@ -289,26 +303,20 @@ def gr_plus_status(
     Uniform-positive / uniform-negative: every minor clears the relative
     threshold and they all share one sign (the matrix represents a point
     of the strict positive region of the Grassmannian, up to column sign).
-    Degenerate: some minor falls below the threshold or selects a zero
-    row.  Mixed-signs: all minors clear the threshold but disagree in sign.
+    Degenerate: some minor falls below the threshold.  Mixed-signs: all
+    minors clear the threshold but disagree in sign.
 
     The scan runs block by block in colex order and stops at the first
     degenerate minor, so ``checked_minors`` and ``min_abs_minor`` count
     exactly the minors up to and including that one.
     """
     norms = w.row_norms
-    zero_rows = np.flatnonzero(norms == 0.0)
-    # Colex order puts every subset of range(z) first, then {0..d-2, z}:
-    # the first minor that selects the lowest zero row z is number C(z, d).
-    first_zero = math.comb(int(zero_rows[0]), w.d) if zero_rows.size else -1
     min_abs = math.inf
     checked = 0
     saw_pos = saw_neg = False
     for idx, dets in _minor_blocks(w, budget):
         mags = np.abs(dets)
         below = mags < tau_det * np.prod(norms[idx], axis=1)
-        if checked <= first_zero < checked + len(idx):
-            below[first_zero - checked] = True
         degenerate = bool(below.any())
         if degenerate:
             mags = mags[: int(np.argmax(below)) + 1]

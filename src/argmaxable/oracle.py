@@ -23,9 +23,7 @@ tau_sign = ``DEFAULT_TAU_SIGN``, whenever
 
 (a rounding bound, derived at ``_guard_factor``).  Such a chunk records
 the same vectors with no boundary skips; a chunk that misses the bound is
-normalised and tested draw by draw.  A zero row with tau_sign > 0 puts
-every draw on a boundary, so that case returns its empty partial set
-without drawing.
+normalised and tested draw by draw.
 
 Members come closed under global sign flip by construction: the
 arrangement is central, so sign(W(-x)) = -sign(Wx).
@@ -111,14 +109,11 @@ def enumerate_regions_2d(w: WeightMatrix) -> RegionSet:
     and evaluating the sign vector at each sector midpoint yields each of
     the 2n regions exactly once.  Raises DegeneracyError when two
     boundary angles lie within ``_TAU_ANGLE`` radians, which happens iff
-    two rows are (near-)collinear, when a zero row leaves a sector
-    undefined, or when a midpoint's sign vector is not clean under
-    ``DEFAULT_TAU_SIGN``.
+    two rows are (near-)collinear, or when a midpoint's sign vector is
+    not clean under ``DEFAULT_TAU_SIGN``.
     """
     if w.d != 2:
         raise ValueError(f"exact walk needs d = 2, got d = {w.d}")
-    if np.any(w.row_norms == 0.0):
-        raise DegeneracyError("zero row has no boundary direction")
     normals = np.arctan2(w.entries[:, 1], w.entries[:, 0])
     boundaries = np.concatenate([normals + np.pi / 2, normals - np.pi / 2])
     boundaries = np.mod(boundaries, 2 * np.pi)
@@ -218,17 +213,6 @@ def enumerate_regions_sampled(
     """
     n, d = w.n, w.d
     tau_sign = DEFAULT_TAU_SIGN
-    if tau_sign > 0.0 and not w.entries.any(axis=1).all():
-        # A zero row's logit is exactly 0 < tau_sign at every draw.
-        spent = max(budget, 0)
-        return RegionSet(
-            n=n,
-            d=d,
-            members=frozenset(),
-            method=EnumerationMethod.SAMPLED_PARTIAL,
-            samples_used=spent,
-            boundary_skips=spent,
-        )
     try:
         general_position = is_general_position(w)
     except MinorBudgetError:

@@ -148,21 +148,18 @@ def _provenance_from_sidecar(path: Path, obj: dict, n: int, d: int) -> Provenanc
     declared_d = obj.get("d")
     if declared_d is not None and declared_d != d:
         raise ParseError(path, f"sidecar says d={declared_d}, CSV has d={d}")
-    if "provenance" in obj:
-        try:
+    try:
+        if "provenance" in obj:
             return Provenance.from_json(obj["provenance"])
-        except ValueError as exc:
-            raise ParseError(path, str(exc))
-    if "k" in obj:
-        # The flat {n, k, s, seed} shape of older spectral-layer files;
-        # read only, never written.
-        k = obj["k"]
-        s = obj.get("s", 0)
-        seed = obj.get("seed", 0)
-        if s:
-            return Provenance(kind="dft+slack", k=k, s=s, seed=seed)
-        return Provenance(kind="dft", k=k)
-    return Provenance(kind="random", seed=obj.get("seed"))
+        if "k" in obj:
+            # The flat {n, k, s, seed} shape of older spectral-layer files;
+            # read only, never written.  Every field is checked, even when
+            # s = 0 leaves only k.
+            slack = Provenance("dft+slack", obj["k"], obj.get("s", 0), obj.get("seed", 0))
+            return slack if slack.s else Provenance(kind="dft", k=slack.k)
+        return Provenance(kind="random", seed=obj.get("seed"))
+    except ValueError as exc:
+        raise ParseError(path, str(exc))
 
 
 def parse_matrix(path: Union[str, Path]) -> WeightMatrix:
@@ -236,17 +233,19 @@ def _parse_dense_line(
 def _parse_sparse_line(
     path: Union[str, Path], line: str, line_no: int, n: int
 ) -> LabelAssignment:
-    stripped = line.strip()
-    if not stripped:
+    """One sparse line; a column in an error counts from the start of the raw line."""
+    if not line.strip():
         return LabelAssignment.from_active(n, ())
     seen: set[int] = set()
-    for col_no, token in enumerate(stripped.split(","), start=1):
-        token = token.strip()
+    col_no = 1
+    for cell in line.split(","):
+        body = cell.lstrip()
+        col_no += len(cell) - len(body)
         try:
-            idx = int(token)
+            idx = int(body)
         except ValueError:
             raise ParseError(
-                path, f"not an index: {token!r}", line=line_no, column=col_no
+                path, f"not an index: {body.rstrip()!r}", line=line_no, column=col_no
             )
         if not 1 <= idx <= n:
             raise ParseError(
@@ -260,6 +259,7 @@ def _parse_sparse_line(
                 path, f"duplicate index {idx}", line=line_no, column=col_no
             )
         seen.add(idx)
+        col_no += len(body) + 1
     return LabelAssignment.from_active(n, sorted(seen))
 
 

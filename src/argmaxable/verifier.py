@@ -96,7 +96,10 @@ __all__ = [
     "chebyshev_verify",
     "verify_batch",
     "radius_report",
+    "DEFAULT_PERCENTILES",
 ]
+
+DEFAULT_PERCENTILES = (1.0, 5.0, 25.0, 50.0, 100.0)
 
 
 def linprog(*args, **kwargs):
@@ -134,7 +137,7 @@ class VerifyResult:
     """Outcome of one item.
 
     radius and witness are set only for ARGMAXABLE; reason only for
-    INDETERMINATE (solver message or input problem).  wall_time is the
+    INDETERMINATE (what the solver reported).  wall_time is the
     solve time in seconds, 0 for an item decided without an LP.
     """
 
@@ -155,18 +158,10 @@ def chebyshev_verify(
     """Certify one assignment against one matrix: the dual LP, then the
     primal LP only when the dual decides nothing (module docstring).
 
-    Raises ValueError on dimension mismatch or a zero-norm row (a zero
-    row makes its halfspace constraint vacuous, so the question is
-    ill-posed for that matrix).
+    Raises ValueError when y and w disagree on n.
     """
     if y.n != w.n:
         raise ValueError(f"assignment has n={y.n}, matrix has n={w.n}")
-    zero_rows = np.flatnonzero(w.row_norms == 0.0)
-    if zero_rows.size:
-        raise ValueError(
-            "zero-norm row(s) "
-            + ", ".join(str(int(r) + 1) for r in zero_rows)
-        )
     start = time.perf_counter()
     res = _dual_lp(w, y, cfg)
     if res.status is VerifyStatus.INDETERMINATE:
@@ -281,16 +276,6 @@ class BatchResult:
     summary: BatchSummary
 
 
-def _verify_one_safely(
-    w: WeightMatrix, y: LabelAssignment, cfg: LpConfig
-) -> VerifyResult:
-    try:
-        return chebyshev_verify(w, y, cfg)
-    except ValueError as exc:
-        # A bad item must not abort the batch; it surfaces per-item.
-        return VerifyResult(VerifyStatus.INDETERMINATE, reason=str(exc))
-
-
 def _lp_results(
     w: WeightMatrix,
     ys: Sequence[LabelAssignment],
@@ -298,11 +283,10 @@ def _lp_results(
     jobs: int,
 ) -> tuple[VerifyResult, ...]:
     """One Chebyshev LP per assignment, results in input order."""
-    _ = w.row_norms  # materialize the shared cache before any workers start
     if jobs > 1 and len(ys) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return tuple(pool.map(lambda y: _verify_one_safely(w, y, cfg), ys))
-    return tuple(_verify_one_safely(w, y, cfg) for y in ys)
+            return tuple(pool.map(lambda y: chebyshev_verify(w, y, cfg), ys))
+    return tuple(chebyshev_verify(w, y, cfg) for y in ys)
 
 
 def _decided_by_alternation(w: WeightMatrix, cfg: LpConfig) -> bool:
@@ -328,15 +312,14 @@ def verify_batch(
     """Verify many assignments against one matrix.
 
     Results come back in input order regardless of completion order.
-    Row norms are computed once on ``w`` and shared.  Per-item failures
-    (e.g. a mismatched n) become Indeterminate results with the error as
-    the reason instead of aborting the rest.  On the unslacked DFT layer,
-    items with more than d - 1 alternations are decided without an LP
-    (module docstring).
+    Raises ValueError, before any LP, when some item's n is not w's.  On
+    the unslacked DFT layer, items with more than d - 1 alternations are
+    decided without an LP (module docstring).
     """
-    over = {
-        i for i, y in enumerate(ys) if y.n == w.n and alt(y) > w.d - 1
-    }
+    for i, y in enumerate(ys):
+        if y.n != w.n:
+            raise ValueError(f"item {i} has n={y.n}, matrix has n={w.n}")
+    over = {i for i, y in enumerate(ys) if alt(y) > w.d - 1}
     if over and not _decided_by_alternation(w, cfg):
         over = set()
     solved = iter(
@@ -383,7 +366,7 @@ def radius_report(
     w: WeightMatrix,
     family: FamilySpec,
     cfg: LpConfig = LpConfig(),
-    percentiles: Sequence[float] = (1.0, 5.0, 25.0, 50.0, 100.0),
+    percentiles: Sequence[float] = DEFAULT_PERCENTILES,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     jobs: int = 1,
 ) -> RadiusReport:
@@ -403,7 +386,7 @@ def radius_report(
             f"no radii to take percentiles of: all {len(ys)} members are "
             f"indeterminate (first: {batch.results[0].reason})"
         )
-    rows =tuple((float(p), _nearest_rank(radii, p)) for p in percentiles)
+    rows = tuple((float(p), _nearest_rank(radii, p)) for p in percentiles)
     return RadiusReport(
         family=family,
         rows=rows,

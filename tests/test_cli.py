@@ -78,15 +78,6 @@ class TestDftAndCheck:
         obj = _report_from(capsys)
         assert obj["payload"]["verdict"] == "mixed-signs"
 
-    def test_check_calls_a_zero_row_degenerate(self, tmp_path, capsys):
-        matrix = tmp_path / "w.csv"
-        matrix.write_text("1.0,0.0\n0.0,0.0\n0.0,1.0\n1.0,1.0\n")
-        assert run(["check", "--matrix", str(matrix)]) == ExitCode.OK
-        payload = _report_from(capsys)["payload"]
-        assert payload["verdict"] == "degenerate"
-        assert payload["general_position"] is False
-        assert payload["checked_minors"] == 1
-
 
 class TestVerify:
     def test_all_assignments_of_a_spectral_layer(self, tmp_path, capsys):
@@ -115,17 +106,40 @@ class TestVerify:
         obj = _report_from(capsys)
         assert obj["payload"]["summary"]["argmaxable"] == 3
 
-    def test_label_width_mismatch_is_indeterminate_and_wins(self, tmp_path, capsys):
+    def test_label_width_mismatch_is_an_input_error(self, tmp_path, capsys):
         matrix = tmp_path / "w.csv"
         run(["dft", "--n", "6", "--k", "1", "--out", str(matrix)])
-        capsys.readouterr()
         labels = tmp_path / "labels.txt"
         labels.write_text("+----\n")
+        report = tmp_path / "report.json"
+        code = run(["verify", "--matrix", str(matrix), "--labels", str(labels),
+                    "--out", str(report)])
+        assert code == ExitCode.INPUT
+        assert capsys.readouterr() == ("", "error: item 0 has n=5, matrix has n=6\n")
+        assert not report.exists()
+
+    def test_indeterminate_wins_over_unargmaxable(self, tmp_path, capsys, monkeypatch):
+        from argmaxable import verifier
+
+        def stubbed(w, y, cfg):
+            if y.signs[0] > 0:
+                return verifier.VerifyResult(
+                    verifier.VerifyStatus.INDETERMINATE, reason="stubbed"
+                )
+            return verifier.VerifyResult(verifier.VerifyStatus.NOT_EPS_ARGMAXABLE)
+
+        monkeypatch.setattr(verifier, "chebyshev_verify", stubbed)
+        matrix = tmp_path / "w.csv"
+        matrix.write_text("1.0,0.0\n0.0,1.0\n-1.0,-1.0\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("+--\n-+-\n")
         code = run(["verify", "--matrix", str(matrix), "--labels", str(labels)])
         assert code == ExitCode.INDETERMINATE
-        obj = _report_from(capsys)
-        assert obj["payload"]["summary"]["indeterminate"] == 1
-        assert "reason" in obj["payload"]["results"][0]
+        payload = _report_from(capsys)["payload"]
+        assert [r["status"] for r in payload["results"]] == [
+            "indeterminate", "not_eps_argmaxable"
+        ]
+        assert payload["results"][0]["reason"] == "stubbed"
 
     def test_dft_file_round_trips_into_the_alternation_shortcut(
         self, tmp_path, capsys, monkeypatch
@@ -231,21 +245,6 @@ class TestEnumerate:
         assert obj["payload"]["method"] == "sampled-partial"
         assert obj["payload"]["count"] == 4
 
-    def test_zero_row_fallback_spends_the_budget_without_drawing(self, tmp_path, capsys):
-        matrix = tmp_path / "z.csv"
-        matrix.write_text("1.0,0.5\n0.0,0.0\n-0.3,1.0\n")
-        code = run(
-            ["enumerate", "--matrix", str(matrix), "--budget", str(10**12),
-             "--deterministic", "--out", "-"]
-        )
-        assert code == ExitCode.OK
-        out, err = capsys.readouterr()
-        assert "falling back" in err
-        payload = json.loads(out)["payload"]
-        assert payload["method"] == "sampled-partial"
-        assert payload["members"] == []
-        assert payload["samples_used"] == payload["boundary_skips"] == 10**12
-
     def test_degenerate_explicit_2d_propagates(self, tmp_path):
         matrix = tmp_path / "w.csv"
         matrix.write_text("1.0,0.0\n2.0,0.0\n")
@@ -293,15 +292,23 @@ class TestRadii:
         assert obj["payload"]["members"] == 7
         assert obj["payload"]["summary"]["argmaxable"] == 7
 
-    def test_an_all_indeterminate_family_says_why(self, tmp_path, capsys):
-        matrix = tmp_path / "z.csv"
-        matrix.write_text("1.0,0.0\n0.0,1.0\n0.0,0.0\n")
+    def test_an_all_indeterminate_family_says_why(self, tmp_path, capsys, monkeypatch):
+        from argmaxable import verifier
+
+        def stubbed(w, y, cfg):
+            return verifier.VerifyResult(
+                verifier.VerifyStatus.INDETERMINATE, reason="solver status 4: stubbed"
+            )
+
+        monkeypatch.setattr(verifier, "chebyshev_verify", stubbed)
+        matrix = tmp_path / "w.csv"
+        matrix.write_text("1.0,0.0\n0.0,1.0\n-1.0,-1.0\n")
         code = run(["radii", "--matrix", str(matrix), "--kind", "active", "--k", "1"])
         assert code == ExitCode.INPUT
         out, err = capsys.readouterr()
         assert out == ""
         assert "all 4 members are indeterminate" in err
-        assert "zero-norm row(s) 3" in err
+        assert "solver status 4: stubbed" in err
 
 
 class TestMetrics:
@@ -446,6 +453,35 @@ class TestExitCodes:
         code = run(["check", "--matrix", str(tmp_path / "nope.csv")])
         assert code == ExitCode.INPUT
         capsys.readouterr()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text, rows",
+        [("1.0,0.0\n0.0,0.0\n0.0,1.0\n", "row(s) 2"),
+         ("1.0,0.0\n0.0,1.0\n1e200,1e200\n", "row(s) 3")],
+        ids=["zero-row", "overflowing-row"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["verify", "--labels", "{labels}"], ["enumerate"],
+         ["radii", "--kind", "active", "--k", "1"]],
+        ids=["check", "verify", "enumerate", "radii"],
+    )
+    def test_a_row_norm_of_zero_or_infinity_is_input(
+        self, argv, text, rows, tmp_path, capsys
+    ):
+        matrix = tmp_path / "w.csv"
+        matrix.write_text(text)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("+--\n")
+        report = tmp_path / "report.json"
+        argv = [argv[0], "--matrix", str(matrix), "--out", str(report),
+                *(str(labels) if a == "{labels}" else a for a in argv[1:])]
+        assert run(argv) == ExitCode.INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and not report.exists()
+        assert err.startswith(f"error: {matrix}: row norms must be positive and finite")
+        assert err.endswith(f"{rows}\n")
 
     @pytest.mark.parametrize(
         "argv",

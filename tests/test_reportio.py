@@ -69,6 +69,29 @@ class TestMatrixRoundTrip:
         back = parse_matrix(target)
         assert back.provenance == Provenance(kind="dft+slack", k=1, s=3, seed=7)
 
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            ({"k": 2.5}, "k must be an integer, got 2.5"),
+            ({"k": True}, "k must be an integer, got True"),
+            ({"k": "abc"}, "k must be an integer, got 'abc'"),
+            ({"k": 1, "s": 0, "seed": "abc"}, "seed must be an integer, got 'abc'"),
+            ({"k": 1, "s": 2.0, "seed": 0}, "s must be an integer, got 2.0"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"provenance": {"kind": "dft", "k": 2.5}}, "k must be an integer, got 2.5"),
+            ({"provenance": {"kind": "dft", "k": 0}}, "k must be >= 1, got 0"),
+            ({"provenance": {"kind": "dft+slack", "k": 1, "s": -2, "seed": 0}},
+             "s must be >= 0, got -2"),
+        ],
+    )
+    def test_sidecar_provenance_fields_must_be_integers(self, sidecar, message, tmp_path):
+        target = tmp_path / "w.csv"
+        target.write_text("1.0,0.0\n0.0,1.0\n")
+        (tmp_path / "w.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(target)
+        assert str(exc.value) == f"{tmp_path / 'w.json'}: provenance {message}"
+
     def test_sidecar_shape_mismatch_rejected(self, tmp_path):
         target = tmp_path / "w.csv"
         target.write_text("1.0,0.0\n0.0,1.0\n")
@@ -205,6 +228,24 @@ class TestLabelFiles:
         with pytest.raises(ParseError) as exc:
             parse_labels(target)
         assert "outside 1..4" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "line, column, message",
+        [
+            ("1, 9", 4, "index 9 outside 1..4"),
+            ("  2,3,  x ", 9, "not an index: 'x'"),
+            ("1,,2", 3, "not an index: ''"),
+            (" 3 , 1,3", 8, "duplicate index 3"),
+        ],
+    )
+    def test_sparse_error_column_is_the_character_column(
+        self, line, column, message, tmp_path
+    ):
+        target = tmp_path / "labels.txt"
+        target.write_text(f"n=4\n{line}\n")
+        with pytest.raises(ParseError) as exc:
+            parse_labels(target)
+        assert str(exc.value) == f"{target}:2:{column}: {message}"
 
     def test_sparse_bad_header(self, tmp_path):
         target = tmp_path / "labels.txt"
