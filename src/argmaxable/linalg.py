@@ -16,7 +16,8 @@ invariant under row rescaling.  tau_det is a parameter of
 ``gr_plus_status`` only; ``is_general_position`` uses ``DEFAULT_TAU_DET``
 and ``sign_vector`` tests logits against ``DEFAULT_TAU_SIGN``.  The
 threshold needs every row norm positive and finite, which
-``WeightMatrix`` guarantees.  General position and the sign verdict share
+``WeightMatrix`` guarantees, and the scan refuses up front a matrix whose
+minors could overflow.  General position and the sign verdict share
 this one threshold and one scan: the d-subsets are generated in
 colexicographic order as numpy index blocks of bounded size, and each
 block gets one batched determinant call and one vectorized threshold
@@ -220,6 +221,14 @@ def _minor_blocks(
     n, d = w.n, w.d
     if n < d:
         raise ValueError(f"need n >= d rows for maximal minors, got n={n}, d={d}")
+    # Hadamard: no minor, nor any partial product of its LU pivots, exceeds
+    # the product of max(1, ||w_i||) over its rows.
+    largest = np.maximum(np.sort(w.row_norms)[-d:], 1.0).tolist()
+    if not math.isfinite(math.prod(largest)):
+        raise ValueError(
+            "minors may overflow float64: the product of the d largest row "
+            "norms is not finite"
+        )
     total = math.comb(n, d)
     if total > budget:
         raise MinorBudgetError(
@@ -258,15 +267,15 @@ def is_general_position(w: WeightMatrix) -> bool:
     is not degenerate, i.e. every maximal minor satisfies |det| >=
     ``DEFAULT_TAU_DET`` * product of the selected row norms; more than
     ``DEFAULT_MINOR_BUDGET`` minors raise MinorBudgetError.  With fewer
-    rows than columns the condition degrades to full row rank, tested
-    through the Gram determinant: det(W W^T) equals the sum of squared
-    wide-minors, so its square root is compared against the same
-    rescaling-invariant threshold.
+    rows than columns the condition degrades to full row rank: the volume
+    spanned by the normalised rows, prod |R_ii| from a QR of their
+    transpose, is compared with ``DEFAULT_TAU_DET``.  That volume is
+    sqrt(det(W W^T)) / prod ||w_i||, taken without squaring the
+    conditioning as the Gram matrix does.
     """
     if w.n < w.d:
-        gram = w.entries @ w.entries.T
-        value = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
-        return value >= DEFAULT_TAU_DET * float(np.prod(w.row_norms))
+        r = np.linalg.qr((w.entries / w.row_norms[:, None]).T, mode="r")
+        return float(np.prod(np.abs(np.diag(r)))) >= DEFAULT_TAU_DET
     return gr_plus_status(w).verdict is not GrVerdict.DEGENERATE
 
 

@@ -26,30 +26,30 @@ the floor:
     subject to  sum_i lambda_i (-y_i w_i) - mu_lo + mu_hi = 0    (d rows)
                 sum_i lambda_i ||w_i|| - nu = 1                  (1 row)
 
-The dual optimum equals the primal one, so it is the radius, and the
-multipliers of the d equality rows (scipy's ``eqlin.marginals``) are the
-primal x, the witness.  An unbounded dual (status 3) proves the primal
-infeasible: NOT_EPS_ARGMAXABLE.  The dual is cheaper because a simplex
-basis has one column per row: d + 1 here against n in the primal.  On
-the benchmark's n = 500, d = 21 items the LP step took ~40% less time.  Any other outcome (status 4
-"Solve error", another status, an optimum below the floor, an exception)
-re-solves the item once in the primal form above, and only when that
-fails too is the item Indeterminate, with both failures in its reason.
-Radii of the two forms agree to ~1e-11 relative on well-conditioned
-items.  On ill-conditioned DFT items they have differed by up to ~2x,
-either way round, with each form's witness confirming its own radius:
-there neither form's radius is the exact optimum.
+The dual optimum is the radius, and the duals of its d equality rows are
+the witness x.  An unbounded dual proves the primal infeasible:
+NOT_EPS_ARGMAXABLE.  A simplex basis of the dual has d + 1 columns
+against n in the primal.  Any other outcome re-solves the item once in
+the primal form; only when that fails too is the item Indeterminate,
+with both failures in its reason.  The two forms' radii agree to ~1e-11
+relative on well-conditioned items and differ by up to ~2x on
+ill-conditioned DFT items, where neither is the exact optimum.
 
-HiGHS runs without presolve, in both forms.  Every row of the LP is dense
-and none is redundant, so presolve reduces nothing and only adds its own
-pass to each solve.  It can still steer the simplex to a slightly different
-path: a matrix with exactly parallel rows (which presolve merges), and
-on the DFT layer the constant assignments and a few with one or two
-alternations, get radii and witnesses that differ in the last ~2
-digits.  The verdicts are the same in every case measured.
-scipy.optimize is imported on the first solve, not with this module:
-the import costs ~0.75 s and ~40 MB, which commands that solve no LP
-need not pay.
+Each worker thread solves through one HiGHS instance (Huangfu & Hall,
+*Math. Prog. Comp.* 10, 2018), from scipy's private binding
+``scipy.optimize._highspy._core``; pyproject pins the first scipy known
+to ship it.  The instance holds the dual of the all-minus assignment,
+column-wise.  Each item re-signs the lambda entries of the first d rows
+in numpy and passes the model again, so every solve is cold.  That drops
+``linprog``'s input checks and sparse rebuild: ~12 -> ~7 ms per item at
+n = 500, d = 21.  One ``changeCoeff`` call per flipped entry was slower
+than ``linprog`` itself on items with ~500 active labels (39 against 23
+ms per item at n = 1000, d = 32), and warm starts from the previous
+basis were slower (9.1 ms) and gave one spurious solve error.  Options, statuses and messages are ``linprog``'s
+for method "highs" without presolve, which on these dense rows reduces
+nothing (it moved radii in their last ~2 digits, never a verdict).  The
+binding loads with the first session, not with this module: ~0.75 s
+and ~40 MB that commands solving no LP need not pay.
 
 ``verify_batch`` answers one class of items without an LP.  When W is
 bit for bit ``build_dft_matrix(n, k)``, every Wx samples a trigonometric
@@ -68,7 +68,9 @@ to ``chebyshev_verify``.
 from __future__ import annotations
 
 import math
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -100,13 +102,6 @@ __all__ = [
 ]
 
 DEFAULT_PERCENTILES = (1.0, 5.0, 25.0, 50.0, 100.0)
-
-
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use (module docstring)."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -153,19 +148,25 @@ class VerifyResult:
 
 
 def chebyshev_verify(
-    w: WeightMatrix, y: LabelAssignment, cfg: LpConfig = LpConfig()
+    w: WeightMatrix,
+    y: LabelAssignment,
+    cfg: LpConfig = LpConfig(),
+    session: Optional["_Session"] = None,
 ) -> VerifyResult:
     """Certify one assignment against one matrix: the dual LP, then the
     primal LP only when the dual decides nothing (module docstring).
 
-    Raises ValueError when y and w disagree on n.
+    ``session`` is this thread's HiGHS session for w and cfg; without one
+    a session is built for this item alone.  Raises ValueError when y
+    and w disagree on n.
     """
     if y.n != w.n:
         raise ValueError(f"assignment has n={y.n}, matrix has n={w.n}")
     start = time.perf_counter()
-    res = _dual_lp(w, y, cfg)
+    session = session or _Session(w, cfg)
+    res = session.dual(y)
     if res.status is VerifyStatus.INDETERMINATE:
-        primal = _primal_lp(w, y, cfg)
+        primal = session.primal(y)
         if primal.status is VerifyStatus.INDETERMINATE:
             primal = VerifyResult(
                 VerifyStatus.INDETERMINATE,
@@ -175,69 +176,138 @@ def chebyshev_verify(
     return replace(res, wall_time=time.perf_counter() - start)
 
 
-def _dual_lp(w: WeightMatrix, y: LabelAssignment, cfg: LpConfig) -> VerifyResult:
-    """The dual LP over (lambda, mu_lo, mu_hi, nu): d + 1 equality rows."""
-    n, d = w.n, w.d
-    cost = np.zeros(n + 2 * d + 1)
-    cost[n : n + 2 * d] = cfg.box_bound
-    cost[-1] = -cfg.eps_floor
-    a_eq = np.zeros((d + 1, n + 2 * d + 1))
-    a_eq[:d, :n] = (w.entries * -y.signs[:, None]).T
-    a_eq[:d, n : n + d] = -np.eye(d)
-    a_eq[:d, n + d : n + 2 * d] = np.eye(d)
-    a_eq[d, :n] = w.row_norms
-    a_eq[d, -1] = -1.0
-    b_eq = np.zeros(d + 1)
-    b_eq[d] = 1.0
-    res = _highs(cost, cfg, A_eq=a_eq, b_eq=b_eq)  # every variable >= 0
-    if isinstance(res, str) or res.status != 0:
-        return _not_optimal(res, infeasible_status=3)  # an unbounded dual
-    return _optimum(float(res.fun), res.eqlin.marginals[:d], cfg)
+@dataclass(frozen=True)
+class _Run:
+    """How one HiGHS run ended: HiGHS's model status, and linprog's number
+    and message for it; at number 0 also the objective, the column values
+    x and the row duals."""
+
+    model_status: int
+    status: int
+    message: str
+    objective: float = math.nan
+    x: Optional[np.ndarray] = None
+    duals: Optional[np.ndarray] = None
 
 
-def _primal_lp(w: WeightMatrix, y: LabelAssignment, cfg: LpConfig) -> VerifyResult:
-    """The primal LP over (x, eps): n inequality rows."""
-    n, d = w.n, w.d
-    cost = np.zeros(d + 1)
-    cost[-1] = -1.0
-    a_ub = np.empty((n, d + 1))
-    a_ub[:, :d] = -(y.signs[:, None] * w.entries)
-    a_ub[:, d] = w.row_norms
-    bounds = [(-cfg.box_bound, cfg.box_bound)] * d + [(cfg.eps_floor, None)]
-    res = _highs(cost, cfg, A_ub=a_ub, b_ub=np.zeros(n), bounds=bounds)
-    if isinstance(res, str) or res.status != 0:
-        return _not_optimal(res, infeasible_status=2)
-    return _optimum(float(res.x[-1]), res.x[:d], cfg)
+class _Session:
+    """One HiGHS instance and the dual LP of one matrix, for one thread."""
+
+    def __init__(self, w: WeightMatrix, cfg: LpConfig) -> None:
+        from scipy.optimize import _linprog_highs
+        from scipy.optimize._highspy import _core
+
+        self.core = _core
+        self.scipy_status = _linprog_highs._highs_to_scipy_status_message
+        self.w, self.cfg, self.highs = w, cfg, _core._Highs()
+        options = {
+            "output_flag": False,
+            "presolve": "off",
+            "simplex_strategy": 1,  # dual simplex, as linprog asks for
+            "primal_feasibility_tolerance": cfg.solver_feas_tol,
+            "dual_feasibility_tolerance": cfg.solver_feas_tol,
+        }
+        self.refused = [
+            f"{key}={value!r}"
+            for key, value in options.items()
+            if self.highs.setOptionValue(key, value) != _core.HighsStatus.kOk
+        ]
+        n, d = w.n, w.d
+        a = np.zeros((d + 1, n + 2 * d + 1))
+        a[:d, :n] = w.entries.T  # the all-minus assignment: -y_i = 1
+        a[:d, n : n + d] = -np.eye(d)
+        a[:d, n + d : n + 2 * d] = np.eye(d)
+        a[d, :n] = w.row_norms
+        a[d, -1] = -1.0
+        cost = np.r_[np.zeros(n), np.full(2 * d, cfg.box_bound), -cfg.eps_floor]
+        b = np.r_[np.zeros(d), 1.0]
+        self.dual_lp = self._lp(cost, a, (0.0, np.inf), (b, b))
+        cols, rows = np.nonzero(a.T)  # the stored entries, in _lp's order
+        self.base = a[rows, cols]
+        self.signed = np.flatnonzero((cols < n) & (rows < d))
+        self.signed_label = cols[self.signed]
+
+    def _lp(self, cost, a, col_bounds, row_bounds):
+        """min cost.x subject to row_bounds on a x and col_bounds on x, with
+        a stored column-wise without its zeros, as linprog stores it."""
+        (m, n), lp = a.shape, self.core.HighsLp()
+        lp.num_row_, lp.num_col_ = m, n
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = m, n
+        lp.a_matrix_.format_ = self.core.MatrixFormat.kColwise
+        cols, rows = np.nonzero(a.T)
+        lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(n + 1))
+        lp.a_matrix_.index_, lp.a_matrix_.value_ = rows, a[rows, cols]
+        lp.col_cost_ = cost
+        lp.col_lower_, lp.col_upper_ = (np.broadcast_to(v, n) for v in col_bounds)
+        lp.row_lower_, lp.row_upper_ = (np.broadcast_to(v, m) for v in row_bounds)
+        return lp
+
+    def dual(self, y: LabelAssignment) -> VerifyResult:
+        """The dual LP over (lambda, mu_lo, mu_hi, nu): d + 1 equality rows."""
+        values = self.base.copy()
+        values[self.signed] *= -y.signs[self.signed_label]
+        self.dual_lp.a_matrix_.value_ = values
+        run = self.solve(self.dual_lp)
+        if isinstance(run, str) or run.status != 0:
+            return _not_optimal(run, self.core.HighsModelStatus.kUnbounded)
+        return _optimum(float(run.objective), run.duals[: self.w.d], self.cfg)
+
+    def primal(self, y: LabelAssignment) -> VerifyResult:
+        """The primal LP over (x, eps): n inequality rows."""
+        w, box = self.w, np.full(self.w.d, self.cfg.box_bound)
+        a = np.c_[-(y.signs[:, None] * w.entries), w.row_norms]
+        cost = np.r_[np.zeros(w.d), -1.0]
+        bounds = (np.r_[-box, self.cfg.eps_floor], np.r_[box, np.inf])
+        run = self.solve(self._lp(cost, a, bounds, (-np.inf, 0.0)))
+        if isinstance(run, str) or run.status != 0:
+            return _not_optimal(run, self.core.HighsModelStatus.kInfeasible)
+        return _optimum(float(run.x[-1]), run.x[: w.d], self.cfg)
+
+    def solve(self, lp) -> "_Run | str":
+        """One cold run of lp; or the text of what kept it from running."""
+        if self.refused:
+            return "HiGHS refused option " + ", ".join(self.refused)
+        try:
+            return self.run(lp)
+        except Exception as exc:  # solver blow-ups become Indeterminate, not lies
+            return f"solver raised {type(exc).__name__}: {exc}"
+
+    def run(self, lp) -> _Run:
+        """Pass lp to HiGHS, solve it and read the outcome as linprog does."""
+        core, highs = self.core, self.highs
+        if highs.passModel(lp) == core.HighsStatus.kError:
+            model = core.HighsModelStatus.kModelError
+            text = highs.modelStatusToString(model)
+        else:
+            ran = highs.run() != core.HighsStatus.kError
+            model, info = highs.getModelStatus(), highs.getInfo()
+            text = highs.modelStatusToString(model)
+            if ran and model != core.HighsModelStatus.kOptimal:
+                primal = highs.solutionStatusToString(info.primal_solution_status)
+                text = f"model_status is {text}; primal_status is {primal}"
+        status, message = self.scipy_status(model, text)
+        # linprog refuses an optimum whose bound or row residual exceeds
+        # 10 sqrt(tol), tol = 1e-9; HiGHS reports the largest of them.
+        if status == 0 and not info.max_primal_infeasibility <= 10 * math.sqrt(1e-9):
+            status, message = 4, "The solution does not satisfy the constraints"
+        if status != 0:
+            return _Run(int(model), status, message)
+        solution = highs.getSolution()
+        x, duals = np.array(solution.col_value), np.array(solution.row_dual)
+        return _Run(int(model), 0, message, info.objective_function_value, x, duals)
 
 
-def _highs(cost: np.ndarray, cfg: LpConfig, **rows):
-    """One HiGHS solve without presolve; returns scipy's result, or the
-    text of what the solver raised."""
-    try:
-        return linprog(
-            cost,
-            **rows,
-            method="highs",
-            options={
-                "presolve": False,
-                "primal_feasibility_tolerance": cfg.solver_feas_tol,
-                "dual_feasibility_tolerance": cfg.solver_feas_tol,
-            },
-        )
-    except Exception as exc:  # solver blow-ups become Indeterminate, not lies
-        return f"solver raised {type(exc).__name__}: {exc}"
-
-
-def _not_optimal(res, infeasible_status: int) -> VerifyResult:
-    """The verdict of a solve that raised or ended without an optimum:
-    NOT_EPS_ARGMAXABLE when the status proves the primal infeasible."""
-    if isinstance(res, str):
-        return VerifyResult(VerifyStatus.INDETERMINATE, reason=res)
-    if res.status == infeasible_status:
+def _not_optimal(run: "_Run | str", proof) -> VerifyResult:
+    """The verdict of a run that ended without an optimum:
+    NOT_EPS_ARGMAXABLE when HiGHS's status is ``proof``, the one that
+    proves the primal infeasible."""
+    if isinstance(run, str):
+        return VerifyResult(VerifyStatus.INDETERMINATE, reason=run)
+    if run.model_status == int(proof):
         return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
     return VerifyResult(
         VerifyStatus.INDETERMINATE,
-        reason=f"solver status {res.status}: {res.message}",
+        reason=f"solver status {run.status}: {run.message}",
     )
 
 
@@ -282,11 +352,19 @@ def _lp_results(
     cfg: LpConfig,
     jobs: int,
 ) -> tuple[VerifyResult, ...]:
-    """One Chebyshev LP per assignment, results in input order."""
+    """One Chebyshev LP per assignment, results in input order.  Each
+    worker thread builds its own session on its first item."""
+    local = threading.local()
+
+    def one(y: LabelAssignment) -> VerifyResult:
+        if not hasattr(local, "session"):
+            local.session = _Session(w, cfg)
+        return chebyshev_verify(w, y, cfg, session=local.session)
+
     if jobs > 1 and len(ys) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return tuple(pool.map(lambda y: chebyshev_verify(w, y, cfg), ys))
-    return tuple(chebyshev_verify(w, y, cfg) for y in ys)
+            return tuple(pool.map(one, ys))
+    return tuple(map(one, ys))
 
 
 def _decided_by_alternation(w: WeightMatrix, cfg: LpConfig) -> bool:
@@ -333,15 +411,14 @@ def verify_batch(
 
 
 def summarize(results: Sequence[VerifyResult]) -> BatchSummary:
-    argmaxable = sum(1 for r in results if r.status is VerifyStatus.ARGMAXABLE)
-    one = sum(
-        1
-        for r in results
-        if r.status is VerifyStatus.ARGMAXABLE and r.radius is not None and r.radius >= 1.0
+    count = Counter(r.status for r in results)
+    one = sum(1 for r in results if r.is_argmaxable and r.radius >= 1.0)
+    return BatchSummary(
+        count[VerifyStatus.ARGMAXABLE],
+        one,
+        count[VerifyStatus.NOT_EPS_ARGMAXABLE],
+        count[VerifyStatus.INDETERMINATE],
     )
-    not_eps = sum(1 for r in results if r.status is VerifyStatus.NOT_EPS_ARGMAXABLE)
-    indet = sum(1 for r in results if r.status is VerifyStatus.INDETERMINATE)
-    return BatchSummary(argmaxable, one, not_eps, indet)
 
 
 @dataclass(frozen=True)

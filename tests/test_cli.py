@@ -121,7 +121,7 @@ class TestVerify:
     def test_indeterminate_wins_over_unargmaxable(self, tmp_path, capsys, monkeypatch):
         from argmaxable import verifier
 
-        def stubbed(w, y, cfg):
+        def stubbed(w, y, cfg, session=None):
             if y.signs[0] > 0:
                 return verifier.VerifyResult(
                     verifier.VerifyStatus.INDETERMINATE, reason="stubbed"
@@ -149,9 +149,9 @@ class TestVerify:
         calls = []
         real = verifier.chebyshev_verify
 
-        def counted(w, y, cfg):
+        def counted(w, y, cfg, session=None):
             calls.append(y)
-            return real(w, y, cfg)
+            return real(w, y, cfg, session)
 
         monkeypatch.setattr(verifier, "chebyshev_verify", counted)
         matrix = tmp_path / "w.csv"
@@ -295,7 +295,7 @@ class TestRadii:
     def test_an_all_indeterminate_family_says_why(self, tmp_path, capsys, monkeypatch):
         from argmaxable import verifier
 
-        def stubbed(w, y, cfg):
+        def stubbed(w, y, cfg, session=None):
             return verifier.VerifyResult(
                 verifier.VerifyStatus.INDETERMINATE, reason="solver status 4: stubbed"
             )
@@ -482,6 +482,21 @@ class TestExitCodes:
         assert out == "" and not report.exists()
         assert err.startswith(f"error: {matrix}: row norms must be positive and finite")
         assert err.endswith(f"{rows}\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["check", "enumerate"])
+    def test_minors_that_could_overflow_are_input(self, command, tmp_path, capsys):
+        # Every row norm is finite, but a product of three is not.
+        matrix = tmp_path / "w.csv"
+        matrix.write_text("1e150,0,0\n0,1e150,0\n0,0,1e150\n1e150,1e150,1e150\n")
+        argv = [command, "--matrix", str(matrix), "--deterministic"]
+        assert run(argv) == ExitCode.INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and "Infinity" not in err
+        assert err == (
+            "error: minors may overflow float64: the product of the d "
+            "largest row norms is not finite\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -225,10 +225,18 @@ class TestGeneralPosition:
         assert not is_general_position(WeightMatrix(near))
 
     def test_fewer_rows_than_columns_needs_full_row_rank(self):
-        # The n < d branch tests the Gram determinant.
+        # The n < d branch tests the volume of the normalised rows.
         assert is_general_position(WeightMatrix(np.eye(2, 3)))
         dependent = np.array([[1.0, 2.0, 3.0], [-0.5, -1.0, -1.5]])
         assert not is_general_position(WeightMatrix(dependent))
+
+    def test_rows_dependent_up_to_rounding_are_not_general_position(self):
+        # sqrt(det(W W^T)) came out at 3.1e-10 here, above the threshold,
+        # while the minor scan calls the same rows degenerate.
+        rows = np.array([[1.0, 2.0, 3.0], [-0.002, -0.004, -0.006]])
+        assert not is_general_position(WeightMatrix(rows))
+        third = WeightMatrix(np.vstack([rows, [0.3, 0.1, 0.7]]))
+        assert gr_plus_status(third).verdict is GrVerdict.DEGENERATE
 
 
 class TestGrStatus:

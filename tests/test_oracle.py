@@ -292,9 +292,9 @@ class TestCrossCheck:
         calls = []
         real = verifier.chebyshev_verify
 
-        def counted(w, y, cfg):
+        def counted(w, y, cfg, session=None):
             calls.append(y)
-            return real(w, y, cfg)
+            return real(w, y, cfg, session)
 
         monkeypatch.setattr(verifier, "chebyshev_verify", counted)
         report = cross_check(build_dft_matrix(6, 1), seed=9)

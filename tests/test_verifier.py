@@ -1,7 +1,7 @@
 """Chebyshev LP certification: soundness, golden instances, batching."""
 
 import itertools
-from types import SimpleNamespace
+import sys
 
 import numpy as np
 import pytest
@@ -110,22 +110,28 @@ class TestChebyshevVerify:
     def test_optimum_below_the_eps_floor_is_indeterminate(self, monkeypatch):
         # Ill-conditioned solves have come back with status 0, radius -0.0
         # and a zero witness, breaking the LP's own bound eps >= eps_floor.
-        # The stub answers the dual (fun, eqlin) and the primal fallback (x).
-        def solved_at_zero(cost, **kwargs):
+        # The stub answers the dual (objective, duals) and the primal
+        # fallback (x).
+        def solved_at_zero(session, lp):
             zero = np.array([0.0, 0.0, -0.0])
-            return SimpleNamespace(
-                status=0,
-                fun=-0.0,
-                eqlin=SimpleNamespace(marginals=zero),
-                x=zero,
-                message="",
-            )
+            return verifier._Run(7, 0, "", objective=-0.0, x=zero, duals=zero)
 
-        monkeypatch.setattr(verifier, "linprog", solved_at_zero)
+        monkeypatch.setattr(verifier._Session, "run", solved_at_zero)
         res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
         assert res.status is VerifyStatus.INDETERMINATE
         assert res.radius is None and res.witness is None
         assert "-0.0" in res.reason and "status 0" in res.reason
+
+    def test_a_model_highs_refuses_is_indeterminate_not_infeasible(self):
+        # HiGHS refuses matrix entries above 1e15 with a model error, which
+        # linprog numbers 2 like an infeasible primal; y is feasible here.
+        w = WeightMatrix(np.array([[1e16, 1.0], [0.5, 2.0], [1.0, -1.0]]))
+        res = chebyshev_verify(w, dense("+-+"))
+        assert res.status is VerifyStatus.INDETERMINATE
+        assert res.reason == (
+            "dual LP: solver status 2: (HiGHS Status 2: Model error); "
+            "primal LP: solver status 2: (HiGHS Status 2: Model error)"
+        )
 
     def test_rejects_dimension_mismatch(self):
         w = WeightMatrix(np.eye(2))
@@ -262,9 +268,9 @@ def _counting_lp(monkeypatch):
     calls = []
     real = verifier.chebyshev_verify
 
-    def counted(w, y, cfg=LpConfig()):
+    def counted(w, y, cfg=LpConfig(), session=None):
         calls.append(y)
-        return real(w, y, cfg)
+        return real(w, y, cfg, session)
 
     monkeypatch.setattr(verifier, "chebyshev_verify", counted)
     return calls
@@ -364,7 +370,7 @@ class TestAlternationShortcut:
         # at the default box, so the LP still runs.
         calls = []
 
-        def stub(w, y, cfg=LpConfig()):
+        def stub(w, y, cfg=LpConfig(), session=None):
             calls.append(y)
             return verifier.VerifyResult(VerifyStatus.INDETERMINATE, reason="stub")
 
@@ -417,9 +423,10 @@ class TestPresolveOff:
         """Compare every item with the reference, bit for bit when rel is
         0; return the statuses seen."""
         box = LpConfig().box_bound
+        session = verifier._Session(w, LpConfig())
         statuses = set()
         for y in ys:
-            res = verifier._primal_lp(w, y, LpConfig())
+            res = session.primal(y)
             status, radius, witness = reference_chebyshev_verify(w.entries, y.signs)
             assert res.status.value == status, y.to_dense()
             statuses.add(status)
@@ -464,12 +471,21 @@ class TestPresolveOff:
         ys = _predicted(rng, w, 16) + _random_signs(rng, w.n, 8)
         assert self._compare(w, ys, rel=1e-12) == {"argmaxable", "not_eps_argmaxable"}
 
-    @pytest.mark.filterwarnings("error::scipy.optimize.OptimizeWarning")
     def test_every_highs_option_is_recognized(self):
-        # scipy only warns about an unknown option and then ignores it;
-        # as an error, the warning would turn this item INDETERMINATE.
+        # HiGHS answers setOptionValue with kOk or kError; a refused option
+        # would leave the solver at its default value.
+        session = verifier._Session(build_dft_matrix(6, 1), LpConfig())
+        assert session.refused == []
         res = chebyshev_verify(build_dft_matrix(6, 1), dense("+-----"))
         assert res.status is VerifyStatus.ARGMAXABLE and res.reason is None
+
+    def test_a_refused_option_makes_the_item_indeterminate(self):
+        # HiGHS takes no feasibility tolerance below 1e-10.
+        cfg = LpConfig(eps_floor=1e-11, solver_feas_tol=1e-12)
+        res = chebyshev_verify(build_dft_matrix(6, 1), dense("+-----"), cfg)
+        assert res.status is VerifyStatus.INDETERMINATE
+        assert res.radius is None and res.witness is None
+        assert "HiGHS refused option primal_feasibility_tolerance=1e-12" in res.reason
 
 
 class TestDualForm:
@@ -524,27 +540,76 @@ class TestDualForm:
         assert statuses == {"argmaxable", "not_eps_argmaxable"}
 
 
+def _bits(results) -> list:
+    """Every field of every result, witnesses as bytes, wall times left out."""
+    return [
+        (r.status, r.radius, None if r.witness is None else r.witness.tobytes(), r.reason)
+        for r in results
+    ]
+
+
+class TestSession:
+    """verify_batch re-uses one HiGHS session per worker thread.  Every
+    solve in it must be cold: the same bits as a session of its own, in
+    whatever order and on whichever thread the items come."""
+
+    _dft_items = TestPresolveOff._dft_items
+
+    def _layers(self):
+        rng = np.random.default_rng(44)
+        dft = build_dft_matrix(40, 3)
+        gauss = WeightMatrix(rng.standard_normal((60, 5)))
+        return [
+            (dft, self._dft_items() + _random_signs(rng, 40, 8)),
+            (gauss, _predicted(rng, gauss, 12) + _random_signs(rng, 60, 12)),
+        ]
+
+    def test_a_batch_matches_fresh_one_item_solves_in_either_order(self):
+        for w, ys in self._layers():
+            fresh = _bits(chebyshev_verify(w, y) for y in ys)
+            assert {status for status, *_ in fresh} == {
+                VerifyStatus.ARGMAXABLE,
+                VerifyStatus.NOT_EPS_ARGMAXABLE,
+            }
+            assert _bits(verify_batch(w, ys).results) == fresh
+            backwards = verify_batch(w, ys[::-1]).results
+            assert _bits(backwards[::-1]) == fresh
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_more_jobs_match_one(self, jobs):
+        # Up to twice as many workers as the 2-core reference host, with the
+        # interpreter switching threads as often as it can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w, ys in self._layers():
+                one = verify_batch(w, ys, jobs=1).results
+                assert _bits(verify_batch(w, ys, jobs=jobs).results) == _bits(one)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 def _failing_dual(monkeypatch, dual_failure, primal_failure=None):
-    """Route the dual solve (the one with equality rows) to
-    ``dual_failure`` and the primal to ``primal_failure``, or to HiGHS when
-    that is None; return the list of forms solved, in order."""
-    real = verifier.linprog
+    """Route the dual solve (the session's own model) to ``dual_failure``
+    and the primal to ``primal_failure``, or to HiGHS when that is None;
+    return the list of forms solved, in order."""
+    real = verifier._Session.run
     forms = []
 
-    def stub(cost, **kwargs):
-        form = "dual" if "A_eq" in kwargs else "primal"
+    def stub(session, lp):
+        form = "dual" if lp is session.dual_lp else "primal"
         forms.append(form)
         failure = dual_failure if form == "dual" else primal_failure
         if failure is None:
-            return real(cost, **kwargs)
+            return real(session, lp)
         return failure()
 
-    monkeypatch.setattr(verifier, "linprog", stub)
+    monkeypatch.setattr(verifier._Session, "run", stub)
     return forms
 
 
 def _solve_error():
-    return SimpleNamespace(status=4, message="(HiGHS Status 4: Solve error)")
+    return verifier._Run(4, 4, "(HiGHS Status 4: Solve error)")
 
 
 def _raises():
@@ -574,7 +639,7 @@ class TestPrimalFallback:
 
     def test_both_failures_are_named_in_the_reason(self, monkeypatch):
         def iteration_limit():
-            return SimpleNamespace(status=1, message="Iteration limit reached.")
+            return verifier._Run(14, 1, "Iteration limit reached.")
 
         forms = _failing_dual(monkeypatch, _solve_error, iteration_limit)
         res = chebyshev_verify(build_dft_matrix(6, 1), dense("+-----"))
