@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True, help="label count")
     p.add_argument("--k", type=_positive_int, required=True, help="frequency pairs")
     p.add_argument("--s", type=_nonneg_int, default=0, help="slack columns (default 0)")
-    p.add_argument("--seed", type=int, default=0, help="slack RNG seed (default 0)")
+    p.add_argument("--seed", type=_nonneg_int, default=0, help="slack RNG seed (default 0)")
     p.add_argument("--out", required=True, help="CSV path ('-' for stdout, no sidecar)")
     p.set_defaults(handler=_cmd_dft)
 
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SAMPLE_BUDGET,
         help="sampling budget (default %(default)s)",
     )
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    p.add_argument("--seed", type=_nonneg_int, default=0, help="sampling seed (default 0)")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser(

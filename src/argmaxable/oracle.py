@@ -12,7 +12,12 @@ judgment over the LP verifier.  Two routes:
   formula as a termination certificate: once the distinct sign vectors
   hit cover_count(n, d) (valid for general-position W), the set is
   provably complete.  Budget exhaustion yields an explicitly partial
-  result, never an error.
+  result, never an error.  Each chunk's Gaussian draws are made one
+  chunk ahead on a helper thread (numpy releases the GIL while drawing),
+  so the next chunk is drawn while this one is sign-coded.  The helper
+  alone calls the generator, in the order and sizes one thread would,
+  and a chunk counts only once it is examined, so the draws and the
+  report are those of a single-threaded loop.
 
 Most chunks of draws are never normalised.  With u = 2^-53 and M the
 largest |entry| of a chunk, the raw product of the chunk with W^T has the
@@ -32,6 +37,7 @@ arrangement is central, so sign(W(-x)) = -sign(Wx).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import FrozenSet, Optional
@@ -210,6 +216,13 @@ def enumerate_regions_sampled(
     General position is decided here by the minor scan, under
     ``DEFAULT_MINOR_BUDGET``; a scan over that budget counts as unknown,
     so no completeness is claimed.
+
+    Each chunk is drawn one chunk ahead on a single helper thread, so up
+    to two cores are busy.  The helper alone calls the generator, with
+    the sizes and order of a single-threaded loop, so the stream is
+    bit-identical; a chunk counts only once examined and none is drawn
+    past ``budget``, so the result is unchanged.  The helper is joined
+    before the function returns or raises.
     """
     n, d = w.n, w.d
     tau_sign = DEFAULT_TAU_SIGN
@@ -237,38 +250,50 @@ def enumerate_regions_sampled(
         else None
     )
     factor = _guard_factor(w, tau_sign)
-    while used < budget:
-        chunk = min(_SAMPLE_CHUNK, budget - used)
-        draws = rng.standard_normal((chunk, d))
-        used += chunk
-        raw = draws @ transpose
-        positive = raw > 0.0
-        peak = max(float(draws.max()), -float(draws.min()))
-        if not (
-            factor is not None
-            and _GUARD_LOW <= peak <= _GUARD_HIGH
-            and float(np.abs(raw, out=raw).min()) > factor * peak
-        ):
-            lengths = np.linalg.norm(draws, axis=1, keepdims=True)
-            good_length = lengths[:, 0] > 0.0
-            lengths[~good_length] = 1.0
-            draws /= lengths
-            logits = draws @ transpose
-            clean = good_length & (np.abs(logits) >= tau_sign).all(axis=1)
-            skips += int(chunk - np.count_nonzero(clean))
-            positive = (logits > 0.0)[clean]
-        # Most draws of a chunk repeat a region, so dedupe in numpy before
-        # anything reaches the Python set.
-        if use_int_codes:
-            codes = np.unique(positive.astype(np.int64) @ bit_weights)
-            seen.update(codes.tolist())
-            seen.update((codes ^ full_mask).tolist())
-        else:
-            codes = np.unique(np.packbits(positive, axis=1), axis=0)
-            seen.update(row.tobytes() for row in codes)
-            seen.update(row.tobytes() for row in codes ^ full_mask)
-        if target is not None and len(seen) >= target:
-            break
+    with ThreadPoolExecutor(max_workers=1) as helper:
+
+        def draw(start: int):
+            # The chunk that starts at draw number `start`; None at the budget.
+            if start >= budget:
+                return None
+            return helper.submit(
+                rng.standard_normal, (min(_SAMPLE_CHUNK, budget - start), d)
+            )
+
+        pending = draw(0)
+        while used < budget:
+            draws = pending.result()
+            chunk = len(draws)
+            used += chunk
+            pending = draw(used)
+            raw = draws @ transpose
+            positive = raw > 0.0
+            peak = max(float(draws.max()), -float(draws.min()))
+            if not (
+                factor is not None
+                and _GUARD_LOW <= peak <= _GUARD_HIGH
+                and float(np.abs(raw, out=raw).min()) > factor * peak
+            ):
+                lengths = np.linalg.norm(draws, axis=1, keepdims=True)
+                good_length = lengths[:, 0] > 0.0
+                lengths[~good_length] = 1.0
+                draws /= lengths
+                logits = draws @ transpose
+                clean = good_length & (np.abs(logits) >= tau_sign).all(axis=1)
+                skips += int(chunk - np.count_nonzero(clean))
+                positive = (logits > 0.0)[clean]
+            # Most draws of a chunk repeat a region, so dedupe in numpy
+            # before anything reaches the Python set.
+            if use_int_codes:
+                codes = np.unique(positive.astype(np.int64) @ bit_weights)
+                seen.update(codes.tolist())
+                seen.update((codes ^ full_mask).tolist())
+            else:
+                codes = np.unique(np.packbits(positive, axis=1), axis=0)
+                seen.update(row.tobytes() for row in codes)
+                seen.update(row.tobytes() for row in codes ^ full_mask)
+            if target is not None and len(seen) >= target:
+                break
     if use_int_codes:
         codes = np.fromiter(seen, dtype=np.int64, count=len(seen))
         bits = (codes[:, None] >> np.arange(n)) & 1

@@ -45,11 +45,12 @@ in numpy and passes the model again, so every solve is cold.  That drops
 n = 500, d = 21.  One ``changeCoeff`` call per flipped entry was slower
 than ``linprog`` itself on items with ~500 active labels (39 against 23
 ms per item at n = 1000, d = 32), and warm starts from the previous
-basis were slower (9.1 ms) and gave one spurious solve error.  Options, statuses and messages are ``linprog``'s
-for method "highs" without presolve, which on these dense rows reduces
-nothing (it moved radii in their last ~2 digits, never a verdict).  The
-binding loads with the first session, not with this module: ~0.75 s
-and ~40 MB that commands solving no LP need not pay.
+basis were slower (9.1 ms) and gave one spurious solve error.  Options,
+statuses and messages are ``linprog``'s for method "highs" without
+presolve, which on these dense rows reduces nothing (it moved radii in
+their last ~2 digits, never a verdict).  The binding loads with the
+first session, not with this module: ~0.75 s and ~40 MB that commands
+solving no LP need not pay.
 
 ``verify_batch`` answers one class of items without an LP.  When W is
 bit for bit ``build_dft_matrix(n, k)``, every Wx samples a trigonometric

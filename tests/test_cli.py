@@ -529,6 +529,26 @@ class TestExitCodes:
         assert argv[-2] in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--matrix", "{matrix}", "--seed", "-1"],
+            ["dft", "--n", "10", "--k", "2", "--s", "2", "--out", "{out}",
+             "--seed", "-3"],
+        ],
+        ids=["enumerate", "dft"],
+    )
+    def test_a_negative_seed_is_usage_before_any_read_or_write(
+        self, argv, tmp_path, capsys
+    ):
+        files = {"{matrix}": str(tmp_path / "nope.csv"),
+                 "{out}": str(tmp_path / "w.csv")}
+        assert run([files.get(a, a) for a in argv]) == ExitCode.USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --seed: must be >= 0" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["radii", "--kind", "active", "--k", "5", "--budget", "10"], "--budget"),

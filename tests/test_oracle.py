@@ -1,5 +1,7 @@
 """Region enumeration oracles and the LP cross-check."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,9 @@ class TestSampledEnumeration:
         assert a.samples_used == b.samples_used
 
 
+_CHUNK = 1 << 15
+
+
 def _random(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
 
@@ -267,6 +272,58 @@ class TestSampledMatchesTheNormalisedLoop:
             monkeypatch, build_dft_matrix(10, 2).entries, 10**7, seed, 1e-12
         )
         assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
+
+    # Draws are made one chunk ahead of the chunk being coded; budgets on
+    # either side of a chunk edge pin that no prefetched draw is counted.
+    @pytest.mark.parametrize(
+        "budget", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 1],
+        ids=["one", "chunk", "chunk-plus-1", "three-chunks-minus-1"],
+    )
+    @pytest.mark.parametrize(
+        "entries",
+        [_with_duplicated_rows(), _random((70, 3), 56)],
+        ids=["duplicated-rows", "n-70"],
+    )
+    def test_budgets_at_chunk_edges(self, monkeypatch, entries, budget):
+        regions = self._assert_matches(monkeypatch, entries, budget, 12, 1e-3)
+        assert regions.samples_used == budget
+
+
+class TestHelperThread:
+    """The draw-ahead thread is joined on every way out of the sampler."""
+
+    def test_none_outlives_a_spent_budget(self):
+        before = set(threading.enumerate())
+        w = WeightMatrix(_with_duplicated_rows())
+        regions = enumerate_regions_sampled(w, budget=3 * _CHUNK - 1, seed=1)
+        assert regions.samples_used == 3 * _CHUNK - 1
+        assert set(threading.enumerate()) == before
+
+    def test_none_outlives_a_certificate_stop(self):
+        before = set(threading.enumerate())
+        regions = enumerate_regions_sampled(build_dft_matrix(6, 1), budget=10**6)
+        assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
+        assert regions.samples_used < 10**6
+        assert set(threading.enumerate()) == before
+
+    def test_none_outlives_an_error_inside_the_loop(self, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def broken(*args, **kwargs):
+            # Fail on the second chunk, while the third is being drawn.
+            calls.append(1)
+            if len(calls) == 2:
+                raise ZeroDivisionError("dedupe bug")
+            return unique(*args, **kwargs)
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(oracle.np, "unique", broken)
+        w = WeightMatrix(_with_duplicated_rows())
+        with pytest.raises(ZeroDivisionError):
+            enumerate_regions_sampled(w, budget=10 * _CHUNK)
+        assert len(calls) == 2
+        assert set(threading.enumerate()) == before
 
 
 class TestCrossCheck:
