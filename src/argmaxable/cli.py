@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from datetime import datetime, timezone
 from enum import IntEnum
@@ -97,10 +98,25 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _lp_scale(text: str) -> float:
+    """A positive LP cost: HiGHS reads one of 1e20 or more as infinite."""
+    value = _positive_float(text)
+    if not value < 1e20:
+        raise argparse.ArgumentTypeError(f"must be below 1e20, got {value}")
     return value
 
 
@@ -158,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("--box", LpConfig.box_bound, "coordinate box bound for the witness"),
         ("--feas-tol", LpConfig.solver_feas_tol, "LP feasibility tolerance, < --eps"),
     ):
+        kind = _positive_float if flag == "--feas-tol" else _lp_scale
         help_text = text + " (default %(default)s)"
-        lp.add_argument(flag, type=_positive_float, default=default, help=help_text)
+        lp.add_argument(flag, type=kind, default=default, help=help_text)
     lp.add_argument("--jobs", type=_positive_int, default=1, help="worker count")
 
     p = sub.add_parser(
@@ -275,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_finite_float,
         default=0.5,
         help="activity threshold for micro/macro F1 (default 0.5)",
     )

@@ -323,7 +323,7 @@ class ReportEnvelope:
 
     def to_json(self) -> str:
         obj = {"schema_version": SCHEMA_VERSION, **vars(self)}
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _object(fields: dict, optional: Optional[dict] = None) -> dict:

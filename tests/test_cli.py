@@ -528,6 +528,43 @@ class TestExitCodes:
         # The diagnostic names the offending flag, the last one given.
         assert argv[-2] in err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--matrix", "{matrix}", "--labels", "{missing}", "--box"],
+            ["verify", "--matrix", "{matrix}", "--labels", "{missing}", "--eps"],
+            ["radii", "--matrix", "{matrix}", "--kind", "active", "--k", "1",
+             "--feas-tol"],
+            ["check", "--matrix", "{matrix}", "--tau-det"],
+            ["metrics", "--scores", "{matrix}", "--gold", "{missing}", "--k", "1",
+             "--threshold"],
+        ],
+        ids=["box", "eps", "feas-tol", "tau-det", "threshold"],
+    )
+    def test_a_non_finite_float_flag_is_usage_before_any_read(
+        self, argv, value, tmp_path, capsys
+    ):
+        files = {"{matrix}": str(tmp_path / "nope.csv"),
+                 "{missing}": str(tmp_path / "nope.txt")}
+        flag = f"{argv[-1]}={value}"  # "=" keeps argparse from reading -inf as a flag
+        assert run([files.get(a, a) for a in argv[:-1]] + [flag]) == ExitCode.USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {argv[-1]}: must be finite" in err
+
+    @pytest.mark.parametrize("flag", ["--box", "--eps"])
+    def test_an_lp_cost_highs_reads_as_infinite_is_usage(self, flag, tmp_path, capsys):
+        matrix, labels = tmp_path / "w.csv", tmp_path / "ys.txt"
+        assert run(["dft", "--n", "6", "--k", "1", "--out", str(matrix)]) == ExitCode.OK
+        labels.write_text("+-----\n")
+        argv = ["verify", "--matrix", str(matrix), "--labels", str(labels), "--out", "-"]
+        assert run(argv + [flag, "1e20"]) == ExitCode.USAGE
+        assert f"argument {flag}: must be below 1e20" in capsys.readouterr().err
+        # Just below HiGHS's infinity the box still certifies.
+        assert run(argv + ["--box", "1e19"]) == ExitCode.OK
+        assert _report_from(capsys)["payload"]["summary"]["argmaxable"] == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,6 +1,7 @@
 """File formats: matrix CSV, sidecars, label files, score files, reports."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -385,6 +386,19 @@ class TestReportEnvelope:
         assert text.endswith("}\n")
         keys = list(json.loads(text))
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_float_is_refused_not_written(self, value):
+        # NaN and Infinity are not JSON; a report must never carry them.
+        envelope = ReportEnvelope(
+            tool_version="0.1.0",
+            command="check",
+            config={"tau_det": value},
+            timestamp=None,
+            payload={},
+        )
+        with pytest.raises(ValueError):
+            envelope.to_json()
 
 
 class TestSchemas:

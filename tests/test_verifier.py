@@ -1,6 +1,7 @@
 """Chebyshev LP certification: soundness, golden instances, batching."""
 
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -616,6 +617,10 @@ def _raises():
     raise RuntimeError("numerical trouble")
 
 
+def _unbounded():
+    return verifier._Run(10, 3, "The problem is unbounded. (HiGHS Status 10: ...)")
+
+
 class TestPrimalFallback:
     """A dual solve that decides nothing is solved once more in the primal
     form; only when both fail is the item INDETERMINATE."""
@@ -655,3 +660,173 @@ class TestPrimalFallback:
         for text in ("+-----", "+-+---"):
             chebyshev_verify(build_dft_matrix(6, 1), dense(text))
         assert forms == ["dual", "dual"]
+
+
+def _k_active(rng, n: int, count: int) -> list:
+    """count seeded assignments, item i with 1 + i % 10 active labels."""
+    ys = []
+    for i in range(count):
+        signs = -np.ones(n, dtype=np.int8)
+        signs[rng.choice(n, size=1 + i % 10, replace=False)] = 1
+        ys.append(LabelAssignment(signs))
+    return ys
+
+
+def _rowgen_layers():
+    rng = np.random.default_rng(45)
+    gauss = WeightMatrix(rng.standard_normal((1000, 32)))
+    return {
+        "dft": (build_dft_matrix(500, 10), _k_active(rng, 500, 40)),
+        "gauss": (gauss, _predicted(rng, gauss, 12) + _k_active(rng, 1000, 12)),
+    }
+
+
+def _full_dual(monkeypatch, w, ys) -> list:
+    """The results with row generation switched off, each from a fresh
+    session."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_ROWGEN_RATIO", math.inf)
+        return [chebyshev_verify(w, y) for y in ys]
+
+
+def _restricted_outcomes(monkeypatch) -> list:
+    """Record whether each restricted dual decided its item."""
+    real = verifier._Session.restricted
+    outcomes = []
+
+    def spy(session, y):
+        res = real(session, y)
+        outcomes.append(res is not None)
+        return res
+
+    monkeypatch.setattr(verifier._Session, "restricted", spy)
+    return outcomes
+
+
+class TestRowGeneration:
+    """When n >= 8d the dual is first solved on a working set of rows.
+    Only a checked optimum of that restricted LP is kept; every other
+    outcome is the full dual's result, bit for bit."""
+
+    # Radii of at least 1e-5 agree to radius_rel, the largest relative
+    # difference measured on these items rounded up to the next power of
+    # ten: 2.4e-4 on the spectral layer and 1.6e-13 on the Gaussian one.
+    # Below 1e-5 the spectral layer is ill-conditioned and a restricted
+    # solve can land on another near-optimal vertex, as the primal form
+    # does: within a factor of 2 (measured 0.30, at radius 4.3e-7).
+    @pytest.mark.parametrize("layer, radius_rel", [("dft", 1e-3), ("gauss", 1e-12)])
+    def test_matches_the_full_dual(self, monkeypatch, layer, radius_rel):
+        w, ys = _rowgen_layers()[layer]
+        full = _full_dual(monkeypatch, w, ys)
+        outcomes = _restricted_outcomes(monkeypatch)
+        cfg = LpConfig()
+        statuses = set()
+        for y, ref in zip(ys, full):
+            res = chebyshev_verify(w, y, cfg)
+            assert res.status is ref.status, y.to_dense()
+            statuses.add(res.status)
+            if res.status is not VerifyStatus.ARGMAXABLE:
+                continue
+            if ref.radius >= 1e-5:
+                assert res.radius == pytest.approx(ref.radius, rel=radius_rel)
+            else:
+                assert 0.5 <= res.radius / ref.radius <= 2.0
+            assert sign_vector(w, res.witness) == y
+            assert np.max(np.abs(res.witness)) <= cfg.box_bound
+            margins = y.signs * (w.entries @ res.witness) / w.row_norms
+            assert np.min(margins) >= cfg.eps_floor
+        assert VerifyStatus.ARGMAXABLE in statuses
+        assert len(outcomes) == len(ys) and sum(outcomes) >= len(ys) // 2
+
+    def test_is_skipped_below_eight_rows_per_column(self, monkeypatch):
+        outcomes = _restricted_outcomes(monkeypatch)
+        chebyshev_verify(build_dft_matrix(40, 3), dense("+" + "-" * 39))
+        assert outcomes == []
+        chebyshev_verify(build_dft_matrix(56, 3), dense("+" + "-" * 55))
+        assert outcomes == [True]
+
+    def test_the_margin_check_charges_a_rounding_bound(self):
+        # Row 2's margin is exactly 1e-8 + delta; with max|x| = box the
+        # bound charges ~gamma_6 sqrt(2) box = 9.4e-12 against it.
+        w, y, cfg = WeightMatrix(np.eye(2)), dense("++"), LpConfig()
+        for delta, accepted in [(5e-12, False), (2e-11, True)]:
+            x = np.array([cfg.box_bound, cfg.eps_floor + delta])
+            res = verifier._checked_optimum(w, y, 1.0, x, cfg)
+            assert (res is not None) is accepted, delta
+        assert res.status is VerifyStatus.ARGMAXABLE and res.radius == 1.0
+        assert verifier._checked_optimum(w, y, 0.5 * cfg.eps_floor, x, cfg) is None
+        # A witness past the box is scaled into it, and checked there.
+        res = verifier._checked_optimum(w, y, 1.0, 2.0 * x, cfg)
+        assert np.array_equal(res.witness, x)
+        assert verifier._checked_optimum(w, y, 1.0, np.array([3e4, 2e-8]), cfg) is None
+
+    def _items(self):
+        return build_dft_matrix(500, 10), _k_active(np.random.default_rng(46), 500, 10)
+
+    def _assert_declined_to_the_full_dual(self, monkeypatch, w, ys):
+        full = _full_dual(monkeypatch, w, ys)
+        outcomes = _restricted_outcomes(monkeypatch)
+        assert _bits(chebyshev_verify(w, y) for y in ys) == _bits(full)
+        assert outcomes == [False] * len(ys)
+
+    def test_the_round_cap_declines(self, monkeypatch):
+        w, ys = self._items()
+        monkeypatch.setattr(verifier, "_ROWGEN_ROUNDS", 1)
+        self._assert_declined_to_the_full_dual(monkeypatch, w, ys)
+
+    def test_a_failed_margin_check_declines(self, monkeypatch):
+        w, ys = self._items()
+        checked = []
+
+        def refuse(*args):
+            checked.append(args)
+            return None
+
+        monkeypatch.setattr(verifier, "_checked_optimum", refuse)
+        self._assert_declined_to_the_full_dual(monkeypatch, w, ys)
+        assert len(checked) == len(ys)
+
+    @pytest.mark.parametrize("round_", [0, 1])
+    @pytest.mark.parametrize(
+        "failure",
+        [_unbounded, _solve_error, _raises],
+        ids=["unbounded", "solve-error", "raises"],
+    )
+    def test_a_restricted_run_without_an_optimum_declines(
+        self, monkeypatch, failure, round_
+    ):
+        # round_ 0 fails the cold solve, 1 the first solve after addCols.
+        w, ys = self._items()
+        real_restricted, real_run = verifier._Session.restricted, verifier._Session.run
+        runs = []
+
+        def restricted(session, y):
+            runs.clear()
+            return real_restricted(session, y)
+
+        def run(session, lp):
+            inside = lp is None or (lp is not session.dual_lp and not runs)
+            runs.append(lp)
+            if inside and len(runs) - 1 == round_:
+                return failure()
+            return real_run(session, lp)
+
+        monkeypatch.setattr(verifier._Session, "run", run)
+        full = _full_dual(monkeypatch, w, ys)
+        monkeypatch.setattr(verifier._Session, "restricted", restricted)
+        outcomes = _restricted_outcomes(monkeypatch)
+        assert _bits(chebyshev_verify(w, y) for y in ys) == _bits(full)
+        assert outcomes == [False] * len(ys)
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_more_jobs_match_one(self, monkeypatch, jobs):
+        w, ys = _rowgen_layers()["dft"]
+        outcomes = _restricted_outcomes(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            one = verify_batch(w, ys, jobs=1).results
+            assert any(outcomes)
+            assert _bits(verify_batch(w, ys, jobs=jobs).results) == _bits(one)
+        finally:
+            sys.setswitchinterval(interval)
