@@ -113,11 +113,12 @@ def _positive_float(text: str) -> float:
 
 
 def _lp_scale(text: str) -> float:
-    """A positive LP cost: HiGHS reads one of 1e20 or more as infinite."""
-    value = _positive_float(text)
-    if not value < 1e20:
-        raise argparse.ArgumentTypeError(f"must be below 1e20, got {value}")
-    return value
+    """A value LpConfig takes as box_bound or eps_floor."""
+    value = float(text)
+    try:
+        return LpConfig.valid_scale(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _rank_list(text: str) -> list[int]:

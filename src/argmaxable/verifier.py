@@ -62,21 +62,40 @@ rows in numpy from the row duals (x, eps), rc_i = y_i w_i . x -
 eps ||w_i||, adds up to 2d of the most negative rows below
 -solver_feas_tol through ``addCols``, and goes on from HiGHS's kept
 basis with primal simplex, which the added columns (at 0) leave
-feasible.  A restricted result can only be ARGMAXABLE: HiGHS must call it
-optimal, no row of the n may price below the tolerance, the radius must
-reach eps_floor, and so must a rounding-proof lower bound on the
-witness's own margin over all n rows (``_checked_optimum``).  Every
-other outcome (an unbounded or failed restricted run, a failed check,
-``_ROWGEN_ROUNDS`` = 16 rounds without convergence) goes to the full
-dual, cold, so NOT_EPS_ARGMAXABLE and Indeterminate items get the same
-bits as without row generation.  An unbounded restricted dual would
-prove the primal infeasible in exact arithmetic, but HiGHS's verdict is
-no certificate: taking it turned 2 of 500 feasible certify-dft items
-(seed 11) from Indeterminate into NOT_EPS_ARGMAXABLE.  Measured on a
+feasible.  A restricted run decides its item in two ways only, each
+through a check in numpy:
+
+* ARGMAXABLE, when HiGHS calls it optimal, no row of the n prices below
+  the tolerance, the radius reaches eps_floor, and so does a
+  rounding-proof lower bound on the witness's own margin over all n rows
+  (``_checked_optimum``);
+* NOT_EPS_ARGMAXABLE, when it ends unbounded and its primal ray, read as
+  multipliers lambda >= 0 on the rows of its columns, proves the radius
+  of every point in the box at most hi = box ||sum lambda_i y_i w_i||_1 /
+  sum lambda_i ||w_i|| (Farkas), and hi plus a bound on its rounding
+  error, hi gamma_{m+2d+6} + gamma_{m+2} sqrt(d) box for a ray with m
+  positive entries (derived in ``_checked_ray``), is below eps_floor.
+  When a ray with d + 1 positive entries fails, lambda re-solved on
+  those rows in float (``_refined``) is checked once more.
+
+Every other outcome (a failed run, a ray that fails, ``_ROWGEN_ROUNDS``
+= 16 rounds without convergence) goes to the full dual, cold, with the
+bits it has without row generation.  HiGHS's unbounded status alone is
+no certificate: taken as one, it turned 2 of 500 feasible certify-dft
+items (seed 11) from Indeterminate into NOT_EPS_ARGMAXABLE, and on seeds
+31 and 902 a restricted run HiGHS called unbounded belongs to an item the
+full dual certifies ARGMAXABLE (the ray gives hi 6.6e-6 and 7.4e-6).  The
+check declines all four.  So a verdict can differ from the full dual's
+only where a ray passes: such an item is NOT_EPS_ARGMAXABLE, which its
+ray proves, whatever the full dual says.  On certify-dft seeds 11, 31,
+32, 901 and 902 and learned-eval seed 7 no verdict moved.  Measured on a
 2-core host: at n = 500, d = 21 items add rows in 1 to 5 rounds and the
 bench's certify-dft verify step went 0.21 -> 0.13 s; the median item
 went ~0.28 -> ~0.11 s at ``build_dft_matrix(2000, 50)`` and 9.7 -> 4.3
-s at the mimic3 shape (8921, 80), in at most 8 rounds.  Radii of
+s at the mimic3 shape (8921, 80), in at most 8 rounds.  On learned-eval's
+1000 x 32 Gaussian layer every gold item ends unbounded, with a ray on
+d + 1 rows that passes: 150 such items took ~1.6 s with a second, full
+dual each and take ~0.4 s without.  Radii of
 well-conditioned items agree with the full dual to ~1e-12 relative;
 ill-conditioned ones (radius ~1e-6) can land on another near-optimal
 vertex, as the primal form does, up to ~2x apart.
@@ -152,10 +171,26 @@ class LpConfig:
     solver_feas_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not self.box_bound > 0:
-            raise ValueError("box_bound must be positive")
+        for name in ("box_bound", "eps_floor"):
+            try:
+                self.valid_scale(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
         if not self.eps_floor > self.solver_feas_tol > 0:
             raise ValueError("need eps_floor > solver_feas_tol > 0")
+
+    @staticmethod
+    def valid_scale(value: float) -> float:
+        """value, when it can be box_bound or eps_floor: finite, positive
+        and below 1e20, which HiGHS reads as infinite in a cost.  Raises
+        ValueError saying what it must be otherwise."""
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        if not value > 0:
+            raise ValueError(f"must be > 0, got {value}")
+        if not value < 1e20:
+            raise ValueError(f"must be below 1e20, got {value}")
+        return value
 
 
 class VerifyStatus(Enum):
@@ -281,7 +316,8 @@ class _Session:
     def dual(self, y: LabelAssignment) -> VerifyResult:
         """The dual LP over (lambda, mu_lo, mu_hi, nu): d + 1 equality rows.
         When n >= _ROWGEN_RATIO * d, a restricted dual comes first; every
-        outcome but its checked optimum falls through to the full LP."""
+        outcome but its checked optimum or checked ray falls through to the
+        full LP."""
         if self.w.n >= _ROWGEN_RATIO * self.w.d:
             res = self.restricted(y)
             if res is not None:
@@ -296,8 +332,10 @@ class _Session:
 
     def restricted(self, y: LabelAssignment) -> Optional[VerifyResult]:
         """The dual LP on a working set of lambda columns, grown by pricing
-        all n rows (module docstring): its checked ARGMAXABLE result, or
-        None when it decides nothing."""
+        all n rows (module docstring): ARGMAXABLE from an optimum that
+        passes ``_checked_optimum``, NOT_EPS_ARGMAXABLE from the ray of an
+        unbounded run that passes ``_checked_ray``, or None when it decides
+        nothing.  HiGHS's statuses alone decide nothing here."""
         w, cfg, status = self.w, self.cfg, self.core.HighsStatus
         d, block = w.d, _ROWGEN_BLOCK * w.d
         near = y.signs * (w.entries @ (w.entries.T @ y.signs)) / w.row_norms
@@ -306,6 +344,8 @@ class _Session:
         )
         chosen = np.zeros(w.n, dtype=bool)
         chosen[rows] = True
+        # The matrix row of each HiGHS column, -1 for mu_lo, mu_hi and nu.
+        col_rows = np.r_[rows, np.full(2 * d + 1, -1)]
         cost = np.r_[np.zeros(rows.size), self.box_cost]
         a = np.c_[self.columns(y, rows), self.box_columns]
         run = self.solve(self._lp(cost, a, (0.0, np.inf), (self.rhs, self.rhs)))
@@ -314,7 +354,11 @@ class _Session:
             if self.highs.setOptionValue("simplex_strategy", 4) != status.kOk:
                 return None
             for _ in range(_ROWGEN_ROUNDS):
-                if isinstance(run, str) or run.status != 0:
+                if isinstance(run, str):
+                    return None
+                if run.model_status == int(self.core.HighsModelStatus.kUnbounded):
+                    return self.farkas(y, col_rows)
+                if run.status != 0:
                     return None
                 x, eps = run.duals[:d], run.duals[d]
                 price = y.signs * (w.entries @ x) - eps * w.row_norms
@@ -324,6 +368,7 @@ class _Session:
                     return _checked_optimum(w, y, float(run.objective), x, cfg)
                 add = short[np.argsort(price[short], kind="stable")[:block]]
                 chosen[add] = True
+                col_rows = np.r_[col_rows, add]
                 start, index, value = _colwise(self.columns(y, add))
                 zeros = np.zeros(add.size)
                 # addCols warns, as passModel does, when it drops entries
@@ -343,6 +388,29 @@ class _Session:
             return None
         finally:
             self.highs.setOptionValue("simplex_strategy", 1)
+
+    def farkas(
+        self, y: LabelAssignment, col_rows: np.ndarray
+    ) -> Optional[VerifyResult]:
+        """NOT_EPS_ARGMAXABLE when the primal ray of the unbounded run just
+        ended, read as lambda on the matrix rows col_rows gives its columns,
+        passes ``_checked_ray`` as it is or once ``_refined``; otherwise
+        None."""
+        w, cfg = self.w, self.cfg
+        try:
+            status, has_ray, ray = self.highs.getPrimalRay()
+        except (AttributeError, RuntimeError, TypeError, ValueError):
+            return None  # a binding without the call, or of another shape
+        if status == self.core.HighsStatus.kError or not has_ray:
+            return None
+        ray = np.asarray(ray, dtype=np.float64)
+        if ray.shape != col_rows.shape:
+            return None
+        rows, lam = col_rows[col_rows >= 0], ray[col_rows >= 0]
+        res = _checked_ray(w, y, rows, lam, cfg)
+        if res is None and np.count_nonzero(lam > 0.0) == w.d + 1:
+            res = _checked_ray(w, y, rows, _refined(w, y, rows, lam), cfg)
+        return res
 
     def columns(self, y: LabelAssignment, rows: np.ndarray) -> np.ndarray:
         """The dual's lambda columns for the given rows under y."""
@@ -475,11 +543,93 @@ def _checked_optimum(
         x = np.clip(x * (box / top), -box, box)
     d = w.d
     margin = float(np.min(y.signs * (w.entries @ x) / w.row_norms))
-    g = (d + 4) * 2.0**-53 / (1.0 - (d + 4) * 2.0**-53)
+    g = _gamma(d + 4)
     lower = margin - g * (margin + math.sqrt(d) * float(np.max(np.abs(x))))
     if not lower >= cfg.eps_floor:
         return None
     return VerifyResult(VerifyStatus.ARGMAXABLE, radius=radius, witness=x)
+
+
+def _checked_ray(
+    w: WeightMatrix,
+    y: LabelAssignment,
+    rows: np.ndarray,
+    lam: np.ndarray,
+    cfg: LpConfig,
+) -> Optional[VerifyResult]:
+    """NOT_EPS_ARGMAXABLE when multipliers lam >= 0 on the given rows of w
+    prove, with a rounding-proof upper bound, that no point in the box has
+    radius eps_floor under y; otherwise None.  Entries of lam below 0 are
+    taken as 0.
+
+    The bound (Farkas; Neumaier & Shcherbina, *Math. Prog.* 99, 2004,
+    §3): for the support S of lam, v = sum_S lam_i y_i w_i and
+    T = sum_S lam_i ||w_i||, every (x, eps) with y_i w_i . x >= eps ||w_i||
+    for all i and |x_j| <= box has eps T <= v . x <= box ||v||_1, so
+    eps <= hi* = box ||v||_1 / T.  That holds for any lam >= 0, exact or
+    not, so only the arithmetic below needs checking.  With u = 2^-53,
+    gamma_k = k u / (1 - k u), m = |S|, and neither underflow nor
+    overflow (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3; an overflow shows as an inf or nan, or as an infinite t, which
+    is refused):
+
+    * p = fl(sum_S lam_i y_i w_i) has |p_j - v_j| <= gamma_m sum_S
+      lam_i |w_ij| in any summation order, with or without FMA, so
+      ||v||_1 <= sum_j |p_j| + gamma_m sqrt(d) T.
+    * s = fl(sum_j |p_j|) sums d terms >= 0: sum_j |p_j| <= s (1 - u)^-(d-1).
+    * fl(||w_i||) <= ||w_i|| (1 + u)^(d/2 + 1) (squares, sum, square root),
+      and t = fl(sum_S lam_i fl(||w_i||)) <= that sum times (1 + u)^m, so
+      T >= t (1 + u)^-(m + d/2 + 1).
+    * hi = fl(fl(box s) / t) >= (box s / t) (1 - u)^2.
+
+    Since (1 + u) <= (1 - u)^-1 and (1 - u)^-k <= 1 + gamma_k,
+    hi* <= hi (1 + gamma_{m+2d+2}) + gamma_m sqrt(d) box.  The code
+    charges hi (1 + gamma_{m+2d+6}) + gamma_{m+2} sqrt(d) box.  Computing
+    the two gammas and that sum rounds eight times, each time by a factor
+    of at least 1 - u, which costs at most 3 u hi on the first term and a
+    relative 5 u on the second; the four spare units of u in the first
+    gamma add at least 4 u hi, and the two in the second a relative 2 / m.
+    The item is NOT_EPS_ARGMAXABLE only when the result is below
+    eps_floor; a nan or inf anywhere fails that test.
+    """
+    support = lam > 0.0
+    rows, lam = rows[support], lam[support]
+    m, d, box = lam.size, w.d, cfg.box_bound
+    p = (lam * y.signs[rows]) @ w.entries[rows]
+    t = float(lam @ w.row_norms[rows])
+    if not 0.0 < t < math.inf:  # an overflowed t would make hi 0
+        return None
+    hi = box * float(np.sum(np.abs(p))) / t
+    upper = hi * (1.0 + _gamma(m + 2 * d + 6)) + _gamma(m + 2) * math.sqrt(d) * box
+    if not upper < cfg.eps_floor:
+        return None
+    return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
+
+
+def _refined(
+    w: WeightMatrix, y: LabelAssignment, rows: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """lam re-solved on its d + 1 positive entries: the solution of
+    sum lam_i y_i w_i = 0 and sum lam_i ||w_i|| = 1 there, corrected once
+    from its residual, all in float; zero elsewhere, and all zero when
+    that system is singular.  ``_checked_ray`` decides whether it proves
+    anything."""
+    support = lam > 0.0
+    rows = rows[support]
+    a = np.vstack([(y.signs[rows, None] * w.entries[rows]).T, w.row_norms[rows]])
+    b = np.r_[np.zeros(w.d), 1.0]
+    out = np.zeros(lam.shape)
+    try:
+        fixed = np.linalg.solve(a, b)
+        out[support] = fixed + np.linalg.solve(a, b - a @ fixed)
+    except np.linalg.LinAlgError:
+        pass
+    return out
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,14 @@ class TestLpConfig:
         with pytest.raises(ValueError):
             LpConfig(box_bound=0.0)
 
+    @pytest.mark.parametrize("field", ["box_bound", "eps_floor"])
+    @pytest.mark.parametrize("value", [1e20, math.inf, math.nan])
+    def test_refuses_what_highs_reads_as_infinite(self, field, value):
+        # HiGHS reads a cost of 1e20 or more as infinite; such a config
+        # would come back from it as "Status 15", not as a verdict.
+        with pytest.raises(ValueError, match=field):
+            LpConfig(**{field: value})
+
 
 class TestChebyshevVerify:
     def test_one_active_is_feasible_for_the_spectral_layer(self):
@@ -690,22 +698,41 @@ def _full_dual(monkeypatch, w, ys) -> list:
 
 
 def _restricted_outcomes(monkeypatch) -> list:
-    """Record whether each restricted dual decided its item."""
+    """Record whether each restricted dual decided its item, and check that
+    it decided only through a check: ARGMAXABLE from ``_checked_optimum``
+    or NOT_EPS_ARGMAXABLE from ``_checked_ray``."""
     real = verifier._Session.restricted
-    outcomes = []
+    outcomes, passed = [], []
+
+    def checked(check, status):
+        def spy(*args):
+            res = check(*args)
+            if res is not None:
+                assert res.status is status
+                passed.append(res)
+            return res
+
+        return spy
 
     def spy(session, y):
         res = real(session, y)
+        assert res is None or any(res is p for p in passed)
         outcomes.append(res is not None)
         return res
 
+    for name, status in [
+        ("_checked_optimum", VerifyStatus.ARGMAXABLE),
+        ("_checked_ray", VerifyStatus.NOT_EPS_ARGMAXABLE),
+    ]:
+        monkeypatch.setattr(verifier, name, checked(getattr(verifier, name), status))
     monkeypatch.setattr(verifier._Session, "restricted", spy)
     return outcomes
 
 
 class TestRowGeneration:
     """When n >= 8d the dual is first solved on a working set of rows.
-    Only a checked optimum of that restricted LP is kept; every other
+    Only a checked optimum (ARGMAXABLE) or a checked Farkas ray
+    (NOT_EPS_ARGMAXABLE) of that restricted LP is kept; every other
     outcome is the full dual's result, bit for bit."""
 
     # Radii of at least 1e-5 agree to radius_rel, the largest relative
@@ -759,6 +786,120 @@ class TestRowGeneration:
         res = verifier._checked_optimum(w, y, 1.0, 2.0 * x, cfg)
         assert np.array_equal(res.witness, x)
         assert verifier._checked_optimum(w, y, 1.0, np.array([3e4, 2e-8]), cfg) is None
+
+    def test_decides_not_eps_from_a_checked_ray(self, monkeypatch):
+        # The k-active items of the Gaussian layer are NOT_EPS; each must be
+        # decided by the restricted dual's ray, with no full-dual run.
+        w, ys = _rowgen_layers()["gauss"]
+        full = _full_dual(monkeypatch, w, ys)
+        outcomes = _restricted_outcomes(monkeypatch)
+        real_run = verifier._Session.run
+        full_runs = []
+
+        def run(session, lp):
+            full_runs.append(lp is session.dual_lp)
+            return real_run(session, lp)
+
+        monkeypatch.setattr(verifier._Session, "run", run)
+        not_eps = 0
+        for y, ref in zip(ys, full):
+            full_runs.clear()
+            res = chebyshev_verify(w, y)
+            assert res.status is ref.status
+            if res.status is VerifyStatus.NOT_EPS_ARGMAXABLE:
+                not_eps += 1
+                assert not any(full_runs) and outcomes[-1]
+                assert _bits([res]) == _bits([ref])
+        assert not_eps >= 12
+
+    def _ray(self, monkeypatch):
+        """The arguments of the first ray check on a Gaussian NOT_EPS item."""
+        w, ys = _rowgen_layers()["gauss"]
+        real, rays = verifier._checked_ray, []
+
+        def spy(*args):
+            rays.append(args)
+            return real(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "_checked_ray", spy)
+            chebyshev_verify(w, ys[-1])
+        return rays[0]
+
+    def test_a_corrupted_ray_fails_the_check(self, monkeypatch):
+        w, y, rows, lam, cfg = self._ray(monkeypatch)
+        assert verifier._checked_ray(w, y, rows, lam, cfg) is not None
+        top = np.argmax(lam)
+        scaled, flipped = lam.copy(), lam.copy()
+        scaled[top] *= 2.0
+        flipped[top] *= -1.0
+        for bad in (scaled, flipped):
+            assert verifier._checked_ray(w, y, rows, bad, cfg) is None
+        # Re-solved on its d + 1 rows, the scaled ray proves the item again.
+        fixed = verifier._refined(w, y, rows, scaled)
+        assert verifier._checked_ray(w, y, rows, fixed, cfg) is not None
+
+    def test_a_corrupted_ray_declines_to_the_full_dual(self, monkeypatch):
+        w, ys = _rowgen_layers()["gauss"]
+        ys = ys[-4:]  # k-active items, all NOT_EPS
+        real = verifier._checked_ray
+
+        def flipped(w, y, rows, lam, cfg):
+            lam = lam.copy()
+            lam[np.argmax(lam)] *= -1.0
+            return real(w, y, rows, lam, cfg)
+
+        monkeypatch.setattr(verifier, "_checked_ray", flipped)
+        self._assert_declined_to_the_full_dual(monkeypatch, w, ys)
+
+    def test_a_scaled_ray_is_refined_on_its_support(self, monkeypatch):
+        # Each item's raw ray, with its largest lambda doubled, fails; the
+        # second check, of lambda re-solved on the same d + 1 rows, passes.
+        w, ys = _rowgen_layers()["gauss"]
+        ys = ys[-4:]
+        real, calls = verifier._checked_ray, []
+
+        def scaled(w, y, rows, lam, cfg):
+            calls.append(lam)
+            if len(calls) % 2:
+                lam = lam.copy()
+                lam[np.argmax(lam)] *= 2.0
+            return real(w, y, rows, lam, cfg)
+
+        monkeypatch.setattr(verifier, "_checked_ray", scaled)
+        outcomes = _restricted_outcomes(monkeypatch)
+        results = [chebyshev_verify(w, y) for y in ys]
+        assert {r.status for r in results} == {VerifyStatus.NOT_EPS_ARGMAXABLE}
+        assert outcomes == [True] * len(ys) and len(calls) == 2 * len(ys)
+
+    def test_the_ray_check_charges_a_rounding_bound(self):
+        # Rows w and -w under "++" are exactly infeasible.  lam = (1, 1 - t)
+        # gives hi = box t / (2 - t), set here to eps_floor - gap up to
+        # ~5e-13; the check charges ~gamma_4 box = 4.4e-12 against it.
+        w, y, cfg = WeightMatrix(np.array([[1.0], [-1.0]])), dense("++"), LpConfig()
+        rows = np.arange(2)
+        for gap, accepted in [(1e-11, True), (2e-12, False), (-1e-12, False)]:
+            hi = cfg.eps_floor - gap
+            lam = np.array([1.0, 1.0 - 2.0 * hi / (cfg.box_bound + hi)])
+            res = verifier._checked_ray(w, y, rows, lam, cfg)
+            assert (res is not None) is accepted, gap
+        assert res is None
+        assert verifier._checked_ray(w, y, rows, np.array([1.0, 1.0]), cfg) is not None
+        assert verifier._checked_ray(w, y, rows, np.array([-1.0, 0.0]), cfg) is None
+        assert verifier._checked_ray(w, y, rows, np.array([np.nan, 1.0]), cfg) is None
+        # Here hi* = box 1e-10 / 2 for any lam = (c, c); at c = 1e308 the
+        # norm sum overflows while the row sum does not, which would make
+        # the computed hi 0.
+        tilted = WeightMatrix(np.array([[1.0, 1e-10], [-1.0, 0.0]]))
+        with np.errstate(over="ignore"):
+            for c in (1.0, 1e308):
+                lam = np.array([c, c])
+                assert verifier._checked_ray(tilted, y, rows, lam, cfg) is None, c
+        # "+++" is feasible here; lam = (1, 1, -1) sums the rows to 0 with
+        # a positive norm sum, which proves nothing: its -1 counts as 0.
+        w = WeightMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        lam = np.array([1.0, 1.0, -1.0])
+        assert verifier._checked_ray(w, dense("+++"), np.arange(3), lam, cfg) is None
 
     def _items(self):
         return build_dft_matrix(500, 10), _k_active(np.random.default_rng(46), 500, 10)
