@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "LabelAssignment",
-    "DENSE_CHARS",
     "FamilyKind",
     "FamilySpec",
     "EnumerationBudgetError",
@@ -44,10 +43,15 @@ __all__ = [
 # glyph have the same visual width; plain ASCII '-' is accepted on input.
 PLUS_CHAR = "+"
 MINUS_CHAR = "−"
-_INPUT_MINUS = {"-", MINUS_CHAR}
-DENSE_CHARS = frozenset({PLUS_CHAR, *_INPUT_MINUS})
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
+
+
+def dense_signs(text: str) -> np.ndarray:
+    """int8 signs of a dense string: 1 for '+', -1 for either minus, else 0."""
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    minus = (codes == ord("-")) | (codes == ord(MINUS_CHAR))
+    return (codes == ord(PLUS_CHAR)).astype(np.int8) - minus
 
 
 class EnumerationBudgetError(ValueError):
@@ -85,14 +89,10 @@ class LabelAssignment:
         """Parse a dense string like '+--+' ('-' or the minus glyph)."""
         if not text:
             raise ValueError("dense form must be non-empty")
-        signs = np.empty(len(text), dtype=np.int8)
-        for i, ch in enumerate(text):
-            if ch == PLUS_CHAR:
-                signs[i] = 1
-            elif ch in _INPUT_MINUS:
-                signs[i] = -1
-            else:
-                raise ValueError(f"illegal character {ch!r} at position {i + 1}")
+        signs = dense_signs(text)
+        if not signs.all():
+            i = int(np.argmin(signs != 0))
+            raise ValueError(f"illegal character {text[i]!r} at position {i + 1}")
         return cls(signs)
 
     @classmethod

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .labelspace import DENSE_CHARS, FamilyKind, LabelAssignment
+from .labelspace import FamilyKind, LabelAssignment, dense_signs
 from .linalg import GrVerdict, Provenance, WeightMatrix
 from .oracle import EnumerationMethod
 from .verifier import VerifyStatus
@@ -210,24 +210,20 @@ def _parse_dense_line(
     error counts from the start of the raw line."""
     indent = len(line) - len(line.lstrip())
     line = line.strip()
-    for col_no, ch in enumerate(line, start=indent + 1):
-        if ch not in DENSE_CHARS:
-            hint = ""
-            if ch.isdigit():
-                hint = " (sparse files need an n=<count> header line)"
-            raise ParseError(
-                path,
-                f"illegal character {ch!r} in dense assignment{hint}",
-                line=line_no,
-                column=col_no,
-            )
+    signs = dense_signs(line)
+    if not signs.all():
+        i = int(np.argmin(signs != 0))
+        ch, hint = line[i], " (sparse files need an n=<count> header line)"
+        message = f"illegal character {ch!r} in dense assignment"
+        message += hint if ch.isdigit() else ""
+        raise ParseError(path, message, line=line_no, column=indent + 1 + i)
     if expected_n is not None and len(line) != expected_n:
         raise ParseError(
             path,
             f"assignment has {len(line)} labels, expected {expected_n}",
             line=line_no,
         )
-    return LabelAssignment.from_dense(line)
+    return LabelAssignment(signs)
 
 
 def _parse_sparse_line(

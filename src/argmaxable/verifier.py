@@ -38,19 +38,24 @@ ill-conditioned DFT items, where neither is the exact optimum.
 Each worker thread solves through one HiGHS instance (Huangfu & Hall,
 *Math. Prog. Comp.* 10, 2018), from scipy's private binding
 ``scipy.optimize._highspy._core``; pyproject pins the first scipy known
-to ship it.  The instance holds the dual of the all-minus assignment,
-column-wise.  Each item re-signs the lambda entries of the first d rows
-in numpy and passes the model again, so every solve is cold.  That drops
-``linprog``'s input checks and sparse rebuild: ~12 -> ~7 ms per item at
-n = 500, d = 21.  One ``changeCoeff`` call per flipped entry was slower
-than ``linprog`` itself on items with ~500 active labels (39 against 23
-ms per item at n = 1000, d = 32), and warm starts from the previous
-basis were slower (9.1 ms) and gave one spurious solve error.  Options,
-statuses and messages are ``linprog``'s for method "highs" without
-presolve, which on these dense rows reduces nothing (it moved radii in
-their last ~2 digits, never a verdict).  The binding loads with the
-first session, not with this module: ~0.75 s and ~40 MB that commands
-solving no LP need not pay.
+to ship it.  The session stores the dual of the all-minus assignment
+once, column-wise, and cuts each model from it in numpy: the full dual
+by re-signing the lambda entries of its first d rows, restricted duals
+and added columns by gathering columns, the primal by reading the lambda
+columns as rows.  These reach HiGHS as numpy buffers through the array
+``passModel`` and ``addCols``; filling the binding's LP object field by
+field converted each element under the GIL, and building and passing a
+restricted model took ~0.37 -> ~0.09 ms at n = 500, d = 21 and ~0.68 ->
+~0.14 ms at n = 1000, d = 32.  A binding without that overload raises
+TypeError, and each item is then Indeterminate with the error in its
+reason.  Full solves are cold: per-entry ``changeCoeff`` calls and warm
+starts from the last basis were both slower, and a warm start gave one
+spurious solve error.
+Options, statuses and messages are ``linprog``'s for method "highs"
+without presolve, which on these dense rows reduces nothing (it moved
+radii in their last ~2 digits, never a verdict).  The binding loads with
+the first session, not with this module: ~0.75 s and ~40 MB that
+commands solving no LP need not pay.
 
 At the optimum only d + 1 of the n lambda columns are basic, so when
 n >= 8d (``_ROWGEN_RATIO``) the dual is first solved by row generation
@@ -79,7 +84,7 @@ through a check in numpy:
   those rows in float (``_refined``) is checked once more.
 
 Every other outcome (a failed run, a ray that fails, ``_ROWGEN_ROUNDS``
-= 16 rounds without convergence) goes to the full dual, cold, with the
+= 16 runs without convergence) goes to the full dual, cold, with the
 bits it has without row generation.  HiGHS's unbounded status alone is
 no certificate: taken as one, it turned 2 of 500 feasible certify-dft
 items (seed 11) from Indeterminate into NOT_EPS_ARGMAXABLE, and on seeds
@@ -154,7 +159,8 @@ DEFAULT_PERCENTILES = (1.0, 5.0, 25.0, 50.0, 100.0)
 
 # Row generation (module docstring): it runs when n >= _ROWGEN_RATIO * d,
 # starts from 2 * _ROWGEN_BLOCK * d rows, adds at most _ROWGEN_BLOCK * d
-# rows a round and gives the item to the full LP after _ROWGEN_ROUNDS.
+# rows a round and gives the item to the full LP when its _ROWGEN_ROUNDS-th
+# run has not converged, without adding rows for a run nothing would read.
 _ROWGEN_RATIO = 8
 _ROWGEN_BLOCK = 2
 _ROWGEN_ROUNDS = 16
@@ -263,7 +269,9 @@ class _Run:
 
 
 class _Session:
-    """One HiGHS instance and the dual LP of one matrix, for one thread."""
+    """One HiGHS instance and the dual LP of one matrix, for one thread.
+    The all-minus dual is stored column-wise without its zeros, with the
+    label whose sign flips each entry (n for norms, mu and nu)."""
 
     def __init__(self, w: WeightMatrix, cfg: LpConfig) -> None:
         from scipy.optimize import _linprog_highs
@@ -291,27 +299,36 @@ class _Session:
         a[:d, n + d : n + 2 * d] = np.eye(d)
         a[d, :n] = w.row_norms
         a[d, -1] = -1.0
-        cost = np.r_[np.zeros(n), np.full(2 * d, cfg.box_bound), -cfg.eps_floor]
+        self.cost = np.r_[np.zeros(n), np.full(2 * d, cfg.box_bound), -cfg.eps_floor]
         self.rhs = np.r_[np.zeros(d), 1.0]
-        self.dual_lp = self._lp(cost, a, (0.0, np.inf), (self.rhs, self.rhs))
-        self.box_columns, self.box_cost = a[:, n:].copy(), cost[n:]  # mu, nu
-        cols, rows = np.nonzero(a.T)  # the stored entries, in _lp's order
-        self.base = a[rows, cols]
-        self.signed = np.flatnonzero((cols < n) & (rows < d))
-        self.signed_label = cols[self.signed]
+        cols, rows = np.nonzero(a.T)
+        self.start = np.searchsorted(cols, np.arange(n + 2 * d + 2)).astype(np.int32)
+        self.index, self.base = rows.astype(np.int32), a[rows, cols]
+        self.label = np.where((cols < n) & (rows < d), cols, n)
+        self.value = self.base.copy()  # the full dual's, re-signed per item
+        self.dual_lp = self._model(self.cost, (self.start[:-1], self.index, self.value))
 
-    def _lp(self, cost, a, col_bounds, row_bounds):
-        """min cost.x subject to row_bounds on a x and col_bounds on x, with
-        a stored column-wise without its zeros, as linprog stores it."""
-        (m, n), lp = a.shape, self.core.HighsLp()
-        lp.num_row_, lp.num_col_ = m, n
-        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = m, n
-        lp.a_matrix_.format_ = self.core.MatrixFormat.kColwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _colwise(a)
-        lp.col_cost_ = cost
-        lp.col_lower_, lp.col_upper_ = (np.broadcast_to(v, n) for v in col_bounds)
-        lp.row_lower_, lp.row_upper_ = (np.broadcast_to(v, m) for v in row_bounds)
-        return lp
+    def _model(self, cost, a, bounds=None, rows=None, fmt="kColwise"):
+        """The arguments of HiGHS's array ``passModel`` for min cost.x with
+        bounds on x and rows on a x (pairs of arrays, by default the dual's
+        x >= 0 and a x = rhs); a is (int32 line starts without the end of
+        the last, int32 index, value), by columns or, for "kRowwise", rows."""
+        bounds = bounds or (np.zeros(cost.size), np.full(cost.size, np.inf))
+        rows = rows or (self.rhs, self.rhs)
+        fmt = int(getattr(self.core.MatrixFormat, fmt))
+        sense = int(self.core.ObjSense.kMinimize)
+        head = (cost.size, rows[0].size, a[2].size, fmt, sense, 0.0, cost)
+        return (*head, *bounds, *rows, *a, np.zeros(cost.size, np.int32))
+
+    def _cut(self, sign: np.ndarray, cols: np.ndarray):
+        """The stored columns cols, in that order, under the per-label factor
+        sign (-y, then 1): int32 starts, int32 row indices and values."""
+        lo = self.start[cols]
+        size = self.start[cols + 1] - lo
+        start = np.cumsum(size) - size
+        at = np.arange(int(size.sum())) + np.repeat(lo - start, size)
+        value = self.base[at] * sign[self.label[at]]
+        return start.astype(np.int32), self.index[at], value
 
     def dual(self, y: LabelAssignment) -> VerifyResult:
         """The dual LP over (lambda, mu_lo, mu_hi, nu): d + 1 equality rows.
@@ -322,9 +339,7 @@ class _Session:
             res = self.restricted(y)
             if res is not None:
                 return res
-        values = self.base.copy()
-        values[self.signed] *= -y.signs[self.signed_label]
-        self.dual_lp.a_matrix_.value_ = values
+        np.multiply(self.base, np.r_[-y.signs, 1][self.label], out=self.value)
         run = self.solve(self.dual_lp)
         if isinstance(run, str) or run.status != 0:
             return _not_optimal(run, self.core.HighsModelStatus.kUnbounded)
@@ -344,16 +359,15 @@ class _Session:
         )
         chosen = np.zeros(w.n, dtype=bool)
         chosen[rows] = True
+        sign, cols = np.r_[-y.signs, 1], np.r_[rows, np.arange(w.n, w.n + 2 * d + 1)]
         # The matrix row of each HiGHS column, -1 for mu_lo, mu_hi and nu.
-        col_rows = np.r_[rows, np.full(2 * d + 1, -1)]
-        cost = np.r_[np.zeros(rows.size), self.box_cost]
-        a = np.c_[self.columns(y, rows), self.box_columns]
-        run = self.solve(self._lp(cost, a, (0.0, np.inf), (self.rhs, self.rhs)))
+        col_rows = np.where(cols < w.n, cols, -1)
+        run = self.solve(self._model(self.cost[cols], self._cut(sign, cols)))
         try:
             # Primal simplex: each round's added columns keep the basis feasible.
             if self.highs.setOptionValue("simplex_strategy", 4) != status.kOk:
                 return None
-            for _ in range(_ROWGEN_ROUNDS):
+            for round_ in range(1, _ROWGEN_ROUNDS + 1):
                 if isinstance(run, str):
                     return None
                 if run.model_status == int(self.core.HighsModelStatus.kUnbounded):
@@ -366,23 +380,19 @@ class _Session:
                 short = np.flatnonzero(price < -cfg.solver_feas_tol)
                 if short.size == 0:
                     return _checked_optimum(w, y, float(run.objective), x, cfg)
+                if round_ == _ROWGEN_ROUNDS:
+                    break
                 add = short[np.argsort(price[short], kind="stable")[:block]]
                 chosen[add] = True
                 col_rows = np.r_[col_rows, add]
-                start, index, value = _colwise(self.columns(y, add))
-                zeros = np.zeros(add.size)
+                start, index, value = self._cut(sign, add)
+                zeros, inf = np.zeros(add.size), np.full(add.size, np.inf)
                 # addCols warns, as passModel does, when it drops entries
                 # below HiGHS's small_matrix_value (1e-9).
-                if self.highs.addCols(
-                    add.size,
-                    zeros,
-                    zeros,
-                    np.full(add.size, np.inf),
-                    value.size,
-                    start[:-1].astype(np.int32),
-                    index.astype(np.int32),
-                    value,
-                ) == status.kError:
+                added = self.highs.addCols(
+                    add.size, zeros, zeros, inf, value.size, start, index, value
+                )
+                if added == status.kError:
                     return None
                 run = self.solve(None)
             return None
@@ -412,18 +422,15 @@ class _Session:
             res = _checked_ray(w, y, rows, _refined(w, y, rows, lam), cfg)
         return res
 
-    def columns(self, y: LabelAssignment, rows: np.ndarray) -> np.ndarray:
-        """The dual's lambda columns for the given rows under y."""
-        signed = -(y.signs[rows, None] * self.w.entries[rows]).T
-        return np.vstack([signed, self.w.row_norms[rows]])
-
     def primal(self, y: LabelAssignment) -> VerifyResult:
-        """The primal LP over (x, eps): n inequality rows."""
+        """The primal LP over (x, eps): n inequality rows, whose row i is the
+        dual's lambda column i, handed over row-wise."""
         w, box = self.w, np.full(self.w.d, self.cfg.box_bound)
-        a = np.c_[-(y.signs[:, None] * w.entries), w.row_norms]
+        a = self._cut(np.r_[-y.signs, 1], np.arange(w.n))
         cost = np.r_[np.zeros(w.d), -1.0]
         bounds = (np.r_[-box, self.cfg.eps_floor], np.r_[box, np.inf])
-        run = self.solve(self._lp(cost, a, bounds, (-np.inf, 0.0)))
+        rows = (np.full(w.n, -np.inf), np.zeros(w.n))
+        run = self.solve(self._model(cost, a, bounds, rows, "kRowwise"))
         if isinstance(run, str) or run.status != 0:
             return _not_optimal(run, self.core.HighsModelStatus.kInfeasible)
         return _optimum(float(run.x[-1]), run.x[: w.d], self.cfg)
@@ -443,7 +450,7 @@ class _Session:
         """Pass lp to HiGHS (unless lp is None), solve it and read the
         outcome as linprog does."""
         core, highs = self.core, self.highs
-        if lp is not None and highs.passModel(lp) == core.HighsStatus.kError:
+        if lp is not None and highs.passModel(*lp) == core.HighsStatus.kError:
             model = core.HighsModelStatus.kModelError
             text = highs.modelStatusToString(model)
         else:
@@ -463,13 +470,6 @@ class _Session:
         solution = highs.getSolution()
         x, duals = np.array(solution.col_value), np.array(solution.row_dual)
         return _Run(int(model), 0, message, info.objective_function_value, x, duals)
-
-
-def _colwise(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a's nonzero entries column by column, as HiGHS stores a matrix: the
-    start of each column (and the end of the last), row indices, values."""
-    cols, rows = np.nonzero(a.T)
-    return np.searchsorted(cols, np.arange(a.shape[1] + 1)), rows, a[rows, cols]
 
 
 def _not_optimal(run: "_Run | str", proof) -> VerifyResult:

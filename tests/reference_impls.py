@@ -275,3 +275,38 @@ def reference_sampled_enumeration(entries, budget, seed, tau_sign, target):
             bits = np.unpackbits(np.frombuffer(code, dtype=np.uint8), count=n)
         members.add(tuple(1 if bit else -1 for bit in bits))
     return used, skips, members
+
+
+def reference_from_dense(text: str):
+    """``LabelAssignment.from_dense`` one character at a time, as it was
+    written before its numpy pass: the signs as a list, or the text of
+    the ValueError."""
+    if not text:
+        return "dense form must be non-empty"
+    signs = []
+    for i, ch in enumerate(text):
+        if ch == "+":
+            signs.append(1)
+        elif ch in ("-", "−"):
+            signs.append(-1)
+        else:
+            return f"illegal character {ch!r} at position {i + 1}"
+    return signs
+
+
+def reference_dense_line(path: str, line: str, line_no: int, expected_n):
+    """The label parser's dense line, one character at a time, as it was
+    written before its numpy pass: the signs as a list, or the text of the
+    ParseError (path:line:column: message)."""
+    indent = len(line) - len(line.lstrip())
+    line = line.strip()
+    for col_no, ch in enumerate(line, start=indent + 1):
+        if ch not in ("+", "-", "−"):
+            hint = " (sparse files need an n=<count> header line)" if ch.isdigit() else ""
+            return (
+                f"{path}:{line_no}:{col_no}: "
+                f"illegal character {ch!r} in dense assignment{hint}"
+            )
+    if expected_n is not None and len(line) != expected_n:
+        return f"{path}:{line_no}: assignment has {len(line)} labels, expected {expected_n}"
+    return reference_from_dense(line)

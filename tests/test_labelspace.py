@@ -20,7 +20,13 @@ from argmaxable.labelspace import (
     enumerate_family,
 )
 
-from reference_impls import family_strings, region_count_formula, string_act, string_alt
+from reference_impls import (
+    family_strings,
+    reference_from_dense,
+    region_count_formula,
+    string_act,
+    string_alt,
+)
 
 
 def dense(text: str) -> LabelAssignment:
@@ -49,6 +55,15 @@ class TestLabelAssignment:
         members = {dense("+-"), dense("-+"), dense("+-")}
         assert len(members) == 2
         assert dense("+-") in members
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="+-\u2212x7 ", max_size=24))
+    def test_from_dense_matches_the_per_character_parser(self, text):
+        try:
+            got = LabelAssignment.from_dense(text).signs.tolist()
+        except ValueError as exc:
+            got = str(exc)
+        assert got == reference_from_dense(text)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

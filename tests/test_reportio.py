@@ -26,6 +26,8 @@ from argmaxable.reportio import (
     validate_report,
 )
 
+from reference_impls import reference_dense_line
+
 
 class TestMatrixRoundTrip:
     def test_bits_survive_the_trip(self, tmp_path):
@@ -215,6 +217,19 @@ class TestLabelFiles:
             parse_labels(target)
         assert (exc.value.line, exc.value.column) == (2, 4)
         assert str(exc.value).startswith(f"{target}:2:4: illegal character 'x'")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet="+-\u2212x7 ", min_size=1, max_size=24).filter(str.strip),
+        st.none() | st.integers(1, 24),
+    )
+    def test_dense_lines_match_the_per_character_parser(self, line, expected_n):
+        # Either both parsers give the same signs or the same error text.
+        try:
+            got = reportio._parse_dense_line("f.txt", line, 3, expected_n).signs.tolist()
+        except ParseError as exc:
+            got = str(exc)
+        assert got == reference_dense_line("f.txt", line, 3, expected_n)
 
     def test_sparse_duplicate_index_rejected(self, tmp_path):
         target = tmp_path / "labels.txt"

@@ -729,6 +729,19 @@ def _restricted_outcomes(monkeypatch) -> list:
     return outcomes
 
 
+def _run_kinds(monkeypatch) -> list:
+    """Record each ``_Session.run``: "warm" for the model HiGHS holds,
+    "full" for the full dual and "cold" for any other model passed."""
+    real, kinds = verifier._Session.run, []
+
+    def run(session, lp):
+        kinds.append("warm" if lp is None else "full" if lp is session.dual_lp else "cold")
+        return real(session, lp)
+
+    monkeypatch.setattr(verifier._Session, "run", run)
+    return kinds
+
+
 class TestRowGeneration:
     """When n >= 8d the dual is first solved on a working set of rows.
     Only a checked optimum (ARGMAXABLE) or a checked Farkas ray
@@ -915,6 +928,23 @@ class TestRowGeneration:
         monkeypatch.setattr(verifier, "_ROWGEN_ROUNDS", 1)
         self._assert_declined_to_the_full_dual(monkeypatch, w, ys)
 
+    def test_the_round_cap_stops_before_adding(self, monkeypatch):
+        # With a cap of two runs, an item the second run leaves open goes
+        # to the full dual; no rows are added for a run nothing would read.
+        w, ys = self._items()
+        uncapped = [chebyshev_verify(w, y) for y in ys]
+        full = _full_dual(monkeypatch, w, ys)
+        monkeypatch.setattr(verifier, "_ROWGEN_ROUNDS", 2)
+        runs, results, kinds = _run_kinds(monkeypatch), [], []
+        for y in ys:
+            runs.clear()
+            results.append(chebyshev_verify(w, y))
+            kinds.append(tuple(runs))
+        assert ("cold", "warm", "full") in kinds
+        assert all(k.count("warm") <= 1 and k[0] == "cold" for k in kinds)
+        expected = [f if k[-1] == "full" else u for k, f, u in zip(kinds, full, uncapped)]
+        assert _bits(results) == _bits(expected)
+
     def test_a_failed_margin_check_declines(self, monkeypatch):
         w, ys = self._items()
         checked = []
@@ -971,3 +1001,147 @@ class TestRowGeneration:
             assert _bits(verify_batch(w, ys, jobs=jobs).results) == _bits(one)
         finally:
             sys.setswitchinterval(interval)
+
+
+def _held(session) -> dict:
+    """The model HiGHS holds, as arrays."""
+    lp = session.highs.getLp()
+    a = lp.a_matrix_
+    assert a.format_ == session.core.MatrixFormat.kColwise
+    fields = {
+        "start": a.start_,
+        "index": a.index_,
+        "value": a.value_,
+        "cost": lp.col_cost_,
+        "col_lower": lp.col_lower_,
+        "col_upper": lp.col_upper_,
+        "row_lower": lp.row_lower_,
+        "row_upper": lp.row_upper_,
+    }
+    return {key: np.array(value) for key, value in fields.items()}
+
+
+def _dense_model(cost, a, col_bounds, row_bounds) -> dict:
+    """The fields of _held for min cost.x with col_bounds on x and
+    row_bounds on a x, a dense and stored column-wise without its zeros.
+    HiGHS drops, with a warning, entries up to its small_matrix_value
+    (1e-9 by default); the spectral layer has some of ~1e-16."""
+    (m, n), (cols, rows) = a.shape, np.nonzero(np.abs(a.T) > 1e-9)
+    bounds = [np.broadcast_to(v, n) for v in col_bounds]
+    bounds += [np.broadcast_to(v, m) for v in row_bounds]
+    model = [np.searchsorted(cols, np.arange(n + 1)), rows, a[rows, cols], cost]
+    keys = ["start", "index", "value", "cost", "col_lower", "col_upper"]
+    return dict(zip(keys + ["row_lower", "row_upper"], model + bounds))
+
+
+def _lambda_columns(w, y, rows):
+    """The dual's lambda columns for the given rows under y."""
+    signed = -(y.signs[rows, None] * w.entries[rows]).T
+    return np.vstack([signed, w.row_norms[rows]])
+
+
+def _dual_model(w, y, row_sets, cfg=LpConfig()) -> dict:
+    """The dual over the lambda columns of row_sets[0], then mu_lo, mu_hi
+    and nu, then the lambda columns of each later row set."""
+    d = w.d
+    box = np.zeros((d + 1, 2 * d + 1))
+    box[:d, :d], box[:d, d : 2 * d], box[d, -1] = -np.eye(d), np.eye(d), -1.0
+    blocks = [_lambda_columns(w, y, row_sets[0]), box]
+    blocks += [_lambda_columns(w, y, rows) for rows in row_sets[1:]]
+    box_cost = np.r_[np.full(2 * d, cfg.box_bound), -cfg.eps_floor]
+    costs = [np.zeros(len(row_sets[0])), box_cost]
+    costs += [np.zeros(len(rows)) for rows in row_sets[1:]]
+    rhs = np.r_[np.zeros(d), 1.0]
+    return _dense_model(np.concatenate(costs), np.hstack(blocks), (0.0, np.inf), (rhs, rhs))
+
+
+def _assert_same_model(held: dict, expected: dict) -> None:
+    assert held.keys() == expected.keys()
+    for key in held:
+        assert held[key].shape == expected[key].shape, key
+        assert np.array_equal(held[key], expected[key]), key
+
+
+class TestModelHandOff:
+    """Every model reaches HiGHS through the array ``passModel`` and
+    ``addCols``, cut from the session's one column-wise store.  HiGHS must
+    hold what the dense matrices, stored without their zeros, describe."""
+
+    def test_the_full_dual_is_re_signed_per_item(self):
+        rng = np.random.default_rng(47)
+        w = WeightMatrix(rng.standard_normal((30, 4)))
+        session = verifier._Session(w, LpConfig())
+        first, mixed = _random_signs(rng, 30, 2)
+        assert set(mixed.signs) == {-1, 1}
+        for y in (first, mixed):
+            session.dual(y)
+            _assert_same_model(_held(session), _dual_model(w, y, [np.arange(30)]))
+
+    def test_the_restricted_model_and_its_added_columns(self, monkeypatch):
+        w, ys = TestRowGeneration()._items()
+        real_run, real_cut = verifier._Session.run, verifier._Session._cut
+        held, cut = [], []
+
+        def run(session, lp):
+            out = real_run(session, lp)
+            held.append(_held(session))
+            return out
+
+        def spy(session, sign, cols):
+            cut.append(cols[cols < w.n])
+            return real_cut(session, sign, cols)
+
+        monkeypatch.setattr(verifier._Session, "run", run)
+        monkeypatch.setattr(verifier._Session, "_cut", spy)
+        session = verifier._Session(w, LpConfig())
+        for y in ys:
+            held.clear()
+            cut.clear()
+            session.restricted(y)
+            if len(held) >= 2:
+                break
+        assert len(held) >= 2 and len(cut) == len(held)
+        _assert_same_model(held[0], _dual_model(w, y, cut[:1]))
+        _assert_same_model(held[1], _dual_model(w, y, cut[:2]))
+        _assert_same_model(held[-1], _dual_model(w, y, cut))
+
+    def test_the_primal(self):
+        rng = np.random.default_rng(48)
+        w, cfg = WeightMatrix(rng.standard_normal((40, 5))), LpConfig()
+        session = verifier._Session(w, cfg)
+        for y in _random_signs(rng, 40, 2) + _predicted(rng, w, 2):
+            session.primal(y)
+            a = np.c_[-(y.signs[:, None] * w.entries), w.row_norms]
+            box = np.full(w.d, cfg.box_bound)
+            cost = np.r_[np.zeros(w.d), -1.0]
+            bounds = (np.r_[-box, cfg.eps_floor], np.r_[box, np.inf])
+            expected = _dense_model(cost, a, bounds, (-np.inf, 0.0))
+            _assert_same_model(_held(session), expected)
+
+    def test_a_binding_without_the_array_overload_is_indeterminate(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from scipy.optimize._highspy import _core
+
+        class NoArrays(_core._Highs):
+            def passModel(self, *args):
+                if len(args) > 1:
+                    raise TypeError("passModel(): incompatible function arguments")
+                return super().passModel(*args)
+
+        monkeypatch.setattr(_core, "_Highs", NoArrays)
+        w, ys = TestRowGeneration()._items()
+        small = build_dft_matrix(6, 1)
+        for matrix, items in ((w, ys), (small, [dense("+-----"), dense("++----")])):
+            for res in verify_batch(matrix, items, jobs=2).results:
+                assert res.status is VerifyStatus.INDETERMINATE
+                assert "solver raised TypeError: passModel()" in res.reason
+                assert res.reason.startswith("dual LP: ") and "; primal LP: " in res.reason
+        from argmaxable import cli
+
+        (tmp_path / "w.csv").write_text("1.0,0.0\n0.0,1.0\n1.0,1.0\n")
+        (tmp_path / "y.txt").write_text("++-\n+++\n")
+        argv = ["verify", "--matrix", str(tmp_path / "w.csv"), "--labels"]
+        code = cli.run(argv + [str(tmp_path / "y.txt"), "--out", str(tmp_path / "r.json")])
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
