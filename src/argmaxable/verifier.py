@@ -29,20 +29,22 @@ the floor:
 The dual optimum is the radius, and the duals of its d equality rows are
 the witness x.  An unbounded dual proves the primal infeasible:
 NOT_EPS_ARGMAXABLE.  A simplex basis of the dual has d + 1 columns
-against n in the primal.  Any other outcome re-solves the item once in
-the primal form; only when that fails too is the item Indeterminate,
-with both failures in its reason.  The two forms' radii agree to ~1e-11
-relative on well-conditioned items and differ by up to ~2x on
-ill-conditioned DFT items, where neither is the exact optimum.
+against n in the primal.  Any other outcome (a failed run, an optimum
+below eps_floor) leaves the item Indeterminate, with that outcome as its
+reason.  The primal form is not tried as well: on 13,300 LP items of the
+bench's certify-dft and learned-eval inputs it decided 2 of the 18 items
+the dual left open, both on HiGHS's status alone.  On ill-conditioned DFT
+items the dual's radius can differ from the primal form's by up to ~2x,
+where neither is the exact optimum.
 
 Each worker thread solves through one HiGHS instance (Huangfu & Hall,
 *Math. Prog. Comp.* 10, 2018), from scipy's private binding
 ``scipy.optimize._highspy._core``; pyproject pins the first scipy known
 to ship it.  The session stores the dual of the all-minus assignment
-once, column-wise, and cuts each model from it in numpy: the full dual
-by re-signing the lambda entries of its first d rows, restricted duals
-and added columns by gathering columns, the primal by reading the lambda
-columns as rows.  These reach HiGHS as numpy buffers through the array
+once, column-wise, and cuts every model from it in numpy by gathering
+columns and re-signing the lambda entries of their first d rows: all
+columns for the full dual, a working set for a restricted dual and the
+columns it adds.  These reach HiGHS as numpy buffers through the array
 ``passModel`` and ``addCols``; filling the binding's LP object field by
 field converted each element under the GIL, and building and passing a
 restricted model took ~0.37 -> ~0.09 ms at n = 500, d = 21 and ~0.68 ->
@@ -103,7 +105,7 @@ d + 1 rows that passes: 150 such items took ~1.6 s with a second, full
 dual each and take ~0.4 s without.  Radii of
 well-conditioned items agree with the full dual to ~1e-12 relative;
 ill-conditioned ones (radius ~1e-6) can land on another near-optimal
-vertex, as the primal form does, up to ~2x apart.
+vertex, up to ~2x apart.
 
 ``verify_batch`` answers one class of items without an LP.  When W is
 bit for bit ``build_dft_matrix(n, k)``, every Wx samples a trigonometric
@@ -231,8 +233,8 @@ def chebyshev_verify(
     cfg: LpConfig = LpConfig(),
     session: Optional["_Session"] = None,
 ) -> VerifyResult:
-    """Certify one assignment against one matrix: the dual LP, then the
-    primal LP only when the dual decides nothing (module docstring).
+    """Certify one assignment against one matrix through the dual LP
+    (module docstring).
 
     ``session`` is this thread's HiGHS session for w and cfg; without one
     a session is built for this item alone.  Raises ValueError when y
@@ -241,30 +243,20 @@ def chebyshev_verify(
     if y.n != w.n:
         raise ValueError(f"assignment has n={y.n}, matrix has n={w.n}")
     start = time.perf_counter()
-    session = session or _Session(w, cfg)
-    res = session.dual(y)
-    if res.status is VerifyStatus.INDETERMINATE:
-        primal = session.primal(y)
-        if primal.status is VerifyStatus.INDETERMINATE:
-            primal = VerifyResult(
-                VerifyStatus.INDETERMINATE,
-                reason=f"dual LP: {res.reason}; primal LP: {primal.reason}",
-            )
-        res = primal
+    res = (session or _Session(w, cfg)).dual(y)
     return replace(res, wall_time=time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
 class _Run:
     """How one HiGHS run ended: HiGHS's model status, and linprog's number
-    and message for it; at number 0 also the objective, the column values
-    x and the row duals."""
+    and message for it; at number 0 also the objective and the row
+    duals."""
 
     model_status: int
     status: int
     message: str
     objective: float = math.nan
-    x: Optional[np.ndarray] = None
     duals: Optional[np.ndarray] = None
 
 
@@ -305,20 +297,16 @@ class _Session:
         self.start = np.searchsorted(cols, np.arange(n + 2 * d + 2)).astype(np.int32)
         self.index, self.base = rows.astype(np.int32), a[rows, cols]
         self.label = np.where((cols < n) & (rows < d), cols, n)
-        self.value = self.base.copy()  # the full dual's, re-signed per item
-        self.dual_lp = self._model(self.cost, (self.start[:-1], self.index, self.value))
 
-    def _model(self, cost, a, bounds=None, rows=None, fmt="kColwise"):
-        """The arguments of HiGHS's array ``passModel`` for min cost.x with
-        bounds on x and rows on a x (pairs of arrays, by default the dual's
-        x >= 0 and a x = rhs); a is (int32 line starts without the end of
-        the last, int32 index, value), by columns or, for "kRowwise", rows."""
-        bounds = bounds or (np.zeros(cost.size), np.full(cost.size, np.inf))
-        rows = rows or (self.rhs, self.rhs)
-        fmt = int(getattr(self.core.MatrixFormat, fmt))
-        sense = int(self.core.ObjSense.kMinimize)
-        head = (cost.size, rows[0].size, a[2].size, fmt, sense, 0.0, cost)
-        return (*head, *bounds, *rows, *a, np.zeros(cost.size, np.int32))
+    def _model(self, sign: np.ndarray, cols: np.ndarray):
+        """The arguments of HiGHS's array ``passModel`` for the dual over the
+        stored columns cols, in that order, under sign (as for ``_cut``):
+        minimize cost.x over x >= 0 with a x = rhs."""
+        m, a = cols.size, self._cut(sign, cols)
+        head = (m, self.rhs.size, a[2].size, int(self.core.MatrixFormat.kColwise))
+        head += (int(self.core.ObjSense.kMinimize), 0.0, self.cost[cols])
+        bounds = (np.zeros(m), np.full(m, np.inf), self.rhs, self.rhs)
+        return (*head, *bounds, *a, np.zeros(m, np.int32))
 
     def _cut(self, sign: np.ndarray, cols: np.ndarray):
         """The stored columns cols, in that order, under the per-label factor
@@ -332,18 +320,35 @@ class _Session:
 
     def dual(self, y: LabelAssignment) -> VerifyResult:
         """The dual LP over (lambda, mu_lo, mu_hi, nu): d + 1 equality rows.
-        When n >= _ROWGEN_RATIO * d, a restricted dual comes first; every
-        outcome but its checked optimum or checked ray falls through to the
-        full LP."""
-        if self.w.n >= _ROWGEN_RATIO * self.w.d:
+        When n >= _ROWGEN_RATIO * d, a restricted dual comes first and
+        decides the item only by its checked optimum or checked ray;
+        otherwise HiGHS's status on the full LP decides it."""
+        w, cfg = self.w, self.cfg
+        if w.n >= _ROWGEN_RATIO * w.d:
             res = self.restricted(y)
             if res is not None:
                 return res
-        np.multiply(self.base, np.r_[-y.signs, 1][self.label], out=self.value)
-        run = self.solve(self.dual_lp)
-        if isinstance(run, str) or run.status != 0:
-            return _not_optimal(run, self.core.HighsModelStatus.kUnbounded)
-        return _optimum(float(run.objective), run.duals[: self.w.d], self.cfg)
+        run = self.solve(self._model(np.r_[-y.signs, 1], np.arange(self.cost.size)))
+        if isinstance(run, str):
+            reason = run
+        elif run.model_status == int(self.core.HighsModelStatus.kUnbounded):
+            return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
+        elif run.status != 0:
+            reason = f"solver status {run.status}: {run.message}"
+        elif run.objective >= cfg.eps_floor:
+            return VerifyResult(
+                VerifyStatus.ARGMAXABLE,
+                radius=float(run.objective),
+                witness=run.duals[: w.d].copy(),
+            )
+        else:
+            # Ill-conditioned solves can report an optimum below the LP's
+            # own bound eps >= eps_floor, which certifies nothing.
+            reason = (
+                f"solver status 0 returned radius {float(run.objective)!r}, "
+                f"below eps_floor {cfg.eps_floor!r}"
+            )
+        return VerifyResult(VerifyStatus.INDETERMINATE, reason=reason)
 
     def restricted(self, y: LabelAssignment) -> Optional[VerifyResult]:
         """The dual LP on a working set of lambda columns, grown by pricing
@@ -362,7 +367,7 @@ class _Session:
         sign, cols = np.r_[-y.signs, 1], np.r_[rows, np.arange(w.n, w.n + 2 * d + 1)]
         # The matrix row of each HiGHS column, -1 for mu_lo, mu_hi and nu.
         col_rows = np.where(cols < w.n, cols, -1)
-        run = self.solve(self._model(self.cost[cols], self._cut(sign, cols)))
+        run = self.solve(self._model(sign, cols))
         try:
             # Primal simplex: each round's added columns keep the basis feasible.
             if self.highs.setOptionValue("simplex_strategy", 4) != status.kOk:
@@ -422,19 +427,6 @@ class _Session:
             res = _checked_ray(w, y, rows, _refined(w, y, rows, lam), cfg)
         return res
 
-    def primal(self, y: LabelAssignment) -> VerifyResult:
-        """The primal LP over (x, eps): n inequality rows, whose row i is the
-        dual's lambda column i, handed over row-wise."""
-        w, box = self.w, np.full(self.w.d, self.cfg.box_bound)
-        a = self._cut(np.r_[-y.signs, 1], np.arange(w.n))
-        cost = np.r_[np.zeros(w.d), -1.0]
-        bounds = (np.r_[-box, self.cfg.eps_floor], np.r_[box, np.inf])
-        rows = (np.full(w.n, -np.inf), np.zeros(w.n))
-        run = self.solve(self._model(cost, a, bounds, rows, "kRowwise"))
-        if isinstance(run, str) or run.status != 0:
-            return _not_optimal(run, self.core.HighsModelStatus.kInfeasible)
-        return _optimum(float(run.x[-1]), run.x[: w.d], self.cfg)
-
     def solve(self, lp) -> "_Run | str":
         """One cold run of lp, or with lp None a run of the model HiGHS
         holds from its kept basis; or the text of what kept it from
@@ -467,40 +459,8 @@ class _Session:
             status, message = 4, "The solution does not satisfy the constraints"
         if status != 0:
             return _Run(int(model), status, message)
-        solution = highs.getSolution()
-        x, duals = np.array(solution.col_value), np.array(solution.row_dual)
-        return _Run(int(model), 0, message, info.objective_function_value, x, duals)
-
-
-def _not_optimal(run: "_Run | str", proof) -> VerifyResult:
-    """The verdict of a run that ended without an optimum:
-    NOT_EPS_ARGMAXABLE when HiGHS's status is ``proof``, the one that
-    proves the primal infeasible."""
-    if isinstance(run, str):
-        return VerifyResult(VerifyStatus.INDETERMINATE, reason=run)
-    if run.model_status == int(proof):
-        return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
-    return VerifyResult(
-        VerifyStatus.INDETERMINATE,
-        reason=f"solver status {run.status}: {run.message}",
-    )
-
-
-def _optimum(radius: float, witness: np.ndarray, cfg: LpConfig) -> VerifyResult:
-    if radius >= cfg.eps_floor:
-        return VerifyResult(
-            VerifyStatus.ARGMAXABLE, radius=radius, witness=np.array(witness)
-        )
-    # Ill-conditioned solves can report an optimum below the primal's own
-    # bound eps >= eps_floor, which no optimum of either form can be;
-    # that certifies nothing.
-    return VerifyResult(
-        VerifyStatus.INDETERMINATE,
-        reason=(
-            f"solver status 0 returned radius {radius!r}, "
-            f"below eps_floor {cfg.eps_floor!r}"
-        ),
-    )
+        duals = np.array(highs.getSolution().row_dual)
+        return _Run(int(model), 0, message, info.objective_function_value, duals)
 
 
 def _checked_optimum(

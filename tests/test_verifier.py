@@ -119,11 +119,9 @@ class TestChebyshevVerify:
     def test_optimum_below_the_eps_floor_is_indeterminate(self, monkeypatch):
         # Ill-conditioned solves have come back with status 0, radius -0.0
         # and a zero witness, breaking the LP's own bound eps >= eps_floor.
-        # The stub answers the dual (objective, duals) and the primal
-        # fallback (x).
         def solved_at_zero(session, lp):
             zero = np.array([0.0, 0.0, -0.0])
-            return verifier._Run(7, 0, "", objective=-0.0, x=zero, duals=zero)
+            return verifier._Run(7, 0, "", objective=-0.0, duals=zero)
 
         monkeypatch.setattr(verifier._Session, "run", solved_at_zero)
         res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
@@ -137,10 +135,7 @@ class TestChebyshevVerify:
         w = WeightMatrix(np.array([[1e16, 1.0], [0.5, 2.0], [1.0, -1.0]]))
         res = chebyshev_verify(w, dense("+-+"))
         assert res.status is VerifyStatus.INDETERMINATE
-        assert res.reason == (
-            "dual LP: solver status 2: (HiGHS Status 2: Model error); "
-            "primal LP: solver status 2: (HiGHS Status 2: Model error)"
-        )
+        assert res.reason == "solver status 2: (HiGHS Status 2: Model error)"
 
     def test_rejects_dimension_mismatch(self):
         w = WeightMatrix(np.eye(2))
@@ -422,63 +417,15 @@ def _random_signs(rng, n: int, count: int) -> list:
     ]
 
 
-class TestPresolveOff:
-    """The primal LP, which backs chebyshev_verify when the dual decides
-    nothing, skips HiGHS presolve.  It must give the verdicts of the
-    presolving reference; radii and witnesses may move only in their last
-    digits."""
+def _dft_items():
+    """24 seeded assignments of length 40, each with 0 to 6 sign changes."""
+    rng = np.random.default_rng(41)
+    return [_alternating(rng, 40, int(c)) for c in rng.integers(0, 7, size=24)]
 
-    def _compare(self, w, ys, rel):
-        """Compare every item with the reference, bit for bit when rel is
-        0; return the statuses seen."""
-        box = LpConfig().box_bound
-        session = verifier._Session(w, LpConfig())
-        statuses = set()
-        for y in ys:
-            res = session.primal(y)
-            status, radius, witness = reference_chebyshev_verify(w.entries, y.signs)
-            assert res.status.value == status, y.to_dense()
-            statuses.add(status)
-            if radius is None:
-                assert res.radius is None and res.witness is None
-            elif rel == 0:
-                assert res.radius == radius, y.to_dense()
-                assert np.array_equal(res.witness, witness), y.to_dense()
-            else:
-                assert res.radius == pytest.approx(radius, rel=rel), y.to_dense()
-                assert np.allclose(res.witness, witness, rtol=0, atol=1e-13 * box)
-        return statuses
 
-    def _dft_items(self):
-        rng = np.random.default_rng(41)
-        return [_alternating(rng, 40, int(c)) for c in rng.integers(0, 7, size=24)]
-
-    # On the spectral layers the constant assignments (every time) and a
-    # few with one or two alternations come out of the two solves with
-    # radii a few ulps apart and witnesses ~1e-15 box apart.
-
-    def test_feasible_items_of_the_spectral_layer(self):
-        ys = self._dft_items()
-        assert all(alt(y) <= 6 for y in ys)
-        self._compare(build_dft_matrix(40, 3), ys, rel=1e-14)
-
-    def test_the_spectral_layer_with_slack_columns(self):
-        w = augment_slack(build_dft_matrix(40, 3), 4, seed=3)
-        self._compare(w, self._dft_items(), rel=1e-14)
-
-    def test_a_gaussian_layer_is_bit_identical(self):
-        rng = np.random.default_rng(42)
-        w = WeightMatrix(rng.standard_normal((60, 5)))
-        ys = _predicted(rng, w, 16) + _random_signs(rng, 60, 16)
-        assert self._compare(w, ys, rel=0) == {"argmaxable", "not_eps_argmaxable"}
-
-    def test_parallel_rows_keep_their_verdicts(self):
-        # Presolve merges exactly parallel rows.
-        rng = np.random.default_rng(43)
-        base = rng.standard_normal((30, 4))
-        w = WeightMatrix(np.vstack([base, base[:10], 3.0 * base[10:15]]))
-        ys = _predicted(rng, w, 16) + _random_signs(rng, w.n, 8)
-        assert self._compare(w, ys, rel=1e-12) == {"argmaxable", "not_eps_argmaxable"}
+class TestHighsOptions:
+    """Every session sets HiGHS's options, among them presolve off and the
+    feasibility tolerances of the config, before its first run."""
 
     def test_every_highs_option_is_recognized(self):
         # HiGHS answers setOptionValue with kOk or kError; a refused option
@@ -504,8 +451,6 @@ class TestDualForm:
     relative, witness in units of the box), rounded up to the next power of
     ten."""
 
-    _dft_items = TestPresolveOff._dft_items
-
     def _compare(self, w, ys, radius_rel, witness_rel):
         box = LpConfig().box_bound
         statuses = set()
@@ -524,12 +469,12 @@ class TestDualForm:
 
     def test_feasible_items_of_the_spectral_layer(self):
         # Measured: 3.4e-12 and 6.0e-14.
-        self._compare(build_dft_matrix(40, 3), self._dft_items(), 1e-11, 1e-13)
+        self._compare(build_dft_matrix(40, 3), _dft_items(), 1e-11, 1e-13)
 
     def test_the_spectral_layer_with_slack_columns(self):
         # Measured: 1.0e-13 and 1.1e-14.
         w = augment_slack(build_dft_matrix(40, 3), 4, seed=3)
-        self._compare(w, self._dft_items(), 1e-12, 1e-13)
+        self._compare(w, _dft_items(), 1e-12, 1e-13)
 
     def test_a_gaussian_layer(self):
         # Measured: 1.3e-14 and 1.6e-15.
@@ -562,14 +507,12 @@ class TestSession:
     solve in it must be cold: the same bits as a session of its own, in
     whatever order and on whichever thread the items come."""
 
-    _dft_items = TestPresolveOff._dft_items
-
     def _layers(self):
         rng = np.random.default_rng(44)
         dft = build_dft_matrix(40, 3)
         gauss = WeightMatrix(rng.standard_normal((60, 5)))
         return [
-            (dft, self._dft_items() + _random_signs(rng, 40, 8)),
+            (dft, _dft_items() + _random_signs(rng, 40, 8)),
             (gauss, _predicted(rng, gauss, 12) + _random_signs(rng, 60, 12)),
         ]
 
@@ -598,25 +541,6 @@ class TestSession:
             sys.setswitchinterval(interval)
 
 
-def _failing_dual(monkeypatch, dual_failure, primal_failure=None):
-    """Route the dual solve (the session's own model) to ``dual_failure``
-    and the primal to ``primal_failure``, or to HiGHS when that is None;
-    return the list of forms solved, in order."""
-    real = verifier._Session.run
-    forms = []
-
-    def stub(session, lp):
-        form = "dual" if lp is session.dual_lp else "primal"
-        forms.append(form)
-        failure = dual_failure if form == "dual" else primal_failure
-        if failure is None:
-            return real(session, lp)
-        return failure()
-
-    monkeypatch.setattr(verifier._Session, "run", stub)
-    return forms
-
-
 def _solve_error():
     return verifier._Run(4, 4, "(HiGHS Status 4: Solve error)")
 
@@ -629,45 +553,44 @@ def _unbounded():
     return verifier._Run(10, 3, "The problem is unbounded. (HiGHS Status 10: ...)")
 
 
-class TestPrimalFallback:
-    """A dual solve that decides nothing is solved once more in the primal
-    form; only when both fail is the item INDETERMINATE."""
+class TestOneForm:
+    """Each item is solved in the dual form only: a full dual that decides
+    nothing leaves the item INDETERMINATE, with that run's failure as its
+    reason, after exactly one HiGHS run."""
 
-    @pytest.mark.parametrize("failure", [_solve_error, _raises])
+    def _runs(self, monkeypatch, failure=None):
+        """Route every run to ``failure``, or to HiGHS when that is None;
+        return the list of models run."""
+        real, runs = verifier._Session.run, []
+
+        def run(session, lp):
+            runs.append(lp)
+            return real(session, lp) if failure is None else failure()
+
+        monkeypatch.setattr(verifier._Session, "run", run)
+        return runs
+
     @pytest.mark.parametrize(
-        "text, expected",
-        [("+-----", VerifyStatus.ARGMAXABLE), ("+-+---", VerifyStatus.NOT_EPS_ARGMAXABLE)],
+        "failure, reason",
+        [
+            (_solve_error, "solver status 4: (HiGHS Status 4: Solve error)"),
+            (_raises, "solver raised RuntimeError: numerical trouble"),
+        ],
+        ids=["solve-error", "raises"],
     )
-    def test_the_primal_decides_what_the_dual_did_not(
-        self, monkeypatch, failure, text, expected
-    ):
-        forms = _failing_dual(monkeypatch, failure)
-        w, y = build_dft_matrix(6, 1), dense(text)
-        res = chebyshev_verify(w, y)
-        assert forms == ["dual", "primal"]
-        assert res.status is expected and res.reason is None
-        if expected is VerifyStatus.ARGMAXABLE:
-            assert sign_vector(w, res.witness) == y
-            assert res.radius >= LpConfig().eps_floor
-
-    def test_both_failures_are_named_in_the_reason(self, monkeypatch):
-        def iteration_limit():
-            return verifier._Run(14, 1, "Iteration limit reached.")
-
-        forms = _failing_dual(monkeypatch, _solve_error, iteration_limit)
+    def test_a_failed_full_dual_is_solved_once(self, monkeypatch, failure, reason):
+        runs = self._runs(monkeypatch, failure)
         res = chebyshev_verify(build_dft_matrix(6, 1), dense("+-----"))
-        assert forms == ["dual", "primal"]
+        assert len(runs) == 1
         assert res.status is VerifyStatus.INDETERMINATE
         assert res.radius is None and res.witness is None
-        assert "dual LP: solver status 4" in res.reason
-        assert "Solve error" in res.reason
-        assert "primal LP: solver status 1" in res.reason
+        assert res.reason == reason
 
     def test_a_decided_dual_is_not_solved_again(self, monkeypatch):
-        forms = _failing_dual(monkeypatch, None)
+        runs = self._runs(monkeypatch)
         for text in ("+-----", "+-+---"):
             chebyshev_verify(build_dft_matrix(6, 1), dense(text))
-        assert forms == ["dual", "dual"]
+        assert len(runs) == 2
 
 
 def _k_active(rng, n: int, count: int) -> list:
@@ -729,13 +652,19 @@ def _restricted_outcomes(monkeypatch) -> list:
     return outcomes
 
 
+def _full(session, lp) -> bool:
+    """Whether lp, as ``_Session.run`` gets it, is the full dual: the model
+    over every stored column."""
+    return lp is not None and lp[0] == session.cost.size
+
+
 def _run_kinds(monkeypatch) -> list:
     """Record each ``_Session.run``: "warm" for the model HiGHS holds,
     "full" for the full dual and "cold" for any other model passed."""
     real, kinds = verifier._Session.run, []
 
     def run(session, lp):
-        kinds.append("warm" if lp is None else "full" if lp is session.dual_lp else "cold")
+        kinds.append("warm" if lp is None else "full" if _full(session, lp) else "cold")
         return real(session, lp)
 
     monkeypatch.setattr(verifier._Session, "run", run)
@@ -752,8 +681,8 @@ class TestRowGeneration:
     # difference measured on these items rounded up to the next power of
     # ten: 2.4e-4 on the spectral layer and 1.6e-13 on the Gaussian one.
     # Below 1e-5 the spectral layer is ill-conditioned and a restricted
-    # solve can land on another near-optimal vertex, as the primal form
-    # does: within a factor of 2 (measured 0.30, at radius 4.3e-7).
+    # solve can land on another near-optimal vertex: within a factor of 2
+    # (measured 0.30, at radius 4.3e-7).
     @pytest.mark.parametrize("layer, radius_rel", [("dft", 1e-3), ("gauss", 1e-12)])
     def test_matches_the_full_dual(self, monkeypatch, layer, radius_rel):
         w, ys = _rowgen_layers()[layer]
@@ -810,7 +739,7 @@ class TestRowGeneration:
         full_runs = []
 
         def run(session, lp):
-            full_runs.append(lp is session.dual_lp)
+            full_runs.append(_full(session, lp))
             return real_run(session, lp)
 
         monkeypatch.setattr(verifier._Session, "run", run)
@@ -976,7 +905,7 @@ class TestRowGeneration:
             return real_restricted(session, y)
 
         def run(session, lp):
-            inside = lp is None or (lp is not session.dual_lp and not runs)
+            inside = lp is None or (not _full(session, lp) and not runs)
             runs.append(lp)
             if inside and len(runs) - 1 == round_:
                 return failure()
@@ -1105,19 +1034,6 @@ class TestModelHandOff:
         _assert_same_model(held[1], _dual_model(w, y, cut[:2]))
         _assert_same_model(held[-1], _dual_model(w, y, cut))
 
-    def test_the_primal(self):
-        rng = np.random.default_rng(48)
-        w, cfg = WeightMatrix(rng.standard_normal((40, 5))), LpConfig()
-        session = verifier._Session(w, cfg)
-        for y in _random_signs(rng, 40, 2) + _predicted(rng, w, 2):
-            session.primal(y)
-            a = np.c_[-(y.signs[:, None] * w.entries), w.row_norms]
-            box = np.full(w.d, cfg.box_bound)
-            cost = np.r_[np.zeros(w.d), -1.0]
-            bounds = (np.r_[-box, cfg.eps_floor], np.r_[box, np.inf])
-            expected = _dense_model(cost, a, bounds, (-np.inf, 0.0))
-            _assert_same_model(_held(session), expected)
-
     def test_a_binding_without_the_array_overload_is_indeterminate(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -1135,8 +1051,9 @@ class TestModelHandOff:
         for matrix, items in ((w, ys), (small, [dense("+-----"), dense("++----")])):
             for res in verify_batch(matrix, items, jobs=2).results:
                 assert res.status is VerifyStatus.INDETERMINATE
-                assert "solver raised TypeError: passModel()" in res.reason
-                assert res.reason.startswith("dual LP: ") and "; primal LP: " in res.reason
+                assert res.reason == (
+                    "solver raised TypeError: passModel(): incompatible function arguments"
+                )
         from argmaxable import cli
 
         (tmp_path / "w.csv").write_text("1.0,0.0\n0.0,1.0\n1.0,1.0\n")
