@@ -435,6 +435,28 @@ class TestHighsOptions:
         res = chebyshev_verify(build_dft_matrix(6, 1), dense("+-----"))
         assert res.status is VerifyStatus.ARGMAXABLE and res.reason is None
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [LpConfig(), LpConfig(eps_floor=1e-6, solver_feas_tol=1e-8)],
+        ids=["default", "loose"],
+    )
+    def test_the_options_hold_after_a_restricted_pass(self, cfg):
+        # The restricted pass switches to primal simplex and back.
+        w, ys = TestRowGeneration()._items()
+        session = verifier._Session(w, cfg)
+        for y in ys[:2]:
+            session.dual(y)
+        expected = {
+            "presolve": "off",
+            "simplex_strategy": 1,
+            "primal_feasibility_tolerance": cfg.solver_feas_tol,
+            "dual_feasibility_tolerance": cfg.solver_feas_tol,
+        }
+        for key, value in expected.items():
+            status, held = session.highs.getOptionValue(key)
+            assert status == session.core.HighsStatus.kOk
+            assert held == value, key
+
     def test_a_refused_option_makes_the_item_indeterminate(self):
         # HiGHS takes no feasibility tolerance below 1e-10.
         cfg = LpConfig(eps_floor=1e-11, solver_feas_tol=1e-12)
@@ -553,6 +575,10 @@ def _unbounded():
     return verifier._Run(10, 3, "The problem is unbounded. (HiGHS Status 10: ...)")
 
 
+def _iteration_limit():
+    return verifier._Run(14, 1, "Iteration limit reached.")
+
+
 class TestOneForm:
     """Each item is solved in the dual form only: a full dual that decides
     nothing leaves the item INDETERMINATE, with that run's failure as its
@@ -570,17 +596,23 @@ class TestOneForm:
         monkeypatch.setattr(verifier._Session, "run", run)
         return runs
 
+    # "+-----" is argmaxable and "+-+---" is not: a failed run leaves
+    # either one undecided.
+    @pytest.mark.parametrize("text", ["+-----", "+-+---"])
     @pytest.mark.parametrize(
         "failure, reason",
         [
             (_solve_error, "solver status 4: (HiGHS Status 4: Solve error)"),
             (_raises, "solver raised RuntimeError: numerical trouble"),
+            (_iteration_limit, "solver status 1: Iteration limit reached."),
         ],
-        ids=["solve-error", "raises"],
+        ids=["solve-error", "raises", "iteration-limit"],
     )
-    def test_a_failed_full_dual_is_solved_once(self, monkeypatch, failure, reason):
+    def test_a_failed_full_dual_is_solved_once(
+        self, monkeypatch, failure, reason, text
+    ):
         runs = self._runs(monkeypatch, failure)
-        res = chebyshev_verify(build_dft_matrix(6, 1), dense("+-----"))
+        res = chebyshev_verify(build_dft_matrix(6, 1), dense(text))
         assert len(runs) == 1
         assert res.status is VerifyStatus.INDETERMINATE
         assert res.radius is None and res.witness is None
@@ -591,6 +623,25 @@ class TestOneForm:
         for text in ("+-----", "+-+---"):
             chebyshev_verify(build_dft_matrix(6, 1), dense(text))
         assert len(runs) == 2
+
+    @pytest.mark.parametrize("box", [1e18, 1e19])
+    def test_a_box_near_highs_infinity_gives_no_wrong_verdict(self, box):
+        # Near 1e20 some full duals end in a solve error; every item they
+        # decide keeps its verdict at the default box.
+        w, cfg = build_dft_matrix(6, 1), LpConfig(box_bound=box)
+        decided = 0
+        for y in all_assignments(6):
+            ref = chebyshev_verify(w, y)
+            assert ref.status is not VerifyStatus.INDETERMINATE
+            res = chebyshev_verify(w, y, cfg)
+            if res.status is VerifyStatus.INDETERMINATE:
+                assert res.reason.startswith("solver status "), res.reason
+                continue
+            decided += 1
+            assert res.status is ref.status, y.to_dense()
+            if res.status is VerifyStatus.ARGMAXABLE:
+                assert sign_vector(w, res.witness) == y
+        assert decided > 0
 
 
 def _k_active(rng, n: int, count: int) -> list:
@@ -1005,6 +1056,19 @@ class TestModelHandOff:
         for y in (first, mixed):
             session.dual(y)
             _assert_same_model(_held(session), _dual_model(w, y, [np.arange(30)]))
+
+    def test_the_full_dual_after_a_declined_restricted_pass(self, monkeypatch):
+        # The full dual replaces, cold, the restricted model HiGHS held.
+        monkeypatch.setattr(verifier, "_checked_optimum", lambda *args: None)
+        monkeypatch.setattr(verifier, "_checked_ray", lambda *args: None)
+        runs = _run_kinds(monkeypatch)
+        w, ys = TestRowGeneration()._items()
+        session = verifier._Session(w, LpConfig())
+        for y in ys[:2]:
+            runs.clear()
+            session.dual(y)
+            assert runs[0] == "cold" and runs[-1] == "full"
+            _assert_same_model(_held(session), _dual_model(w, y, [np.arange(w.n)]))
 
     def test_the_restricted_model_and_its_added_columns(self, monkeypatch):
         w, ys = TestRowGeneration()._items()
