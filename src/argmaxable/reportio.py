@@ -142,22 +142,21 @@ def _sidecar_path(path: Union[str, Path]) -> Path:
 def _provenance_from_sidecar(path: Path, obj: dict, n: int, d: int) -> Provenance:
     if not isinstance(obj, dict):
         raise ParseError(path, "sidecar must be a JSON object")
+    extra = sorted(set(obj) - {"n", "d", "provenance"})
+    if extra:
+        raise ParseError(
+            path, f"unknown sidecar fields {extra}; a sidecar holds n, d, provenance"
+        )
     declared_n = obj.get("n")
     if declared_n is not None and declared_n != n:
         raise ParseError(path, f"sidecar says n={declared_n}, CSV has n={n}")
     declared_d = obj.get("d")
     if declared_d is not None and declared_d != d:
         raise ParseError(path, f"sidecar says d={declared_d}, CSV has d={d}")
+    if "provenance" not in obj:
+        return Provenance()
     try:
-        if "provenance" in obj:
-            return Provenance.from_json(obj["provenance"])
-        if "k" in obj:
-            # The flat {n, k, s, seed} shape of older spectral-layer files;
-            # read only, never written.  Every field is checked, even when
-            # s = 0 leaves only k.
-            slack = Provenance("dft+slack", obj["k"], obj.get("s", 0), obj.get("seed", 0))
-            return slack if slack.s else Provenance(kind="dft", k=slack.k)
-        return Provenance(kind="random", seed=obj.get("seed"))
+        return Provenance.from_json(obj["provenance"])
     except ValueError as exc:
         raise ParseError(path, str(exc))
 

@@ -31,11 +31,7 @@ the witness x.  An unbounded dual proves the primal infeasible:
 NOT_EPS_ARGMAXABLE.  A simplex basis of the dual has d + 1 columns
 against n in the primal.  Any other outcome (a failed run, an optimum
 below eps_floor) leaves the item Indeterminate, with that outcome as its
-reason.  The primal form is not tried as well: on 13,300 LP items of the
-bench's certify-dft and learned-eval inputs it decided 2 of the 18 items
-the dual left open, both on HiGHS's status alone.  On ill-conditioned DFT
-items the dual's radius can differ from the primal form's by up to ~2x,
-where neither is the exact optimum.
+reason.
 
 Each worker thread solves through one HiGHS instance (Huangfu & Hall,
 *Math. Prog. Comp.* 10, 2018), from scipy's private binding
@@ -45,19 +41,18 @@ once, column-wise, and cuts every model from it in numpy by gathering
 columns and re-signing the lambda entries of their first d rows: all
 columns for the full dual, a working set for a restricted dual and the
 columns it adds.  These reach HiGHS as numpy buffers through the array
-``passModel`` and ``addCols``; filling the binding's LP object field by
-field converted each element under the GIL, and building and passing a
-restricted model took ~0.37 -> ~0.09 ms at n = 500, d = 21 and ~0.68 ->
-~0.14 ms at n = 1000, d = 32.  A binding without that overload raises
+``passModel`` and ``addCols``.  A binding without that overload raises
 TypeError, and each item is then Indeterminate with the error in its
-reason.  Full solves are cold: per-entry ``changeCoeff`` calls and warm
-starts from the last basis were both slower, and a warm start gave one
-spurious solve error.
-Options, statuses and messages are ``linprog``'s for method "highs"
-without presolve, which on these dense rows reduces nothing (it moved
-radii in their last ~2 digits, never a verdict).  The binding loads with
-the first session, not with this module: ~0.75 s and ~40 MB that
-commands solving no LP need not pay.
+reason.  Full solves are cold: a warm start from the last basis was
+slower and gave a spurious solve error.  Options are ``linprog``'s for
+method "highs" without presolve, which on these dense rows reduces
+nothing.  A run's outcome is HiGHS's model status: kOptimal gives the
+objective and the row duals, unless HiGHS's largest primal residual
+exceeds linprog's limit of 10 sqrt(1e-9); kUnbounded is an unbounded
+run; any other status (a model ``passModel`` refuses counts as
+kModelError), a refused option or a raised exception is the run's
+reason.  The binding loads with the first session, not with this
+module: ~0.75 s and ~40 MB that commands solving no LP need not pay.
 
 At the optimum only d + 1 of the n lambda columns are basic, so when
 n >= 8d (``_ROWGEN_RATIO``) the dual is first solved by row generation
@@ -82,30 +77,18 @@ through a check in numpy:
   sum lambda_i ||w_i|| (Farkas), and hi plus a bound on its rounding
   error, hi gamma_{m+2d+6} + gamma_{m+2} sqrt(d) box for a ray with m
   positive entries (derived in ``_checked_ray``), is below eps_floor.
-  When a ray with d + 1 positive entries fails, lambda re-solved on
-  those rows in float (``_refined``) is checked once more.
 
 Every other outcome (a failed run, a ray that fails, ``_ROWGEN_ROUNDS``
 = 16 runs without convergence) goes to the full dual, cold, with the
 bits it has without row generation.  HiGHS's unbounded status alone is
-no certificate: taken as one, it turned 2 of 500 feasible certify-dft
-items (seed 11) from Indeterminate into NOT_EPS_ARGMAXABLE, and on seeds
-31 and 902 a restricted run HiGHS called unbounded belongs to an item the
-full dual certifies ARGMAXABLE (the ray gives hi 6.6e-6 and 7.4e-6).  The
-check declines all four.  So a verdict can differ from the full dual's
-only where a ray passes: such an item is NOT_EPS_ARGMAXABLE, which its
-ray proves, whatever the full dual says.  On certify-dft seeds 11, 31,
-32, 901 and 902 and learned-eval seed 7 no verdict moved.  Measured on a
-2-core host: at n = 500, d = 21 items add rows in 1 to 5 rounds and the
-bench's certify-dft verify step went 0.21 -> 0.13 s; the median item
-went ~0.28 -> ~0.11 s at ``build_dft_matrix(2000, 50)`` and 9.7 -> 4.3
-s at the mimic3 shape (8921, 80), in at most 8 rounds.  On learned-eval's
-1000 x 32 Gaussian layer every gold item ends unbounded, with a ray on
-d + 1 rows that passes: 150 such items took ~1.6 s with a second, full
-dual each and take ~0.4 s without.  Radii of
-well-conditioned items agree with the full dual to ~1e-12 relative;
-ill-conditioned ones (radius ~1e-6) can land on another near-optimal
-vertex, up to ~2x apart.
+no certificate: on certify-dft seeds 31 and 902 a restricted run HiGHS
+called unbounded belongs to an item the full dual certifies ARGMAXABLE
+(the ray gives hi 6.6e-6 and 7.4e-6), and the check declines both.  So a
+verdict can differ from the full dual's only where a ray passes: such an
+item is NOT_EPS_ARGMAXABLE, which its ray proves, whatever the full dual
+says.  Radii of well-conditioned items agree with the full dual to
+~1e-12 relative; ill-conditioned ones (radius ~1e-6) can land on another
+near-optimal vertex, up to ~2x apart.
 
 ``verify_batch`` answers one class of items without an LP.  When W is
 bit for bit ``build_dft_matrix(n, k)``, every Wx samples a trigonometric
@@ -249,15 +232,13 @@ def chebyshev_verify(
 
 @dataclass(frozen=True)
 class _Run:
-    """How one HiGHS run ended: HiGHS's model status, and linprog's number
-    and message for it; at number 0 also the objective and the row
-    duals."""
+    """How one HiGHS run ended: at an optimum its objective and row duals;
+    otherwise unbounded, or the reason it reached no optimum."""
 
-    model_status: int
-    status: int
-    message: str
     objective: float = math.nan
     duals: Optional[np.ndarray] = None
+    unbounded: bool = False
+    reason: Optional[str] = None
 
 
 class _Session:
@@ -266,11 +247,9 @@ class _Session:
     label whose sign flips each entry (n for norms, mu and nu)."""
 
     def __init__(self, w: WeightMatrix, cfg: LpConfig) -> None:
-        from scipy.optimize import _linprog_highs
         from scipy.optimize._highspy import _core
 
         self.core = _core
-        self.scipy_status = _linprog_highs._highs_to_scipy_status_message
         self.w, self.cfg, self.highs = w, cfg, _core._Highs()
         options = {
             "output_flag": False,
@@ -329,12 +308,10 @@ class _Session:
             if res is not None:
                 return res
         run = self.solve(self._model(np.r_[-y.signs, 1], np.arange(self.cost.size)))
-        if isinstance(run, str):
-            reason = run
-        elif run.model_status == int(self.core.HighsModelStatus.kUnbounded):
+        if run.unbounded:
             return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
-        elif run.status != 0:
-            reason = f"solver status {run.status}: {run.message}"
+        if run.reason is not None:
+            reason = run.reason
         elif run.objective >= cfg.eps_floor:
             return VerifyResult(
                 VerifyStatus.ARGMAXABLE,
@@ -373,11 +350,9 @@ class _Session:
             if self.highs.setOptionValue("simplex_strategy", 4) != status.kOk:
                 return None
             for round_ in range(1, _ROWGEN_ROUNDS + 1):
-                if isinstance(run, str):
-                    return None
-                if run.model_status == int(self.core.HighsModelStatus.kUnbounded):
+                if run.unbounded:
                     return self.farkas(y, col_rows)
-                if run.status != 0:
+                if run.reason is not None:
                     return None
                 x, eps = run.duals[:d], run.duals[d]
                 price = y.signs * (w.entries @ x) - eps * w.row_norms
@@ -409,58 +384,49 @@ class _Session:
     ) -> Optional[VerifyResult]:
         """NOT_EPS_ARGMAXABLE when the primal ray of the unbounded run just
         ended, read as lambda on the matrix rows col_rows gives its columns,
-        passes ``_checked_ray`` as it is or once ``_refined``; otherwise
-        None."""
-        w, cfg = self.w, self.cfg
+        passes ``_checked_ray``; otherwise None."""
         try:
             status, has_ray, ray = self.highs.getPrimalRay()
         except (AttributeError, RuntimeError, TypeError, ValueError):
             return None  # a binding without the call, or of another shape
         if status == self.core.HighsStatus.kError or not has_ray:
             return None
-        ray = np.asarray(ray, dtype=np.float64)
+        ray, keep = np.asarray(ray, dtype=np.float64), col_rows >= 0
         if ray.shape != col_rows.shape:
             return None
-        rows, lam = col_rows[col_rows >= 0], ray[col_rows >= 0]
-        res = _checked_ray(w, y, rows, lam, cfg)
-        if res is None and np.count_nonzero(lam > 0.0) == w.d + 1:
-            res = _checked_ray(w, y, rows, _refined(w, y, rows, lam), cfg)
-        return res
+        return _checked_ray(self.w, y, col_rows[keep], ray[keep], self.cfg)
 
-    def solve(self, lp) -> "_Run | str":
+    def solve(self, lp) -> _Run:
         """One cold run of lp, or with lp None a run of the model HiGHS
-        holds from its kept basis; or the text of what kept it from
-        running."""
+        holds from its kept basis; a refused option or a raised exception
+        is the run's reason."""
         if self.refused:
-            return "HiGHS refused option " + ", ".join(self.refused)
+            return _Run(reason="HiGHS refused option " + ", ".join(self.refused))
         try:
             return self.run(lp)
         except Exception as exc:  # solver blow-ups become Indeterminate, not lies
-            return f"solver raised {type(exc).__name__}: {exc}"
+            return _Run(reason=f"solver raised {type(exc).__name__}: {exc}")
 
     def run(self, lp) -> _Run:
-        """Pass lp to HiGHS (unless lp is None), solve it and read the
-        outcome as linprog does."""
+        """Pass lp to HiGHS (unless lp is None), solve it and read HiGHS's
+        model status; a model passModel refuses is a model error."""
         core, highs = self.core, self.highs
-        if lp is not None and highs.passModel(*lp) == core.HighsStatus.kError:
-            model = core.HighsModelStatus.kModelError
-            text = highs.modelStatusToString(model)
-        else:
-            ran = highs.run() != core.HighsStatus.kError
-            model, info = highs.getModelStatus(), highs.getInfo()
-            text = highs.modelStatusToString(model)
-            if ran and model != core.HighsModelStatus.kOptimal:
-                primal = highs.solutionStatusToString(info.primal_solution_status)
-                text = f"model_status is {text}; primal_status is {primal}"
-        status, message = self.scipy_status(model, text)
-        # linprog refuses an optimum whose bound or row residual exceeds
-        # 10 sqrt(tol), tol = 1e-9; HiGHS reports the largest of them.
-        if status == 0 and not info.max_primal_infeasibility <= 10 * math.sqrt(1e-9):
-            status, message = 4, "The solution does not satisfy the constraints"
-        if status != 0:
-            return _Run(int(model), status, message)
+        model = core.HighsModelStatus.kModelError
+        if lp is None or highs.passModel(*lp) != core.HighsStatus.kError:
+            highs.run()
+            model = highs.getModelStatus()
+        if model == core.HighsModelStatus.kUnbounded:
+            return _Run(unbounded=True)
+        if model != core.HighsModelStatus.kOptimal:
+            return _Run(reason="HiGHS: " + highs.modelStatusToString(model))
+        info = highs.getInfo()
+        # As linprog does, refuse an optimum whose largest bound or row
+        # residual, as HiGHS reports it, exceeds 10 sqrt(tol), tol = 1e-9.
+        residual = info.max_primal_infeasibility
+        if not residual <= 10 * math.sqrt(1e-9):
+            return _Run(reason=f"HiGHS optimum is off its constraints by {residual!r}")
         duals = np.array(highs.getSolution().row_dual)
-        return _Run(int(model), 0, message, info.objective_function_value, duals)
+        return _Run(info.objective_function_value, duals)
 
 
 def _checked_optimum(
@@ -564,27 +530,6 @@ def _checked_ray(
     if not upper < cfg.eps_floor:
         return None
     return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
-
-
-def _refined(
-    w: WeightMatrix, y: LabelAssignment, rows: np.ndarray, lam: np.ndarray
-) -> np.ndarray:
-    """lam re-solved on its d + 1 positive entries: the solution of
-    sum lam_i y_i w_i = 0 and sum lam_i ||w_i|| = 1 there, corrected once
-    from its residual, all in float; zero elsewhere, and all zero when
-    that system is singular.  ``_checked_ray`` decides whether it proves
-    anything."""
-    support = lam > 0.0
-    rows = rows[support]
-    a = np.vstack([(y.signs[rows, None] * w.entries[rows]).T, w.row_norms[rows]])
-    b = np.r_[np.zeros(w.d), 1.0]
-    out = np.zeros(lam.shape)
-    try:
-        fixed = np.linalg.solve(a, b)
-        out[support] = fixed + np.linalg.solve(a, b - a @ fixed)
-    except np.linalg.LinAlgError:
-        pass
-    return out
 
 
 def _gamma(k: int) -> float:

@@ -297,7 +297,7 @@ class TestRadii:
 
         def stubbed(w, y, cfg, session=None):
             return verifier.VerifyResult(
-                verifier.VerifyStatus.INDETERMINATE, reason="solver status 4: stubbed"
+                verifier.VerifyStatus.INDETERMINATE, reason="HiGHS: stubbed"
             )
 
         monkeypatch.setattr(verifier, "chebyshev_verify", stubbed)
@@ -308,7 +308,7 @@ class TestRadii:
         out, err = capsys.readouterr()
         assert out == ""
         assert "all 4 members are indeterminate" in err
-        assert "solver status 4: stubbed" in err
+        assert "HiGHS: stubbed" in err
 
 
 class TestMetrics:
@@ -575,7 +575,7 @@ class TestExitCodes:
         else:
             assert code == ExitCode.INDETERMINATE
             assert res["status"] == "indeterminate"
-            assert res["reason"].startswith("solver status ")
+            assert res["reason"].startswith("HiGHS: ")
         # A decade lower the box certifies.
         assert run(argv + ["--box", "1e18"]) == ExitCode.OK
         assert _report_from(capsys)["payload"]["summary"]["argmaxable"] == 1

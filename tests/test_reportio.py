@@ -54,33 +54,51 @@ class TestMatrixRoundTrip:
         back = parse_matrix(target)
         assert back.provenance.kind == "random"
 
-    def test_flat_spectral_sidecar_shape_is_accepted(self, tmp_path):
+    @pytest.mark.parametrize(
+        "sidecar, fields",
+        [
+            ({"n": 2, "k": 1, "s": 0, "seed": 0}, ["k", "s", "seed"]),
+            ({"n": 2, "k": 1, "s": 3, "seed": 7}, ["k", "s", "seed"]),
+        ],
+        ids=["flat-dft", "flat-slack"],
+    )
+    def test_flat_spectral_sidecar_shape_is_refused(self, sidecar, fields, tmp_path):
+        # One sidecar shape: the flat {n, k, s, seed} of older spectral-layer
+        # files is refused, naming the fields it does not know.
         target = tmp_path / "w.csv"
         target.write_text("1.0,0.0\n0.0,1.0\n")
-        (tmp_path / "w.json").write_text(
-            json.dumps({"n": 2, "k": 1, "s": 0, "seed": 0})
+        (tmp_path / "w.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(target)
+        assert str(exc.value) == (
+            f"{tmp_path / 'w.json'}: unknown sidecar fields {fields}; "
+            "a sidecar holds n, d, provenance"
         )
-        back = parse_matrix(target)
-        assert back.provenance == Provenance(kind="dft", k=1)
 
-    def test_flat_sidecar_with_slack_columns(self, tmp_path):
+    @pytest.mark.parametrize(
+        "sidecar, fields",
+        [
+            ({"k": 2.5}, ["k"]),
+            ({"k": True}, ["k"]),
+            ({"k": "abc"}, ["k"]),
+            ({"k": 1, "s": 0, "seed": "abc"}, ["k", "s", "seed"]),
+            ({"n": 2, "d": 2, "s": 2.0}, ["s"]),
+            ({"seed": 1.5, "provenance": {"kind": "random"}}, ["seed"]),
+        ],
+    )
+    def test_sidecar_fields_outside_the_written_shape_are_refused(
+        self, sidecar, fields, tmp_path
+    ):
         target = tmp_path / "w.csv"
         target.write_text("1.0,0.0\n0.0,1.0\n")
-        (tmp_path / "w.json").write_text(
-            json.dumps({"n": 2, "k": 1, "s": 3, "seed": 7})
-        )
-        back = parse_matrix(target)
-        assert back.provenance == Provenance(kind="dft+slack", k=1, s=3, seed=7)
+        (tmp_path / "w.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(target)
+        assert f"unknown sidecar fields {fields}" in str(exc.value)
 
     @pytest.mark.parametrize(
         "sidecar, message",
         [
-            ({"k": 2.5}, "k must be an integer, got 2.5"),
-            ({"k": True}, "k must be an integer, got True"),
-            ({"k": "abc"}, "k must be an integer, got 'abc'"),
-            ({"k": 1, "s": 0, "seed": "abc"}, "seed must be an integer, got 'abc'"),
-            ({"k": 1, "s": 2.0, "seed": 0}, "s must be an integer, got 2.0"),
-            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
             ({"provenance": {"kind": "dft", "k": 2.5}}, "k must be an integer, got 2.5"),
             ({"provenance": {"kind": "dft", "k": 0}}, "k must be >= 1, got 0"),
             ({"provenance": {"kind": "dft+slack", "k": 1, "s": -2, "seed": 0}},
@@ -98,7 +116,7 @@ class TestMatrixRoundTrip:
     def test_sidecar_shape_mismatch_rejected(self, tmp_path):
         target = tmp_path / "w.csv"
         target.write_text("1.0,0.0\n0.0,1.0\n")
-        (tmp_path / "w.json").write_text(json.dumps({"n": 5, "k": 1}))
+        (tmp_path / "w.json").write_text(json.dumps({"n": 5, "d": 2}))
         with pytest.raises(ParseError):
             parse_matrix(target)
 
