@@ -171,13 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--matrix", required=True, help="matrix CSV path")
     lp = argparse.ArgumentParser(add_help=False)
     for flag, default, text in (
-        ("--eps", LpConfig.eps_floor, "smallest radius that counts as feasible"),
+        ("--eps", LpConfig.eps_floor, "smallest radius that counts as feasible; "
+         "the solver's feasibility tolerance is a tenth of it, at least 1e-10"),
         ("--box", LpConfig.box_bound, "coordinate box bound for the witness"),
-        ("--feas-tol", LpConfig.solver_feas_tol, "LP feasibility tolerance, < --eps"),
     ):
-        kind = _positive_float if flag == "--feas-tol" else _lp_scale
         help_text = text + " (default %(default)s)"
-        lp.add_argument(flag, type=kind, default=default, help=help_text)
+        lp.add_argument(flag, type=_lp_scale, default=default, help=help_text)
     lp.add_argument("--jobs", type=_positive_int, default=1, help="worker count")
 
     p = sub.add_parser(
@@ -378,18 +377,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return ExitCode.OK
 
 
-def _lp_config(args: argparse.Namespace) -> LpConfig:
-    if not args.feas_tol < args.eps:
-        raise _UsageError(
-            f"error: --feas-tol ({args.feas_tol!r}) must be below --eps ({args.eps!r})"
-        )
-    return LpConfig(
-        box_bound=args.box, eps_floor=args.eps, solver_feas_tol=args.feas_tol
-    )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _lp_config(args)
+    cfg = LpConfig(box_bound=args.box, eps_floor=args.eps)
     w = parse_matrix(args.matrix)
     ys = parse_labels(args.labels)
     batch = verify_batch(w, ys, cfg, jobs=args.jobs)
@@ -455,7 +444,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_radii(args: argparse.Namespace) -> int:
-    cfg = _lp_config(args)
+    cfg = LpConfig(box_bound=args.box, eps_floor=args.eps)
     w = parse_matrix(args.matrix)
     kind = FamilyKind(args.kind)
     try:

@@ -38,6 +38,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .labelspace import LabelAssignment
+
 __all__ = [
     "Provenance",
     "WeightMatrix",
@@ -346,15 +348,13 @@ def gr_plus_status(
     return GrStatus(verdict, min_abs, checked)
 
 
-def sign_vector(w: WeightMatrix, x: np.ndarray):
+def sign_vector(w: WeightMatrix, x: np.ndarray) -> LabelAssignment:
     """Sign vector of W x as a LabelAssignment.
 
     Raises BoundaryError (1-based rows) when any logit has |W_i x| <
     ``DEFAULT_TAU_SIGN``; a sign vector is never fabricated on the
     boundary.
     """
-    from .labelspace import LabelAssignment
-
     point = np.asarray(x, dtype=np.float64)
     if point.shape != (w.d,):
         raise ValueError(f"x must have shape ({w.d},), got {point.shape}")

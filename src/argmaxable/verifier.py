@@ -46,13 +46,15 @@ TypeError, and each item is then Indeterminate with the error in its
 reason.  Full solves are cold: a warm start from the last basis was
 slower and gave a spurious solve error.  Options are ``linprog``'s for
 method "highs" without presolve, which on these dense rows reduces
-nothing.  A run's outcome is HiGHS's model status: kOptimal gives the
-objective and the row duals, unless HiGHS's largest primal residual
-exceeds linprog's limit of 10 sqrt(1e-9); kUnbounded is an unbounded
-run; any other status (a model ``passModel`` refuses counts as
-kModelError), a refused option or a raised exception is the run's
-reason.  The binding loads with the first session, not with this
-module: ~0.75 s and ~40 MB that commands solving no LP need not pay.
+nothing, and with both feasibility tolerances at
+``LpConfig.solver_feas_tol``, a tenth of eps_floor.  A run's outcome is
+HiGHS's model status: kOptimal gives the objective and the row duals,
+unless HiGHS's largest primal residual exceeds linprog's limit of 10
+sqrt(1e-9); kUnbounded is an unbounded run; any other status (a model
+``passModel`` refuses counts as kModelError), a refused option or a
+raised exception is the run's reason.  The binding loads with the first
+session, not with this module: ~0.75 s and ~40 MB that commands solving
+no LP need not pay.
 
 At the optimum only d + 1 of the n lambda columns are basic, so when
 n >= 8d (``_ROWGEN_RATIO``) the dual is first solved by row generation
@@ -78,17 +80,18 @@ through a check in numpy:
   error, hi gamma_{m+2d+6} + gamma_{m+2} sqrt(d) box for a ray with m
   positive entries (derived in ``_checked_ray``), is below eps_floor.
 
-Every other outcome (a failed run, a ray that fails, ``_ROWGEN_ROUNDS``
-= 16 runs without convergence) goes to the full dual, cold, with the
-bits it has without row generation.  HiGHS's unbounded status alone is
-no certificate: on certify-dft seeds 31 and 902 a restricted run HiGHS
-called unbounded belongs to an item the full dual certifies ARGMAXABLE
-(the ray gives hi 6.6e-6 and 7.4e-6), and the check declines both.  So a
-verdict can differ from the full dual's only where a ray passes: such an
-item is NOT_EPS_ARGMAXABLE, which its ray proves, whatever the full dual
-says.  Radii of well-conditioned items agree with the full dual to
-~1e-12 relative; ill-conditioned ones (radius ~1e-6) can land on another
-near-optimal vertex, up to ~2x apart.
+Rounds go on until no row prices below the tolerance: at most n, as each
+adds a row.  Every other outcome (a failed run, a ray that fails) goes
+to the full dual, cold, with the bits it has without row generation.
+HiGHS's unbounded status alone is no certificate: on certify-dft seeds
+31 and 902 a restricted run HiGHS called unbounded belongs to an item
+the full dual certifies ARGMAXABLE (the ray gives hi 6.6e-6 and 7.4e-6),
+and the check declines both.  So a verdict can differ from the full
+dual's only where a ray passes: such an item is NOT_EPS_ARGMAXABLE,
+which its ray proves, whatever the full dual says.  Radii of
+well-conditioned items agree with the full dual to ~1e-12 relative;
+ill-conditioned ones (radius ~1e-6) can land on another near-optimal
+vertex, up to ~2x apart.
 
 ``verify_batch`` answers one class of items without an LP.  When W is
 bit for bit ``build_dft_matrix(n, k)``, every Wx samples a trigonometric
@@ -143,23 +146,22 @@ __all__ = [
 DEFAULT_PERCENTILES = (1.0, 5.0, 25.0, 50.0, 100.0)
 
 # Row generation (module docstring): it runs when n >= _ROWGEN_RATIO * d,
-# starts from 2 * _ROWGEN_BLOCK * d rows, adds at most _ROWGEN_BLOCK * d
-# rows a round and gives the item to the full LP when its _ROWGEN_ROUNDS-th
-# run has not converged, without adding rows for a run nothing would read.
+# starts from 2 * _ROWGEN_BLOCK * d rows and adds at most _ROWGEN_BLOCK * d
+# rows a round until pricing finds none below the tolerance.
 _ROWGEN_RATIO = 8
 _ROWGEN_BLOCK = 2
-_ROWGEN_ROUNDS = 16
+
+# The least feasibility tolerance HiGHS accepts (it refuses 9.9e-11).
+_LEAST_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class LpConfig:
-    """LP parameters: the coordinate box, the smallest radius that counts
-    as robustly feasible, and the solver feasibility tolerance (which must
-    sit strictly below the floor so the two scales never blur)."""
+    """LP parameters: the coordinate box and the smallest radius that
+    counts as robustly feasible, from which the solver tolerance follows."""
 
     box_bound: float = 1e4
     eps_floor: float = 1e-8
-    solver_feas_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         for name in ("box_bound", "eps_floor"):
@@ -167,18 +169,23 @@ class LpConfig:
                 self.valid_scale(getattr(self, name))
             except ValueError as exc:
                 raise ValueError(f"{name} {exc}") from None
-        if not self.eps_floor > self.solver_feas_tol > 0:
-            raise ValueError("need eps_floor > solver_feas_tol > 0")
+
+    @property
+    def solver_feas_tol(self) -> float:
+        """HiGHS's feasibility tolerance: a tenth of eps_floor, so the two
+        scales never blur, and at least the 1e-10 HiGHS accepts."""
+        return max(self.eps_floor / 10, _LEAST_TOL)
 
     @staticmethod
     def valid_scale(value: float) -> float:
-        """value, when it can be box_bound or eps_floor: finite, positive
-        and below 1e20, which HiGHS reads as infinite in a cost.  Raises
-        ValueError saying what it must be otherwise."""
+        """value, when it can be box_bound or eps_floor: finite, above
+        1e-10, HiGHS's least tolerance, and below 1e20, which HiGHS reads
+        as infinite in a cost.  Raises ValueError saying what it must be
+        otherwise."""
         if not math.isfinite(value):
             raise ValueError(f"must be finite, got {value}")
-        if not value > 0:
-            raise ValueError(f"must be > 0, got {value}")
+        if not value > _LEAST_TOL:
+            raise ValueError(f"must be above 1e-10, got {value}")
         if not value < 1e20:
             raise ValueError(f"must be below 1e20, got {value}")
         return value
@@ -322,8 +329,8 @@ class _Session:
             # Ill-conditioned solves can report an optimum below the LP's
             # own bound eps >= eps_floor, which certifies nothing.
             reason = (
-                f"solver status 0 returned radius {float(run.objective)!r}, "
-                f"below eps_floor {cfg.eps_floor!r}"
+                f"HiGHS optimum {float(run.objective)!r} is below "
+                f"eps_floor {cfg.eps_floor!r}"
             )
         return VerifyResult(VerifyStatus.INDETERMINATE, reason=reason)
 
@@ -349,7 +356,7 @@ class _Session:
             # Primal simplex: each round's added columns keep the basis feasible.
             if self.highs.setOptionValue("simplex_strategy", 4) != status.kOk:
                 return None
-            for round_ in range(1, _ROWGEN_ROUNDS + 1):
+            while True:
                 if run.unbounded:
                     return self.farkas(y, col_rows)
                 if run.reason is not None:
@@ -360,8 +367,6 @@ class _Session:
                 short = np.flatnonzero(price < -cfg.solver_feas_tol)
                 if short.size == 0:
                     return _checked_optimum(w, y, float(run.objective), x, cfg)
-                if round_ == _ROWGEN_ROUNDS:
-                    break
                 add = short[np.argsort(price[short], kind="stable")[:block]]
                 chosen[add] = True
                 col_rows = np.r_[col_rows, add]
@@ -375,7 +380,6 @@ class _Session:
                 if added == status.kError:
                     return None
                 run = self.solve(None)
-            return None
         finally:
             self.highs.setOptionValue("simplex_strategy", 1)
 

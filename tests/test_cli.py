@@ -384,10 +384,9 @@ class TestReportConfig:
             ),
             (
                 ["verify", "--matrix", "{w}", "--labels", "{labels}",
-                 "--eps", "1e-7", "--box", "100", "--feas-tol", "1e-10",
-                 "--jobs", "2"],
+                 "--eps", "1e-7", "--box", "100", "--jobs", "2"],
                 {"matrix": "{w}", "labels": "{labels}", "eps": 1e-7,
-                 "box": 100.0, "feas_tol": 1e-10, "jobs": 2},
+                 "box": 100.0, "jobs": 2},
             ),
             (
                 ["enumerate", "--matrix", "{w}", "--method", "sampled",
@@ -398,10 +397,10 @@ class TestReportConfig:
             (
                 ["radii", "--matrix", "{w}", "--kind", "active", "--k", "1",
                  "--percentiles", "10,90", "--budget", "100", "--eps", "1e-7",
-                 "--box", "100", "--feas-tol", "1e-10", "--jobs", "2"],
+                 "--box", "100", "--jobs", "2"],
                 {"matrix": "{w}", "kind": "active", "k": 1,
                  "percentiles": [10.0, 90.0], "budget": 100, "eps": 1e-7,
-                 "box": 100.0, "feas_tol": 1e-10, "jobs": 2},
+                 "box": 100.0, "jobs": 2},
             ),
             (
                 ["metrics", "--scores", "{scores}", "--gold", "{gold}",
@@ -502,11 +501,11 @@ class TestExitCodes:
         "argv",
         [
             ["verify", "--matrix", "{matrix}", "--labels", "{missing}",
-             "--feas-tol", "1e-8"],
+             "--box", "1e-10"],
             ["verify", "--matrix", "{matrix}", "--labels", "{missing}",
              "--eps", "1e-10"],
             ["radii", "--matrix", "{matrix}", "--kind", "active", "--k", "1",
-             "--feas-tol", "1e-7"],
+             "--eps", "1e-10"],
             ["radii", "--matrix", "{matrix}", "--kind", "active", "--k", "1",
              "--percentiles", "150"],
             ["radii", "--matrix", "{matrix}", "--kind", "active", "--k", "1",
@@ -518,7 +517,7 @@ class TestExitCodes:
             ["dft", "--out", "-", "--n", "3", "--k", "2"],
         ],
     )
-    def test_tolerance_conflicts_are_usage_before_any_read(self, argv, tmp_path, capsys):
+    def test_out_of_range_flags_are_usage_before_any_read(self, argv, tmp_path, capsys):
         files = {"{matrix}": str(tmp_path / "nope.csv"),
                  "{missing}": str(tmp_path / "nope.txt")}
         argv = [files.get(a, a) for a in argv]
@@ -534,13 +533,11 @@ class TestExitCodes:
         [
             ["verify", "--matrix", "{matrix}", "--labels", "{missing}", "--box"],
             ["verify", "--matrix", "{matrix}", "--labels", "{missing}", "--eps"],
-            ["radii", "--matrix", "{matrix}", "--kind", "active", "--k", "1",
-             "--feas-tol"],
             ["check", "--matrix", "{matrix}", "--tau-det"],
             ["metrics", "--scores", "{matrix}", "--gold", "{missing}", "--k", "1",
              "--threshold"],
         ],
-        ids=["box", "eps", "feas-tol", "tau-det", "threshold"],
+        ids=["box", "eps", "tau-det", "threshold"],
     )
     def test_a_non_finite_float_flag_is_usage_before_any_read(
         self, argv, value, tmp_path, capsys
@@ -579,6 +576,20 @@ class TestExitCodes:
         # A decade lower the box certifies.
         assert run(argv + ["--box", "1e18"]) == ExitCode.OK
         assert _report_from(capsys)["payload"]["summary"]["argmaxable"] == 1
+
+    def test_a_floor_above_highs_least_tolerance_gives_verdicts(self, tmp_path, capsys):
+        # --eps 5e-10 runs at HiGHS's least tolerance, 1e-10; there is no
+        # separate tolerance flag.
+        matrix, labels = tmp_path / "w.csv", tmp_path / "ys.txt"
+        assert run(["dft", "--n", "12", "--k", "2", "--out", str(matrix)]) == ExitCode.OK
+        labels.write_text("++----------\n-+++--------\n+-+---------\n")
+        argv = ["verify", "--matrix", str(matrix), "--labels", str(labels), "--out", "-"]
+        assert run(argv + ["--eps", "5e-10"]) == ExitCode.OK
+        report = _report_from(capsys)
+        assert report["config"]["eps"] == 5e-10
+        assert report["payload"]["summary"]["argmaxable"] == 3
+        assert run(argv + ["--feas-tol", "1e-9"]) == ExitCode.USAGE
+        assert "unrecognized arguments: --feas-tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -682,6 +693,6 @@ class TestExitCodes:
         assert run([command, "--help"]) == 0
         out = capsys.readouterr().out
         if command in ("verify", "radii"):
-            for flag in ("--eps", "--box", "--feas-tol", "--jobs", "--matrix",
+            for flag in ("--eps", "--box", "--jobs", "--matrix",
                          "--out", "--deterministic"):
                 assert flag in out
