@@ -10,11 +10,12 @@ linear program over (x, eps):
                 -box <= x_j <= box                      (j = 1..d)
                 eps >= eps_floor
 
-A feasible optimum certifies the assignment with its radius and witness
-point, provided the radius honours eps >= eps_floor; a certified-infeasible
-LP proves no point achieves y with margin eps_floor; anything else the
-solver reports (numerical trouble, iteration limits, an "optimal" radius
-below the floor) is surfaced as Indeterminate rather than guessed.  The
+An optimum certifies the assignment, with its radius and witness point,
+only when a rounding-proof bound on the witness's own margin reaches
+eps_floor (``_checked_optimum``, the one rule for every ARGMAXABLE
+verdict); a certified-infeasible LP proves no point achieves y with
+margin eps_floor; anything else (numerical trouble, iteration limits, an
+optimum that fails the check) is Indeterminate rather than guessed.  The
 box bound exists only to keep the optimum finite on unbounded regions.
 
 ``chebyshev_verify`` solves the Lagrangian dual of that LP (Boyd &
@@ -27,11 +28,12 @@ the floor:
                 sum_i lambda_i ||w_i|| - nu = 1                  (1 row)
 
 The dual optimum is the radius, and the duals of its d equality rows are
-the witness x.  An unbounded dual proves the primal infeasible:
-NOT_EPS_ARGMAXABLE.  A simplex basis of the dual has d + 1 columns
-against n in the primal.  Any other outcome (a failed run, an optimum
-below eps_floor) leaves the item Indeterminate, with that outcome as its
-reason.
+the witness x, which must pass ``_checked_optimum`` as any optimum must.
+An unbounded full dual proves the primal infeasible: NOT_EPS_ARGMAXABLE,
+the one verdict HiGHS's status gives on its own.  A simplex basis of the
+dual has d + 1 columns against n in the primal.  Any other outcome (a
+failed run, an optimum that fails the check) leaves the item
+Indeterminate, with that outcome as its reason.
 
 Each worker thread solves through one HiGHS instance (Huangfu & Hall,
 *Math. Prog. Comp.* 10, 2018), from scipy's private binding
@@ -51,10 +53,10 @@ nothing, and with both feasibility tolerances at
 HiGHS's model status: kOptimal gives the objective and the row duals,
 unless HiGHS's largest primal residual exceeds linprog's limit of 10
 sqrt(1e-9); kUnbounded is an unbounded run; any other status (a model
-``passModel`` refuses counts as kModelError), a refused option or a
-raised exception is the run's reason.  The binding loads with the first
-session, not with this module: ~0.75 s and ~40 MB that commands solving
-no LP need not pay.
+``passModel`` refuses counts as kModelError, and a ``run()`` that returns
+kError says so), a refused option or a raised exception is the run's
+reason.  The binding loads with the first session, not with this module:
+~0.75 s and ~40 MB that commands solving no LP need not pay.
 
 At the optimum only d + 1 of the n lambda columns are basic, so when
 n >= 8d (``_ROWGEN_RATIO``) the dual is first solved by row generation
@@ -70,9 +72,7 @@ feasible.  A restricted run decides its item in two ways only, each
 through a check in numpy:
 
 * ARGMAXABLE, when HiGHS calls it optimal, no row of the n prices below
-  the tolerance, the radius reaches eps_floor, and so does a
-  rounding-proof lower bound on the witness's own margin over all n rows
-  (``_checked_optimum``);
+  the tolerance and the optimum passes ``_checked_optimum``;
 * NOT_EPS_ARGMAXABLE, when it ends unbounded and its primal ray, read as
   multipliers lambda >= 0 on the rows of its columns, proves the radius
   of every point in the box at most hi = box ||sum lambda_i y_i w_i||_1 /
@@ -202,8 +202,8 @@ class VerifyResult:
     """Outcome of one item.
 
     radius and witness are set only for ARGMAXABLE; reason only for
-    INDETERMINATE (what the solver reported).  wall_time is the
-    solve time in seconds, 0 for an item decided without an LP.
+    INDETERMINATE (what the solver or the check reported).  wall_time is
+    the solve time in seconds, 0 for an item decided without an LP.
     """
 
     status: VerifyStatus
@@ -308,7 +308,8 @@ class _Session:
         """The dual LP over (lambda, mu_lo, mu_hi, nu): d + 1 equality rows.
         When n >= _ROWGEN_RATIO * d, a restricted dual comes first and
         decides the item only by its checked optimum or checked ray;
-        otherwise HiGHS's status on the full LP decides it."""
+        otherwise the full dual decides it, by its checked optimum or by
+        HiGHS's unbounded status alone."""
         w, cfg = self.w, self.cfg
         if w.n >= _ROWGEN_RATIO * w.d:
             res = self.restricted(y)
@@ -317,19 +318,14 @@ class _Session:
         run = self.solve(self._model(np.r_[-y.signs, 1], np.arange(self.cost.size)))
         if run.unbounded:
             return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
-        if run.reason is not None:
-            reason = run.reason
-        elif run.objective >= cfg.eps_floor:
-            return VerifyResult(
-                VerifyStatus.ARGMAXABLE,
-                radius=float(run.objective),
-                witness=run.duals[: w.d].copy(),
-            )
-        else:
-            # Ill-conditioned solves can report an optimum below the LP's
-            # own bound eps >= eps_floor, which certifies nothing.
+        reason = run.reason
+        if reason is None:
+            radius = float(run.objective)
+            res = _checked_optimum(w, y, radius, run.duals[: w.d], cfg)
+            if res is not None:
+                return res
             reason = (
-                f"HiGHS optimum {float(run.objective)!r} is below "
+                f"HiGHS optimum {radius!r} fails the witness check at "
                 f"eps_floor {cfg.eps_floor!r}"
             )
         return VerifyResult(VerifyStatus.INDETERMINATE, reason=reason)
@@ -413,16 +409,18 @@ class _Session:
 
     def run(self, lp) -> _Run:
         """Pass lp to HiGHS (unless lp is None), solve it and read HiGHS's
-        model status; a model passModel refuses is a model error."""
+        model status; a model passModel refuses is a model error, and a
+        reason names a run() that returned kError."""
         core, highs = self.core, self.highs
-        model = core.HighsModelStatus.kModelError
+        model, failed = core.HighsModelStatus.kModelError, False
         if lp is None or highs.passModel(*lp) != core.HighsStatus.kError:
-            highs.run()
+            failed = highs.run() == core.HighsStatus.kError
             model = highs.getModelStatus()
         if model == core.HighsModelStatus.kUnbounded:
             return _Run(unbounded=True)
         if model != core.HighsModelStatus.kOptimal:
-            return _Run(reason="HiGHS: " + highs.modelStatusToString(model))
+            head = "HiGHS run error: " if failed else "HiGHS: "
+            return _Run(reason=head + highs.modelStatusToString(model))
         info = highs.getInfo()
         # As linprog does, refuse an optimum whose largest bound or row
         # residual, as HiGHS reports it, exceeds 10 sqrt(tol), tol = 1e-9.

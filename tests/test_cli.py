@@ -435,6 +435,85 @@ class TestReportConfig:
         assert obj["config"] == {key: fill(v) for key, v in config.items()}
 
 
+class TestInputErrors:
+    """Each malformed input file or flag value exits with its code and a
+    diagnostic that says what is wrong."""
+
+    def _files(self, tmp_path, sidecar=None, labels="+-\n"):
+        matrix = tmp_path / "w.csv"
+        matrix.write_text("1.0,0.0\n0.0,1.0\n")
+        if sidecar is not None:
+            (tmp_path / "w.json").write_text(sidecar)
+        (tmp_path / "y.txt").write_text(labels)
+        return ["--matrix", str(matrix), "--labels", str(tmp_path / "y.txt")]
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            ("[1]\n", "sidecar must be a JSON object"),
+            ('{"d": 3}\n', "sidecar says d=3, CSV has d=2"),
+            ('{"n": 2,\n', "unreadable sidecar: "),
+        ],
+        ids=["not-an-object", "d-mismatch", "unreadable"],
+    )
+    def test_a_bad_sidecar_is_input(self, sidecar, message, tmp_path, capsys):
+        argv = self._files(tmp_path, sidecar)
+        assert run(["verify", *argv, "--out", "-"]) == ExitCode.INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {tmp_path / 'w.json'}: {message}")
+
+    def test_a_sidecar_without_provenance_gives_the_default(self, tmp_path, capsys):
+        argv = self._files(tmp_path, '{"n": 2, "d": 2}\n')
+        assert run(["verify", *argv, "--out", "-"]) == ExitCode.OK
+        matrix = _report_from(capsys)["payload"]["matrix"]
+        assert matrix == {"n": 2, "d": 2, "provenance": {"kind": "random"}}
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ("", ": empty file"),
+            ("n=0\n1\n", ":1: header n=0 must be >= 1"),
+            ("+-\n\n-+\n", ":2: blank line in dense label file"),
+        ],
+        ids=["empty", "sparse-n-0", "dense-blank-line"],
+    )
+    def test_a_bad_label_file_is_input(self, labels, message, tmp_path, capsys):
+        argv = self._files(tmp_path, labels=labels)
+        assert run(["verify", *argv, "--out", "-"]) == ExitCode.INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {tmp_path / 'y.txt'}{message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--matrix", "{matrix}", "--tau-det", "0"],
+             "argument --tau-det: must be > 0, got 0.0"),
+            (["metrics", "--scores", "{matrix}", "--gold", "{labels}", "--k", "1,x"],
+             "argument --k: not a comma-separated int list: '1,x'"),
+        ],
+        ids=["tau-det-0", "k-not-an-int"],
+    )
+    def test_a_bad_flag_value_is_usage(self, argv, message, tmp_path, capsys):
+        files = {"{matrix}": str(tmp_path / "nope.csv"),
+                 "{labels}": str(tmp_path / "nope.txt")}
+        assert run([files.get(a, a) for a in argv]) == ExitCode.USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+    def test_metrics_with_no_gold_label_has_no_ndcg(self, tmp_path, capsys):
+        scores, gold = tmp_path / "s.csv", tmp_path / "g.txt"
+        scores.write_text("0.9,0.1,0.5,0.2\n0.1,0.8,0.3,0.7\n0.4,0.6,0.9,0.1\n")
+        gold.write_text("n=4\n\n\n\n")
+        argv = ["metrics", "--scores", str(scores), "--gold", str(gold)]
+        assert run(argv + ["--k", "1,2", "--out", "-"]) == ExitCode.OK
+        payload = _report_from(capsys)["payload"]
+        assert [row["ndcg"] for row in payload["at_k"]] == [None, None]
+        assert payload["empty_gold_records"] == 3
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage(self, capsys):
         assert run(["transmogrify"]) == ExitCode.USAGE
@@ -572,7 +651,7 @@ class TestExitCodes:
         else:
             assert code == ExitCode.INDETERMINATE
             assert res["status"] == "indeterminate"
-            assert res["reason"].startswith("HiGHS: ")
+            assert res["reason"].startswith(("HiGHS: ", "HiGHS run error: "))
         # A decade lower the box certifies.
         assert run(argv + ["--box", "1e18"]) == ExitCode.OK
         assert _report_from(capsys)["payload"]["summary"]["argmaxable"] == 1

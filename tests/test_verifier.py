@@ -136,7 +136,49 @@ class TestChebyshevVerify:
         res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
         assert res.status is VerifyStatus.INDETERMINATE
         assert res.radius is None and res.witness is None
-        assert res.reason == f"HiGHS optimum {radius!r} is below eps_floor 1e-08"
+        assert res.reason == (
+            f"HiGHS optimum {radius!r} fails the witness check at eps_floor 1e-08"
+        )
+
+    def test_an_optimum_whose_witness_misses_a_sign_is_indeterminate(
+        self, monkeypatch
+    ):
+        # The full dual's radius alone certifies nothing: its witness
+        # (1, -1) puts row 2 on the wrong side of "++".
+        def solved(session, lp):
+            return verifier._Run(objective=1.0, duals=np.array([1.0, -1.0, 0.5]))
+
+        monkeypatch.setattr(verifier._Session, "run", solved)
+        res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
+        assert res.status is VerifyStatus.INDETERMINATE
+        assert res.radius is None and res.witness is None
+        assert res.reason == "HiGHS optimum 1.0 fails the witness check at eps_floor 1e-08"
+
+    def test_a_full_dual_witness_past_the_box_is_scaled_into_it(self, monkeypatch):
+        def solved(session, lp):
+            return verifier._Run(objective=0.5, duals=np.array([4e4, 2.0, 0.5]))
+
+        monkeypatch.setattr(verifier._Session, "run", solved)
+        res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
+        assert res.status is VerifyStatus.ARGMAXABLE and res.radius == 0.5
+        assert np.array_equal(res.witness, [1e4, 0.5])
+
+    def test_a_run_that_returns_an_error_says_so(self, monkeypatch):
+        # The reason names a kError return; the model status still decides
+        # the outcome, here "Not Set" as the stub never solves.
+        from scipy.optimize._highspy import _core
+
+        class Failing(_core._Highs):
+            def run(self):
+                return _core.HighsStatus.kError
+
+        monkeypatch.setattr(_core, "_Highs", Failing)
+        w, ys = TestRowGeneration()._items()
+        for matrix, y in ((build_dft_matrix(6, 1), dense("+-----")), (w, ys[0])):
+            res = chebyshev_verify(matrix, y)
+            assert res.status is VerifyStatus.INDETERMINATE
+            assert res.radius is None and res.witness is None
+            assert res.reason == "HiGHS run error: Not Set"
 
     def test_an_optimum_off_its_constraints_is_indeterminate(self, monkeypatch):
         # An optimal run whose largest bound or row residual exceeds
@@ -662,8 +704,9 @@ class TestOneForm:
 
     @pytest.mark.parametrize("box", [1e18, 1e19])
     def test_a_box_near_highs_infinity_gives_no_wrong_verdict(self, box):
-        # Near 1e20 some full duals end in a solve error; every item they
-        # decide keeps its verdict at the default box.
+        # Near 1e20 some full duals end in a solve error, which HiGHS's
+        # run returns as an error; every item they decide keeps its verdict
+        # at the default box.
         w, cfg = build_dft_matrix(6, 1), LpConfig(box_bound=box)
         decided = 0
         for y in all_assignments(6):
@@ -671,7 +714,7 @@ class TestOneForm:
             assert ref.status is not VerifyStatus.INDETERMINATE
             res = chebyshev_verify(w, y, cfg)
             if res.status is VerifyStatus.INDETERMINATE:
-                assert res.reason.startswith("HiGHS: "), res.reason
+                assert res.reason.startswith(("HiGHS: ", "HiGHS run error: ")), res.reason
                 continue
             decided += 1
             assert res.status is ref.status, y.to_dense()
@@ -934,16 +977,91 @@ class TestRowGeneration:
         assert outcomes == [False] * len(ys)
 
     def test_a_failed_margin_check_declines(self, monkeypatch):
+        # The check refuses each restricted optimum; the full dual's
+        # optimum then meets the real check.
         w, ys = self._items()
-        checked = []
+        real_check, real_restricted = verifier._checked_optimum, verifier._Session.restricted
+        inside, refused = [], []
 
-        def refuse(*args):
-            checked.append(args)
+        def restricted(session, y):
+            inside.append(y)
+            try:
+                return real_restricted(session, y)
+            finally:
+                inside.pop()
+
+        def check(*args):
+            if not inside:
+                return real_check(*args)
+            refused.append(args)
             return None
 
-        monkeypatch.setattr(verifier, "_checked_optimum", refuse)
+        monkeypatch.setattr(verifier._Session, "restricted", restricted)
+        monkeypatch.setattr(verifier, "_checked_optimum", check)
         self._assert_declined_to_the_full_dual(monkeypatch, w, ys)
-        assert len(checked) == len(ys)
+        assert len(refused) == len(ys)
+
+    def _declined_by_a_stub(self, monkeypatch, w, ys, method, stub, when=None):
+        """Run ys through one session whose HiGHS answers method with
+        stub(real, highs, *args) on the calls that when(*args) picks (all
+        by default); assert that every item whose restricted pass met the
+        stub gets the full dual's result, bit for bit, and that dual
+        simplex is set again afterwards.  Returns the number of such items."""
+        from scipy.optimize._highspy import _core
+
+        full = _full_dual(monkeypatch, w, ys)
+        real, hits = getattr(_core._Highs, method), []
+
+        def spy(highs, *args):
+            if when is not None and not when(*args):
+                return real(highs, *args)
+            hits.append(args)
+            return stub(real, highs, *args)
+
+        monkeypatch.setattr(_core._Highs, method, spy)
+        session = verifier._Session(w, LpConfig())
+        met = 0
+        for y, ref in zip(ys, full):
+            hits.clear()
+            res = session.dual(y)
+            if hits:
+                met += 1
+                assert _bits([res]) == _bits([ref]), y.to_dense()
+            status, held = session.highs.getOptionValue("simplex_strategy")
+            assert status == _core.HighsStatus.kOk and held == 1
+        return met
+
+    def _refused(self, *args):
+        from scipy.optimize._highspy import _core
+
+        return _core.HighsStatus.kError
+
+    def test_a_refused_primal_simplex_declines(self, monkeypatch):
+        w, ys = self._items()
+        met = self._declined_by_a_stub(
+            monkeypatch, w, ys, "setOptionValue", self._refused,
+            when=lambda key, value: (key, value) == ("simplex_strategy", 4),
+        )
+        assert met == len(ys)
+
+    def test_a_refused_add_cols_declines(self, monkeypatch):
+        w, ys = self._items()
+        assert self._declined_by_a_stub(monkeypatch, w, ys, "addCols", self._refused) > 0
+
+    @pytest.mark.parametrize("kind", ["raises", "short"])
+    def test_an_unreadable_ray_declines(self, monkeypatch, kind):
+        # The Gaussian layer's k-active items end their restricted pass
+        # unbounded; reading the ray raises, or gives one entry too few.
+        def unreadable(real, highs):
+            if kind == "raises":
+                raise RuntimeError("no ray")
+            status, has_ray, ray = real(highs)
+            return status, has_ray, np.asarray(ray)[:-1]
+
+        w, ys = _rowgen_layers()["gauss"]
+        ys = ys[-4:]  # k-active items, all NOT_EPS
+        met = self._declined_by_a_stub(monkeypatch, w, ys, "getPrimalRay", unreadable)
+        assert met == len(ys)
 
     @pytest.mark.parametrize("round_", [0, 1])
     @pytest.mark.parametrize(
