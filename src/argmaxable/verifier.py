@@ -55,8 +55,10 @@ unless HiGHS's largest primal residual exceeds linprog's limit of 10
 sqrt(1e-9); kUnbounded is an unbounded run; any other status (a model
 ``passModel`` refuses counts as kModelError, and a ``run()`` that returns
 kError says so), a refused option or a raised exception is the run's
-reason.  The binding loads with the first session, not with this module:
-~0.75 s and ~40 MB that commands solving no LP need not pay.
+reason.  The binding loads with the first session, from its file in
+scipy's tree (``_highs_core``): in a fresh process (Python 3.11, scipy
+1.17) that takes ~8 ms and ~3 MB, where the ``scipy.optimize`` package
+import runs ~320 modules in ~0.4 s and ~47 MB.  No command imports it.
 
 At the optimum only d + 1 of the n lambda columns are basic, so when
 n >= 8d (``_ROWGEN_RATIO``) the dual is first solved by row generation
@@ -109,13 +111,17 @@ to ``chebyshev_verify``.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Optional, Sequence
 
 import numpy as np
@@ -248,15 +254,40 @@ class _Run:
     reason: Optional[str] = None
 
 
+_CORE = "scipy.optimize._highspy._core"
+_core_lock = threading.Lock()
+
+
+def _highs_core():
+    """scipy's HiGHS binding, loaded once from its file without running
+    ``scipy.optimize``'s package import, under its own module name so a
+    later ``import scipy.optimize`` shares it; locked for concurrent workers."""
+    with _core_lock:
+        core = sys.modules.get(_CORE)
+        if core is None:
+            scipy = importlib.util.find_spec("scipy")
+            where = scipy and scipy.submodule_search_locations
+            where = where and os.path.join(where[0], "optimize", "_highspy")
+            loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+            spec = where and FileFinder(where, loaders).find_spec(_CORE)
+            if not spec:
+                raise ImportError(
+                    f"the verifier needs scipy>=1.15: its HiGHS binding {_CORE} "
+                    f"is not in {where or 'any directory (scipy not found)'}"
+                )
+            core = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(core)
+            sys.modules[_CORE] = core
+        return core
+
+
 class _Session:
     """One HiGHS instance and the dual LP of one matrix, for one thread.
     The all-minus dual is stored column-wise without its zeros, with the
     label whose sign flips each entry (n for norms, mu and nu)."""
 
     def __init__(self, w: WeightMatrix, cfg: LpConfig) -> None:
-        from scipy.optimize._highspy import _core
-
-        self.core = _core
+        self.core = _core = _highs_core()
         self.w, self.cfg, self.highs = w, cfg, _core._Highs()
         options = {
             "output_flag": False,
