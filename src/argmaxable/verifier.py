@@ -10,13 +10,14 @@ linear program over (x, eps):
                 -box <= x_j <= box                      (j = 1..d)
                 eps >= eps_floor
 
-An optimum certifies the assignment, with its radius and witness point,
-only when a rounding-proof bound on the witness's own margin reaches
-eps_floor (``_checked_optimum``, the one rule for every ARGMAXABLE
-verdict); a certified-infeasible LP proves no point achieves y with
-margin eps_floor; anything else (numerical trouble, iteration limits, an
-optimum that fails the check) is Indeterminate rather than guessed.  The
-box bound exists only to keep the optimum finite on unbounded regions.
+An optimum certifies the assignment only when a rounding-proof lower
+bound on its witness point's own margin reaches eps_floor, and that bound
+is the radius reported (``_checked_optimum``, the one source of every
+ARGMAXABLE verdict and its radius); a certified-infeasible LP proves no
+point achieves y with margin eps_floor; anything else (numerical
+trouble, iteration limits, an optimum that fails the check) is
+Indeterminate rather than guessed.  The box bound exists only to keep
+the optimum finite on unbounded regions.
 
 ``chebyshev_verify`` solves the Lagrangian dual of that LP (Boyd &
 Vandenberghe, *Convex Optimization*, §8.5), with lambda_i >= 0 for the n
@@ -27,13 +28,13 @@ the floor:
     subject to  sum_i lambda_i (-y_i w_i) - mu_lo + mu_hi = 0    (d rows)
                 sum_i lambda_i ||w_i|| - nu = 1                  (1 row)
 
-The dual optimum is the radius, and the duals of its d equality rows are
-the witness x, which must pass ``_checked_optimum`` as any optimum must.
-An unbounded full dual proves the primal infeasible: NOT_EPS_ARGMAXABLE,
-the one verdict HiGHS's status gives on its own.  A simplex basis of the
-dual has d + 1 columns against n in the primal.  Any other outcome (a
-failed run, an optimum that fails the check) leaves the item
-Indeterminate, with that outcome as its reason.
+The duals of its d equality rows at an optimum are the witness x, which
+must pass ``_checked_optimum`` as any optimum must; the dual objective is
+not read.  An unbounded full dual proves the primal infeasible:
+NOT_EPS_ARGMAXABLE, the one verdict HiGHS's status gives on its own.  A
+simplex basis of the dual has d + 1 columns against n in the primal.
+Any other outcome (a failed run, an optimum that fails the check) leaves
+the item Indeterminate, with that outcome as its reason.
 
 Each worker thread solves through one HiGHS instance (Huangfu & Hall,
 *Math. Prog. Comp.* 10, 2018), from scipy's private binding
@@ -50,15 +51,14 @@ slower and gave a spurious solve error.  Options are ``linprog``'s for
 method "highs" without presolve, which on these dense rows reduces
 nothing, and with both feasibility tolerances at
 ``LpConfig.solver_feas_tol``, a tenth of eps_floor.  A run's outcome is
-HiGHS's model status: kOptimal gives the objective and the row duals,
-unless HiGHS's largest primal residual exceeds linprog's limit of 10
-sqrt(1e-9); kUnbounded is an unbounded run; any other status (a model
-``passModel`` refuses counts as kModelError, and a ``run()`` that returns
-kError says so), a refused option or a raised exception is the run's
-reason.  The binding loads with the first session, from its file in
-scipy's tree (``_highs_core``): in a fresh process (Python 3.11, scipy
-1.17) that takes ~8 ms and ~3 MB, where the ``scipy.optimize`` package
-import runs ~320 modules in ~0.4 s and ~47 MB.  No command imports it.
+HiGHS's model status: kOptimal gives the row duals; kUnbounded is an
+unbounded run; any other status (a model ``passModel`` refuses counts as
+kModelError, and a ``run()`` that returns kError says so), a refused
+option or a raised exception is the run's reason.  The binding loads
+with the first session, from its file in scipy's tree (``_highs_core``):
+in a fresh process (Python 3.11, scipy 1.17) that takes ~8 ms and ~3 MB,
+where the ``scipy.optimize`` package import runs ~320 modules in ~0.4 s
+and ~47 MB.  No command imports it.
 
 At the optimum only d + 1 of the n lambda columns are basic, so when
 n >= 8d (``_ROWGEN_RATIO``) the dual is first solved by row generation
@@ -90,10 +90,7 @@ HiGHS's unbounded status alone is no certificate: on certify-dft seeds
 the full dual certifies ARGMAXABLE (the ray gives hi 6.6e-6 and 7.4e-6),
 and the check declines both.  So a verdict can differ from the full
 dual's only where a ray passes: such an item is NOT_EPS_ARGMAXABLE,
-which its ray proves, whatever the full dual says.  Radii of
-well-conditioned items agree with the full dual to ~1e-12 relative;
-ill-conditioned ones (radius ~1e-6) can land on another near-optimal
-vertex, up to ~2x apart.
+which its ray proves, whatever the full dual says.
 
 ``verify_batch`` answers one class of items without an LP.  When W is
 bit for bit ``build_dft_matrix(n, k)``, every Wx samples a trigonometric
@@ -207,9 +204,12 @@ class VerifyStatus(Enum):
 class VerifyResult:
     """Outcome of one item.
 
-    radius and witness are set only for ARGMAXABLE; reason only for
-    INDETERMINATE (what the solver or the check reported).  wall_time is
-    the solve time in seconds, 0 for an item decided without an LP.
+    radius and witness are set only for ARGMAXABLE: radius is a
+    rounding-proof lower bound on the witness's smallest normalised margin
+    min_i y_i w_i . x / ||w_i||, so at most that margin as computed in
+    float64.  reason is set only for INDETERMINATE (what the solver or the
+    check reported).  wall_time is the solve time in seconds, 0 for an
+    item decided without an LP.
     """
 
     status: VerifyStatus
@@ -245,10 +245,9 @@ def chebyshev_verify(
 
 @dataclass(frozen=True)
 class _Run:
-    """How one HiGHS run ended: at an optimum its objective and row duals;
-    otherwise unbounded, or the reason it reached no optimum."""
+    """How one HiGHS run ended: at an optimum its row duals; otherwise
+    unbounded, or the reason it reached no optimum."""
 
-    objective: float = math.nan
     duals: Optional[np.ndarray] = None
     unbounded: bool = False
     reason: Optional[str] = None
@@ -349,17 +348,9 @@ class _Session:
         run = self.solve(self._model(np.r_[-y.signs, 1], np.arange(self.cost.size)))
         if run.unbounded:
             return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
-        reason = run.reason
-        if reason is None:
-            radius = float(run.objective)
-            res = _checked_optimum(w, y, radius, run.duals[: w.d], cfg)
-            if res is not None:
-                return res
-            reason = (
-                f"HiGHS optimum {radius!r} fails the witness check at "
-                f"eps_floor {cfg.eps_floor!r}"
-            )
-        return VerifyResult(VerifyStatus.INDETERMINATE, reason=reason)
+        if run.reason is not None:
+            return VerifyResult(VerifyStatus.INDETERMINATE, reason=run.reason)
+        return _checked_optimum(w, y, run.duals[: w.d], cfg)
 
     def restricted(self, y: LabelAssignment) -> Optional[VerifyResult]:
         """The dual LP on a working set of lambda columns, grown by pricing
@@ -393,7 +384,8 @@ class _Session:
                 price[chosen] = np.inf
                 short = np.flatnonzero(price < -cfg.solver_feas_tol)
                 if short.size == 0:
-                    return _checked_optimum(w, y, float(run.objective), x, cfg)
+                    res = _checked_optimum(w, y, x, cfg)
+                    return res if res.is_argmaxable else None
                 add = short[np.argsort(price[short], kind="stable")[:block]]
                 chosen[add] = True
                 col_rows = np.r_[col_rows, add]
@@ -452,22 +444,16 @@ class _Session:
         if model != core.HighsModelStatus.kOptimal:
             head = "HiGHS run error: " if failed else "HiGHS: "
             return _Run(reason=head + highs.modelStatusToString(model))
-        info = highs.getInfo()
-        # As linprog does, refuse an optimum whose largest bound or row
-        # residual, as HiGHS reports it, exceeds 10 sqrt(tol), tol = 1e-9.
-        residual = info.max_primal_infeasibility
-        if not residual <= 10 * math.sqrt(1e-9):
-            return _Run(reason=f"HiGHS optimum is off its constraints by {residual!r}")
-        duals = np.array(highs.getSolution().row_dual)
-        return _Run(info.objective_function_value, duals)
+        return _Run(np.array(highs.getSolution().row_dual))
 
 
 def _checked_optimum(
-    w: WeightMatrix, y: LabelAssignment, radius: float, x: np.ndarray, cfg: LpConfig
-) -> Optional[VerifyResult]:
-    """ARGMAXABLE with radius and witness x scaled into the box, when the
-    radius and a rounding-proof lower bound on that point's own margin both
-    reach eps_floor; otherwise None.
+    w: WeightMatrix, y: LabelAssignment, x: np.ndarray, cfg: LpConfig
+) -> VerifyResult:
+    """The verdict on HiGHS's witness x, scaled into the box: ARGMAXABLE
+    with that witness when a rounding-proof lower bound on its own margin
+    reaches eps_floor, with the bound as its radius; otherwise
+    INDETERMINATE, with the bound in the reason.
 
     The bound: write u = 2^-53 and gamma_k = k u / (1 - k u).  For row i
     let s = w_i . x exactly, t = sum_j |w_ij x_j| <= ||w_i|| ||x||, and
@@ -492,12 +478,12 @@ def _checked_optimum(
     which costs O(d u^2) relative, while g's two spare units of u add
     ~2 u mh: enough to cover the u eps_floor lost to the rounding of the
     final subtraction, since mh >= eps_floor there (as for
-    ``oracle._guard_factor``).  When mh < 0 the result is below zero, so
-    the item is not accepted.
+    ``oracle._guard_factor``).  When mh < 0 the result is below zero, and
+    a zero or nan witness gives 0 or nan, so none of these is accepted.
+    An accepted bound is at most the smallest mh, as it subtracts a
+    positive charge from it.
     """
     box, top = cfg.box_bound, float(np.max(np.abs(x)))
-    if not (radius >= cfg.eps_floor and top > 0.0):
-        return None
     if top > box:
         x = np.clip(x * (box / top), -box, box)
     d = w.d
@@ -505,8 +491,9 @@ def _checked_optimum(
     g = _gamma(d + 4)
     lower = margin - g * (margin + math.sqrt(d) * float(np.max(np.abs(x))))
     if not lower >= cfg.eps_floor:
-        return None
-    return VerifyResult(VerifyStatus.ARGMAXABLE, radius=radius, witness=x)
+        reason = f"HiGHS witness margin {lower!r} is below eps_floor {cfg.eps_floor!r}"
+        return VerifyResult(VerifyStatus.INDETERMINATE, reason=reason)
+    return VerifyResult(VerifyStatus.ARGMAXABLE, radius=lower, witness=x)
 
 
 def _checked_ray(
@@ -700,7 +687,7 @@ def radius_report(
         for r in batch.results
         if r.status is not VerifyStatus.INDETERMINATE
     )
-    if batch.results and not radii:
+    if not radii:
         raise ValueError(
             f"no radii to take percentiles of: all {len(ys)} members are "
             f"indeterminate (first: {batch.results[0].reason})"
@@ -719,8 +706,6 @@ def radius_report(
 def _nearest_rank(sorted_values: list[float], percentile: float) -> float:
     """Nearest-rank percentile on an ascending list (deterministic, no
     interpolation)."""
-    if not sorted_values:
-        raise ValueError("no radii to take percentiles of")
     count = len(sorted_values)
     rank = max(1, math.ceil(percentile * count / 100.0))
     return float(sorted_values[min(rank, count) - 1])

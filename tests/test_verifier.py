@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argmaxable.dftlayer import augment_slack, build_dft_matrix
 from argmaxable.labelspace import (
@@ -36,6 +38,21 @@ def dense(text: str) -> LabelAssignment:
 def all_assignments(n: int):
     for signs in itertools.product((1, -1), repeat=n):
         yield LabelAssignment(np.array(signs, dtype=np.int8))
+
+
+def _margin(w: WeightMatrix, y: LabelAssignment, x: np.ndarray) -> float:
+    """The smallest normalised margin min_i y_i w_i . x / ||w_i||, in float64."""
+    return float(np.min(y.signs * (w.entries @ x) / w.row_norms))
+
+
+def _assert_certified_radius(w, y, res, cfg=LpConfig()) -> None:
+    """An ARGMAXABLE radius is the witness's own margin less at most the
+    rounding charge g (margin + sqrt(d) box) of ``_checked_optimum``, and
+    reaches eps_floor."""
+    margin = _margin(w, y, res.witness)
+    charge = verifier._gamma(w.d + 4) * (margin + math.sqrt(w.d) * cfg.box_bound)
+    assert margin - charge <= res.radius <= margin, y.to_dense()
+    assert res.radius >= cfg.eps_floor
 
 
 class TestLpConfig:
@@ -101,9 +118,7 @@ class TestChebyshevVerify:
             if res.status is not VerifyStatus.ARGMAXABLE:
                 continue
             assert sign_vector(w, res.witness) == y
-            logits = w.entries @ res.witness
-            floor = res.radius * w.row_norms - cfg.solver_feas_tol
-            assert np.all(np.abs(logits) >= floor)
+            _assert_certified_radius(w, y, res, cfg)
 
     def test_feasibility_and_radius_invariant_under_matrix_scaling(self):
         rng = np.random.default_rng(22)
@@ -124,44 +139,44 @@ class TestChebyshevVerify:
         assert res.status is VerifyStatus.ARGMAXABLE
         assert res.radius == pytest.approx(1e4)
 
-    @pytest.mark.parametrize("radius", [-0.0, 9.24e-9])
-    def test_optimum_below_the_eps_floor_is_indeterminate(self, monkeypatch, radius):
-        # Ill-conditioned solves have come back optimal with radius -0.0
-        # and a zero witness, or just below the floor, breaking the LP's
-        # own bound eps >= eps_floor.
-        def solved_below(session, lp):
-            return verifier._Run(objective=radius, duals=np.array([0.0, 0.0, -0.0]))
-
-        monkeypatch.setattr(verifier._Session, "run", solved_below)
-        res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
-        assert res.status is VerifyStatus.INDETERMINATE
-        assert res.radius is None and res.witness is None
-        assert res.reason == (
-            f"HiGHS optimum {radius!r} fails the witness check at eps_floor 1e-08"
-        )
-
-    def test_an_optimum_whose_witness_misses_a_sign_is_indeterminate(
-        self, monkeypatch
+    @pytest.mark.parametrize(
+        "witness, margin",
+        [
+            ([0.0, -0.0], 0.0),
+            ([1.0, 9.24e-9], 9.24e-9 - verifier._gamma(6) * (9.24e-9 + math.sqrt(2))),
+            ([1.0, -1.0], -1.0 - verifier._gamma(6) * (-1.0 + math.sqrt(2))),
+            ([np.nan, 1.0], math.nan),
+        ],
+        ids=["zero", "below-floor", "wrong-side", "nan"],
+    )
+    def test_an_optimum_whose_witness_fails_the_check_is_indeterminate(
+        self, monkeypatch, witness, margin
     ):
-        # The full dual's radius alone certifies nothing: its witness
-        # (1, -1) puts row 2 on the wrong side of "++".
+        # Ill-conditioned solves have come back optimal with a zero witness,
+        # or one whose margin is below the floor or on the wrong side of a
+        # row; the reason gives the witness's checked margin, its smallest
+        # margin less the charge g (margin + sqrt(2) max|x|), g = gamma_6.
         def solved(session, lp):
-            return verifier._Run(objective=1.0, duals=np.array([1.0, -1.0, 0.5]))
+            return verifier._Run(duals=np.array([*witness, 0.5]))
 
         monkeypatch.setattr(verifier._Session, "run", solved)
         res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
         assert res.status is VerifyStatus.INDETERMINATE
         assert res.radius is None and res.witness is None
-        assert res.reason == "HiGHS optimum 1.0 fails the witness check at eps_floor 1e-08"
+        assert res.reason == f"HiGHS witness margin {margin!r} is below eps_floor 1e-08"
 
     def test_a_full_dual_witness_past_the_box_is_scaled_into_it(self, monkeypatch):
         def solved(session, lp):
-            return verifier._Run(objective=0.5, duals=np.array([4e4, 2.0, 0.5]))
+            return verifier._Run(duals=np.array([4e4, 2.0, 0.5]))
 
         monkeypatch.setattr(verifier._Session, "run", solved)
-        res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
-        assert res.status is VerifyStatus.ARGMAXABLE and res.radius == 0.5
+        w, y = WeightMatrix(np.eye(2)), dense("++")
+        res = chebyshev_verify(w, y)
+        assert res.status is VerifyStatus.ARGMAXABLE
         assert np.array_equal(res.witness, [1e4, 0.5])
+        # The margin 0.5 less the charge g (0.5 + sqrt(2) box), g = gamma_6.
+        assert res.radius == 0.5 - verifier._gamma(6) * (0.5 + math.sqrt(2) * 1e4)
+        _assert_certified_radius(w, y, res)
 
     def test_a_run_that_returns_an_error_says_so(self, monkeypatch):
         # The reason names a kError return; the model status still decides
@@ -180,22 +195,21 @@ class TestChebyshevVerify:
             assert res.radius is None and res.witness is None
             assert res.reason == "HiGHS run error: Not Set"
 
-    def test_an_optimum_off_its_constraints_is_indeterminate(self, monkeypatch):
-        # An optimal run whose largest bound or row residual exceeds
-        # linprog's limit of 10 sqrt(1e-9) decides nothing.
+    def test_an_optimal_run_reads_no_info_from_highs(self, monkeypatch):
+        # The witness check alone judges an optimum: neither HiGHS's
+        # objective nor its residuals are read, in either form.
         from scipy.optimize._highspy import _core
 
-        class Loose(_core._Highs):
+        class NoInfo(_core._Highs):
             def getInfo(self):
-                info = super().getInfo()
-                info.max_primal_infeasibility = 1e-3
-                return info
+                raise AssertionError("getInfo called")
 
-        monkeypatch.setattr(_core, "_Highs", Loose)
-        res = chebyshev_verify(WeightMatrix(np.eye(2)), dense("++"))
-        assert res.status is VerifyStatus.INDETERMINATE
-        assert res.radius is None and res.witness is None
-        assert res.reason == "HiGHS optimum is off its constraints by 0.001"
+        monkeypatch.setattr(_core, "_Highs", NoInfo)
+        w, ys = TestRowGeneration()._items()
+        for matrix, y in ((WeightMatrix(np.eye(2)), dense("++")), (w, ys[0])):
+            res = chebyshev_verify(matrix, y)
+            assert res.status is VerifyStatus.ARGMAXABLE, res.reason
+            _assert_certified_radius(matrix, y, res)
 
     def test_a_model_highs_refuses_is_indeterminate_not_infeasible(self):
         # HiGHS refuses matrix entries above 1e15 with a model error; y is
@@ -549,7 +563,8 @@ class TestDualForm:
     the primal reference, with witnesses that reproduce y.  Each layer's
     tolerances are the largest differences measured on these items (radius
     relative, witness in units of the box), rounded up to the next power of
-    ten."""
+    ten.  A radius is its witness's checked margin, a lower bound, so it
+    is compared with the reference's optimum from above only."""
 
     def _compare(self, w, ys, radius_rel, witness_rel):
         box = LpConfig().box_bound
@@ -563,7 +578,8 @@ class TestDualForm:
                 assert res.radius is None and res.witness is None
                 continue
             assert sign_vector(w, res.witness) == y, y.to_dense()
-            assert res.radius == pytest.approx(radius, rel=radius_rel), y.to_dense()
+            assert res.radius <= radius * (1 + radius_rel), y.to_dense()
+            _assert_certified_radius(w, y, res)
             assert np.allclose(res.witness, witness, rtol=0, atol=witness_rel * box)
         return statuses
 
@@ -760,7 +776,7 @@ def _restricted_outcomes(monkeypatch) -> list:
     def checked(check, status):
         def spy(*args):
             res = check(*args)
-            if res is not None:
+            if res is not None and res.status is not VerifyStatus.INDETERMINATE:
                 assert res.status is status
                 passed.append(res)
             return res
@@ -780,6 +796,42 @@ def _restricted_outcomes(monkeypatch) -> list:
         monkeypatch.setattr(verifier, name, checked(getattr(verifier, name), status))
     monkeypatch.setattr(verifier._Session, "restricted", spy)
     return outcomes
+
+
+class TestCertifiedRadius:
+    """Every ARGMAXABLE radius is a proven margin of its own witness: at
+    least eps_floor and at most min_i y_i (W x)_i / ||w_i|| in float64."""
+
+    def test_on_the_shared_probe_set(self):
+        # The paper's n = 500, k = 10 layer, where HiGHS's own objective
+        # exceeded the witness's margin on almost every item.
+        w, cfg = build_dft_matrix(500, 10), LpConfig()
+        ys = _k_active(np.random.default_rng(0), 500, 100)
+        batch = verify_batch(w, ys, cfg, jobs=2)
+        assert batch.summary == BatchSummary(97, 46, 3, 0)
+        for y, res in zip(ys, batch.results):
+            if res.is_argmaxable:
+                assert cfg.eps_floor <= res.radius <= _margin(w, y, res.witness)
+
+
+class TestSignFlip:
+    """(W, y) and (-W, -y) give the dual LP entry for entry, and the same
+    pricing and checks, so the same result bit for bit.  Gaussian layers
+    only: the exact DFT layer takes the alternation shortcut and its
+    negation does not."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 4), st.integers(3, 40), st.integers(0, 2**32 - 1))
+    def test_negating_the_layer_and_the_labels_changes_nothing(self, d, n, seed):
+        # n spans both sides of 8d, so restricted and full duals both run.
+        rng = np.random.default_rng(seed)
+        w = WeightMatrix(rng.standard_normal((n, d)))
+        ys = _predicted(rng, w, 3) + _random_signs(rng, n, 3)
+        flipped = [LabelAssignment(-y.signs) for y in ys]
+        negated = WeightMatrix(-w.entries)
+        assert _bits(verify_batch(w, ys).results) == _bits(
+            verify_batch(negated, flipped).results
+        )
 
 
 def _full(session, lp) -> bool:
@@ -807,12 +859,14 @@ class TestRowGeneration:
     (NOT_EPS_ARGMAXABLE) of that restricted LP is kept; every other
     outcome is the full dual's result, bit for bit."""
 
-    # Radii of at least 1e-5 agree to radius_rel, the largest relative
-    # difference measured on these items rounded up to the next power of
-    # ten: 2.4e-4 on the spectral layer and 1.6e-13 on the Gaussian one.
-    # Below 1e-5 the spectral layer is ill-conditioned and a restricted
-    # solve can land on another near-optimal vertex: within a factor of 2
-    # (measured 0.30, at radius 4.3e-7).
+    # Radii of at least 1e-5 exceed the full dual's by at most radius_rel,
+    # the largest relative difference measured on these items rounded up to
+    # the next power of ten: 2.4e-4 on the spectral layer and 7.7e-13 on
+    # the Gaussian one.  Each radius is its own witness's checked margin, so
+    # either form's may be the lower.  Below 1e-5 the spectral layer is
+    # ill-conditioned and a restricted solve can land on another
+    # near-optimal vertex: within a factor of 2 (measured 0.30, at radius
+    # 4.3e-7).
     @pytest.mark.parametrize("layer, radius_rel", [("dft", 1e-3), ("gauss", 1e-12)])
     def test_matches_the_full_dual(self, monkeypatch, layer, radius_rel):
         w, ys = _rowgen_layers()[layer]
@@ -827,13 +881,12 @@ class TestRowGeneration:
             if res.status is not VerifyStatus.ARGMAXABLE:
                 continue
             if ref.radius >= 1e-5:
-                assert res.radius == pytest.approx(ref.radius, rel=radius_rel)
+                assert res.radius <= ref.radius * (1 + radius_rel)
             else:
                 assert 0.5 <= res.radius / ref.radius <= 2.0
             assert sign_vector(w, res.witness) == y
             assert np.max(np.abs(res.witness)) <= cfg.box_bound
-            margins = y.signs * (w.entries @ res.witness) / w.row_norms
-            assert np.min(margins) >= cfg.eps_floor
+            _assert_certified_radius(w, y, res, cfg)
         assert VerifyStatus.ARGMAXABLE in statuses
         assert len(outcomes) == len(ys) and sum(outcomes) >= len(ys) // 2
 
@@ -846,18 +899,23 @@ class TestRowGeneration:
 
     def test_the_margin_check_charges_a_rounding_bound(self):
         # Row 2's margin is exactly 1e-8 + delta; with max|x| = box the
-        # bound charges ~gamma_6 sqrt(2) box = 9.4e-12 against it.
+        # bound charges ~gamma_6 sqrt(2) box = 9.4e-12 against it, and
+        # what is left is the radius.
         w, y, cfg = WeightMatrix(np.eye(2)), dense("++"), LpConfig()
         for delta, accepted in [(5e-12, False), (2e-11, True)]:
             x = np.array([cfg.box_bound, cfg.eps_floor + delta])
-            res = verifier._checked_optimum(w, y, 1.0, x, cfg)
-            assert (res is not None) is accepted, delta
-        assert res.status is VerifyStatus.ARGMAXABLE and res.radius == 1.0
-        assert verifier._checked_optimum(w, y, 0.5 * cfg.eps_floor, x, cfg) is None
+            res = verifier._checked_optimum(w, y, x, cfg)
+            assert res.is_argmaxable is accepted, delta
+        charge = verifier._gamma(6) * (x[1] + math.sqrt(2) * cfg.box_bound)
+        assert res.radius == x[1] - charge and res.reason is None
+        assert cfg.eps_floor < res.radius < x[1]
         # A witness past the box is scaled into it, and checked there.
-        res = verifier._checked_optimum(w, y, 1.0, 2.0 * x, cfg)
-        assert np.array_equal(res.witness, x)
-        assert verifier._checked_optimum(w, y, 1.0, np.array([3e4, 2e-8]), cfg) is None
+        res = verifier._checked_optimum(w, y, 2.0 * x, cfg)
+        assert np.array_equal(res.witness, x) and res.radius == x[1] - charge
+        res = verifier._checked_optimum(w, y, np.array([3e4, 2e-8]), cfg)
+        assert res.status is VerifyStatus.INDETERMINATE
+        assert res.radius is None and res.witness is None
+        assert res.reason.startswith("HiGHS witness margin 6.657")
 
     def test_decides_not_eps_from_a_checked_ray(self, monkeypatch):
         # The k-active items of the Gaussian layer are NOT_EPS; each must be
@@ -994,7 +1052,7 @@ class TestRowGeneration:
             if not inside:
                 return real_check(*args)
             refused.append(args)
-            return None
+            return verifier.VerifyResult(VerifyStatus.INDETERMINATE, reason="refused")
 
         monkeypatch.setattr(verifier._Session, "restricted", restricted)
         monkeypatch.setattr(verifier, "_checked_optimum", check)
@@ -1185,14 +1243,15 @@ class TestModelHandOff:
 
     def test_the_full_dual_after_a_declined_restricted_pass(self, monkeypatch):
         # The full dual replaces, cold, the restricted model HiGHS held.
-        monkeypatch.setattr(verifier, "_checked_optimum", lambda *args: None)
+        declined = verifier.VerifyResult(VerifyStatus.INDETERMINATE, reason="declined")
+        monkeypatch.setattr(verifier, "_checked_optimum", lambda *args: declined)
         monkeypatch.setattr(verifier, "_checked_ray", lambda *args: None)
         runs = _run_kinds(monkeypatch)
         w, ys = TestRowGeneration()._items()
         session = verifier._Session(w, LpConfig())
         for y in ys[:2]:
             runs.clear()
-            session.dual(y)
+            assert session.dual(y) is declined
             assert runs[0] == "cold" and runs[-1] == "full"
             _assert_same_model(_held(session), _dual_model(w, y, [np.arange(w.n)]))
 
