@@ -28,53 +28,20 @@ the floor:
     subject to  sum_i lambda_i (-y_i w_i) - mu_lo + mu_hi = 0    (d rows)
                 sum_i lambda_i ||w_i|| - nu = 1                  (1 row)
 
-The duals of its d equality rows at an optimum are the witness x, which
-must pass ``_checked_optimum`` as any optimum must; the dual objective is
-not read.  An unbounded full dual proves the primal infeasible:
-NOT_EPS_ARGMAXABLE, the one verdict HiGHS's status gives on its own.  A
-simplex basis of the dual has d + 1 columns against n in the primal.
-Any other outcome (a failed run, an optimum that fails the check) leaves
-the item Indeterminate, with that outcome as its reason.
-
-Each worker thread solves through one HiGHS instance (Huangfu & Hall,
-*Math. Prog. Comp.* 10, 2018), from scipy's private binding
-``scipy.optimize._highspy._core``; pyproject pins the first scipy known
-to ship it.  The session stores the dual of the all-minus assignment
-once, column-wise, and cuts every model from it in numpy by gathering
-columns and re-signing the lambda entries of their first d rows: all
-columns for the full dual, a working set for a restricted dual and the
-columns it adds.  These reach HiGHS as numpy buffers through the array
-``passModel`` and ``addCols``.  A binding without that overload raises
-TypeError, and each item is then Indeterminate with the error in its
-reason.  Full solves are cold: a warm start from the last basis was
-slower and gave a spurious solve error.  Options are ``linprog``'s for
-method "highs" without presolve, which on these dense rows reduces
-nothing, and with both feasibility tolerances at
-``LpConfig.solver_feas_tol``, a tenth of eps_floor.  A run's outcome is
-HiGHS's model status: kOptimal gives the row duals; kUnbounded is an
-unbounded run; any other status (a model ``passModel`` refuses counts as
-kModelError, and a ``run()`` that returns kError says so), a refused
-option or a raised exception is the run's reason.  The binding loads
-with the first session, from its file in scipy's tree (``_highs_core``):
-in a fresh process (Python 3.11, scipy 1.17) that takes ~8 ms and ~3 MB,
-where the ``scipy.optimize`` package import runs ~320 modules in ~0.4 s
-and ~47 MB.  No command imports it.
-
-At the optimum only d + 1 of the n lambda columns are basic, so when
-n >= 8d (``_ROWGEN_RATIO``) the dual is first solved by row generation
-(Dantzig, Fulkerson & Johnson 1954; Kelley 1960) on a working set: the
-2d rows with the smallest normalised margin y_i w_i . x0 / ||w_i|| at
-x0 = W^T y, plus an even grid of 2d rows (``_ROWGEN_BLOCK`` = 2).  The
-first round is a cold dual simplex run.  Each round then prices all n
-rows in numpy from the row duals (x, eps), rc_i = y_i w_i . x -
-eps ||w_i||, adds up to 2d of the most negative rows below
--solver_feas_tol through ``addCols``, and goes on from HiGHS's kept
-basis with primal simplex, which the added columns (at 0) leave
-feasible.  A restricted run decides its item in two ways only, each
+At its optimum only d + 1 of the n lambda columns are basic, so one loop
+solves it by row generation (Dantzig, Fulkerson & Johnson 1954; Kelley
+1960) on a working set of lambda columns.  The first round is a cold dual
+simplex run.  Each round then prices all n rows in numpy from the row
+duals (x, eps), rc_i = y_i w_i . x - eps ||w_i||, adds up to 2d of the
+most negative rows below -solver_feas_tol through ``addCols``, and goes on
+from HiGHS's kept basis with primal simplex, which the added columns (at
+0) leave feasible, until no row prices below the tolerance: at most n
+rounds, as each adds a row.  A run decides its item in two ways, each
 through a check in numpy:
 
-* ARGMAXABLE, when HiGHS calls it optimal, no row of the n prices below
-  the tolerance and the optimum passes ``_checked_optimum``;
+* ARGMAXABLE, when HiGHS calls it optimal and its witness x, the duals of
+  the d equality rows, passes ``_checked_optimum``; the dual objective is
+  not read;
 * NOT_EPS_ARGMAXABLE, when it ends unbounded and its primal ray, read as
   multipliers lambda >= 0 on the rows of its columns, proves the radius
   of every point in the box at most hi = box ||sum lambda_i y_i w_i||_1 /
@@ -82,15 +49,45 @@ through a check in numpy:
   error, hi gamma_{m+2d+6} + gamma_{m+2} sqrt(d) box for a ray with m
   positive entries (derived in ``_checked_ray``), is below eps_floor.
 
-Rounds go on until no row prices below the tolerance: at most n, as each
-adds a row.  Every other outcome (a failed run, a ray that fails) goes
-to the full dual, cold, with the bits it has without row generation.
-HiGHS's unbounded status alone is no certificate: on certify-dft seeds
-31 and 902 a restricted run HiGHS called unbounded belongs to an item
-the full dual certifies ARGMAXABLE (the ray gives hi 6.6e-6 and 7.4e-6),
-and the check declines both.  So a verdict can differ from the full
-dual's only where a ray passes: such an item is NOT_EPS_ARGMAXABLE,
-which its ray proves, whatever the full dual says.
+Any other outcome (a failed run, an optimum or a ray that fails its
+check) is INDETERMINATE, with that outcome as its reason.  When n >= 8d
+(``_ROWGEN_RATIO``) the loop first runs on a seeded working set: the 2d
+rows with the smallest normalised margin y_i w_i . x0 / ||w_i|| at
+x0 = W^T y, plus an even grid of 2d rows (``_ROWGEN_BLOCK`` = 2).  An
+item that leaves INDETERMINATE, and every item when n < 8d, runs the
+loop on all n rows: the full dual, cold, with nothing to price.  Its
+unbounded run is the one exception to the checks, NOT_EPS_ARGMAXABLE on
+HiGHS's word: at a box of 1e7 or more the ray check's charge
+gamma sqrt(d) box passes eps_floor and would leave such items
+INDETERMINATE.  On a working set the status proves nothing: on
+certify-dft seeds 31 and 902 a restricted run HiGHS called unbounded
+belongs to an item the full dual certifies ARGMAXABLE (the ray gives hi
+6.6e-6 and 7.4e-6), and the check declines both.  So a verdict can
+differ from the full dual's only where a ray passes: such an item is
+NOT_EPS_ARGMAXABLE, which its ray proves, whatever the full dual says.
+
+Each worker thread solves through one HiGHS instance (Huangfu & Hall,
+*Math. Prog. Comp.* 10, 2018), from scipy's private binding
+``scipy.optimize._highspy._core``; pyproject pins the first scipy known
+to ship it.  The session stores the dual of the all-minus assignment
+once, column-wise, and cuts every model from it in numpy by gathering
+columns and re-signing the lambda entries of their first d rows: all
+columns, a working set or the columns a round adds.  These reach HiGHS as
+numpy buffers through the array ``passModel`` and ``addCols``.  A binding
+without that overload raises TypeError, and each item is then
+Indeterminate with the error in its reason.  Full solves are cold: a warm
+start from the last basis was slower and gave a spurious solve
+error.  Options are ``linprog``'s for method "highs" without presolve,
+which on these dense rows reduces nothing, and with both feasibility
+tolerances at ``LpConfig.solver_feas_tol``, a tenth of eps_floor.  A
+run's outcome is HiGHS's model status: kOptimal gives the row duals;
+kUnbounded is an unbounded run; any other status (a model ``passModel``
+refuses counts as kModelError, and a ``run()`` that returns kError says
+so), a refused option or a raised exception is the run's reason.  The
+binding loads with the first session, from its file in scipy's tree
+(``_highs_core``): in a fresh process (Python 3.11, scipy 1.17) that
+takes ~8 ms and ~3 MB, where the ``scipy.optimize`` package import runs
+~320 modules in ~0.4 s and ~47 MB.  No command imports it.
 
 ``verify_batch`` answers one class of items without an LP.  When W is
 bit for bit ``build_dft_matrix(n, k)``, every Wx samples a trigonometric
@@ -335,89 +332,80 @@ class _Session:
         return start.astype(np.int32), self.index[at], value
 
     def dual(self, y: LabelAssignment) -> VerifyResult:
-        """The dual LP over (lambda, mu_lo, mu_hi, nu): d + 1 equality rows.
-        When n >= _ROWGEN_RATIO * d, a restricted dual comes first and
-        decides the item only by its checked optimum or checked ray;
-        otherwise the full dual decides it, by its checked optimum or by
-        HiGHS's unbounded status alone."""
-        w, cfg = self.w, self.cfg
+        """The dual LP over (lambda, mu_lo, mu_hi, nu), by ``rowgen``: on the
+        seeded working set when n >= _ROWGEN_RATIO * d, and on all n rows
+        when that leaves the item INDETERMINATE or n is smaller."""
+        w, block = self.w, _ROWGEN_BLOCK * self.w.d
         if w.n >= _ROWGEN_RATIO * w.d:
-            res = self.restricted(y)
-            if res is not None:
+            near = y.signs * (w.entries @ (w.entries.T @ y.signs)) / w.row_norms
+            rows = np.union1d(
+                np.argpartition(near, block)[:block], np.arange(block) * w.n // block
+            )
+            res = self.rowgen(y, rows)
+            if res.status is not VerifyStatus.INDETERMINATE:
                 return res
-        run = self.solve(self._model(np.r_[-y.signs, 1], np.arange(self.cost.size)))
-        if run.unbounded:
-            return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
-        if run.reason is not None:
-            return VerifyResult(VerifyStatus.INDETERMINATE, reason=run.reason)
-        return _checked_optimum(w, y, run.duals[: w.d], cfg)
+        return self.rowgen(y, np.arange(w.n))
 
-    def restricted(self, y: LabelAssignment) -> Optional[VerifyResult]:
-        """The dual LP on a working set of lambda columns, grown by pricing
-        all n rows (module docstring): ARGMAXABLE from an optimum that
-        passes ``_checked_optimum``, NOT_EPS_ARGMAXABLE from the ray of an
-        unbounded run that passes ``_checked_ray``, or None when it decides
-        nothing.  HiGHS's statuses alone decide nothing here."""
-        w, cfg, status = self.w, self.cfg, self.core.HighsStatus
-        d, block = w.d, _ROWGEN_BLOCK * w.d
-        near = y.signs * (w.entries @ (w.entries.T @ y.signs)) / w.row_norms
-        rows = np.union1d(
-            np.argpartition(near, block)[:block], np.arange(block) * w.n // block
-        )
-        chosen = np.zeros(w.n, dtype=bool)
-        chosen[rows] = True
-        sign, cols = np.r_[-y.signs, 1], np.r_[rows, np.arange(w.n, w.n + 2 * d + 1)]
-        # The matrix row of each HiGHS column, -1 for mu_lo, mu_hi and nu.
-        col_rows = np.where(cols < w.n, cols, -1)
+    def rowgen(self, y: LabelAssignment, rows: np.ndarray) -> VerifyResult:
+        """The dual LP on the lambda columns of rows, then mu_lo, mu_hi and
+        nu, grown by pricing all n rows (module docstring).  An optimum goes
+        to ``_checked_optimum``; an unbounded run is NOT_EPS_ARGMAXABLE
+        through ``farkas``, or on HiGHS's word when rows are all n rows; a
+        run that fails is INDETERMINATE with its reason."""
+        w, cfg, highs, status = self.w, self.cfg, self.highs, self.core.HighsStatus
+        d, block, subset = w.d, _ROWGEN_BLOCK * w.d, rows.size < w.n
+        tail = np.arange(w.n, self.cost.size)  # mu_lo, mu_hi and nu
+        sign, cols = np.r_[-y.signs, 1], np.concatenate((rows, tail))
         run = self.solve(self._model(sign, cols))
         try:
             # Primal simplex: each round's added columns keep the basis feasible.
-            if self.highs.setOptionValue("simplex_strategy", 4) != status.kOk:
-                return None
+            if subset and highs.setOptionValue("simplex_strategy", 4) != status.kOk:
+                return _undecided("HiGHS refused option simplex_strategy=4")
             while True:
+                if run.unbounded and not subset:
+                    return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
                 if run.unbounded:
-                    return self.farkas(y, col_rows)
+                    return self.farkas(y, cols)
                 if run.reason is not None:
-                    return None
+                    return _undecided(run.reason)
                 x, eps = run.duals[:d], run.duals[d]
-                price = y.signs * (w.entries @ x) - eps * w.row_norms
-                price[chosen] = np.inf
-                short = np.flatnonzero(price < -cfg.solver_feas_tol)
-                if short.size == 0:
-                    res = _checked_optimum(w, y, x, cfg)
-                    return res if res.is_argmaxable else None
+                if subset:
+                    price = y.signs * (w.entries @ x) - eps * w.row_norms
+                    price[cols[cols < w.n]] = np.inf
+                    short = np.flatnonzero(price < -cfg.solver_feas_tol)
+                if not subset or short.size == 0:
+                    return _checked_optimum(w, y, x, cfg)
                 add = short[np.argsort(price[short], kind="stable")[:block]]
-                chosen[add] = True
-                col_rows = np.r_[col_rows, add]
+                cols = np.r_[cols, add]
                 start, index, value = self._cut(sign, add)
                 zeros, inf = np.zeros(add.size), np.full(add.size, np.inf)
                 # addCols warns, as passModel does, when it drops entries
                 # below HiGHS's small_matrix_value (1e-9).
-                added = self.highs.addCols(
+                added = highs.addCols(
                     add.size, zeros, zeros, inf, value.size, start, index, value
                 )
                 if added == status.kError:
-                    return None
+                    return _undecided("HiGHS refused addCols")
                 run = self.solve(None)
         finally:
-            self.highs.setOptionValue("simplex_strategy", 1)
+            if subset:
+                highs.setOptionValue("simplex_strategy", 1)
 
-    def farkas(
-        self, y: LabelAssignment, col_rows: np.ndarray
-    ) -> Optional[VerifyResult]:
+    def farkas(self, y: LabelAssignment, cols: np.ndarray) -> VerifyResult:
         """NOT_EPS_ARGMAXABLE when the primal ray of the unbounded run just
-        ended, read as lambda on the matrix rows col_rows gives its columns,
-        passes ``_checked_ray``; otherwise None."""
+        ended over the stored columns cols, read as lambda on those below n,
+        passes ``_checked_ray``; otherwise INDETERMINATE."""
+        no_ray = _undecided("HiGHS's primal ray proves nothing")
         try:
             status, has_ray, ray = self.highs.getPrimalRay()
         except (AttributeError, RuntimeError, TypeError, ValueError):
-            return None  # a binding without the call, or of another shape
+            return no_ray  # a binding without the call, or of another shape
         if status == self.core.HighsStatus.kError or not has_ray:
-            return None
-        ray, keep = np.asarray(ray, dtype=np.float64), col_rows >= 0
-        if ray.shape != col_rows.shape:
-            return None
-        return _checked_ray(self.w, y, col_rows[keep], ray[keep], self.cfg)
+            return no_ray
+        ray, keep = np.asarray(ray, dtype=np.float64), cols < self.w.n
+        if ray.shape != cols.shape:
+            return no_ray
+        return _checked_ray(self.w, y, cols[keep], ray[keep], self.cfg) or no_ray
 
     def solve(self, lp) -> _Run:
         """One cold run of lp, or with lp None a run of the model HiGHS
@@ -445,6 +433,11 @@ class _Session:
             head = "HiGHS run error: " if failed else "HiGHS: "
             return _Run(reason=head + highs.modelStatusToString(model))
         return _Run(np.array(highs.getSolution().row_dual))
+
+
+def _undecided(reason: str) -> VerifyResult:
+    """An INDETERMINATE result with reason."""
+    return VerifyResult(VerifyStatus.INDETERMINATE, reason=reason)
 
 
 def _checked_optimum(

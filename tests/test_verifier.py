@@ -16,6 +16,7 @@ from argmaxable.labelspace import (
     FamilySpec,
     LabelAssignment,
     alt,
+    cover_count,
     enumerate_family,
 )
 from argmaxable import verifier
@@ -347,6 +348,24 @@ class TestAgainstEnumeration:
         expected = set(enumerate_family(FamilySpec(6, 2, FamilyKind.ALTERNATING)))
         assert feasible == expected
         assert all(alt(y) <= 2 for y in feasible)
+
+    def test_every_assignment_of_a_gaussian_layer(self):
+        """A 10x4 Gaussian layer is in general position, so its ARGMAXABLE
+        assignments are exactly its cover_count(10, 4) = 260 regions, every
+        other one NOT_EPS.  At a box of 1e12 the full dual's unbounded
+        runs still find the same NOT_EPS set, where a checked ray's
+        rounding charge would leave them INDETERMINATE."""
+        w = WeightMatrix(np.random.default_rng(101).standard_normal((10, 4)))
+        ys = list(all_assignments(10))
+        default = verify_batch(w, ys)
+        assert default.summary.argmaxable == cover_count(10, 4) == 260
+        assert default.summary.indeterminate == 0
+        wide = verify_batch(w, ys, LpConfig(box_bound=1e12))
+        not_eps = [
+            [r.status is VerifyStatus.NOT_EPS_ARGMAXABLE for r in batch.results]
+            for batch in (default, wide)
+        ]
+        assert not_eps[0] == not_eps[1] and sum(not_eps[0]) == 764
 
 
 def _counting_lp(monkeypatch):
@@ -766,11 +785,17 @@ def _full_dual(monkeypatch, w, ys) -> list:
         return [chebyshev_verify(w, y) for y in ys]
 
 
+def _subset(session, rows) -> bool:
+    """Whether rows, as ``_Session.rowgen`` gets them, are a strict subset
+    of the n rows: a restricted run, not the full dual."""
+    return rows.size < session.w.n
+
+
 def _restricted_outcomes(monkeypatch) -> list:
-    """Record whether each restricted dual decided its item, and check that
-    it decided only through a check: ARGMAXABLE from ``_checked_optimum``
-    or NOT_EPS_ARGMAXABLE from ``_checked_ray``."""
-    real = verifier._Session.restricted
+    """Record whether each restricted run of the loop decided its item, and
+    check that it decided only through a check: ARGMAXABLE from
+    ``_checked_optimum`` or NOT_EPS_ARGMAXABLE from ``_checked_ray``."""
+    real = verifier._Session.rowgen
     outcomes, passed = [], []
 
     def checked(check, status):
@@ -783,10 +808,12 @@ def _restricted_outcomes(monkeypatch) -> list:
 
         return spy
 
-    def spy(session, y):
-        res = real(session, y)
-        assert res is None or any(res is p for p in passed)
-        outcomes.append(res is not None)
+    def spy(session, y, rows):
+        res = real(session, y, rows)
+        if _subset(session, rows):
+            decided = res.status is not VerifyStatus.INDETERMINATE
+            assert not decided or any(res is p for p in passed)
+            outcomes.append(decided)
         return res
 
     for name, status in [
@@ -794,7 +821,7 @@ def _restricted_outcomes(monkeypatch) -> list:
         ("_checked_ray", VerifyStatus.NOT_EPS_ARGMAXABLE),
     ]:
         monkeypatch.setattr(verifier, name, checked(getattr(verifier, name), status))
-    monkeypatch.setattr(verifier._Session, "restricted", spy)
+    monkeypatch.setattr(verifier._Session, "rowgen", spy)
     return outcomes
 
 
@@ -834,6 +861,39 @@ class TestSignFlip:
         )
 
 
+class TestMetamorphic:
+    """Transforms of (W, y) with the same Chebyshev LP up to a change of
+    variables: permuting the rows together with y, duplicating a row, and
+    a signed permutation of W's columns, which keeps the box.  Their
+    paths through the loop differ (another seed, another n), but no pair
+    may have one result ARGMAXABLE and the other NOT_EPS.  Gaussian layers
+    with n on both sides of 8d."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(3, 40), st.integers(0, 2**32 - 1))
+    def test_no_transform_turns_a_verdict_around(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        w = WeightMatrix(rng.standard_normal((n, d)))
+        ys = _predicted(rng, w, 3) + _random_signs(rng, n, 3)
+        perm, dup = rng.permutation(n), int(rng.integers(n))
+        signed = rng.choice([-1.0, 1.0], d) * np.eye(d)[:, rng.permutation(d)]
+        transformed = [
+            (w.entries[perm], [y.signs[perm] for y in ys]),
+            (
+                np.vstack([w.entries, w.entries[dup]]),
+                [np.append(y.signs, y.signs[dup]) for y in ys],
+            ),
+            (w.entries @ signed, [y.signs for y in ys]),
+        ]
+        base = verify_batch(w, ys).results
+        decided = {VerifyStatus.ARGMAXABLE, VerifyStatus.NOT_EPS_ARGMAXABLE}
+        for entries, signs in transformed:
+            items = [LabelAssignment(s) for s in signs]
+            other = verify_batch(WeightMatrix(entries), items)
+            for y, a, b in zip(ys, base, other.results):
+                assert {a.status, b.status} != decided, y.to_dense()
+
+
 def _full(session, lp) -> bool:
     """Whether lp, as ``_Session.run`` gets it, is the full dual: the model
     over every stored column."""
@@ -854,10 +914,11 @@ def _run_kinds(monkeypatch) -> list:
 
 
 class TestRowGeneration:
-    """When n >= 8d the dual is first solved on a working set of rows.
+    """When n >= 8d the loop first runs on a seeded working set of rows.
     Only a checked optimum (ARGMAXABLE) or a checked Farkas ray
     (NOT_EPS_ARGMAXABLE) of that restricted LP is kept; every other
-    outcome is the full dual's result, bit for bit."""
+    outcome is the full dual's result, bit for bit: the loop's run on all
+    n rows."""
 
     # Radii of at least 1e-5 exceed the full dual's by at most radius_rel,
     # the largest relative difference measured on these items rounded up to
@@ -890,12 +951,23 @@ class TestRowGeneration:
         assert VerifyStatus.ARGMAXABLE in statuses
         assert len(outcomes) == len(ys) and sum(outcomes) >= len(ys) // 2
 
-    def test_is_skipped_below_eight_rows_per_column(self, monkeypatch):
+    def test_below_eight_rows_per_column_the_working_set_is_every_row(
+        self, monkeypatch
+    ):
+        real, working = verifier._Session.rowgen, []
+
+        def spy(session, y, rows):
+            working.append(rows)
+            return real(session, y, rows)
+
+        monkeypatch.setattr(verifier._Session, "rowgen", spy)
         outcomes = _restricted_outcomes(monkeypatch)
         chebyshev_verify(build_dft_matrix(40, 3), dense("+" + "-" * 39))
-        assert outcomes == []
+        assert outcomes == [] and len(working) == 1
+        assert np.array_equal(working[0], np.arange(40))
         chebyshev_verify(build_dft_matrix(56, 3), dense("+" + "-" * 55))
-        assert outcomes == [True]
+        assert outcomes == [True] and len(working) == 2
+        assert 0 < working[1].size < 56
 
     def test_the_margin_check_charges_a_rounding_bound(self):
         # Row 2's margin is exactly 1e-8 + delta; with max|x| = box the
@@ -1038,23 +1110,23 @@ class TestRowGeneration:
         # The check refuses each restricted optimum; the full dual's
         # optimum then meets the real check.
         w, ys = self._items()
-        real_check, real_restricted = verifier._checked_optimum, verifier._Session.restricted
+        real_check, real_rowgen = verifier._checked_optimum, verifier._Session.rowgen
         inside, refused = [], []
 
-        def restricted(session, y):
-            inside.append(y)
+        def rowgen(session, y, rows):
+            inside.append(_subset(session, rows))
             try:
-                return real_restricted(session, y)
+                return real_rowgen(session, y, rows)
             finally:
                 inside.pop()
 
         def check(*args):
-            if not inside:
+            if not any(inside):
                 return real_check(*args)
             refused.append(args)
             return verifier.VerifyResult(VerifyStatus.INDETERMINATE, reason="refused")
 
-        monkeypatch.setattr(verifier._Session, "restricted", restricted)
+        monkeypatch.setattr(verifier._Session, "rowgen", rowgen)
         monkeypatch.setattr(verifier, "_checked_optimum", check)
         self._assert_declined_to_the_full_dual(monkeypatch, w, ys)
         assert len(refused) == len(ys)
@@ -1132,12 +1204,13 @@ class TestRowGeneration:
     ):
         # round_ 0 fails the cold solve, 1 the first solve after addCols.
         w, ys = self._items()
-        real_restricted, real_run = verifier._Session.restricted, verifier._Session.run
+        real_rowgen, real_run = verifier._Session.rowgen, verifier._Session.run
         runs = []
 
-        def restricted(session, y):
-            runs.clear()
-            return real_restricted(session, y)
+        def rowgen(session, y, rows):
+            if _subset(session, rows):
+                runs.clear()
+            return real_rowgen(session, y, rows)
 
         def run(session, lp):
             inside = lp is None or (not _full(session, lp) and not runs)
@@ -1148,7 +1221,7 @@ class TestRowGeneration:
 
         monkeypatch.setattr(verifier._Session, "run", run)
         full = _full_dual(monkeypatch, w, ys)
-        monkeypatch.setattr(verifier._Session, "restricted", restricted)
+        monkeypatch.setattr(verifier._Session, "rowgen", rowgen)
         outcomes = _restricted_outcomes(monkeypatch)
         assert _bits(chebyshev_verify(w, y) for y in ys) == _bits(full)
         assert outcomes == [False] * len(ys)
@@ -1260,13 +1333,16 @@ class TestModelHandOff:
         real_run, real_cut = verifier._Session.run, verifier._Session._cut
         held, cut = [], []
 
+        # Only the restricted runs count: a full dual after them is another test's.
         def run(session, lp):
             out = real_run(session, lp)
-            held.append(_held(session))
+            if not _full(session, lp):
+                held.append(_held(session))
             return out
 
         def spy(session, sign, cols):
-            cut.append(cols[cols < w.n])
+            if cols.size < session.cost.size:
+                cut.append(cols[cols < w.n])
             return real_cut(session, sign, cols)
 
         monkeypatch.setattr(verifier._Session, "run", run)
@@ -1275,7 +1351,7 @@ class TestModelHandOff:
         for y in ys:
             held.clear()
             cut.clear()
-            session.restricted(y)
+            session.dual(y)
             if len(held) >= 2:
                 break
         assert len(held) >= 2 and len(cut) == len(held)
