@@ -43,7 +43,15 @@ from .linalg import (
     MinorBudgetError,
     gr_plus_status,
 )
-from .metrics import StackedRecords, micro_macro_f1, ndcg_at_k, prec_rec_f1_at_k
+# prec_rec_f1_at_k and ndcg_at_k are not called here; they stay importable
+# from this module because bench/tracing.py wraps them by name.
+from .metrics import (  # noqa: F401
+    StackedRecords,
+    metrics_at_k,
+    micro_macro_f1,
+    ndcg_at_k,
+    prec_rec_f1_at_k,
+)
 from .oracle import (
     DEFAULT_SAMPLE_BUDGET,
     DegeneracyError,
@@ -484,27 +492,20 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             f"{scores.shape[0]} score records but {len(gold)} gold assignments",
         )
     records = StackedRecords.from_gold(scores, gold)
-    at_k = []
-    empty_gold = 0
-    for k in args.k:
-        try:
-            pr = prec_rec_f1_at_k(records, k, per_record_f1=args.per_record_f1)
-        except ValueError as exc:  # a rank past the label count
-            raise _UsageError(f"error: --k: {exc}")
-        empty_gold = pr.empty_gold
-        try:
-            ndcg = ndcg_at_k(records, k).ndcg
-        except ValueError:
-            ndcg = None
-        at_k.append(
-            {
-                "k": k,
-                "prec": pr.prec,
-                "rec": pr.rec,
-                "f1": pr.f1,
-                "ndcg": ndcg,
-            }
-        )
+    try:
+        ranked = metrics_at_k(records, args.k, per_record_f1=args.per_record_f1)
+    except ValueError as exc:  # a rank past the label count
+        raise _UsageError(f"error: --k: {exc}")
+    at_k = [
+        {
+            "k": r.k,
+            "prec": r.at_k.prec,
+            "rec": r.at_k.rec,
+            "f1": r.at_k.f1,
+            "ndcg": None if r.ndcg is None else r.ndcg.ndcg,
+        }
+        for r in ranked
+    ]
     mm = micro_macro_f1(records, threshold=args.threshold)
     payload = {
         "records": len(records),
@@ -512,7 +513,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         "micro_f1": mm.micro_f1,
         "macro_f1": mm.macro_f1,
         "zero_support_labels": mm.zero_support_labels,
-        "empty_gold_records": empty_gold,
+        "empty_gold_records": ranked[0].at_k.empty_gold,
     }
     _emit_report(args, payload)
     return ExitCode.OK

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,9 +28,11 @@ from .labelspace import LabelAssignment
 
 __all__ = [
     "StackedRecords",
+    "AtK",
     "AtKResult",
     "MicroMacroResult",
     "NdcgResult",
+    "metrics_at_k",
     "prec_rec_f1_at_k",
     "micro_macro_f1",
     "ndcg_at_k",
@@ -130,6 +132,31 @@ def _top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     return chosen
 
 
+# Score cells ranked at a time, which bounds the ranking's temporaries at
+# any label count.
+_RANK_CELLS = 1 << 16
+
+
+def _ranked_hits(scores: np.ndarray, active: np.ndarray, depth: int) -> np.ndarray:
+    """(records, depth) booleans: whether each record's label at each rank
+    is active.  Ranks run by descending score, ties by ascending label
+    index, so the first k columns hold the labels ``_top_k_mask`` picks at
+    k.  Rows are ranked in blocks of about ``_RANK_CELLS`` cells."""
+    m, n = scores.shape
+    hits = np.empty((m, depth), dtype=np.bool_)
+    step = max(1, _RANK_CELLS // n)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        # The chosen labels in ascending index order, then stably sorted
+        # by descending score.
+        labels = np.nonzero(_top_k_mask(scores[rows], depth))[1].reshape(-1, depth)
+        picked = np.take_along_axis(scores[rows], labels, axis=1)
+        order = np.argsort(-picked, axis=1, kind="stable")
+        ranked = np.take_along_axis(labels, order, axis=1)
+        hits[rows] = np.take_along_axis(active[rows], ranked, axis=1)
+    return hits
+
+
 def _harmonic(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Elementwise harmonic mean of nonnegative p and r.  Where p == r
     (zero included) it is p itself: the harmonic mean of equal values is
@@ -138,36 +165,90 @@ def _harmonic(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.divide(2.0 * p * r, p + r, out=equal, where=p != r)
 
 
+class AtK(NamedTuple):
+    """The ranked metrics at rank k; ``ndcg`` is None when every record
+    has an empty gold set."""
+
+    k: int
+    at_k: AtKResult
+    ndcg: Optional[NdcgResult]
+
+
+def metrics_at_k(
+    records: StackedRecords, ks: Sequence[int], per_record_f1: bool = False
+) -> list[AtK]:
+    """Prec@k, Rec@k, F1@k and nDCG@k for each k in ``ks``, in order, all
+    read off one ranking of every record's top ``max(ks)`` labels.
+
+    Per record the k top-ranked labels are predicted active: precision is
+    hits/k and recall hits/act(gold).  F1 is the harmonic mean of the
+    dataset-averaged precision and recall or, with ``per_record_f1``, the
+    average of per-record harmonic means.  nDCG gives an active label gain
+    1 at discount 1/log2(rank+1), normalized by a perfect ranking's DCG.
+    Raises ValueError when there are no records or a k is outside 1..n.
+    """
+    scores, active = _stack(records)
+    n = scores.shape[1]
+    for k in ks:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if k > n:
+            raise ValueError(f"k={k} exceeds label count n={n}")
+    hits = _ranked_hits(scores, active, max(ks))
+    counts = np.count_nonzero(active, axis=1)
+    empty = counts == 0
+    empty_gold = int(np.count_nonzero(empty))
+    ndcgs = _ndcg_at(hits[~empty], counts[~empty], set(ks), len(records))
+    out = []
+    for k in ks:
+        found = np.count_nonzero(hits[:, :k], axis=1)
+        precs = found / k
+        recs = np.divide(found, counts, out=np.ones(len(records)), where=~empty)
+        mean_p = np.mean(precs)
+        mean_r = np.mean(recs)
+        if per_record_f1:
+            f1 = np.mean(_harmonic(precs, recs))
+        else:
+            f1 = _harmonic(mean_p, mean_r)
+        at_k = AtKResult(float(mean_p), float(mean_r), float(f1), empty_gold)
+        out.append(AtK(k, at_k, ndcgs.get(k)))
+    return out
+
+
+def _ndcg_at(
+    hits: np.ndarray, counts: np.ndarray, ks: set[int], records: int
+) -> dict[int, NdcgResult]:
+    """nDCG at each k in ``ks`` from the ranked hits and gold counts of the
+    records with non-empty gold; empty when there are none."""
+    scored = len(counts)
+    if not scored:
+        return {}
+    discounts = [1.0 / math.log2(rank + 1) for rank in range(1, max(ks) + 1)]
+    out = {}
+    # Summed in rank order, as one record at a time would: adding a 0.0
+    # for a miss leaves the running sum unchanged.
+    dcg = np.zeros(scored)
+    for k, discount in enumerate(discounts, start=1):
+        dcg += np.where(hits[:, k - 1], discount, 0.0)
+        if k not in ks:
+            continue
+        # The ideal DCG is the builtin sum() of the first min(k, |gold|)
+        # discounts, as per record, once per distinct length.
+        ideal_at = np.minimum(counts, k)
+        ideals = {a: sum(discounts[:a]) for a in np.unique(ideal_at).tolist()}
+        ideal = np.array([ideals[a] for a in ideal_at.tolist()])
+        total = 0.0
+        for ratio in (dcg / ideal).tolist():
+            total += ratio
+        out[k] = NdcgResult(total / scored, scored, records - scored)
+    return out
+
+
 def prec_rec_f1_at_k(
     records: StackedRecords, k: int, per_record_f1: bool = False
 ) -> AtKResult:
-    """Precision, recall, and F1 at rank k, averaged over records.
-
-    Per record the k top-scored labels are predicted active: precision is
-    hits/k and recall hits/act(gold) (1.0 when the gold set is empty).
-    By default F1 is the harmonic mean of the dataset-averaged precision
-    and recall; with ``per_record_f1`` the harmonic mean is taken per
-    record and then averaged.
-    """
-    scores, active = _stack(records)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = scores.shape[1]
-    if k > n:
-        raise ValueError(f"k={k} exceeds label count n={n}")
-    hits = np.count_nonzero(_top_k_mask(scores, k) & active, axis=1)
-    counts = np.count_nonzero(active, axis=1)
-    empty = counts == 0
-    precs = hits / k
-    recs = np.divide(hits, counts, out=np.ones(len(records)), where=~empty)
-    mean_p = np.mean(precs)
-    mean_r = np.mean(recs)
-    if per_record_f1:
-        f1 = np.mean(_harmonic(precs, recs))
-    else:
-        f1 = _harmonic(mean_p, mean_r)
-    empty_gold = int(np.count_nonzero(empty))
-    return AtKResult(float(mean_p), float(mean_r), float(f1), empty_gold)
+    """Precision, recall and F1 at rank k: ``metrics_at_k`` for one k."""
+    return metrics_at_k(records, [k], per_record_f1)[0].at_k
 
 
 def micro_macro_f1(
@@ -194,44 +275,12 @@ def micro_macro_f1(
 
 
 def ndcg_at_k(records: StackedRecords, k: int) -> NdcgResult:
-    """Normalized discounted cumulative gain at rank k, averaged over the
-    records that have at least one active gold label.
-
-    Gain is 1 for an active label, 0 otherwise; the discount at rank r is
-    1/log2(r+1); the normalizer is the DCG of a perfect ranking.  A record
-    with empty gold is skipped and counted; if every record is skipped
-    there is nothing to average and a ValueError is raised.
-    """
+    """Normalized discounted cumulative gain at rank k: ``metrics_at_k``
+    at min(k, n).  A ValueError when every record has an empty gold set,
+    since there is nothing to average."""
     scores, active = _stack(records)
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts = np.count_nonzero(active, axis=1)
-    keep = counts > 0
-    scored = int(np.count_nonzero(keep))
-    if scored == 0:
+    if not active.any():
         raise ValueError("every record has an empty gold set")
-    k = min(k, scores.shape[1])
-    scores, active = scores[keep], active[keep]
-    # The k chosen labels in ascending index order, then stably sorted by
-    # descending score: the rank order with ties by ascending index.
-    labels = np.nonzero(_top_k_mask(scores, k))[1].reshape(scored, k)
-    picked = np.take_along_axis(scores, labels, axis=1)
-    ranked = np.take_along_axis(
-        labels, np.argsort(-picked, axis=1, kind="stable"), axis=1
-    )
-    hit = np.take_along_axis(active, ranked, axis=1)
-    discounts = [1.0 / math.log2(rank + 1) for rank in range(1, k + 1)]
-    # Summed in rank order, as one record at a time would: adding a 0.0
-    # for a miss leaves the running sum unchanged.
-    dcg = np.zeros(scored)
-    for col, discount in enumerate(discounts):
-        dcg += np.where(hit[:, col], discount, 0.0)
-    # The ideal DCG is the builtin sum() of the first min(k, |gold|)
-    # discounts, as per record, once per distinct length.
-    ideal_at = np.minimum(counts[keep], k)
-    ideals = {a: sum(discounts[:a]) for a in np.unique(ideal_at).tolist()}
-    ideal = np.array([ideals[a] for a in ideal_at.tolist()])
-    total = 0.0
-    for ratio in (dcg / ideal).tolist():
-        total += ratio
-    return NdcgResult(total / scored, scored, len(records) - scored)
+    return metrics_at_k(records, [min(k, scores.shape[1])])[0].ndcg

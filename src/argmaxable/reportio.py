@@ -19,11 +19,13 @@ carry path/line/column diagnostics.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -76,19 +78,83 @@ def _read_text(path: Union[str, Path]) -> str:
         raise ParseError(path, f"cannot read file: {exc.strerror or exc}")
 
 
-def _parse_float_rows(path: Union[str, Path], text: str) -> np.ndarray:
-    """Parse rectangular CSV text of floats into a float64 array.
+# Bytes read from a numeric file at a time: one block's bytes, text and
+# lines are all the text the streamed parse holds.
+_BLOCK_BYTES = 1 << 16
 
-    The happy path is one C-level ``np.loadtxt`` pass.  Its cells go
-    through the same ``PyOS_string_to_double`` as ``float()``, but it
-    strips ``\\x1f`` around a cell where ``float()`` does not, and it
-    rejects some cells ``float()`` accepts (``1_0``, non-ASCII digits).
-    It also skips blank lines (and warns when nothing is left), so its
-    array is taken only when no line is blank, no ``\\x1f`` occurs and
-    the shape is one row per line.  Anything else re-reads the text cell
-    by cell, which either produces the array or raises the ParseError
-    that names the first bad line and column.
+# Every line break str.splitlines() knows besides "\n", and the "\x1f"
+# that np.loadtxt strips around a cell where float() does not.
+_WHOLE_TEXT_CHARS = (
+    "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"
+)
+
+
+def _parse_float_rows(path: Union[str, Path]) -> np.ndarray:
+    """Parse a rectangular CSV file of floats into a float64 array.
+
+    The happy path streams the file's lines, in blocks, through one
+    C-level ``np.loadtxt`` pass, so it holds the array and one block of
+    text.  Its cells go through the same ``PyOS_string_to_double`` as
+    ``float()``, but it strips ``\\x1f`` around a cell where ``float()``
+    does not, it rejects some cells ``float()`` accepts (``1_0``,
+    non-ASCII digits), and it skips blank lines.  So its array is taken
+    only from a UTF-8 file whose lines all end in ``\\n``, none blank,
+    with no ``\\x1f``, and only when it has one row per line.  Anything
+    else, an empty file included, re-reads the file whole.
     """
+    rows: list[int] = []
+    try:
+        blocks = _line_blocks(path, rows)
+        head = next(blocks, None)
+        if head is not None:
+            lines = itertools.chain(head, itertools.chain.from_iterable(blocks))
+            arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if arr.shape == (sum(rows), head[0].count(",") + 1):
+                return arr
+    except (OSError, ValueError):  # UnicodeDecodeError included
+        pass
+    return _parse_text_rows(path, _read_text(path))
+
+
+def _line_blocks(path: Union[str, Path], rows: list[int]) -> Iterator[list[str]]:
+    """A file's lines, one list per block of about ``_BLOCK_BYTES``, with
+    each list's length appended to ``rows``.
+
+    A block ends at its last ``\\n``, so a line and a UTF-8 character
+    never straddle two blocks.  Raises ValueError at the first block that
+    needs the whole-text parse: one holding a ``_WHOLE_TEXT_CHARS``
+    character, a blank or whitespace-only line, or invalid UTF-8.
+    """
+    with open(path, "rb") as fh:
+        pending: list[Union[bytes, memoryview]] = []  # the unfinished line
+        for raw in iter(partial(fh.read, _BLOCK_BYTES), b""):
+            end = raw.rfind(b"\n")
+            if end < 0:
+                pending.append(raw)
+                continue
+            view = memoryview(raw)
+            yield _block_lines(b"".join([*pending, view[:end]]), rows)
+            pending = [view[end + 1 :]]
+        tail = b"".join(pending)
+        if tail:
+            yield _block_lines(tail, rows)
+
+
+def _block_lines(data: bytes, rows: list[int]) -> list[str]:
+    text = data.decode("utf-8")
+    if any(ch in text for ch in _WHOLE_TEXT_CHARS):
+        raise ValueError("needs the whole-text parse")
+    lines = text.split("\n")
+    if not all(map(str.strip, lines)):
+        raise ValueError("blank line")
+    rows.append(len(lines))
+    return lines
+
+
+def _parse_text_rows(path: Union[str, Path], text: str) -> np.ndarray:
+    """The whole-text parse: ``np.loadtxt`` over ``splitlines()`` when no
+    line is blank, no ``\\x1f`` occurs and the shape is one row per
+    line, and otherwise the per-cell parse."""
     lines = text.splitlines()
     if lines and "\x1f" not in text and all(line.strip() for line in lines):
         try:
@@ -164,7 +230,7 @@ def _provenance_from_sidecar(path: Path, obj: dict, n: int, d: int) -> Provenanc
 def parse_matrix(path: Union[str, Path]) -> WeightMatrix:
     """Read a weight matrix from CSV, with provenance from the JSON
     sidecar (same path, .json suffix) when one exists."""
-    entries = _parse_float_rows(path, _read_text(path))
+    entries = _parse_float_rows(path)
     provenance = Provenance()
     sidecar = _sidecar_path(path)
     if sidecar.exists() and sidecar != Path(path):
@@ -294,7 +360,7 @@ def parse_labels(path: Union[str, Path]) -> list[LabelAssignment]:
 
 def parse_scores(path: Union[str, Path]) -> np.ndarray:
     """Read a score file: CSV of floats, one record per line, rectangular."""
-    arr = _parse_float_rows(path, _read_text(path))
+    arr = _parse_float_rows(path)
     if not np.all(np.isfinite(arr)):
         raise ParseError(path, "scores must be finite")
     return arr

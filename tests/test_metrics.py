@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from argmaxable import metrics
 from argmaxable.labelspace import LabelAssignment
 from argmaxable.metrics import (
     StackedRecords,
+    metrics_at_k,
     micro_macro_f1,
     ndcg_at_k,
     prec_rec_f1_at_k,
@@ -338,6 +340,73 @@ class TestExactAgainstReference:
     def test_ranking_helper_matches_stable_sort(self):
         scores = [0.5, 0.9, 0.5, 0.1]
         assert ranked_labels(scores) == [1, 0, 2, 3]
+
+
+class TestOneRanking:
+    """metrics_at_k ranks each record once, in row blocks, and reads every
+    k off that ranking; each figure equals the one-record-at-a-time
+    reference bit for bit."""
+
+    def _check(self, scores, golds, ks):
+        records = _stacked([_record(row, gold) for row, gold in zip(scores, golds)])
+        rows = [list(row) for row in scores]
+        for flag in (False, True):
+            got = metrics_at_k(records, ks, per_record_f1=flag)
+            assert [r.k for r in got] == list(ks)
+            for k, r in zip(ks, got):
+                assert tuple(r.at_k) == reference_prec_rec_f1_at_k(rows, golds, k, flag)
+                if any(golds):
+                    assert tuple(r.ndcg) == reference_ndcg_at_k(rows, golds, k)
+                else:
+                    assert r.ndcg is None
+
+    @pytest.mark.parametrize("gold", ["some empty", "all empty"])
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, None])
+    def test_tied_scores_across_row_blocks(self, gold, block_rows, monkeypatch):
+        # Integers 0..3 and zeros of both signs tie at nearly every cut;
+        # 23 records are more than one block and not a multiple of one.
+        rng = np.random.default_rng(71)
+        m, n = 23, 12
+        if block_rows is not None:
+            monkeypatch.setattr(metrics, "_RANK_CELLS", block_rows * n)
+        scores = rng.integers(0, 4, (m, n)).astype(float)
+        zeros = scores == 0.0
+        scores[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        golds = [
+            set()
+            if gold == "all empty" or r % 4 == 1
+            else set(np.flatnonzero(rng.random(n) < 0.3).tolist())
+            for r in range(m)
+        ]
+        self._check(scores, golds, (10, 1, 5, 5, n))
+
+    def test_default_block_over_many_rows(self):
+        rng = np.random.default_rng(72)
+        n = 700
+        m = 2 * (metrics._RANK_CELLS // n) + 5
+        scores, golds = _dataset(rng, "rounded", m, n)
+        self._check(scores, golds, (10, 1, 5, 5))
+
+    def test_one_partition_per_block_at_the_deepest_k(self, monkeypatch):
+        calls = []
+
+        def counting(scores, k):
+            calls.append((scores.shape[0], k))
+            return top_k_mask(scores, k)
+
+        top_k_mask = metrics._top_k_mask
+        monkeypatch.setattr(metrics, "_top_k_mask", counting)
+        monkeypatch.setattr(metrics, "_RANK_CELLS", 4 * 6)
+        scores, golds = _dataset(np.random.default_rng(73), "random", 10, 6)
+        records = _stacked([_record(row, gold) for row, gold in zip(scores, golds)])
+        metrics_at_k(records, [2, 1, 5])
+        assert calls == [(4, 5), (4, 5), (2, 5)]
+
+    @pytest.mark.parametrize("ks", [[0], [1, 0], [3, 7]])
+    def test_bad_ranks_raise_before_any_ranking(self, ks):
+        records = _stacked([_record([0.5, 0.1, 0.3], {1})])
+        with pytest.raises(ValueError, match="k must be >= 1|exceeds label count"):
+            metrics_at_k(records, ks)
 
 
 class TestStackedRecords:

@@ -349,8 +349,10 @@ def _csv_texts(draw):
     return text
 
 
-def _per_cell(path, text):
-    return np.array(reportio._parse_cells(path, text.splitlines()), dtype=np.float64)
+def _per_cell(path):
+    """The whole text's lines through the per-cell parse: the reference."""
+    lines = reportio._read_text(path).splitlines()
+    return np.array(reportio._parse_cells(path, lines), dtype=np.float64)
 
 
 def _outcome(parse):
@@ -362,17 +364,51 @@ def _outcome(parse):
     return "ok", arr.shape, arr.view(np.int64).tolist()
 
 
+def _write(directory, text, name="data.csv"):
+    target = Path(directory) / name
+    target.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    return target
+
+
+def _wide_rows(count, width=40, seed=3):
+    """Score lines of shortest round-trip floats, about 0.8 KB each."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((count, width)) * 10.0 ** rng.integers(-5, 5, (count, 1))
+    return [",".join(repr(float(v)) for v in row) for row in rows]
+
+
+def _rows_past_one_block():
+    """Lines of a file larger than one block, with the first block's
+    boundary falling inside a line."""
+    lines = _wide_rows(3 * reportio._BLOCK_BYTES // 800)
+    text = "\n".join(lines) + "\n"
+    assert len(text) > 2 * reportio._BLOCK_BYTES
+    assert text[reportio._BLOCK_BYTES - 1] != "\n"
+    return lines
+
+
+def _refuse(*args):
+    raise AssertionError("whole-text parse used")
+
+
 @pytest.mark.filterwarnings("error")
 class TestVectorizedParse:
-    """The np.loadtxt fast path is an optimization only: on any text it
-    gives the per-cell float() parse's array or its exact ParseError, and
-    it never warns."""
+    """The block-streamed np.loadtxt path is an optimization only: on any
+    file it gives the per-cell float() parse's array or its exact
+    ParseError, and it never warns."""
 
+    @pytest.mark.parametrize("block", [1, 5, None])
     @settings(max_examples=400, deadline=None)
-    @given(_csv_texts())
-    def test_rows_match_the_per_cell_parse(self, text):
-        fast = _outcome(lambda: reportio._parse_float_rows("data.csv", text))
-        assert fast == _outcome(lambda: _per_cell("data.csv", text))
+    @given(text=_csv_texts())
+    def test_rows_match_the_per_cell_parse(self, block, text):
+        # Tiny blocks put a seam inside nearly every line and character.
+        size = block or reportio._BLOCK_BYTES
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            reportio, "_BLOCK_BYTES", size
+        ):
+            target = _write(tmp, text)
+            fast = _outcome(lambda: reportio._parse_float_rows(target))
+            assert fast == _outcome(lambda: _per_cell(target))
 
     @pytest.mark.parametrize(
         "parse", [parse_scores, lambda path: parse_matrix(path).entries]
@@ -381,24 +417,105 @@ class TestVectorizedParse:
     @given(text=_csv_texts())
     def test_parsers_match_the_per_cell_parse(self, parse, text):
         with tempfile.TemporaryDirectory() as tmp:
-            target = Path(tmp) / "data.csv"
-            target.write_bytes(text.encode("utf-8"))
+            target = _write(tmp, text)
             fast = _outcome(lambda: parse(target))
             with mock.patch.object(reportio, "_parse_float_rows", _per_cell):
                 assert fast == _outcome(lambda: parse(target))
 
     @pytest.mark.parametrize("text", ["\n", " \n\n", "1\n\n"])
-    def test_blank_lines_are_reported_not_skipped(self, text):
+    def test_blank_lines_are_reported_not_skipped(self, text, tmp_path):
         with pytest.raises(ParseError, match="blank line inside numeric data"):
-            reportio._parse_float_rows("data.csv", text)
+            reportio._parse_float_rows(_write(tmp_path, text))
 
-    def test_well_formed_text_skips_the_per_cell_parse(self, monkeypatch):
+    def test_well_formed_text_skips_the_per_cell_parse(self, monkeypatch, tmp_path):
         def refuse(path, lines):
             raise AssertionError("per-cell parse used")
 
         monkeypatch.setattr(reportio, "_parse_cells", refuse)
-        arr = reportio._parse_float_rows("data.csv", "1.5,-0.0\n2e3, 4 \n")
+        monkeypatch.setattr(reportio, "_read_text", _refuse)
+        target = _write(tmp_path, "1.5,-0.0\n2e3, 4 \n")
+        arr = reportio._parse_float_rows(target)
         assert arr.tolist() == [[1.5, -0.0], [2000.0, 4.0]]
+
+    @pytest.mark.parametrize("ending", ["\n", ""])
+    def test_lines_across_block_seams_stream(self, ending, monkeypatch, tmp_path):
+        lines = _rows_past_one_block()
+        target = _write(tmp_path, "\n".join(lines) + ending)
+        expected = _outcome(lambda: _per_cell(target))
+        monkeypatch.setattr(reportio, "_read_text", _refuse)
+        assert _outcome(lambda: reportio._parse_float_rows(target)) == expected
+        assert expected[1] == (len(lines), 40)
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0])
+    def test_blank_line_at_a_block_seam_is_reported(self, offset, tmp_path):
+        # A line break padded out to the first block's last bytes or the
+        # second's first, then a blank line right after it: the two
+        # breaks sit in the first block, straddle the seam, or open the
+        # second block.
+        text = "\n".join(_rows_past_one_block()) + "\n"
+        at = reportio._BLOCK_BYTES + offset
+        end = text.rfind("\n", 0, at)
+        text = text[:end] + " " * (at - end) + "\n\n" + text[end + 1 :]
+        assert text[at : at + 2] == "\n\n"
+        target = _write(tmp_path, text)
+        line = text[: at + 1].count("\n") + 1
+        with pytest.raises(ParseError) as err:
+            reportio._parse_float_rows(target)
+        assert str(err.value) == f"{target}:{line}: blank line inside numeric data"
+        assert _outcome(lambda: _per_cell(target)) == ("error", str(err.value))
+
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            c
+            for c in map(chr, range(0x110000))
+            if c != "\n" and len(f"1{c}2".splitlines()) > 1
+        ]
+        + ["\x1f"],
+    )
+    def test_other_breaks_and_x1f_read_the_whole_text(self, ch, tmp_path, monkeypatch):
+        # Every line break splitlines() knows besides "\n", and "\x1f",
+        # sends the file to the whole-text parse, wherever it sits.
+        lines = _rows_past_one_block()
+        read_text = reportio._read_text
+        for text in (f"1,2{ch}\n3,4\n", "\n".join(lines) + ch + "\n"):
+            target = _write(tmp_path, text)
+            expected = _outcome(lambda: _per_cell(target))
+            read = []
+            monkeypatch.setattr(
+                reportio, "_read_text", lambda path: read.append(path) or read_text(path)
+            )
+            assert _outcome(lambda: reportio._parse_float_rows(target)) == expected
+            assert read == [target]
+            monkeypatch.undo()
+
+    def test_invalid_utf8_in_a_later_block(self, tmp_path):
+        lines = _rows_past_one_block()
+        data = ("\n".join(lines[:-1]) + "\n").encode() + b"\xff" + lines[-1].encode()
+        target = _write(tmp_path, data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            reportio._read_text(target)
+        for parse in (reportio._parse_float_rows, parse_scores):
+            with pytest.raises(UnicodeDecodeError) as fast:
+                parse(target)
+            assert str(fast.value) == str(whole.value)
+
+    @pytest.mark.parametrize("size", ["small", "past one block"])
+    def test_crlf_endings_give_the_lf_array(self, size, tmp_path):
+        lines = _wide_rows(3) if size == "small" else _rows_past_one_block()
+        lf = _write(tmp_path, "\n".join(lines) + "\n", "lf.csv")
+        crlf = _write(tmp_path, "\r\n".join(lines) + "\r\n", "crlf.csv")
+        bare = _write(tmp_path, "\n".join(lines), "bare.csv")
+        expected = _outcome(lambda: reportio._parse_float_rows(lf))
+        assert expected[0] == "ok"
+        for target in (crlf, bare):
+            assert _outcome(lambda: reportio._parse_float_rows(target)) == expected
+
+    def test_empty_file(self, tmp_path):
+        target = _write(tmp_path, "")
+        with pytest.raises(ParseError) as err:
+            reportio._parse_float_rows(target)
+        assert str(err.value) == f"{target}: empty file"
 
 
 class TestReportEnvelope:
