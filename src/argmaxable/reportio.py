@@ -82,10 +82,11 @@ def _read_text(path: Union[str, Path]) -> str:
 # lines are all the text the streamed parse holds.
 _BLOCK_BYTES = 1 << 16
 
-# Every line break str.splitlines() knows besides "\n", and the "\x1f"
+# The characters that send a file to the per-cell parse: every line
+# break str.splitlines() knows besides "\n" and "\r", and the "\x1f"
 # that np.loadtxt strips around a cell where float() does not.
-_WHOLE_TEXT_CHARS = (
-    "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"
+_PER_CELL_CHARS = (
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"
 )
 
 
@@ -98,9 +99,10 @@ def _parse_float_rows(path: Union[str, Path]) -> np.ndarray:
     ``float()``, but it strips ``\\x1f`` around a cell where ``float()``
     does not, it rejects some cells ``float()`` accepts (``1_0``,
     non-ASCII digits), and it skips blank lines.  So its array is taken
-    only from a UTF-8 file whose lines all end in ``\\n``, none blank,
-    with no ``\\x1f``, and only when it has one row per line.  Anything
-    else, an empty file included, re-reads the file whole.
+    only from a UTF-8 file whose lines all end in ``\\n`` or ``\\r\\n``,
+    none blank, with no ``\\x1f``, and only when it has one row per line.
+    Any other file, an empty one included, goes to the per-cell parse of
+    its whole text.
     """
     rows: list[int] = []
     try:
@@ -113,7 +115,8 @@ def _parse_float_rows(path: Union[str, Path]) -> np.ndarray:
                 return arr
     except (OSError, ValueError):  # UnicodeDecodeError included
         pass
-    return _parse_text_rows(path, _read_text(path))
+    lines = _read_text(path).splitlines()
+    return np.array(_parse_cells(path, lines), dtype=np.float64)
 
 
 def _line_blocks(path: Union[str, Path], rows: list[int]) -> Iterator[list[str]]:
@@ -121,9 +124,11 @@ def _line_blocks(path: Union[str, Path], rows: list[int]) -> Iterator[list[str]]
     each list's length appended to ``rows``.
 
     A block ends at its last ``\\n``, so a line and a UTF-8 character
-    never straddle two blocks.  Raises ValueError at the first block that
-    needs the whole-text parse: one holding a ``_WHOLE_TEXT_CHARS``
-    character, a blank or whitespace-only line, or invalid UTF-8.
+    never straddle two blocks.  A line keeps a ``\\r`` that ends it, which
+    ``np.loadtxt`` drops.  Raises ValueError at the first block that needs
+    the per-cell parse: one holding a ``_PER_CELL_CHARS`` character or a
+    ``\\r`` inside a line, a blank or whitespace-only line, or invalid
+    UTF-8.
     """
     with open(path, "rb") as fh:
         pending: list[Union[bytes, memoryview]] = []  # the unfinished line
@@ -142,29 +147,17 @@ def _line_blocks(path: Union[str, Path], rows: list[int]) -> Iterator[list[str]]
 
 def _block_lines(data: bytes, rows: list[int]) -> list[str]:
     text = data.decode("utf-8")
-    if any(ch in text for ch in _WHOLE_TEXT_CHARS):
-        raise ValueError("needs the whole-text parse")
+    if any(ch in text for ch in _PER_CELL_CHARS):
+        raise ValueError("needs the per-cell parse")
+    # The block's last line lost its "\n" at the cut, so a "\r" may end
+    # it.  Counting "\r\n" is slow, so an LF block skips the count.
+    if "\r" in text and text.count("\r") != text.count("\r\n") + text.endswith("\r"):
+        raise ValueError("\\r inside a line")
     lines = text.split("\n")
     if not all(map(str.strip, lines)):
         raise ValueError("blank line")
     rows.append(len(lines))
     return lines
-
-
-def _parse_text_rows(path: Union[str, Path], text: str) -> np.ndarray:
-    """The whole-text parse: ``np.loadtxt`` over ``splitlines()`` when no
-    line is blank, no ``\\x1f`` occurs and the shape is one row per
-    line, and otherwise the per-cell parse."""
-    lines = text.splitlines()
-    if lines and "\x1f" not in text and all(line.strip() for line in lines):
-        try:
-            arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if arr.shape == (len(lines), lines[0].count(",") + 1):
-                return arr
-    return np.array(_parse_cells(path, lines), dtype=np.float64)
 
 
 def _parse_cells(path: Union[str, Path], lines: list[str]) -> list[list[float]]:

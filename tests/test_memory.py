@@ -18,23 +18,27 @@ from argmaxable.reportio import parse_scores
 RECORDS, LABELS = 300, 3000
 
 
-@pytest.fixture(scope="module")
-def score_files(tmp_path_factory):
+@pytest.fixture(scope="module", params=["\n", "\r\n"], ids=["lf", "crlf"])
+def score_files(request, tmp_path_factory):
+    """A score file and its gold labels, both with the param's line ending."""
+    end = request.param
     rng = np.random.default_rng(27)
     scores = rng.standard_normal((RECORDS, LABELS))
     directory = tmp_path_factory.mktemp("scores")
     target = directory / "scores.csv"
-    target.write_text(
-        "".join(",".join(map(repr, row)) + "\n" for row in scores.tolist())
+    target.write_bytes(
+        "".join(",".join(map(repr, row)) + end for row in scores.tolist()).encode()
     )
     gold = directory / "gold.txt"
-    gold.write_text(
-        f"n={LABELS}\n"
-        + "".join(
-            ",".join(map(str, sorted(rng.choice(LABELS, 5, replace=False) + 1)))
-            + "\n"
-            for _ in range(RECORDS)
-        )
+    gold.write_bytes(
+        (
+            f"n={LABELS}{end}"
+            + "".join(
+                ",".join(map(str, sorted(rng.choice(LABELS, 5, replace=False) + 1)))
+                + end
+                for _ in range(RECORDS)
+            )
+        ).encode()
     )
     return target, gold, scores.nbytes
 

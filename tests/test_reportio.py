@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -318,7 +319,7 @@ _ODD_CELLS = st.sampled_from(
      '"1"', "'1'", "#", "1#", "0x1", "1e", "1 2", "\x1f4", "\x00", "\ufeff1"]
 )
 _CELLS = st.integers(0, 9).flatmap(lambda i: _ODD_CELLS if i == 0 else _VALID_CELLS)
-_BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\x0c", "\u2028"])
+_BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\u2028"])
 
 
 @st.composite
@@ -355,10 +356,19 @@ def _per_cell(path):
     return np.array(reportio._parse_cells(path, lines), dtype=np.float64)
 
 
+def _strict(parse, *args):
+    """``parse(*args)`` with every warning raised as an error.  Scoped to
+    the call, so it does not catch warnings from Hypothesis's reporting."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return parse(*args)
+
+
 def _outcome(parse):
-    """The parsed array bit for bit (so -0.0 counts), or the error text."""
+    """The parsed array bit for bit (so -0.0 counts), or the error text;
+    a warning from the parse is an error."""
     try:
-        arr = parse()
+        arr = _strict(parse)
     except ParseError as exc:
         return "error", str(exc)
     return "ok", arr.shape, arr.view(np.int64).tolist()
@@ -388,10 +398,21 @@ def _rows_past_one_block():
 
 
 def _refuse(*args):
-    raise AssertionError("whole-text parse used")
+    raise AssertionError("whole text read")
 
 
-@pytest.mark.filterwarnings("error")
+def _outcome_and_reads(target, monkeypatch):
+    """The fast parse's outcome, and the paths it read as whole text."""
+    read_text, read = reportio._read_text, []
+    monkeypatch.setattr(
+        reportio, "_read_text", lambda path: read.append(path) or read_text(path)
+    )
+    try:
+        return _outcome(lambda: reportio._parse_float_rows(target)), read
+    finally:
+        monkeypatch.undo()
+
+
 class TestVectorizedParse:
     """The block-streamed np.loadtxt path is an optimization only: on any
     file it gives the per-cell float() parse's array or its exact
@@ -425,7 +446,7 @@ class TestVectorizedParse:
     @pytest.mark.parametrize("text", ["\n", " \n\n", "1\n\n"])
     def test_blank_lines_are_reported_not_skipped(self, text, tmp_path):
         with pytest.raises(ParseError, match="blank line inside numeric data"):
-            reportio._parse_float_rows(_write(tmp_path, text))
+            _strict(reportio._parse_float_rows, _write(tmp_path, text))
 
     def test_well_formed_text_skips_the_per_cell_parse(self, monkeypatch, tmp_path):
         def refuse(path, lines):
@@ -434,7 +455,7 @@ class TestVectorizedParse:
         monkeypatch.setattr(reportio, "_parse_cells", refuse)
         monkeypatch.setattr(reportio, "_read_text", _refuse)
         target = _write(tmp_path, "1.5,-0.0\n2e3, 4 \n")
-        arr = reportio._parse_float_rows(target)
+        arr = _strict(reportio._parse_float_rows, target)
         assert arr.tolist() == [[1.5, -0.0], [2000.0, 4.0]]
 
     @pytest.mark.parametrize("ending", ["\n", ""])
@@ -460,7 +481,7 @@ class TestVectorizedParse:
         target = _write(tmp_path, text)
         line = text[: at + 1].count("\n") + 1
         with pytest.raises(ParseError) as err:
-            reportio._parse_float_rows(target)
+            _strict(reportio._parse_float_rows, target)
         assert str(err.value) == f"{target}:{line}: blank line inside numeric data"
         assert _outcome(lambda: _per_cell(target)) == ("error", str(err.value))
 
@@ -469,25 +490,37 @@ class TestVectorizedParse:
         [
             c
             for c in map(chr, range(0x110000))
-            if c != "\n" and len(f"1{c}2".splitlines()) > 1
+            if c not in "\n\r" and len(f"1{c}2".splitlines()) > 1
         ]
         + ["\x1f"],
     )
     def test_other_breaks_and_x1f_read_the_whole_text(self, ch, tmp_path, monkeypatch):
-        # Every line break splitlines() knows besides "\n", and "\x1f",
-        # sends the file to the whole-text parse, wherever it sits.
+        # Every line break splitlines() knows besides "\n" and "\r", and
+        # "\x1f", sends the file to the per-cell parse of its whole text,
+        # wherever it sits.
         lines = _rows_past_one_block()
-        read_text = reportio._read_text
         for text in (f"1,2{ch}\n3,4\n", "\n".join(lines) + ch + "\n"):
             target = _write(tmp_path, text)
             expected = _outcome(lambda: _per_cell(target))
-            read = []
-            monkeypatch.setattr(
-                reportio, "_read_text", lambda path: read.append(path) or read_text(path)
-            )
-            assert _outcome(lambda: reportio._parse_float_rows(target)) == expected
-            assert read == [target]
-            monkeypatch.undo()
+            assert _outcome_and_reads(target, monkeypatch) == (expected, [target])
+
+    @pytest.mark.parametrize(
+        "brk, streams",
+        [("\r\n", True), ("\r", False), ("\n\r", False)],
+        ids=["crlf", "lone", "opening"],
+    )
+    def test_a_carriage_return_streams_only_at_a_line_end(
+        self, brk, streams, tmp_path, monkeypatch
+    ):
+        # np.loadtxt ends a row at a trailing "\r"; one anywhere else in a
+        # line, in the first block or a later one, reads the whole text.
+        lines = _rows_past_one_block()
+        later = "\n".join(lines[:-2]) + "\n"
+        for head, (first, second) in (("", ("1,2", "3,4")), (later, lines[-2:])):
+            target = _write(tmp_path, head + first + brk + second + "\n")
+            expected = _outcome(lambda: _per_cell(target))
+            reads = [] if streams else [target]
+            assert _outcome_and_reads(target, monkeypatch) == (expected, reads)
 
     def test_invalid_utf8_in_a_later_block(self, tmp_path):
         lines = _rows_past_one_block()
@@ -497,24 +530,25 @@ class TestVectorizedParse:
             reportio._read_text(target)
         for parse in (reportio._parse_float_rows, parse_scores):
             with pytest.raises(UnicodeDecodeError) as fast:
-                parse(target)
+                _strict(parse, target)
             assert str(fast.value) == str(whole.value)
 
     @pytest.mark.parametrize("size", ["small", "past one block"])
-    def test_crlf_endings_give_the_lf_array(self, size, tmp_path):
+    def test_crlf_endings_give_the_lf_array(self, size, tmp_path, monkeypatch):
         lines = _wide_rows(3) if size == "small" else _rows_past_one_block()
         lf = _write(tmp_path, "\n".join(lines) + "\n", "lf.csv")
         crlf = _write(tmp_path, "\r\n".join(lines) + "\r\n", "crlf.csv")
         bare = _write(tmp_path, "\n".join(lines), "bare.csv")
         expected = _outcome(lambda: reportio._parse_float_rows(lf))
         assert expected[0] == "ok"
+        monkeypatch.setattr(reportio, "_read_text", _refuse)
         for target in (crlf, bare):
             assert _outcome(lambda: reportio._parse_float_rows(target)) == expected
 
     def test_empty_file(self, tmp_path):
         target = _write(tmp_path, "")
         with pytest.raises(ParseError) as err:
-            reportio._parse_float_rows(target)
+            _strict(reportio._parse_float_rows, target)
         assert str(err.value) == f"{target}: empty file"
 
 
