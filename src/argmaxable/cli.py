@@ -388,7 +388,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = LpConfig(box_bound=args.box, eps_floor=args.eps)
     w = parse_matrix(args.matrix)
-    ys = parse_labels(args.labels)
+    ys = parse_labels(args.labels, w.n)
     batch = verify_batch(w, ys, cfg, jobs=args.jobs)
     deterministic = args.deterministic
     results = []
@@ -485,7 +485,7 @@ def _cmd_radii(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     scores = parse_scores(args.scores)
-    gold = parse_labels(args.gold)
+    gold = parse_labels(args.gold, scores.shape[1])
     if scores.shape[0] != len(gold):
         raise ParseError(
             args.scores,

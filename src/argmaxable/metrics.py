@@ -279,8 +279,6 @@ def ndcg_at_k(records: StackedRecords, k: int) -> NdcgResult:
     at min(k, n).  A ValueError when every record has an empty gold set,
     since there is nothing to average."""
     scores, active = _stack(records)
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if not active.any():
         raise ValueError("every record has an empty gold set")
     return metrics_at_k(records, [min(k, scores.shape[1])])[0].ndcg

@@ -76,6 +76,10 @@ def _read_text(path: Union[str, Path]) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, f"cannot read file: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, f"not UTF-8: byte {byte:#04x} ({exc.reason})", line=line)
 
 
 # Bytes read from a numeric file at a time: one block's bytes, text and
@@ -229,7 +233,7 @@ def parse_matrix(path: Union[str, Path]) -> WeightMatrix:
     if sidecar.exists() and sidecar != Path(path):
         try:
             obj = json.loads(sidecar.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON or UTF-8 decoding included
             raise ParseError(sidecar, f"unreadable sidecar: {exc}")
         provenance = _provenance_from_sidecar(
             sidecar, obj, entries.shape[0], entries.shape[1]
@@ -317,15 +321,19 @@ def _parse_sparse_line(
     return LabelAssignment.from_active(n, sorted(seen))
 
 
-def parse_labels(path: Union[str, Path]) -> list[LabelAssignment]:
+def parse_labels(
+    path: Union[str, Path], n: Optional[int] = None
+) -> list[LabelAssignment]:
     """Read a label file: dense lines ('+'/'-' per label), or sparse lines
     of 1-based active indices under a leading ``n=<count>`` header.
 
     In sparse mode a blank line is the all-inactive assignment.  In dense
-    mode every line must have the same length as the first.
+    mode every line must have the same length as the first.  With ``n``
+    given, every assignment must have n labels: a header or line of
+    another width is a ParseError naming its line.
     """
-    text = _read_text(path)
-    lines = text.splitlines()
+    expected = n
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(path, "empty file")
     header = lines[0].strip()
@@ -337,10 +345,11 @@ def parse_labels(path: Union[str, Path]) -> list[LabelAssignment]:
             raise ParseError(path, f"bad header {header!r}", line=1)
         if n < 1:
             raise ParseError(path, f"header n={n} must be >= 1", line=1)
+        if expected is not None and n != expected:
+            raise ParseError(path, f"header n={n}, expected n={expected}", line=1)
         for line_no, line in enumerate(lines[1:], start=2):
             out.append(_parse_sparse_line(path, line, line_no, n))
         return out
-    expected: Optional[int] = None
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             raise ParseError(

@@ -30,14 +30,15 @@ the floor:
 
 At its optimum only d + 1 of the n lambda columns are basic, so one loop
 solves it by row generation (Dantzig, Fulkerson & Johnson 1954; Kelley
-1960) on a working set of lambda columns.  The first round is a cold dual
-simplex run.  Each round then prices all n rows in numpy from the row
-duals (x, eps), rc_i = y_i w_i . x - eps ||w_i||, adds up to 2d of the
-most negative rows below -solver_feas_tol through ``addCols``, and goes on
-from HiGHS's kept basis with primal simplex, which the added columns (at
-0) leave feasible, until no row prices below the tolerance: at most n
-rounds, as each adds a row.  A run decides its item in two ways, each
-through a check in numpy:
+1960) on a working set of lambda columns.  Each run sets its own
+simplex: the first round is a cold dual simplex run, and each later one
+goes on from HiGHS's kept basis with primal simplex, which the columns
+added since (at 0) leave feasible.  After each optimum the loop prices
+all n rows in numpy from the row duals (x, eps), rc_i = y_i w_i . x -
+eps ||w_i||, and adds up to 2d of the most negative rows below
+-solver_feas_tol through ``addCols``, until no row outside the working
+set prices below the tolerance: at most n rounds, as each adds a row.  A
+run decides its item in two ways, each through a check in numpy:
 
 * ARGMAXABLE, when HiGHS calls it optimal and its witness x, the duals of
   the d equality rows, passes ``_checked_optimum``; the dual objective is
@@ -55,11 +56,11 @@ check) is INDETERMINATE, with that outcome as its reason.  When n >= 8d
 rows with the smallest normalised margin y_i w_i . x0 / ||w_i|| at
 x0 = W^T y, plus an even grid of 2d rows (``_ROWGEN_BLOCK`` = 2).  An
 item that leaves INDETERMINATE, and every item when n < 8d, runs the
-loop on all n rows: the full dual, cold, with nothing to price.  Its
-unbounded run is the one exception to the checks, NOT_EPS_ARGMAXABLE on
-HiGHS's word: at a box of 1e7 or more the ray check's charge
-gamma sqrt(d) box passes eps_floor and would leave such items
-INDETERMINATE.  On a working set the status proves nothing: on
+loop on all n rows: the full dual, one cold run, as its pricing finds
+every row already in.  Its unbounded run is the one exception to the
+checks, NOT_EPS_ARGMAXABLE on HiGHS's word: at a box of 1e7 or more the
+ray check's charge gamma sqrt(d) box passes eps_floor and would leave
+such items INDETERMINATE.  On a working set the status proves nothing: on
 certify-dft seeds 31 and 902 a restricted run HiGHS called unbounded
 belongs to an item the full dual certifies ARGMAXABLE (the ray gives hi
 6.6e-6 and 7.4e-6), and the check declines both.  So a verdict can
@@ -79,7 +80,8 @@ Indeterminate with the error in its reason.  Full solves are cold: a warm
 start from the last basis was slower and gave a spurious solve
 error.  Options are ``linprog``'s for method "highs" without presolve,
 which on these dense rows reduces nothing, and with both feasibility
-tolerances at ``LpConfig.solver_feas_tol``, a tenth of eps_floor.  A
+tolerances at ``LpConfig.solver_feas_tol``, a tenth of eps_floor; each
+run sets ``simplex_strategy`` itself (1, dual, or 4, primal).  A
 run's outcome is HiGHS's model status: kOptimal gives the row duals;
 kUnbounded is an unbounded run; any other status (a model ``passModel``
 refuses counts as kModelError, and a ``run()`` that returns kError says
@@ -288,7 +290,6 @@ class _Session:
         options = {
             "output_flag": False,
             "presolve": "off",
-            "simplex_strategy": 1,  # dual simplex, as linprog asks for
             "primal_feasibility_tolerance": cfg.solver_feas_tol,
             "dual_feasibility_tolerance": cfg.solver_feas_tol,
         }
@@ -353,43 +354,34 @@ class _Session:
         through ``farkas``, or on HiGHS's word when rows are all n rows; a
         run that fails is INDETERMINATE with its reason."""
         w, cfg, highs, status = self.w, self.cfg, self.highs, self.core.HighsStatus
-        d, block, subset = w.d, _ROWGEN_BLOCK * w.d, rows.size < w.n
+        d, block = w.d, _ROWGEN_BLOCK * w.d
         tail = np.arange(w.n, self.cost.size)  # mu_lo, mu_hi and nu
         sign, cols = np.r_[-y.signs, 1], np.concatenate((rows, tail))
         run = self.solve(self._model(sign, cols))
-        try:
-            # Primal simplex: each round's added columns keep the basis feasible.
-            if subset and highs.setOptionValue("simplex_strategy", 4) != status.kOk:
-                return _undecided("HiGHS refused option simplex_strategy=4")
-            while True:
-                if run.unbounded and not subset:
-                    return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
-                if run.unbounded:
-                    return self.farkas(y, cols)
-                if run.reason is not None:
-                    return _undecided(run.reason)
-                x, eps = run.duals[:d], run.duals[d]
-                if subset:
-                    price = y.signs * (w.entries @ x) - eps * w.row_norms
-                    price[cols[cols < w.n]] = np.inf
-                    short = np.flatnonzero(price < -cfg.solver_feas_tol)
-                if not subset or short.size == 0:
-                    return _checked_optimum(w, y, x, cfg)
-                add = short[np.argsort(price[short], kind="stable")[:block]]
-                cols = np.r_[cols, add]
-                start, index, value = self._cut(sign, add)
-                zeros, inf = np.zeros(add.size), np.full(add.size, np.inf)
-                # addCols warns, as passModel does, when it drops entries
-                # below HiGHS's small_matrix_value (1e-9).
-                added = highs.addCols(
-                    add.size, zeros, zeros, inf, value.size, start, index, value
-                )
-                if added == status.kError:
-                    return _undecided("HiGHS refused addCols")
-                run = self.solve(None)
-        finally:
-            if subset:
-                highs.setOptionValue("simplex_strategy", 1)
+        while run.duals is not None:
+            x, eps = run.duals[:d], run.duals[d]
+            price = y.signs * (w.entries @ x) - eps * w.row_norms
+            price[cols[cols < w.n]] = np.inf
+            short = np.flatnonzero(price < -cfg.solver_feas_tol)
+            if short.size == 0:
+                return _checked_optimum(w, y, x, cfg)
+            add = short[np.argsort(price[short], kind="stable")[:block]]
+            cols = np.r_[cols, add]
+            start, index, value = self._cut(sign, add)
+            zeros, inf = np.zeros(add.size), np.full(add.size, np.inf)
+            # addCols warns, as passModel does, when it drops entries below
+            # HiGHS's small_matrix_value (1e-9).
+            added = highs.addCols(
+                add.size, zeros, zeros, inf, value.size, start, index, value
+            )
+            if added == status.kError:
+                return _undecided("HiGHS refused addCols")
+            run = self.solve(None)
+        if run.reason is not None:
+            return _undecided(run.reason)
+        if rows.size == w.n:
+            return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
+        return self.farkas(y, cols)
 
     def farkas(self, y: LabelAssignment, cols: np.ndarray) -> VerifyResult:
         """NOT_EPS_ARGMAXABLE when the primal ray of the unbounded run just
@@ -408,11 +400,16 @@ class _Session:
         return _checked_ray(self.w, y, cols[keep], ray[keep], self.cfg) or no_ray
 
     def solve(self, lp) -> _Run:
-        """One cold run of lp, or with lp None a run of the model HiGHS
-        holds from its kept basis; a refused option or a raised exception
-        is the run's reason."""
+        """One cold dual simplex run of lp, or with lp None a primal simplex
+        run of the model HiGHS holds from its kept basis, which the columns
+        added since (at 0) leave feasible; a refused option or a raised
+        exception is the run's reason."""
         if self.refused:
             return _Run(reason="HiGHS refused option " + ", ".join(self.refused))
+        strategy = 1 if lp is not None else 4
+        status = self.highs.setOptionValue("simplex_strategy", strategy)
+        if status != self.core.HighsStatus.kOk:
+            return _Run(reason=f"HiGHS refused option simplex_strategy={strategy}")
         try:
             return self.run(lp)
         except Exception as exc:  # solver blow-ups become Indeterminate, not lies

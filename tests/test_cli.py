@@ -22,6 +22,14 @@ def _write_all_assignments(path, n):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write(path, data):
+    """Write str data as UTF-8 text and bytes data as they are."""
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+
+
 def _report_from(capsys):
     obj = json.loads(capsys.readouterr().out)
     validate_report(obj)
@@ -115,7 +123,8 @@ class TestVerify:
         code = run(["verify", "--matrix", str(matrix), "--labels", str(labels),
                     "--out", str(report)])
         assert code == ExitCode.INPUT
-        assert capsys.readouterr() == ("", "error: item 0 has n=5, matrix has n=6\n")
+        expected = f"error: {labels}:1: assignment has 5 labels, expected 6\n"
+        assert capsys.readouterr() == ("", expected)
         assert not report.exists()
 
     def test_indeterminate_wins_over_unargmaxable(self, tmp_path, capsys, monkeypatch):
@@ -365,6 +374,25 @@ class TestMetrics:
         assert code == ExitCode.INPUT
         assert "gold assignments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=5\n1,2\n1\n", ":1: header n=5, expected n=4"),
+            ("++--\n+----\n", ":2: assignment has 5 labels, expected 4"),
+        ],
+        ids=["sparse", "dense"],
+    )
+    def test_gold_of_another_width_names_its_line(
+        self, text, message, tmp_path, capsys
+    ):
+        scores, gold = self._write_inputs(tmp_path)
+        gold.write_text(text)
+        code = run(
+            ["metrics", "--scores", str(scores), "--gold", str(gold), "--k", "2"]
+        )
+        assert code == ExitCode.INPUT
+        assert capsys.readouterr() == ("", f"error: {gold}{message}\n")
+
 
 class TestReportConfig:
     """Each report's ``config`` is exactly the flags that produced it, so a
@@ -443,8 +471,8 @@ class TestInputErrors:
         matrix = tmp_path / "w.csv"
         matrix.write_text("1.0,0.0\n0.0,1.0\n")
         if sidecar is not None:
-            (tmp_path / "w.json").write_text(sidecar)
-        (tmp_path / "y.txt").write_text(labels)
+            _write(tmp_path / "w.json", sidecar)
+        _write(tmp_path / "y.txt", labels)
         return ["--matrix", str(matrix), "--labels", str(tmp_path / "y.txt")]
 
     @pytest.mark.parametrize(
@@ -453,8 +481,9 @@ class TestInputErrors:
             ("[1]\n", "sidecar must be a JSON object"),
             ('{"d": 3}\n', "sidecar says d=3, CSV has d=2"),
             ('{"n": 2,\n', "unreadable sidecar: "),
+            (b'{"n": 2}\n\xff', "unreadable sidecar: 'utf-8' codec can't decode"),
         ],
-        ids=["not-an-object", "d-mismatch", "unreadable"],
+        ids=["not-an-object", "d-mismatch", "unreadable", "not-utf-8"],
     )
     def test_a_bad_sidecar_is_input(self, sidecar, message, tmp_path, capsys):
         argv = self._files(tmp_path, sidecar)
@@ -475,8 +504,10 @@ class TestInputErrors:
             ("", ": empty file"),
             ("n=0\n1\n", ":1: header n=0 must be >= 1"),
             ("+-\n\n-+\n", ":2: blank line in dense label file"),
+            (b"+-\n-\xff\n", ":2: not UTF-8: byte 0xff (invalid start byte)"),
+            ("n=3\n1\n", ":1: header n=3, expected n=2"),
         ],
-        ids=["empty", "sparse-n-0", "dense-blank-line"],
+        ids=["empty", "sparse-n-0", "dense-blank-line", "not-utf-8", "sparse-width"],
     )
     def test_a_bad_label_file_is_input(self, labels, message, tmp_path, capsys):
         argv = self._files(tmp_path, labels=labels)
@@ -484,6 +515,18 @@ class TestInputErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {tmp_path / 'y.txt'}{message}\n"
+
+    @pytest.mark.parametrize(
+        "data, line", [(b"1,\xff\n", 1), (b"1,0\n0,\xff\n", 2)], ids=["first", "second"]
+    )
+    def test_a_matrix_file_that_is_not_utf8_is_input(
+        self, data, line, tmp_path, capsys
+    ):
+        matrix = tmp_path / "w.csv"
+        matrix.write_bytes(data)
+        assert run(["check", "--matrix", str(matrix), "--out", "-"]) == ExitCode.INPUT
+        message = f"{matrix}:{line}: not UTF-8: byte 0xff (invalid start byte)"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, message",

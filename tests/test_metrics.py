@@ -109,9 +109,10 @@ class TestTopKPrecisionRecall:
         with pytest.raises(ValueError):
             prec_rec_f1_at_k(_stacked([rec]), k=10)
 
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            prec_rec_f1_at_k(_stacked([_record([0.5], {0})]), k=0)
+    @pytest.mark.parametrize("metric", [prec_rec_f1_at_k, ndcg_at_k])
+    def test_k_must_be_positive(self, metric):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            metric(_stacked([_record([0.5], {0})]), k=0)
 
     def test_empty_dataset_rejected(self):
         empty = StackedRecords.from_gold(np.zeros((0, 2)), [])

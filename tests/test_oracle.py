@@ -1,6 +1,7 @@
 """Region enumeration oracles and the LP cross-check."""
 
 import threading
+from itertools import product
 
 import numpy as np
 import pytest
@@ -374,3 +375,33 @@ class TestCrossCheck:
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):
             cross_check(WeightMatrix(np.ones((17, 2))))
+
+    def test_each_disagreement_lands_in_its_list(self, monkeypatch):
+        # The LP is stubbed to be wrong on three items: one INDETERMINATE,
+        # one ARGMAXABLE outside the regions, one NOT_EPS inside them.
+        from argmaxable.verifier import VerifyResult, VerifyStatus
+
+        w = WeightMatrix(np.random.default_rng(40).standard_normal((3, 2)))
+        members = enumerate_regions_2d(w).members
+        assert len(members) == 6
+        signs = product("+-", repeat=3)
+        every = [LabelAssignment.from_dense("".join(s)) for s in signs]
+        inside = [y for y in every if y in members]
+        outside = [y for y in every if y not in members]
+        wrong = {
+            inside[0]: VerifyStatus.INDETERMINATE,
+            outside[0]: VerifyStatus.ARGMAXABLE,
+            inside[1]: VerifyStatus.NOT_EPS_ARGMAXABLE,
+        }
+
+        def stub(w, ys, cfg, jobs):
+            truth = (VerifyStatus.NOT_EPS_ARGMAXABLE, VerifyStatus.ARGMAXABLE)
+            return tuple(VerifyResult(wrong.get(y, truth[y in members])) for y in ys)
+
+        monkeypatch.setattr(oracle, "_lp_results", stub)
+        report = cross_check(w)
+        assert report.indeterminate == (inside[0],)
+        assert report.lp_yes_oracle_no == (outside[0],)
+        assert report.oracle_yes_lp_no == (inside[1],)
+        assert report.agreements == 8 - 3
+        assert not report.clean

@@ -526,10 +526,13 @@ class TestVectorizedParse:
         lines = _rows_past_one_block()
         data = ("\n".join(lines[:-1]) + "\n").encode() + b"\xff" + lines[-1].encode()
         target = _write(tmp_path, data)
-        with pytest.raises(UnicodeDecodeError) as whole:
+        with pytest.raises(ParseError) as whole:
             reportio._read_text(target)
+        assert str(whole.value) == (
+            f"{target}:{len(lines)}: not UTF-8: byte 0xff (invalid start byte)"
+        )
         for parse in (reportio._parse_float_rows, parse_scores):
-            with pytest.raises(UnicodeDecodeError) as fast:
+            with pytest.raises(ParseError) as fast:
                 _strict(parse, target)
             assert str(fast.value) == str(whole.value)
 

@@ -526,7 +526,8 @@ def _dft_items():
 
 class TestHighsOptions:
     """Every session sets HiGHS's options, among them presolve off and the
-    feasibility tolerances of the config, before its first run."""
+    feasibility tolerances of the config, before its first run, and every
+    run sets its own simplex."""
 
     def test_every_highs_option_is_recognized(self):
         # HiGHS answers setOptionValue with kOk or kError; a refused option
@@ -541,15 +542,39 @@ class TestHighsOptions:
         [LpConfig(), LpConfig(eps_floor=1e-6)],
         ids=["default", "loose"],
     )
-    def test_the_options_hold_after_a_restricted_pass(self, cfg):
-        # The restricted pass switches to primal simplex and back.
+    def test_the_options_hold_after_a_restricted_pass(self, cfg, monkeypatch):
+        # A run after passModel is dual simplex (1); a run after addCols
+        # goes on from the kept basis with primal simplex (4).
+        from scipy.optimize._highspy import _core
+
+        real = {name: getattr(_core._Highs, name) for name in ("passModel", "addCols")}
+        real_run, last, runs = _core._Highs.run, [], []
+
+        def since(name):
+            def call(highs, *args):
+                last.append(name)
+                return real[name](highs, *args)
+
+            return call
+
+        def run(highs):
+            runs.append((last[-1], highs.getOptionValue("simplex_strategy")))
+            return real_run(highs)
+
+        for name in real:
+            monkeypatch.setattr(_core._Highs, name, since(name))
+        monkeypatch.setattr(_core._Highs, "run", run)
         w, ys = TestRowGeneration()._items()
         session = verifier._Session(w, cfg)
         for y in ys[:2]:
             session.dual(y)
+        assert {kind for kind, _ in runs} == {"passModel", "addCols"}
+        ok = _core.HighsStatus.kOk
+        assert [held for _, held in runs] == [
+            (ok, 1 if kind == "passModel" else 4) for kind, _ in runs
+        ]
         expected = {
             "presolve": "off",
-            "simplex_strategy": 1,
             "primal_feasibility_tolerance": cfg.solver_feas_tol,
             "dual_feasibility_tolerance": cfg.solver_feas_tol,
         }
