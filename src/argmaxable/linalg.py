@@ -21,7 +21,9 @@ minors could overflow.  General position and the sign verdict share
 this one threshold and one scan: the d-subsets are generated in
 colexicographic order as numpy index blocks of bounded size, and each
 block gets one batched determinant call and one vectorized threshold
-test, so memory stays flat however large C(n, d) is.
+test.  Every block is cut from one colex table per subset size, built
+once per scan, so memory stays flat however large C(n, d) is: d tables
+of at most ``_MINOR_CHUNK`` index rows plus the block in hand.
 
 Row index sets are reported 0-based; human-facing label/row numbers
 elsewhere are 1-based, and BoundaryError follows the 1-based convention
@@ -180,34 +182,52 @@ class MinorBudgetError(ValueError):
     """Raised when C(n, d) exceeds the minor enumeration budget."""
 
 
-def _colex_blocks(
-    n: int, d: int, chunk: int, suffix: tuple[int, ...] = ()
-) -> Iterator[np.ndarray]:
-    """All d-subsets of range(n), each followed by ``suffix``, in
-    colexicographic order, as intp blocks of at most ``chunk`` rows.
+def _colex_blocks(n: int, d: int, chunk: int) -> Iterator[np.ndarray]:
+    """All d-subsets of range(n) in colexicographic order, as fresh intp
+    blocks of at most ``chunk`` rows.
 
     The leading sets whose largest element is below ``head`` are all the
     d-subsets of range(head); they form one block as long as C(head, d)
-    fits.  Past that the sets are split on their largest element, and
-    each part recurses with one element fewer.
+    fits.  Past that the sets are split on their largest element ``top``,
+    and each part is the (d-1)-subsets of range(top) followed by top and
+    the tops chosen above it.  A part of size d' is the head of the one
+    colex table of d'-subsets that the call builds up front for that size:
+    colex order lists the subsets of range(h) first among those of any
+    larger range.  So a scan holds d tables of at most ``chunk`` rows
+    plus the block it yields.
     """
-    head = d
-    while head < n and math.comb(head + 1, d) <= chunk:
-        head += 1
-    rows = math.comb(head, d)
-    # Lex order over the descending range, reversed on both axes, is
-    # colex order over the ascending one.
-    flat = np.fromiter(
-        chain.from_iterable(combinations(range(head - 1, -1, -1), d)),
-        dtype=np.intp,
-        count=rows * d,
-    )
-    block = np.empty((rows, d + len(suffix)), dtype=np.intp)
-    block[:, :d] = flat.reshape(rows, d)[::-1, ::-1]
-    block[:, d:] = suffix
-    yield block
-    for top in range(head, n):
-        yield from _colex_blocks(top, d - 1, chunk, (top,) + suffix)
+
+    def head_of(m: int, size: int) -> int:
+        head = size
+        while head < m and math.comb(head + 1, size) <= chunk:
+            head += 1
+        return head
+
+    tables = []
+    for size in range(d + 1):
+        # A part of size d' splits from at most n - (d - d') elements.
+        head = head_of(n - d + size, size)
+        rows = math.comb(head, size)
+        # Lex order over the descending range, reversed on both axes, is
+        # colex order over the ascending one.
+        flat = np.fromiter(
+            chain.from_iterable(combinations(range(head - 1, -1, -1), size)),
+            dtype=np.intp,
+            count=rows * size,
+        )
+        tables.append(np.ascontiguousarray(flat.reshape(rows, size)[::-1, ::-1]))
+
+    def blocks(m: int, size: int, suffix: tuple[int, ...]) -> Iterator[np.ndarray]:
+        head = head_of(m, size)
+        rows = math.comb(head, size)
+        block = np.empty((rows, d), dtype=np.intp)
+        block[:, :size] = tables[size][:rows]
+        block[:, size:] = suffix
+        yield block
+        for top in range(head, m):
+            yield from blocks(top, size - 1, (top,) + suffix)
+
+    return blocks(n, d, ())
 
 
 def _minor_blocks(
@@ -217,8 +237,8 @@ def _minor_blocks(
 
     The checks run eagerly so a refusal comes before any work; the
     blocks themselves are produced lazily, which keeps memory bounded by
-    ``_MINOR_CHUNK`` d x d matrices (read at call time) whatever C(n, d)
-    is.
+    d index tables of at most ``_MINOR_CHUNK`` rows (read at call time)
+    plus one block of that many d x d matrices, whatever C(n, d) is.
     """
     n, d = w.n, w.d
     if n < d:
@@ -238,7 +258,7 @@ def _minor_blocks(
         )
     entries = w.entries
     return (
-        (idx, np.linalg.det(entries[idx]))
+        (idx, np.linalg.det(entries.take(idx, axis=0)))
         for idx in _colex_blocks(n, d, _MINOR_CHUNK)
     )
 

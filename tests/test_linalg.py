@@ -327,11 +327,20 @@ class TestScanMatchesReference:
 
     @pytest.mark.parametrize("chunk", [1, 7, 2048])
     def test_blocks_are_bounded_colex_intp(self, chunk):
-        blocks = list(linalg._colex_blocks(11, 4, chunk))
-        assert all(b.dtype == np.intp and 1 <= len(b) <= chunk for b in blocks)
-        sets = [tuple(row) for b in blocks for row in b.tolist()]
-        colex = sorted(itertools.combinations(range(11), 4), key=lambda s: s[::-1])
-        assert sets == colex
+        shapes = [(11, 4)] + ([(400, 2), (20, 9)] if chunk == 2048 else [])
+        for n, d in shapes:
+            first = []
+            for block in linalg._colex_blocks(n, d, chunk):
+                assert block.dtype == np.intp and 1 <= len(block) <= chunk
+                first.append((block.shape, block.tobytes()))
+                # Blocks are cut from tables the scan shares; each block
+                # must still be the caller's own.
+                block[:] = -1
+            blocks = list(linalg._colex_blocks(n, d, chunk))
+            assert [(b.shape, b.tobytes()) for b in blocks] == first
+            sets = [tuple(row) for b in blocks for row in b.tolist()]
+            colex = sorted(itertools.combinations(range(n), d), key=lambda s: s[::-1])
+            assert sets == colex
 
 
 class TestSignVector:

@@ -1,12 +1,19 @@
-"""Memory bounds of the score pipeline, measured with tracemalloc.
+"""Memory bounds of the score pipeline and the minor scan, measured with
+tracemalloc.
 
 A score file is records x labels floats, so every whole-matrix copy the
 pipeline makes is a multiple of the data.  These tests hold the parse to
 the array plus a fixed text budget and the whole ``metrics`` command to
-twice the array.
+twice the array.  The minor scan is held to a few blocks, however many
+minors it checks.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +23,7 @@ from argmaxable.cli import run
 from argmaxable.reportio import parse_scores
 
 RECORDS, LABELS = 300, 3000
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module", params=["\n", "\r\n"], ids=["lf", "crlf"])
@@ -75,3 +83,34 @@ def test_metrics_command_stays_under_twice_the_array(score_files, tmp_path):
     code, peak = _peak(lambda: run(argv))
     assert code == 0
     assert peak <= 2 * nbytes, (peak, nbytes)
+
+
+MINOR_SCAN = r"""
+import json, tracemalloc
+import numpy as np
+from argmaxable import linalg
+w = linalg.WeightMatrix(np.random.default_rng(28).standard_normal((400, 2)))
+tracemalloc.start()
+status = linalg.gr_plus_status(w)
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps([status.checked_minors, peak, linalg._MINOR_CHUNK]))
+"""
+
+
+def test_minor_scan_holds_a_few_blocks():
+    # 79,800 minors of a 400 x 2 layer in 337 blocks of as many distinct
+    # shapes: an index block kept per shape, or a buffer for every minor,
+    # breaks the bound.  A fresh interpreter keeps what earlier scans left
+    # in this process out of the count.
+    done = subprocess.run(
+        [sys.executable, "-c", MINOR_SCAN],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    checked, peak, chunk = json.loads(done.stdout.strip().splitlines()[-1])
+    assert checked == 79_800
+    d = 2
+    assert peak <= 4 * chunk * d * (d + 1) * 8, peak

@@ -267,6 +267,15 @@ class TestSampledMatchesTheNormalisedLoop:
     def test_edge_inputs(self, monkeypatch, entries, tau_sign):
         self._assert_matches(monkeypatch, entries, 70_001, 10, tau_sign)
 
+    def test_every_draw_skipped_leaves_every_chunk_empty(self, monkeypatch):
+        # A unit draw's logit on row i is at most ||w_i||, which stays far
+        # below this tau_sign, so no draw of any chunk is clean.
+        entries = _random((8, 3), 57)
+        assert np.linalg.norm(entries, axis=1).max() < 10.0
+        regions = self._assert_matches(monkeypatch, entries, 70_001, 13, 10.0)
+        assert regions.boundary_skips == regions.samples_used == 70_001
+        assert regions.members == frozenset()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_spectral_ten_by_five_at_the_default_budget(self, monkeypatch, seed):
         regions = self._assert_matches(
@@ -309,17 +318,17 @@ class TestHelperThread:
 
     def test_none_outlives_an_error_inside_the_loop(self, monkeypatch):
         calls = []
-        unique = np.unique
+        not_equal = np.not_equal
 
         def broken(*args, **kwargs):
             # Fail on the second chunk, while the third is being drawn.
             calls.append(1)
             if len(calls) == 2:
                 raise ZeroDivisionError("dedupe bug")
-            return unique(*args, **kwargs)
+            return not_equal(*args, **kwargs)
 
         before = set(threading.enumerate())
-        monkeypatch.setattr(oracle.np, "unique", broken)
+        monkeypatch.setattr(oracle.np, "not_equal", broken)
         w = WeightMatrix(_with_duplicated_rows())
         with pytest.raises(ZeroDivisionError):
             enumerate_regions_sampled(w, budget=10 * _CHUNK)
