@@ -5,7 +5,8 @@ One executable, seven subcommands, deterministic exit codes:
     0  success
     1  usage error (bad flags, or a budget, --k or --method flag the input
        cannot meet)
-    2  input or parse error (bad files, bad data)
+    2  input or parse error (bad files, bad data), or a size flag past
+       what the machine can hold or Python can print
     3  verification found unargmaxable assignments
     4  verification produced indeterminate results
 
@@ -27,8 +28,10 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
-from .dftlayer import augment_slack, build_dft_matrix
+from .dftlayer import DftSpec, build_layer
 from .labelspace import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
@@ -344,8 +347,32 @@ def _emit_report(args: argparse.Namespace, payload: dict) -> None:
     _emit(envelope.to_json(), args.out)
 
 
+def _cover_count_log10_floor(n: int, d: int) -> float:
+    """A lower bound on log10(cover_count(n, d)), in constant time.
+
+    cover_count(n, d) = 2 sum_{j<d} C(N, j), N = n - 1, holds the term
+    C(N, m) for any m <= min(d - 1, N // 2), and C(N, m) >= (N - m + 1)^m
+    / m!.  m is capped where a float still holds it exactly; C(N, m)
+    grows with m up to N // 2, so the cap keeps the bound.
+    """
+    m = min(d - 1, (n - 1) // 2, 2**52)
+    return math.log10(2) + m * math.log10(n - m) - math.lgamma(m + 1) / math.log(10)
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
+    # Python refuses to print an int of more than this many digits (0: no
+    # limit).  The answer's length is bounded first, so a refusal comes
+    # before the exact sum; the exact check after it covers the margin.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    too_long = ValueError(
+        f"--n, --d: the count has more than {limit} digits, the most Python "
+        "prints (sys.set_int_max_str_digits)"
+    )
+    if limit and _cover_count_log10_floor(args.n, args.d) - 1e-6 >= limit:
+        raise too_long
     count = cover_count(args.n, args.d)
+    if limit and count >= 10**limit:
+        raise too_long
     if args.out is None:
         sys.stdout.write(f"{count}\n")
         return ExitCode.OK
@@ -355,9 +382,24 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_dft(args: argparse.Namespace) -> int:
     try:
-        w = augment_slack(build_dft_matrix(args.n, args.k), args.s, args.seed)
+        spec = DftSpec(args.n, args.k, args.s, args.seed)
     except ValueError as exc:  # a --k too large for --n; no file is involved
         raise _UsageError(f"error: --k: {exc}")
+    rows, cols = spec.n, spec.total_columns
+    too_big = ValueError(
+        f"{'--n' if rows >= cols else '--s'}: a {rows} x {cols} float64 "
+        "matrix cannot be allocated"
+    )
+    try:
+        # The build peaks at 2-3 copies of the matrix (measured with
+        # tracemalloc); ask for three, untouched, before any work.
+        np.empty((3, rows, cols))
+    except (MemoryError, ValueError):  # numpy's ValueError: past its size limit
+        raise too_big from None
+    try:
+        w = build_layer(spec)
+    except MemoryError:
+        raise too_big from None
     if args.out == "-":
         _emit(matrix_csv(w), "-")
         return ExitCode.OK

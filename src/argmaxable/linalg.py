@@ -20,10 +20,14 @@ threshold needs every row norm positive and finite, which
 minors could overflow.  General position and the sign verdict share
 this one threshold and one scan: the d-subsets are generated in
 colexicographic order as numpy index blocks of bounded size, and each
-block gets one batched determinant call and one vectorized threshold
-test.  Every block is cut from one colex table per subset size, built
-once per scan, so memory stays flat however large C(n, d) is: d tables
-of at most ``_MINOR_CHUNK`` index rows plus the block in hand.
+block gets batched determinant calls and one vectorized threshold test.
+Every block is cut from one colex table per subset size, built once per
+scan, so memory stays flat however large C(n, d) is: d tables of at most
+``_MINOR_CHUNK`` index rows plus the block in hand.  A block's
+determinants are computed in two halves, the second on one helper thread
+per scan (numpy's det releases the GIL), so a free second core takes
+half the work; the halves are joined before the block is handed on, and
+det runs per matrix, so every value is the one a single call would give.
 
 Row index sets are reported 0-based; human-facing label/row numbers
 elsewhere are 1-based, and BoundaryError follows the 1-based convention
@@ -33,6 +37,8 @@ because its rows name labels.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, combinations
@@ -239,6 +245,9 @@ def _minor_blocks(
     blocks themselves are produced lazily, which keeps memory bounded by
     d index tables of at most ``_MINOR_CHUNK`` rows (read at call time)
     plus one block of that many d x d matrices, whatever C(n, d) is.
+    Each block's determinants come in two halves, the second from a
+    helper thread (``_split_det_blocks``); both are done before the block
+    is yielded, and closing the returned generator joins the helper.
     """
     n, d = w.n, w.d
     if n < d:
@@ -256,11 +265,31 @@ def _minor_blocks(
         raise MinorBudgetError(
             f"{total} maximal minors (C({n},{d})) exceed the budget {budget}"
         )
-    entries = w.entries
-    return (
-        (idx, np.linalg.det(entries.take(idx, axis=0)))
-        for idx in _colex_blocks(n, d, _MINOR_CHUNK)
-    )
+    return _split_det_blocks(w.entries, _colex_blocks(n, d, _MINOR_CHUNK))
+
+
+def _split_det_blocks(
+    entries: np.ndarray, blocks: Iterator[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pair each index block with its determinants, computed in two halves.
+
+    A single helper thread gathers and factors the second half of each
+    block while this thread does the first (numpy's det releases the GIL),
+    and the two are joined before the block is yielded, so no thread works
+    on a block the caller holds.  det runs per matrix, so the values are
+    those of one call over the whole block.  Leaving the ``with`` joins the
+    helper however the generator ends: exhausted, closed early, or raising
+    in either half.
+    """
+
+    def dets(rows: np.ndarray) -> np.ndarray:
+        return np.linalg.det(entries.take(rows, axis=0))
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for idx in blocks:
+            half = (len(idx) + 1) // 2
+            second = helper.submit(dets, idx[half:])
+            yield idx, np.concatenate((dets(idx[:half]), second.result()))
 
 
 def maximal_minors(w: WeightMatrix) -> Iterator[tuple[tuple[int, ...], float]]:
@@ -273,12 +302,17 @@ def maximal_minors(w: WeightMatrix) -> Iterator[tuple[tuple[int, ...], float]]:
     MinorBudgetError before any work if C(n, d) exceeds
     ``DEFAULT_MINOR_BUDGET``.
     """
-    blocks = _minor_blocks(w, DEFAULT_MINOR_BUDGET)
-    return (
-        (tuple(index_set), det)
-        for idx, dets in blocks
-        for index_set, det in zip(idx.tolist(), dets.tolist())
-    )
+    return _per_minor(_minor_blocks(w, DEFAULT_MINOR_BUDGET))
+
+
+def _per_minor(
+    blocks: Iterator[tuple[np.ndarray, np.ndarray]]
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    # Closing the blocks on the way out joins the scan's helper thread as
+    # soon as this iterator is closed or raises, not when it is collected.
+    with closing(blocks):
+        for idx, dets in blocks:
+            yield from zip(map(tuple, idx.tolist()), dets.tolist())
 
 
 def is_general_position(w: WeightMatrix) -> bool:
@@ -345,20 +379,22 @@ def gr_plus_status(
     min_abs = math.inf
     checked = 0
     saw_pos = saw_neg = False
-    for idx, dets in _minor_blocks(w, budget):
-        mags = np.abs(dets)
-        below = mags < tau_det * np.prod(norms[idx], axis=1)
-        degenerate = bool(below.any())
-        if degenerate:
-            mags = mags[: int(np.argmax(below)) + 1]
-        # fmin skips NaN the way a running min() from +inf does.
-        min_abs = float(np.fmin.reduce(mags, initial=min_abs))
-        checked += mags.size
-        if degenerate:
-            return GrStatus(GrVerdict.DEGENERATE, min_abs, checked)
-        positive = dets > 0
-        saw_pos = saw_pos or bool(positive.any())
-        saw_neg = saw_neg or not positive.all()
+    blocks = _minor_blocks(w, budget)
+    with closing(blocks):
+        for idx, dets in blocks:
+            mags = np.abs(dets)
+            below = mags < tau_det * np.prod(norms[idx], axis=1)
+            degenerate = bool(below.any())
+            if degenerate:
+                mags = mags[: int(np.argmax(below)) + 1]
+            # fmin skips NaN the way a running min() from +inf does.
+            min_abs = float(np.fmin.reduce(mags, initial=min_abs))
+            checked += mags.size
+            if degenerate:
+                return GrStatus(GrVerdict.DEGENERATE, min_abs, checked)
+            positive = dets > 0
+            saw_pos = saw_pos or bool(positive.any())
+            saw_neg = saw_neg or not positive.all()
     if saw_pos and saw_neg:
         verdict = GrVerdict.MIXED_SIGNS
     elif saw_pos:

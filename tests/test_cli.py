@@ -50,6 +50,40 @@ class TestCount:
         assert run(["count", "--n", "500", "--d", "250"]) == ExitCode.OK
         assert capsys.readouterr().out.strip() == str(cover_count(500, 250))
 
+    @pytest.fixture
+    def digit_limit(self):
+        # Python's default limit on the digits of a printed int.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize(
+        "n, d", [(20000, 10000), (1000000, 500000), (10**4000, 3)]
+    )
+    def test_refuses_an_unprintable_count_before_computing_it(
+        self, n, d, digit_limit, capsys, monkeypatch
+    ):
+        def not_reached(*args):
+            raise AssertionError("the sum was computed")
+
+        monkeypatch.setattr("argmaxable.cli.cover_count", not_reached)
+        code = run(["count", "--n", str(n), "--d", str(d), "--out", "-"])
+        assert code == ExitCode.INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert err.startswith("error: --n, --d: ") and "4300 digits" in err
+
+    def test_the_digit_limit_is_exact(self, digit_limit, capsys):
+        # 2**14284 has 4300 digits and 2**14285 has 4301.  The length bound
+        # leaves both to the exact check.
+        assert run(["count", "--n", "14284", "--d", "14284"]) == ExitCode.OK
+        assert len(capsys.readouterr().out.strip()) == 4300
+        assert run(["count", "--n", "14285", "--d", "14285"]) == ExitCode.INPUT
+        assert "--n, --d" in capsys.readouterr().err
+
 
 class TestDftAndCheck:
     def test_pipeline_gives_a_uniform_verdict(self, tmp_path, capsys):
@@ -68,6 +102,39 @@ class TestDftAndCheck:
         assert code == ExitCode.USAGE
         assert "own sidecar" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--n", str(10**15), "--k", "1"], "--n"),
+            (["--n", str(10**19), "--k", "1"], "--n"),
+            (["--n", "12", "--k", "2", "--s", str(10**15)], "--s"),
+        ],
+    )
+    def test_dft_refuses_a_matrix_that_cannot_be_allocated(
+        self, argv, flag, tmp_path, capsys
+    ):
+        code = run(["dft", *argv, "--out", str(tmp_path / "w.csv")])
+        assert code == ExitCode.INPUT
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert err.startswith(f"error: {flag}: ") and "cannot be allocated" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dft_refusal_under_an_address_space_limit(self, tmp_path):
+        # 24 TB of matrix under a 4 GB address space: a diagnostic, not a
+        # MemoryError traceback.
+        limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9,) * 2)"
+        argv = ["dft", "--n", str(10**12), "--k", "1", "--out", str(tmp_path / "w.csv")]
+        done = subprocess.run(
+            [sys.executable, "-c", f"{limit}; from argmaxable.cli import main; main()", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == ExitCode.INPUT, done.stderr
+        assert done.stderr.startswith("error: --n: ") and "Traceback" not in done.stderr
 
     def test_dft_to_stdout_prints_csv_without_sidecar(self, capsys):
         assert run(["dft", "--n", "6", "--k", "1", "--out", "-"]) == ExitCode.OK

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from argmaxable import linalg
+from argmaxable.dftlayer import build_dft_matrix
 from argmaxable.labelspace import alt
 from argmaxable.linalg import (
     BoundaryError,
@@ -341,6 +343,110 @@ class TestScanMatchesReference:
             sets = [tuple(row) for b in blocks for row in b.tolist()]
             colex = sorted(itertools.combinations(range(n), d), key=lambda s: s[::-1])
             assert sets == colex
+
+
+def _helper_layers():
+    rng = np.random.default_rng(31)
+    return {
+        "dft-12x5": build_dft_matrix(12, 2).entries,
+        "dft-9x3": build_dft_matrix(9, 1).entries,
+        "gaussian-10x4": rng.standard_normal((10, 4)),
+        "gaussian-11x3": rng.standard_normal((11, 3)),
+    }
+
+
+def _stops():
+    """9 x 3 layers whose first degenerate minor, in a single block of all
+    84, falls in the first half (colex position 0) or the second (56)."""
+    rng = np.random.default_rng(32)
+    first = rng.standard_normal((9, 3))
+    first[1] = first[0]  # every set holding {0, 1}, from {0, 1, 2} on
+    second = rng.standard_normal((9, 3))
+    second[8] = second[0] + second[1]  # {0, 1, 8} alone
+    return {"main-half": (first, 1), "helper-half": (second, 57)}
+
+
+@pytest.fixture(params=[1, 5, 10**6])
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(linalg, "_MINOR_CHUNK", request.param)
+    return request.param
+
+
+class TestHelperThread:
+    """The scan's helper thread is joined on every way out, and splitting a
+    block's determinants between two threads changes no bit of the result.
+    Chunks of 1, 5 and 10**6 give empty, odd and whole-scan halves."""
+
+    @pytest.mark.parametrize("name", sorted(_helper_layers()))
+    def test_full_scan_matches_a_serial_reference(self, name, chunk):
+        entries = _helper_layers()[name]
+        verdict, min_abs, checked, minors = reference_minor_scan(entries)
+        before = set(threading.enumerate())
+        status = gr_plus_status(WeightMatrix(entries))
+        assert set(threading.enumerate()) == before
+        assert status.verdict.value == verdict != "degenerate"
+        assert status.checked_minors == checked == len(minors)
+        assert status.min_abs_minor.hex() == min_abs.hex()
+
+    @pytest.mark.parametrize("half", sorted(_stops()))
+    def test_degenerate_stop_in_either_half(self, half, chunk):
+        entries, stop = _stops()[half]
+        verdict, min_abs, checked, _ = reference_minor_scan(entries)
+        assert (verdict, checked) == ("degenerate", stop)
+        assert (stop <= (math.comb(9, 3) + 1) // 2) == (half == "main-half")
+        before = set(threading.enumerate())
+        status = gr_plus_status(WeightMatrix(entries))
+        assert set(threading.enumerate()) == before
+        assert status.verdict is GrVerdict.DEGENERATE
+        assert status.checked_minors == stop
+        assert status.min_abs_minor.hex() == min_abs.hex()
+
+    @pytest.mark.parametrize("half", ["main", "helper"])
+    def test_none_outlives_an_error_in_either_half(self, half, chunk, monkeypatch):
+        real = np.linalg.det
+
+        def broken(a):
+            in_main = threading.current_thread() is threading.main_thread()
+            if in_main == (half == "main"):
+                raise ZeroDivisionError(f"det bug in the {half} half")
+            return real(a)
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(np.linalg, "det", broken)
+        with pytest.raises(ZeroDivisionError, match=half):
+            gr_plus_status(build_dft_matrix(12, 2))
+        assert set(threading.enumerate()) == before
+
+    def test_none_outlives_an_error_between_blocks(self, chunk, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("threshold bug")
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(np, "prod", broken)
+        with pytest.raises(ZeroDivisionError) as caught:
+            gr_plus_status(build_dft_matrix(12, 2))
+        # The live traceback holds the scan's frame, so only an explicit
+        # close can have joined the helper.
+        assert caught.tb is not None
+        assert set(threading.enumerate()) == before
+
+    def test_none_outlives_an_abandoned_iterator(self, chunk):
+        before = set(threading.enumerate())
+        minors = maximal_minors(build_dft_matrix(12, 2))
+        assert next(minors)[0] == (0, 1, 2, 3, 4)
+        # The helper lives while the scan is suspended between blocks.
+        assert len(set(threading.enumerate()) - before) == 1
+        minors.close()
+        assert set(threading.enumerate()) == before
+
+    def test_none_outlives_an_error_thrown_into_the_iterator(self, chunk):
+        before = set(threading.enumerate())
+        minors = maximal_minors(build_dft_matrix(12, 2))
+        next(minors)
+        with pytest.raises(ZeroDivisionError) as caught:
+            minors.throw(ZeroDivisionError("caller bug"))
+        assert caught.tb is not None
+        assert set(threading.enumerate()) == before
 
 
 class TestSignVector:
