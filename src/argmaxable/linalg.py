@@ -23,11 +23,12 @@ colexicographic order as numpy index blocks of bounded size, and each
 block gets batched determinant calls and one vectorized threshold test.
 Every block is cut from one colex table per subset size, built once per
 scan, so memory stays flat however large C(n, d) is: d tables of at most
-``_MINOR_CHUNK`` index rows plus the block in hand.  A block's
-determinants are computed in two halves, the second on one helper thread
-per scan (numpy's det releases the GIL), so a free second core takes
-half the work; the halves are joined before the block is handed on, and
-det runs per matrix, so every value is the one a single call would give.
+``_MINOR_CHUNK`` index rows plus the block in hand.  In a scan of more
+than one block, each block's determinants are computed in two halves, the
+second on one helper thread per scan (numpy's det releases the GIL), so a
+free second core takes half the work; the halves are joined before the
+block is handed on, and det runs per matrix, so every value is the one a
+single call would give.  A one-block scan runs on the calling thread.
 
 Row index sets are reported 0-based; human-facing label/row numbers
 elsewhere are 1-based, and BoundaryError follows the 1-based convention
@@ -245,9 +246,10 @@ def _minor_blocks(
     blocks themselves are produced lazily, which keeps memory bounded by
     d index tables of at most ``_MINOR_CHUNK`` rows (read at call time)
     plus one block of that many d x d matrices, whatever C(n, d) is.
-    Each block's determinants come in two halves, the second from a
-    helper thread (``_split_det_blocks``); both are done before the block
-    is yielded, and closing the returned generator joins the helper.
+    A scan of more blocks than one gets each block's determinants in two
+    halves, the second from a helper thread (``_split_det_blocks``); both
+    are done before the block is yielded, and closing the returned
+    generator joins the helper.  A one-block scan starts no thread.
     """
     n, d = w.n, w.d
     if n < d:
@@ -265,7 +267,11 @@ def _minor_blocks(
         raise MinorBudgetError(
             f"{total} maximal minors (C({n},{d})) exceed the budget {budget}"
         )
-    return _split_det_blocks(w.entries, _colex_blocks(n, d, _MINOR_CHUNK))
+    blocks = _colex_blocks(n, d, _MINOR_CHUNK)
+    if total > _MINOR_CHUNK:
+        return _split_det_blocks(w.entries, blocks)
+    # One block: starting the helper would cost more than its half saves.
+    return ((idx, np.linalg.det(w.entries.take(idx, axis=0))) for idx in blocks)
 
 
 def _split_det_blocks(

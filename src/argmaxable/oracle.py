@@ -8,27 +8,27 @@ judgment over the LP verifier.  Two routes:
   degrees from its normal; walking the sorted boundary angles around the
   unit circle visits every region exactly once.  Directions closer than
   ``_TAU_ANGLE`` radians count as coincident and are refused.
-* any d: sampled.  Uniform unit-sphere draws, with the region count
+* any d: sampled.  Uniform unit-sphere directions, with the region count
   formula as a termination certificate: once the distinct sign vectors
   hit cover_count(n, d) (valid for general-position W), the set is
   provably complete.  Budget exhaustion yields an explicitly partial
-  result, never an error.  Each chunk's Gaussian draws are made one
-  chunk ahead on a helper thread (numpy releases the GIL while drawing),
-  so the next chunk is drawn while this one is sign-coded.  The helper
-  alone calls the generator, in the order and sizes one thread would,
-  and a chunk counts only once it is examined, so the draws and the
-  report are those of a single-threaded loop.
+  result, never an error.  Each Gaussian draw x gives m = min(2^(d-1),
+  16) probes D_p x, D_p diagonal +-1 keeping coordinate 0 and flipping
+  coordinate j + 1 when bit j of p is set.  Each D_p x is N(0, I) like x
+  (antithetic variates, Hammersley & Morton 1956), and one product with
+  [D_1 W^T | ... | D_m W^T] gives all m probes' logits, so the generator
+  costs a draw per m probes.  Budgets and counts are in probes.
 
-Most chunks of draws are never normalised.  With u = 2^-53 and M the
-largest |entry| of a chunk, the raw product of the chunk with W^T has the
-sign pattern of the normalised logits, and every normalised logit clears
-tau_sign = ``DEFAULT_TAU_SIGN``, whenever
+Most chunks of probes are never normalised.  With u = 2^-53 and M the
+largest |entry| of a chunk's draws, the raw product of the chunk with
+W^T has the sign pattern of the normalised logits, and every normalised
+logit clears tau_sign = ``DEFAULT_TAU_SIGN``, whenever
 
     min |raw| > sqrt(d) * (tau_sign + 4 (d + 2) u max_i ||w_i||) * M
 
 (a rounding bound, derived at ``_guard_factor``).  Such a chunk records
 the same vectors with no boundary skips; a chunk that misses the bound is
-normalised and tested draw by draw.
+normalised and tested probe by probe.
 
 Members come closed under global sign flip by construction: the
 arrangement is central, so sign(W(-x)) = -sign(Wx).
@@ -37,7 +37,6 @@ arrangement is central, so sign(W(-x)) = -sign(Wx).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import FrozenSet, Optional
@@ -68,6 +67,8 @@ __all__ = [
 
 DEFAULT_SAMPLE_BUDGET = 10**7
 _SAMPLE_CHUNK = 1 << 15
+# Sign patterns per draw are 2^min(d - 1, 4): at most 16 probes share one.
+_FLIP_BITS = 4
 # Boundary angles of the 2D walk closer than this count as coincident.
 _TAU_ANGLE = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
@@ -94,9 +95,9 @@ class RegionSet:
     ``method`` says whether the set is complete: the exact walk and
     sampling that hit the region-count certificate are; a partial set is
     still sound (every member was witnessed by a concrete x) but may miss
-    regions.  samples_used counts examined draws at chunk granularity;
-    boundary_skips the draws discarded for landing numerically on a
-    hyperplane.
+    regions.  samples_used counts examined probes (sign-flipped draws,
+    see the module docstring); boundary_skips the probes discarded for
+    landing numerically on a hyperplane.
     """
 
     n: int
@@ -184,6 +185,8 @@ def _guard_factor(w: WeightMatrix, tau_sign: float) -> Optional[float]:
       (*) holds when c u (1 - gamma_5) >= 1.01 gamma_{d+6}
       + gamma_{2d+1} / (1 - gamma_{d+1}), about (3d + 7) u; c = 4 (d + 2)
       leaves (d + 1) u omega sqrt(d) M to spare.
+    * Flipping coordinate signs is exact and keeps max_j |x_j|, so the
+      bound holds for every probe D_p x of a chunk whose draws x have M.
     * Scale: with omega and M in [2^-400, 2^400] nothing overflows.  A
       passing draw has max_j |x_j| > u M, so L > 0 and the draw passes
       the length test.  Gradual underflow adds at most 2^-1075 to a
@@ -205,24 +208,18 @@ def enumerate_regions_sampled(
 ) -> RegionSet:
     """Sampled region enumeration with a counting-certificate stop rule.
 
-    Draws points uniformly on the unit sphere (seeded), records the sign
-    vector of each draw and of its antipode (free by central symmetry),
-    and skips draws that land within tau_sign = ``DEFAULT_TAU_SIGN`` (read
-    at call time) of a hyperplane.  When W is in general position,
-    reaching cover_count(n, d) distinct vectors is proof of completeness
-    and sampling stops early; otherwise the result is SampledPartial
-    however many members were found.
+    Examines ``budget`` sphere directions (seeded probes, see the module
+    docstring) in chunks of 2^15, the last cut to the budget, records the
+    sign vector of each and of its antipode (free by central symmetry),
+    and skips probes within tau_sign = ``DEFAULT_TAU_SIGN`` (read at call
+    time) of a hyperplane.  When W is in general position, reaching
+    cover_count(n, d) distinct vectors is proof of completeness and
+    sampling stops early; otherwise the result is SampledPartial however
+    many members were found.
 
     General position is decided here by the minor scan, under
     ``DEFAULT_MINOR_BUDGET``; a scan over that budget counts as unknown,
     so no completeness is claimed.
-
-    Each chunk is drawn one chunk ahead on a single helper thread, so up
-    to two cores are busy.  The helper alone calls the generator, with
-    the sizes and order of a single-threaded loop, so the stream is
-    bit-identical; a chunk counts only once examined and none is drawn
-    past ``budget``, so the result is unchanged.  The helper is joined
-    before the function returns or raises.
     """
     n, d = w.n, w.d
     tau_sign = DEFAULT_TAU_SIGN
@@ -243,64 +240,61 @@ def enumerate_regions_sampled(
     seen: set = set()
     used = 0
     skips = 0
-    transpose = np.ascontiguousarray(w.entries.T)
+    # Row p of `flips` is the diagonal of D_p, and block p of `stacked` is
+    # D_p W^T: a draw's row of the product holds its probes' logits in turn.
+    flip_bits = min(d - 1, _FLIP_BITS)
+    patterns = 1 << flip_bits
+    flips = np.ones((patterns, d))
+    flipped = np.arange(patterns)[:, None] >> np.arange(flip_bits) & 1
+    flips[:, 1 : 1 + flip_bits] -= 2 * flipped
+    stacked = (flips[:, :, None] * w.entries.T).transpose(1, 0, 2).reshape(d, -1)
     bit_weights = (
         np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
         if use_int_codes
         else None
     )
     factor = _guard_factor(w, tau_sign)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-
-        def draw(start: int):
-            # The chunk that starts at draw number `start`; None at the budget.
-            if start >= budget:
-                return None
-            return helper.submit(
-                rng.standard_normal, (min(_SAMPLE_CHUNK, budget - start), d)
-            )
-
-        pending = draw(0)
-        while used < budget:
-            draws = pending.result()
-            chunk = len(draws)
-            used += chunk
-            pending = draw(used)
-            raw = draws @ transpose
-            positive = raw > 0.0
-            peak = max(float(draws.max()), -float(draws.min()))
-            if not (
-                factor is not None
-                and _GUARD_LOW <= peak <= _GUARD_HIGH
-                and float(np.abs(raw, out=raw).min()) > factor * peak
-            ):
-                lengths = np.linalg.norm(draws, axis=1, keepdims=True)
-                good_length = lengths[:, 0] > 0.0
-                lengths[~good_length] = 1.0
-                draws /= lengths
-                logits = draws @ transpose
-                clean = good_length & (np.abs(logits) >= tau_sign).all(axis=1)
-                skips += int(chunk - np.count_nonzero(clean))
-                positive = (logits > 0.0)[clean]
-            # Most draws of a chunk repeat a region, so dedupe in numpy
-            # before anything reaches the Python set.  The codes are sorted
-            # in place and each is kept where it differs from its left
-            # neighbour: np.unique gives the same output, but on numpy >=
-            # 2.3 it hashes int64 codes, several times slower per chunk.
-            if use_int_codes:
-                codes = positive.astype(np.int64) @ bit_weights
-                codes.sort()
-                first = np.ones(codes.size, dtype=bool)
-                np.not_equal(codes[1:], codes[:-1], out=first[1:])
-                codes = codes[first]
-                seen.update(codes.tolist())
-                seen.update((codes ^ full_mask).tolist())
-            else:
-                codes = np.unique(np.packbits(positive, axis=1), axis=0)
-                seen.update(row.tobytes() for row in codes)
-                seen.update(row.tobytes() for row in codes ^ full_mask)
-            if target is not None and len(seen) >= target:
-                break
+    while used < budget:
+        chunk = min(_SAMPLE_CHUNK, budget - used)
+        draws = rng.standard_normal((-(-chunk // patterns), d))
+        used += chunk
+        raw = (draws @ stacked).reshape(-1, n)[:chunk]
+        positive = raw > 0.0
+        peak = max(float(draws.max()), -float(draws.min()))
+        if not (
+            factor is not None
+            and _GUARD_LOW <= peak <= _GUARD_HIGH
+            and float(np.abs(raw, out=raw).min()) > factor * peak
+        ):
+            # ||D_p x|| = ||x||, so one division normalises all m probes.
+            lengths = np.linalg.norm(draws, axis=1, keepdims=True)
+            good_length = lengths[:, 0] > 0.0
+            lengths[~good_length] = 1.0
+            draws /= lengths
+            logits = (draws @ stacked).reshape(-1, n)[:chunk]
+            clean = np.repeat(good_length, patterns)[:chunk]
+            clean &= (np.abs(logits) >= tau_sign).all(axis=1)
+            skips += int(chunk - np.count_nonzero(clean))
+            positive = (logits > 0.0)[clean]
+        # Most probes of a chunk repeat a region, so dedupe in numpy
+        # before anything reaches the Python set.  The codes are sorted
+        # in place and each is kept where it differs from its left
+        # neighbour: np.unique gives the same output, but on numpy >=
+        # 2.3 it hashes int64 codes, several times slower per chunk.
+        if use_int_codes:
+            codes = positive.astype(np.int64) @ bit_weights
+            codes.sort()
+            first = np.ones(codes.size, dtype=bool)
+            np.not_equal(codes[1:], codes[:-1], out=first[1:])
+            codes = codes[first]
+            seen.update(codes.tolist())
+            seen.update((codes ^ full_mask).tolist())
+        else:
+            codes = np.unique(np.packbits(positive, axis=1), axis=0)
+            seen.update(row.tobytes() for row in codes)
+            seen.update(row.tobytes() for row in codes ^ full_mask)
+        if target is not None and len(seen) >= target:
+            break
     if use_int_codes:
         codes = np.fromiter(seen, dtype=np.int64, count=len(seen))
         bits = (codes[:, None] >> np.arange(n)) & 1

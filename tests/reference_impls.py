@@ -5,8 +5,9 @@ package: determinants by cofactor expansion, the minor scan one subset
 at a time, sign-vector families by filtering all 2^n strings, ranked
 metrics by explicit sorting loops.  Two small numeric helpers that only
 the tests need (a guarded determinant and a seeded nudge off a
-hyperplane) live here too, and so does the sampled enumeration loop as
-it was before its rounding-bound fast path.
+hyperplane) live here too, and so does the sampled enumeration loop
+without its rounding-bound fast path, each sign-flipped probe written
+out and normalised on its own.
 """
 
 from __future__ import annotations
@@ -218,18 +219,30 @@ def reference_chebyshev_verify(entries, signs, box_bound=1e4, eps_floor=1e-8, fe
 
 
 def reference_sampled_enumeration(entries, budget, seed, tau_sign, target):
-    """Sampled region enumeration with every draw normalised.
+    """Sampled region enumeration with every probe normalised.
 
-    The loop of ``enumerate_regions_sampled`` before its fast path: each
-    2^15-draw chunk is scaled to the unit sphere, multiplied by W^T and
-    tested row by row against tau_sign; clean draws and their antipodes
-    are recorded.  Sampling stops at ``budget`` draws or once ``target``
-    distinct vectors are seen (None: never early).  Returns (samples
-    used, boundary skips, the set of sign tuples).
+    Each 2^15-probe chunk draws ceil(probes / m) Gaussian vectors x, with
+    m = min(2^(d-1), 16), and writes out the m probes of each: probe p is
+    x with coordinate j + 1 negated when bit j of p is set.  The chunk is
+    cut to its probe count, each probe is scaled to the unit sphere by
+    its own length, multiplied by W^T and tested row by row against
+    tau_sign; clean probes and their antipodes are recorded.  Sampling
+    stops at ``budget`` probes or once ``target`` distinct vectors are
+    seen (None: never early).  Returns (probes used, boundary skips, the
+    set of sign tuples).
     """
     w = np.asarray(entries, dtype=np.float64)
     n, d = w.shape
     rng = np.random.default_rng(seed)
+    m = 2 ** min(d - 1, 4)
+    patterns = []
+    for p in range(m):
+        pattern = [1.0] * d
+        for j in range(d - 1):
+            if (p >> j) & 1:
+                pattern[j + 1] = -1.0
+        patterns.append(pattern)
+    patterns = np.array(patterns)
     use_int_codes = n <= 62
     full_mask = (
         np.int64((1 << n) - 1)
@@ -247,12 +260,13 @@ def reference_sampled_enumeration(entries, budget, seed, tau_sign, target):
     )
     while used < budget:
         chunk = min(1 << 15, budget - used)
-        draws = rng.standard_normal((chunk, d))
-        lengths = np.linalg.norm(draws, axis=1, keepdims=True)
+        draws = rng.standard_normal((math.ceil(chunk / m), d))
+        probes = (draws[:, None, :] * patterns).reshape(-1, d)[:chunk]
+        lengths = np.linalg.norm(probes, axis=1, keepdims=True)
         good_length = lengths[:, 0] > 0.0
         lengths[~good_length] = 1.0
-        draws /= lengths
-        logits = draws @ transpose
+        probes /= lengths
+        logits = probes @ transpose
         clean = good_length & (np.abs(logits) >= tau_sign).all(axis=1)
         used += chunk
         skips += int(chunk - np.count_nonzero(clean))

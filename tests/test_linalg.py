@@ -375,7 +375,8 @@ def chunk(request, monkeypatch):
 class TestHelperThread:
     """The scan's helper thread is joined on every way out, and splitting a
     block's determinants between two threads changes no bit of the result.
-    Chunks of 1, 5 and 10**6 give empty, odd and whole-scan halves."""
+    Chunks of 1 and 5 give empty and odd halves; at 10**6 every scan here
+    is one block, which runs inline with no helper."""
 
     @pytest.mark.parametrize("name", sorted(_helper_layers()))
     def test_full_scan_matches_a_serial_reference(self, name, chunk):
@@ -413,8 +414,13 @@ class TestHelperThread:
 
         before = set(threading.enumerate())
         monkeypatch.setattr(np.linalg, "det", broken)
-        with pytest.raises(ZeroDivisionError, match=half):
-            gr_plus_status(build_dft_matrix(12, 2))
+        w = build_dft_matrix(12, 2)
+        if half == "helper" and math.comb(12, 5) <= chunk:
+            # A one-block scan has no helper half to fail in.
+            assert gr_plus_status(w).checked_minors == math.comb(12, 5)
+        else:
+            with pytest.raises(ZeroDivisionError, match=half):
+                gr_plus_status(w)
         assert set(threading.enumerate()) == before
 
     def test_none_outlives_an_error_between_blocks(self, chunk, monkeypatch):
@@ -434,10 +440,29 @@ class TestHelperThread:
         before = set(threading.enumerate())
         minors = maximal_minors(build_dft_matrix(12, 2))
         assert next(minors)[0] == (0, 1, 2, 3, 4)
-        # The helper lives while the scan is suspended between blocks.
-        assert len(set(threading.enumerate()) - before) == 1
+        # The helper lives while a scan of many blocks is suspended.
+        helpers = 0 if math.comb(12, 5) <= chunk else 1
+        assert len(set(threading.enumerate()) - before) == helpers
         minors.close()
         assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("name", sorted(_helper_layers()))
+    def test_one_block_scan_starts_no_thread(self, name, monkeypatch):
+        # At the default chunk every layer here is one block: the sampler's
+        # general-position test on build_dft_matrix(10, 2) is one such scan.
+        entries = _helper_layers()[name]
+        assert math.comb(*entries.shape) <= linalg._MINOR_CHUNK
+        verdict, min_abs, checked, _ = reference_minor_scan(entries)
+
+        def refuse(thread):
+            raise AssertionError(f"a one-block scan started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        status = gr_plus_status(WeightMatrix(entries))
+        assert status.verdict.value == verdict
+        assert status.checked_minors == checked
+        assert status.min_abs_minor.hex() == min_abs.hex()
+        assert is_general_position(build_dft_matrix(10, 2))
 
     def test_none_outlives_an_error_thrown_into_the_iterator(self, chunk):
         before = set(threading.enumerate())

@@ -172,12 +172,17 @@ class TestSampledEnumeration:
             enumerate_regions_sampled(build_dft_matrix(6, 1), budget=10**5)
 
     def test_draw_counts_are_pinned_on_the_spectral_ten_by_five(self):
-        # Per-chunk dedupe must not change what is drawn or when sampling
-        # stops: these counts were measured with one set insert per draw.
-        regions = enumerate_regions_sampled(build_dft_matrix(10, 2), seed=2)
+        # Per-chunk dedupe must not change what is probed or when sampling
+        # stops: the count is the normalised reference loop's.
+        w = build_dft_matrix(10, 2)
+        regions = enumerate_regions_sampled(w, seed=2)
         assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
-        assert regions.samples_used == 1998848
+        assert regions.samples_used == 2228224
         assert regions.boundary_skips == 0
+        used, skips, _ = reference_sampled_enumeration(
+            w.entries, 10**7, 2, 1e-12, 512
+        )
+        assert (used, skips) == (2228224, 0)
         expected = set(enumerate_family(FamilySpec(10, 4, FamilyKind.ALTERNATING)))
         assert len(expected) == 512
         assert regions.members == frozenset(expected)
@@ -213,14 +218,14 @@ def _with_tiny_row():
     return entries
 
 
-def _with_duplicated_rows():
-    base = _random((4, 3), 52)
+def _with_duplicated_rows(d=3, seed=52):
+    base = _random((4, d), seed)
     return np.vstack([base, base[[0, 2]]])
 
 
 class TestSampledMatchesTheNormalisedLoop:
     """The rounding-bound fast path must report exactly what normalising
-    every draw reports: the same draws, skips and members."""
+    every probe reports: the same probes, skips and members."""
 
     @staticmethod
     def _assert_matches(monkeypatch, entries, budget, seed, tau_sign):
@@ -258,11 +263,13 @@ class TestSampledMatchesTheNormalisedLoop:
             (_with_tiny_row(), 1e-12),
             (_with_duplicated_rows(), 1e-12),
             (_random((5, 1), 55), 1e-12),
+            (_random((5, 2), 58), 1e-12),
             (_random((70, 3), 56), 1e-12),
             (_random((70, 3), 56), 1e-3),
+            (_random((9, 6), 59), 1e-3),
         ],
-        ids=["tau-0", "tiny-row", "duplicated-rows", "d-1",
-             "n-70", "n-70-tau-1e-3"],
+        ids=["tau-0", "tiny-row", "duplicated-rows", "d-1", "d-2",
+             "n-70", "n-70-tau-1e-3", "d-6"],
     )
     def test_edge_inputs(self, monkeypatch, entries, tau_sign):
         self._assert_matches(monkeypatch, entries, 70_001, 10, tau_sign)
@@ -283,16 +290,18 @@ class TestSampledMatchesTheNormalisedLoop:
         )
         assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
 
-    # Draws are made one chunk ahead of the chunk being coded; budgets on
-    # either side of a chunk edge pin that no prefetched draw is counted.
+    # The last chunk draws whole vectors and is cut to the budget; budgets
+    # on either side of a chunk edge, and ones that are no multiple of the
+    # m probes per draw, pin that no probe past the cut is counted.
     @pytest.mark.parametrize(
-        "budget", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 1],
-        ids=["one", "chunk", "chunk-plus-1", "three-chunks-minus-1"],
+        "budget", [1, 17, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 1],
+        ids=["one", "seventeen", "chunk", "chunk-plus-1", "three-chunks-minus-1"],
     )
     @pytest.mark.parametrize(
         "entries",
-        [_with_duplicated_rows(), _random((70, 3), 56)],
-        ids=["duplicated-rows", "n-70"],
+        [_with_duplicated_rows(), _random((70, 3), 56),
+         _with_duplicated_rows(2, 58), _with_duplicated_rows(6, 59)],
+        ids=["duplicated-rows", "n-70", "d-2", "d-6"],
     )
     def test_budgets_at_chunk_edges(self, monkeypatch, entries, budget):
         regions = self._assert_matches(monkeypatch, entries, budget, 12, 1e-3)
@@ -300,7 +309,7 @@ class TestSampledMatchesTheNormalisedLoop:
 
 
 class TestHelperThread:
-    """The draw-ahead thread is joined on every way out of the sampler."""
+    """No thread outlives the sampler on any way out."""
 
     def test_none_outlives_a_spent_budget(self):
         before = set(threading.enumerate())
@@ -321,7 +330,7 @@ class TestHelperThread:
         not_equal = np.not_equal
 
         def broken(*args, **kwargs):
-            # Fail on the second chunk, while the third is being drawn.
+            # Fail on the second chunk.
             calls.append(1)
             if len(calls) == 2:
                 raise ZeroDivisionError("dedupe bug")
