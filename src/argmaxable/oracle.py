@@ -19,17 +19,6 @@ judgment over the LP verifier.  Two routes:
   [D_1 W^T | ... | D_m W^T] gives all m probes' logits, so the generator
   costs a draw per m probes.  Budgets and counts are in probes.
 
-Most chunks of probes are never normalised.  With u = 2^-53 and M the
-largest |entry| of a chunk's draws, the raw product of the chunk with
-W^T has the sign pattern of the normalised logits, and every normalised
-logit clears tau_sign = ``DEFAULT_TAU_SIGN``, whenever
-
-    min |raw| > sqrt(d) * (tau_sign + 4 (d + 2) u max_i ||w_i||) * M
-
-(a rounding bound, derived at ``_guard_factor``).  Such a chunk records
-the same vectors with no boundary skips; a chunk that misses the bound is
-normalised and tested probe by probe.
-
 Members come closed under global sign flip by construction: the
 arrangement is central, so sign(W(-x)) = -sign(Wx).
 """
@@ -39,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Optional
+from typing import FrozenSet
 
 import numpy as np
 
@@ -47,7 +36,6 @@ from .labelspace import LabelAssignment, cover_count
 from .linalg import (
     DEFAULT_TAU_SIGN,
     BoundaryError,
-    MinorBudgetError,
     WeightMatrix,
     is_general_position,
     sign_vector,
@@ -71,10 +59,6 @@ _SAMPLE_CHUNK = 1 << 15
 _FLIP_BITS = 4
 # Boundary angles of the 2D walk closer than this count as coincident.
 _TAU_ANGLE = 1e-12
-_UNIT_ROUNDOFF = 2.0**-53
-# Scales of max_i ||w_i|| and of a chunk's largest draw inside which the
-# guard needs no overflow or underflow clause of its own.
-_GUARD_LOW, _GUARD_HIGH = 2.0**-400, 2.0**400
 
 
 class DegeneracyError(Exception):
@@ -153,54 +137,6 @@ def _assignments(bits: np.ndarray) -> list[LabelAssignment]:
     return [LabelAssignment(row) for row in signs]
 
 
-def _guard_factor(w: WeightMatrix, tau_sign: float) -> Optional[float]:
-    """The factor F such that a chunk of raw draws with largest |entry| M
-    in [2^-400, 2^400] needs no normalisation when min |raw| > F * M, where
-    raw = fl(draws @ W^T) and tau_sign >= 0; None when W's scale rules it
-    out.
-
-    F = sqrt(d) * (tau_sign + c u omega) with u = 2^-53, c = 4 (d + 2) and
-    omega = max_i fl(||w_i||).  Write gamma_k = k u / (1 - k u).  For one
-    draw x and one row w let s = w . x exactly and t = sum_j |w_j x_j|,
-    so t <= ||x|| ||w|| <= sqrt(d) M ||w||.
-
-    * A d-term dot product, in any summation order and with or without
-      FMA, is within gamma_d t of s (Higham, *Accuracy and Stability of
-      Numerical Algorithms*, ch. 3).  So r = fl(x . w) = s + e_r with
-      |e_r| <= gamma_d t.
-    * The normalised path computes L = fl(||x||) = ||x|| (1 + theta),
-      |theta| <= gamma_{d+1}; then xh_j = (x_j / L)(1 + delta_j),
-      |delta_j| <= u; then g = fl(xh . w) = xh . w + e with
-      |e| <= gamma_d (1 + u) t / L.  Times L: L g = s + e_g with
-      |e_g| <= (u + (1 + u) gamma_d) t <= gamma_{d+1} t, so
-      |L g - r| <= gamma_{2d+1} t.
-    * So once |r| > gamma_{2d+1} t, g is nonzero with the sign of r
-      (L > 0), and since L <= sqrt(d) M (1 + gamma_{d+1}), |g| >= tau_sign
-      follows from  |r| >= sqrt(d) M (tau_sign (1 + gamma_{d+1})
-      + gamma_{2d+1} ||w||).  (*)
-    * The guard's right side takes five roundings and
-      omega >= ||w|| (1 - gamma_{d+1}), so it is at least
-      sqrt(d) M (tau_sign + c u omega)(1 - gamma_5).  A passing |r| is
-      at most (1 + gamma_d) t, which forces tau_sign < 1.01 omega.  Then
-      (*) holds when c u (1 - gamma_5) >= 1.01 gamma_{d+6}
-      + gamma_{2d+1} / (1 - gamma_{d+1}), about (3d + 7) u; c = 4 (d + 2)
-      leaves (d + 1) u omega sqrt(d) M to spare.
-    * Flipping coordinate signs is exact and keeps max_j |x_j|, so the
-      bound holds for every probe D_p x of a chunk whose draws x have M.
-    * Scale: with omega and M in [2^-400, 2^400] nothing overflows.  A
-      passing draw has max_j |x_j| > u M, so L > 0 and the draw passes
-      the length test.  Gradual underflow adds at most 2^-1075 to a
-      product or quotient (sums are then exact): d 2^-1075 (omega + 2)
-      in all, and a relative d 2^-169 in L, which the spare absorbs for
-      any d < 2^100.
-    """
-    omega = float(w.row_norms.max())
-    if not _GUARD_LOW <= omega <= _GUARD_HIGH:
-        return None
-    d = w.d
-    return math.sqrt(d) * (tau_sign + 4 * (d + 2) * _UNIT_ROUNDOFF * omega)
-
-
 def enumerate_regions_sampled(
     w: WeightMatrix,
     budget: int = DEFAULT_SAMPLE_BUDGET,
@@ -218,14 +154,15 @@ def enumerate_regions_sampled(
     many members were found.
 
     General position is decided here by the minor scan, under
-    ``DEFAULT_MINOR_BUDGET``; a scan over that budget counts as unknown,
-    so no completeness is claimed.
+    ``DEFAULT_MINOR_BUDGET``.  A scan that refuses W, over that budget or
+    with minors that may overflow float64, counts as unknown, so no
+    completeness is claimed: sampling itself needs no minor.
     """
     n, d = w.n, w.d
     tau_sign = DEFAULT_TAU_SIGN
     try:
         general_position = is_general_position(w)
-    except MinorBudgetError:
+    except ValueError:  # linalg.MinorBudgetError included
         general_position = False
     target = cover_count(n, d) if general_position else None
     rng = np.random.default_rng(seed)
@@ -253,29 +190,26 @@ def enumerate_regions_sampled(
         if use_int_codes
         else None
     )
-    factor = _guard_factor(w, tau_sign)
     while used < budget:
         chunk = min(_SAMPLE_CHUNK, budget - used)
         draws = rng.standard_normal((-(-chunk // patterns), d))
         used += chunk
-        raw = (draws @ stacked).reshape(-1, n)[:chunk]
-        positive = raw > 0.0
-        peak = max(float(draws.max()), -float(draws.min()))
-        if not (
-            factor is not None
-            and _GUARD_LOW <= peak <= _GUARD_HIGH
-            and float(np.abs(raw, out=raw).min()) > factor * peak
-        ):
-            # ||D_p x|| = ||x||, so one division normalises all m probes.
-            lengths = np.linalg.norm(draws, axis=1, keepdims=True)
-            good_length = lengths[:, 0] > 0.0
-            lengths[~good_length] = 1.0
-            draws /= lengths
-            logits = (draws @ stacked).reshape(-1, n)[:chunk]
+        # ||D_p x|| = ||x||, so one division normalises all m probes.
+        lengths = np.linalg.norm(draws, axis=1, keepdims=True)
+        good_length = lengths[:, 0] > 0.0
+        lengths[~good_length] = 1.0
+        draws /= lengths
+        logits = (draws @ stacked).reshape(-1, n)[:chunk]
+        positive = logits > 0.0
+        # The signs are read, so |logits| can overwrite them.  np.min
+        # passes a nan logit on, so its chunk takes the mask, which skips
+        # it.
+        np.abs(logits, out=logits)
+        if not (good_length.all() and float(logits.min()) >= tau_sign):
             clean = np.repeat(good_length, patterns)[:chunk]
-            clean &= (np.abs(logits) >= tau_sign).all(axis=1)
+            clean &= (logits >= tau_sign).all(axis=1)
             skips += int(chunk - np.count_nonzero(clean))
-            positive = (logits > 0.0)[clean]
+            positive = positive[clean]
         # Most probes of a chunk repeat a region, so dedupe in numpy
         # before anything reaches the Python set.  The codes are sorted
         # in place and each is kept where it differs from its left
@@ -349,7 +283,7 @@ def cross_check(w: WeightMatrix, seed: int = 0) -> CrossCheckReport:
 
     Exponential in n by design; refuses n > 16.  Uses the exact walk for
     d = 2 and certificate-stopped sampling otherwise (``seed``,
-    ``DEFAULT_SAMPLE_BUDGET`` draws); the LPs run in one process under
+    ``DEFAULT_SAMPLE_BUDGET`` probes); the LPs run in one process under
     the default ``LpConfig``.
     """
     n = w.n

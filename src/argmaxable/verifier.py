@@ -467,11 +467,11 @@ def _checked_optimum(
     roundings of that bound shrink it by a factor of at least (1 - u)^4,
     which costs O(d u^2) relative, while g's two spare units of u add
     ~2 u mh: enough to cover the u eps_floor lost to the rounding of the
-    final subtraction, since mh >= eps_floor there (as for
-    ``oracle._guard_factor``).  When mh < 0 the result is below zero, and
-    a zero or nan witness gives 0 or nan, so none of these is accepted.
-    An accepted bound is at most the smallest mh, as it subtracts a
-    positive charge from it.
+    final subtraction, since mh >= eps_floor there: an accepted bound
+    is at least eps_floor and at most the smallest mh, as it rounds
+    mh - c for a charge c >= 0 and rounding is monotone.  When mh < 0
+    the result is below zero, and a zero or nan witness gives 0 or nan,
+    so none of these is accepted.
     """
     box, top = cfg.box_bound, float(np.max(np.abs(x)))
     if top > box:

@@ -6,8 +6,8 @@ at a time, sign-vector families by filtering all 2^n strings, ranked
 metrics by explicit sorting loops.  Two small numeric helpers that only
 the tests need (a guarded determinant and a seeded nudge off a
 hyperplane) live here too, and so does the sampled enumeration loop
-without its rounding-bound fast path, each sign-flipped probe written
-out and normalised on its own.
+with each sign-flipped probe written out, normalised and tested on its
+own.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ A score file is records x labels floats, so every whole-matrix copy the
 pipeline makes is a multiple of the data.  These tests hold the parse to
 the array plus a fixed text budget and the whole ``metrics`` command to
 twice the array.  The minor scan is held to a few blocks, however many
-minors it checks.
+minors it checks, and the region sampler to a few chunks of logits,
+however many probes it examines.
 """
 
 import json
@@ -114,3 +115,40 @@ def test_minor_scan_holds_a_few_blocks():
     assert checked == 79_800
     d = 2
     assert peak <= 4 * chunk * d * (d + 1) * 8, peak
+
+
+SAMPLER = r"""
+import json, sys, tracemalloc
+import numpy as np
+from argmaxable import oracle
+from argmaxable.dftlayer import build_dft_matrix
+from argmaxable.linalg import WeightMatrix
+if sys.argv[1] == "spectral":
+    w = build_dft_matrix(10, 2)
+else:
+    w = WeightMatrix(np.random.default_rng(29).standard_normal((70, 3)))
+tracemalloc.start()
+regions = oracle.enumerate_regions_sampled(w, budget=10**6)
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps([w.n, regions.samples_used, peak, oracle._SAMPLE_CHUNK]))
+"""
+
+
+@pytest.mark.parametrize("layer", ["spectral", "gaussian-70x3"])
+def test_sampler_holds_a_few_chunks_of_logits(layer):
+    # One chunk's logits are chunk x n floats, and its int64 sign codes as
+    # many.  The bound leaves room for those and about one more array of
+    # that size; a sampler that holds the logits of every probe of the
+    # budget, or of several chunks at once, breaks it.  A fresh
+    # interpreter keeps what earlier runs left in this process out of it.
+    done = subprocess.run(
+        [sys.executable, "-c", SAMPLER, layer],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    n, used, peak, chunk = json.loads(done.stdout.strip().splitlines()[-1])
+    assert used > chunk
+    assert peak <= 4 * chunk * n * 8, peak

@@ -224,15 +224,21 @@ def _with_duplicated_rows(d=3, seed=52):
 
 
 class TestSampledMatchesTheNormalisedLoop:
-    """The rounding-bound fast path must report exactly what normalising
-    every probe reports: the same probes, skips and members."""
+    """The sampler, which normalises each draw once for all its sign-flipped
+    probes and builds a boundary mask only for chunks that need one, must
+    report exactly what normalising every probe on its own reports: the
+    same probes, skips and members."""
 
     @staticmethod
     def _assert_matches(monkeypatch, entries, budget, seed, tau_sign):
         monkeypatch.setattr(oracle, "DEFAULT_TAU_SIGN", tau_sign)
         w = WeightMatrix(entries)
         regions = enumerate_regions_sampled(w, budget=budget, seed=seed)
-        target = region_count_formula(w.n, w.d) if is_general_position(w) else None
+        try:
+            general_position = is_general_position(w)
+        except ValueError:  # a refused scan: no target, as in the sampler
+            general_position = False
+        target = region_count_formula(w.n, w.d) if general_position else None
         used, skips, members = reference_sampled_enumeration(
             w.entries, budget, seed, tau_sign, target
         )
@@ -267,9 +273,16 @@ class TestSampledMatchesTheNormalisedLoop:
             (_random((70, 3), 56), 1e-12),
             (_random((70, 3), 56), 1e-3),
             (_random((9, 6), 59), 1e-3),
+            # Row norms near 2^450 and 2^-450.  The small layer's logits
+            # are all below 1e-12, so it is judged at tau_sign 0; the
+            # 8 x 3 layer's minor scan refuses it for overflow.
+            (_random((6, 2), 60) * 2.0**450, 1e-12),
+            (_random((6, 2), 60) * 2.0**-450, 0.0),
+            (_random((8, 3), 61) * 2.0**450, 1e-12),
         ],
         ids=["tau-0", "tiny-row", "duplicated-rows", "d-1", "d-2",
-             "n-70", "n-70-tau-1e-3", "d-6"],
+             "n-70", "n-70-tau-1e-3", "d-6", "d-2-times-2^450",
+             "d-2-times-2^-450", "scan-refused-times-2^450"],
     )
     def test_edge_inputs(self, monkeypatch, entries, tau_sign):
         self._assert_matches(monkeypatch, entries, 70_001, 10, tau_sign)
@@ -306,6 +319,27 @@ class TestSampledMatchesTheNormalisedLoop:
     def test_budgets_at_chunk_edges(self, monkeypatch, entries, budget):
         regions = self._assert_matches(monkeypatch, entries, budget, 12, 1e-3)
         assert regions.samples_used == budget
+
+
+class TestCyclicShift:
+    """Rolling the rows of a layer rolls every sign vector the same way and
+    keeps general position, so each roll's run completes too.  For odd d
+    a DFT layer's regions are the family of at most d - 1 alternations,
+    which rolling maps onto itself; the bench's geometry truth relies on
+    this."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shift", [1, 4, 7])
+    def test_rolled_spectral_layer_has_the_rolled_members(self, shift, seed):
+        w = build_dft_matrix(10, 2)
+        assert w.d % 2 == 1
+        unshifted = enumerate_regions_sampled(w, seed=seed)
+        assert unshifted.method is EnumerationMethod.SAMPLED_COMPLETE
+        rolled = WeightMatrix(np.roll(w.entries, shift, axis=0))
+        regions = enumerate_regions_sampled(rolled, seed=seed)
+        assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
+        expected = {tuple(np.roll(y.signs, shift)) for y in unshifted.members}
+        assert {tuple(y.signs) for y in regions.members} == expected
 
 
 class TestHelperThread:
