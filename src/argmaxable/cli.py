@@ -64,6 +64,7 @@ from .oracle import (
 from .reportio import (
     ParseError,
     ReportEnvelope,
+    _sidecar_path,
     matrix_csv,
     parse_labels,
     parse_matrix,
@@ -412,7 +413,12 @@ def _cmd_dft(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     w = parse_matrix(args.matrix)
-    status = gr_plus_status(w, tau_det=args.tau_det, budget=args.minor_budget)
+    try:
+        status = gr_plus_status(w, tau_det=args.tau_det, budget=args.minor_budget)
+    except MinorBudgetError:
+        raise
+    except ValueError as exc:  # minors that may overflow: the file is at fault
+        raise ParseError(args.matrix, str(exc)) from None
     payload = {
         "n": w.n,
         "d": w.d,
@@ -568,6 +574,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "handler", None) is None:
             raise _UsageError(parser.format_usage())
+        # A report there would be read as the matrix's sidecar next time.
+        matrix = getattr(args, "matrix", None)
+        if matrix is not None and args.out != "-" and (
+            Path(args.out).resolve() == _sidecar_path(matrix).resolve()
+        ):
+            raise _UsageError(
+                f"error: --out: {args.out} is the sidecar path of --matrix"
+            )
         return int(args.handler(args))
     except _UsageError as exc:
         print(exc, file=sys.stderr)

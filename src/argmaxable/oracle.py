@@ -9,12 +9,17 @@ judgment over the LP verifier.  Two routes:
   unit circle visits every region exactly once.  Directions closer than
   ``_TAU_ANGLE`` radians count as coincident and are refused.
 * any d: sampled.  Uniform unit-sphere directions, with the region count
-  formula as a termination certificate: once the distinct sign vectors
-  hit cover_count(n, d) (valid for general-position W), the set is
-  provably complete.  Budget exhaustion yields an explicitly partial
-  result, never an error.  Each Gaussian draw x gives m = min(2^(d-1),
-  16) probes D_p x, D_p diagonal +-1 keeping coordinate 0 and flipping
-  coordinate j + 1 when bit j of p is set.  Each D_p x is N(0, I) like x
+  formula as a termination certificate.  A central arrangement of n
+  hyperplanes in R^d has at most cover_count(n, d) regions, reached in
+  general position (Cover, IEEE Trans. Electron. Comput. 14, 1965;
+  Zaslavsky, Mem. AMS 154, 1975).  A recorded sign vector is that of a
+  probe whose every |logit| is at least tau_sign, so it names an open
+  region, and so does its antipode; so the members never exceed the
+  count, and once they reach it the set is provably complete, for any W.
+  Budget exhaustion yields an explicitly partial result, never an
+  error.  Each Gaussian draw x gives m = min(2^(d-1), 16) probes D_p x,
+  D_p diagonal +-1 keeping coordinate 0 and flipping coordinate j + 1
+  when bit j of p is set.  Each D_p x is N(0, I) like x
   (antithetic variates, Hammersley & Morton 1956), and one product with
   [D_1 W^T | ... | D_m W^T] gives all m probes' logits, so the generator
   costs a draw per m probes.  Budgets and counts are in probes.
@@ -33,7 +38,9 @@ from typing import FrozenSet
 import numpy as np
 
 from .labelspace import LabelAssignment, cover_count
-from .linalg import (
+# is_general_position is not called here; it stays importable from this
+# module because bench/tracing.py wraps it by name.
+from .linalg import (  # noqa: F401
     DEFAULT_TAU_SIGN,
     BoundaryError,
     WeightMatrix,
@@ -148,23 +155,16 @@ def enumerate_regions_sampled(
     docstring) in chunks of 2^15, the last cut to the budget, records the
     sign vector of each and of its antipode (free by central symmetry),
     and skips probes within tau_sign = ``DEFAULT_TAU_SIGN`` (read at call
-    time) of a hyperplane.  When W is in general position, reaching
-    cover_count(n, d) distinct vectors is proof of completeness and
-    sampling stops early; otherwise the result is SampledPartial however
-    many members were found.
-
-    General position is decided here by the minor scan, under
-    ``DEFAULT_MINOR_BUDGET``.  A scan that refuses W, over that budget or
-    with minors that may overflow float64, counts as unknown, so no
-    completeness is claimed: sampling itself needs no minor.
+    time) of a hyperplane.  Every recorded vector and its antipode name
+    open regions of W, so there are at most r(W) <= cover_count(n, d) of
+    them (Zaslavsky 1975, see the module docstring).  Reaching that count
+    is proof of completeness and stops sampling early; otherwise the
+    result is SampledPartial however many members were found.  No minor
+    scan is run: only a W in general position has that many regions.
     """
     n, d = w.n, w.d
     tau_sign = DEFAULT_TAU_SIGN
-    try:
-        general_position = is_general_position(w)
-    except ValueError:  # linalg.MinorBudgetError included
-        general_position = False
-    target = cover_count(n, d) if general_position else None
+    target = cover_count(n, d)
     rng = np.random.default_rng(seed)
     use_int_codes = n <= 62
     # XOR with the n-bit mask gives the antipode's code; the packbits
@@ -190,6 +190,10 @@ def enumerate_regions_sampled(
         if use_int_codes
         else None
     )
+    # Every chunk's product goes into one buffer, which later takes the
+    # chunk's signs as int64, so a chunk holds one array of its size.
+    # Freeing the product per chunk instead measured slower.
+    buffer = np.empty((-(-min(budget, _SAMPLE_CHUNK) // patterns), patterns * n))
     while used < budget:
         chunk = min(_SAMPLE_CHUNK, budget - used)
         draws = rng.standard_normal((-(-chunk // patterns), d))
@@ -199,7 +203,8 @@ def enumerate_regions_sampled(
         good_length = lengths[:, 0] > 0.0
         lengths[~good_length] = 1.0
         draws /= lengths
-        logits = (draws @ stacked).reshape(-1, n)[:chunk]
+        product = np.matmul(draws, stacked, out=buffer[: len(draws)])
+        logits = product.reshape(-1, n)[:chunk]
         positive = logits > 0.0
         # The signs are read, so |logits| can overwrite them.  np.min
         # passes a nan logit on, so its chunk takes the mask, which skips
@@ -216,7 +221,10 @@ def enumerate_regions_sampled(
         # neighbour: np.unique gives the same output, but on numpy >=
         # 2.3 it hashes int64 codes, several times slower per chunk.
         if use_int_codes:
-            codes = positive.astype(np.int64) @ bit_weights
+            # The product is read, so its memory takes the signs as int64.
+            signs = logits.view(np.int64)[: len(positive)]
+            np.copyto(signs, positive)
+            codes = signs @ bit_weights
             codes.sort()
             first = np.ones(codes.size, dtype=bool)
             np.not_equal(codes[1:], codes[:-1], out=first[1:])
@@ -227,7 +235,7 @@ def enumerate_regions_sampled(
             codes = np.unique(np.packbits(positive, axis=1), axis=0)
             seen.update(row.tobytes() for row in codes)
             seen.update(row.tobytes() for row in codes ^ full_mask)
-        if target is not None and len(seen) >= target:
+        if len(seen) >= target:
             break
     if use_int_codes:
         codes = np.fromiter(seen, dtype=np.int64, count=len(seen))
@@ -237,14 +245,13 @@ def enumerate_regions_sampled(
         rows = blobs.reshape(len(seen), (n + 7) // 8)
         bits = np.unpackbits(rows, axis=1, count=n)
     members = frozenset(_assignments(bits))
-    complete = target is not None and len(members) == target
     return RegionSet(
         n=n,
         d=d,
         members=members,
         method=(
             EnumerationMethod.SAMPLED_COMPLETE
-            if complete
+            if len(members) == target
             else EnumerationMethod.SAMPLED_PARTIAL
         ),
         samples_used=used,

@@ -23,7 +23,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -82,13 +81,13 @@ def _read_text(path: Union[str, Path]) -> str:
         raise ParseError(path, f"not UTF-8: byte {byte:#04x} ({exc.reason})", line=line)
 
 
-# Bytes read from a numeric file at a time: one block's bytes, text and
-# lines are all the text the streamed parse holds.
+# Characters read from a numeric file at a time: one block's lines are
+# all the text the streamed parse holds.
 _BLOCK_BYTES = 1 << 16
 
 # The characters that send a file to the per-cell parse: every line
-# break str.splitlines() knows besides "\n" and "\r", and the "\x1f"
-# that np.loadtxt strips around a cell where float() does not.
+# break str.splitlines() knows besides "\n", "\r\n" and "\r", and the
+# "\x1f" that np.loadtxt strips around a cell where float() does not.
 _PER_CELL_CHARS = (
     "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"
 )
@@ -103,10 +102,9 @@ def _parse_float_rows(path: Union[str, Path]) -> np.ndarray:
     ``float()``, but it strips ``\\x1f`` around a cell where ``float()``
     does not, it rejects some cells ``float()`` accepts (``1_0``,
     non-ASCII digits), and it skips blank lines.  So its array is taken
-    only from a UTF-8 file whose lines all end in ``\\n`` or ``\\r\\n``,
-    none blank, with no ``\\x1f``, and only when it has one row per line.
-    Any other file, an empty one included, goes to the per-cell parse of
-    its whole text.
+    only from a UTF-8 file with no blank line and no ``_PER_CELL_CHARS``
+    character, and only when it has one row per line.  Any other file,
+    an empty one included, goes to the per-cell parse of its whole text.
     """
     rows: list[int] = []
     try:
@@ -124,44 +122,24 @@ def _parse_float_rows(path: Union[str, Path]) -> np.ndarray:
 
 
 def _line_blocks(path: Union[str, Path], rows: list[int]) -> Iterator[list[str]]:
-    """A file's lines, one list per block of about ``_BLOCK_BYTES``, with
-    each list's length appended to ``rows``.
+    """A file's lines, one list per block of about ``_BLOCK_BYTES``
+    characters, with each list's length appended to ``rows``.
 
-    A block ends at its last ``\\n``, so a line and a UTF-8 character
-    never straddle two blocks.  A line keeps a ``\\r`` that ends it, which
-    ``np.loadtxt`` drops.  Raises ValueError at the first block that needs
-    the per-cell parse: one holding a ``_PER_CELL_CHARS`` character or a
-    ``\\r`` inside a line, a blank or whitespace-only line, or invalid
-    UTF-8.
+    Universal newlines end a line at ``\\n``, ``\\r\\n`` or ``\\r``, which
+    is where ``str.splitlines()`` ends one in a text free of
+    ``_PER_CELL_CHARS``.  Raises ValueError at the first block that needs
+    the per-cell parse: one holding such a character or a blank or
+    whitespace-only line, or invalid UTF-8.
     """
-    with open(path, "rb") as fh:
-        pending: list[Union[bytes, memoryview]] = []  # the unfinished line
-        for raw in iter(partial(fh.read, _BLOCK_BYTES), b""):
-            end = raw.rfind(b"\n")
-            if end < 0:
-                pending.append(raw)
-                continue
-            view = memoryview(raw)
-            yield _block_lines(b"".join([*pending, view[:end]]), rows)
-            pending = [view[end + 1 :]]
-        tail = b"".join(pending)
-        if tail:
-            yield _block_lines(tail, rows)
-
-
-def _block_lines(data: bytes, rows: list[int]) -> list[str]:
-    text = data.decode("utf-8")
-    if any(ch in text for ch in _PER_CELL_CHARS):
-        raise ValueError("needs the per-cell parse")
-    # The block's last line lost its "\n" at the cut, so a "\r" may end
-    # it.  Counting "\r\n" is slow, so an LF block skips the count.
-    if "\r" in text and text.count("\r") != text.count("\r\n") + text.endswith("\r"):
-        raise ValueError("\\r inside a line")
-    lines = text.split("\n")
-    if not all(map(str.strip, lines)):
-        raise ValueError("blank line")
-    rows.append(len(lines))
-    return lines
+    with open(path, encoding="utf-8") as fh:
+        while lines := fh.readlines(_BLOCK_BYTES):
+            text = "".join(lines)
+            if any(ch in text for ch in _PER_CELL_CHARS):
+                raise ValueError("needs the per-cell parse")
+            if not all(map(str.strip, lines)):
+                raise ValueError("blank line")
+            rows.append(len(lines))
+            yield lines
 
 
 def _parse_cells(path: Union[str, Path], lines: list[str]) -> list[list[float]]:

@@ -328,18 +328,19 @@ class TestEnumerate:
          np.random.default_rng(72).standard_normal((4, 3)) * 1e120],
         ids=["axes-1e150", "gaussian-1e120"],
     )
-    def test_a_matrix_the_minor_scan_refuses_is_sampled_partially(
+    def test_a_matrix_the_minor_scan_refuses_is_sampled_completely(
         self, entries, tmp_path, capsys
     ):
-        # Every row norm is finite, but a 3 x 3 minor may overflow, so the
-        # scan refuses: general position is unknown, not an error.
+        # Every row norm is finite, but a 3 x 3 minor may overflow, so
+        # ``check`` refuses the matrix.  The sampler runs no scan, and its
+        # region count alone certifies the run.
         matrix = tmp_path / "big.csv"
         rows = [",".join(repr(float(v)) for v in row) for row in entries]
         matrix.write_text("\n".join(rows) + "\n")
         code = run(["enumerate", "--matrix", str(matrix), "--budget", "100000"])
         assert code == ExitCode.OK
         obj = _report_from(capsys)
-        assert obj["payload"]["method"] == "sampled-partial"
+        assert obj["payload"]["method"] == "sampled-complete"
         assert obj["payload"]["count"] == cover_count(4, 3)
         assert run(["check", "--matrix", str(matrix), "--out", "-"]) == ExitCode.INPUT
         assert "overflow" in capsys.readouterr().err
@@ -707,8 +708,8 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "Infinity" not in err
         assert err == (
-            "error: minors may overflow float64: the product of the d "
-            "largest row norms is not finite\n"
+            f"error: {matrix}: minors may overflow float64: the product of "
+            "the d largest row norms is not finite\n"
         )
 
     @pytest.mark.parametrize(
@@ -740,6 +741,29 @@ class TestExitCodes:
         assert out == ""
         # The diagnostic names the offending flag, the last one given.
         assert argv[-2] in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"],
+            ["verify", "--labels", "labels.txt"],
+            ["enumerate"],
+            ["radii", "--kind", "active", "--k", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_report_on_the_matrix_sidecar_is_usage_before_any_read(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # The report path is relative and the matrix path absolute; they
+        # meet once resolved.  No matrix exists, so reading it would exit 2.
+        monkeypatch.chdir(tmp_path)
+        matrix = tmp_path / "w.csv"
+        argv = [*argv, "--matrix", str(matrix), "--out", "w.json"]
+        assert run(argv) == ExitCode.USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "w.json").exists()
+        assert err == "error: --out: w.json is the sidecar path of --matrix\n"
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
     @pytest.mark.parametrize(

@@ -15,13 +15,8 @@ from argmaxable.labelspace import (
     cover_count,
     enumerate_family,
 )
-from argmaxable import oracle
-from argmaxable.linalg import (
-    BoundaryError,
-    MinorBudgetError,
-    WeightMatrix,
-    is_general_position,
-)
+from argmaxable import linalg, oracle
+from argmaxable.linalg import BoundaryError, WeightMatrix, is_general_position
 from argmaxable.oracle import (
     DegeneracyError,
     EnumerationMethod,
@@ -153,23 +148,52 @@ class TestSampledEnumeration:
         regions = enumerate_regions_sampled(w, budget=10**5, seed=4)
         assert regions.method is EnumerationMethod.SAMPLED_PARTIAL
 
-    def test_over_budget_minor_scan_means_unknown(self):
-        # C(40, 8) ~ 7.7e7 minors is over the scan's budget, so general
-        # position is unknown and no completeness is claimed.
+    def test_a_layer_past_the_minor_budget_stays_partial_below_its_count(self):
+        # 10^4 probes and their antipodes give at most 2 * 10^4 vectors, far
+        # below cover_count(40, 8), so the run cannot be certified.  That
+        # C(40, 8) ~ 7.7e7 minors is over the scan's budget plays no part.
         w = WeightMatrix(np.random.default_rng(38).standard_normal((40, 8)))
-        with pytest.raises(MinorBudgetError):
-            is_general_position(w)
+        assert cover_count(40, 8) > 2 * 10**4
         regions = enumerate_regions_sampled(w, budget=10**4, seed=0)
         assert regions.method is EnumerationMethod.SAMPLED_PARTIAL
         assert regions.members
 
-    def test_a_failing_minor_scan_is_not_swallowed(self, monkeypatch):
+    def test_no_minor_scan_is_run(self, monkeypatch):
         def broken(*args, **kwargs):
-            raise ZeroDivisionError("scan bug")
+            raise ZeroDivisionError("scan called")
 
         monkeypatch.setattr(oracle, "is_general_position", broken)
-        with pytest.raises(ZeroDivisionError):
-            enumerate_regions_sampled(build_dft_matrix(6, 1), budget=10**5)
+        monkeypatch.setattr(linalg, "gr_plus_status", broken)
+        regions = enumerate_regions_sampled(build_dft_matrix(6, 1), budget=10**5)
+        assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
+        assert len(regions.members) == cover_count(6, 3)
+
+    def test_complete_exactly_when_the_count_is_reached(self):
+        # Small integer layers, every third with its last row the negation
+        # of its first (so never in general position): the members never
+        # exceed the count, the run is certified exactly when they reach
+        # it, and no layer the minor scan calls degenerate reaches it.
+        rng = np.random.default_rng(41)
+        certified = degenerate = 0
+        for i in range(120):
+            n, d = int(rng.integers(3, 11)), int(rng.integers(2, 5))
+            entries = rng.integers(-2, 3, size=(n, d)).astype(float)
+            if i % 3 == 0:
+                entries[-1] = -entries[0]
+            # A zero row is no hyperplane; redraw it.
+            while (zero := ~entries.any(axis=1)).any():
+                entries[zero] = rng.integers(-2, 3, size=(zero.sum(), d))
+            w = WeightMatrix(entries)
+            regions = enumerate_regions_sampled(w, budget=10**5, seed=i)
+            count = cover_count(n, d)
+            reached = len(regions.members) == count
+            assert len(regions.members) <= count
+            assert (regions.method is EnumerationMethod.SAMPLED_COMPLETE) == reached
+            if not is_general_position(w):
+                degenerate += 1
+                assert not reached
+            certified += reached
+        assert degenerate > 0 and certified > 0
 
     def test_draw_counts_are_pinned_on_the_spectral_ten_by_five(self):
         # Per-chunk dedupe must not change what is probed or when sampling
@@ -234,13 +258,8 @@ class TestSampledMatchesTheNormalisedLoop:
         monkeypatch.setattr(oracle, "DEFAULT_TAU_SIGN", tau_sign)
         w = WeightMatrix(entries)
         regions = enumerate_regions_sampled(w, budget=budget, seed=seed)
-        try:
-            general_position = is_general_position(w)
-        except ValueError:  # a refused scan: no target, as in the sampler
-            general_position = False
-        target = region_count_formula(w.n, w.d) if general_position else None
         used, skips, members = reference_sampled_enumeration(
-            w.entries, budget, seed, tau_sign, target
+            w.entries, budget, seed, tau_sign, region_count_formula(w.n, w.d)
         )
         assert regions.samples_used == used
         assert regions.boundary_skips == skips
@@ -275,7 +294,8 @@ class TestSampledMatchesTheNormalisedLoop:
             (_random((9, 6), 59), 1e-3),
             # Row norms near 2^450 and 2^-450.  The small layer's logits
             # are all below 1e-12, so it is judged at tau_sign 0; the
-            # 8 x 3 layer's minor scan refuses it for overflow.
+            # 8 x 3 layer's minor scan would refuse it for overflow, which
+            # the sampler, running no scan, never sees.
             (_random((6, 2), 60) * 2.0**450, 1e-12),
             (_random((6, 2), 60) * 2.0**-450, 0.0),
             (_random((8, 3), 61) * 2.0**450, 1e-12),

@@ -506,14 +506,15 @@ class TestVectorizedParse:
 
     @pytest.mark.parametrize(
         "brk, streams",
-        [("\r\n", True), ("\r", False), ("\n\r", False)],
+        [("\r\n", True), ("\r", True), ("\n\r", False)],
         ids=["crlf", "lone", "opening"],
     )
     def test_a_carriage_return_streams_only_at_a_line_end(
         self, brk, streams, tmp_path, monkeypatch
     ):
-        # np.loadtxt ends a row at a trailing "\r"; one anywhere else in a
-        # line, in the first block or a later one, reads the whole text.
+        # Universal newlines end a line at "\r\n" and at a lone "\r", as
+        # splitlines() does, so both stream; "\n\r" opens a blank line,
+        # which reads the whole text, in the first block or a later one.
         lines = _rows_past_one_block()
         later = "\n".join(lines[:-2]) + "\n"
         for head, (first, second) in (("", ("1,2", "3,4")), (later, lines[-2:])):
