@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from datetime import datetime, timezone
@@ -567,21 +568,48 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return ExitCode.OK
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every run() uses, built on the first call.
+
+    Parsing leaves a parser as it was (every default is immutable, and
+    handlers find their collaborators through this module's globals at
+    call time), so one instance serves every call, on any thread.  Two
+    threads racing on the first call may each build one; either serves.
+    """
+    return build_parser()
+
+
+# Each input flag whose file a report at --out would overwrite.
+_INPUT_FLAGS = ("matrix", "labels", "scores", "gold")
+
+
+def _check_out_is_no_input(args: argparse.Namespace) -> None:
+    out = args.out
+    if out is None or out == "-":
+        return
+    target = Path(out).resolve()
+    for flag in _INPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        if target == Path(path).resolve():
+            raise _UsageError(f"error: --out: {out} is the path of --{flag}")
+        # A report there would be read as the matrix's sidecar next time.
+        if flag == "matrix" and target == _sidecar_path(path).resolve():
+            raise _UsageError(
+                f"error: --out: {out} is the sidecar path of --matrix"
+            )
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, dispatch, and map every outcome to an exit code."""
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "handler", None) is None:
             raise _UsageError(parser.format_usage())
-        # A report there would be read as the matrix's sidecar next time.
-        matrix = getattr(args, "matrix", None)
-        if matrix is not None and args.out != "-" and (
-            Path(args.out).resolve() == _sidecar_path(matrix).resolve()
-        ):
-            raise _UsageError(
-                f"error: --out: {args.out} is the sidecar path of --matrix"
-            )
+        _check_out_is_no_input(args)
         return int(args.handler(args))
     except _UsageError as exc:
         print(exc, file=sys.stderr)

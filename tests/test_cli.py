@@ -5,14 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from argmaxable.cli import ExitCode, run
+from argmaxable import cli
+from argmaxable.cli import ExitCode, build_parser, run
 from argmaxable.labelspace import cover_count
 from argmaxable.reportio import validate_report
+from argmaxable.verifier import DEFAULT_PERCENTILES, LpConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -765,6 +768,45 @@ class TestExitCodes:
         assert out == "" and not (tmp_path / "w.json").exists()
         assert err == "error: --out: w.json is the sidecar path of --matrix\n"
 
+    @pytest.mark.parametrize("spelling", ["relative-out", "relative-input"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["check", "--matrix", "{in}"], "--matrix"),
+            (["verify", "--matrix", "{in}", "--labels", "{other}"], "--matrix"),
+            (["verify", "--matrix", "{other}", "--labels", "{in}"], "--labels"),
+            (["enumerate", "--matrix", "{in}"], "--matrix"),
+            (["radii", "--matrix", "{in}", "--kind", "active", "--k", "1"],
+             "--matrix"),
+            (["metrics", "--scores", "{in}", "--gold", "{other}", "--k", "1"],
+             "--scores"),
+            (["metrics", "--scores", "{other}", "--gold", "{in}", "--k", "1"],
+             "--gold"),
+        ],
+        ids=["check-matrix", "verify-matrix", "verify-labels", "enumerate-matrix",
+             "radii-matrix", "metrics-scores", "metrics-gold"],
+    )
+    def test_a_report_on_an_input_is_usage_before_any_read(
+        self, argv, flag, spelling, tmp_path, monkeypatch, capsys
+    ):
+        # One of the two paths is relative and the other absolute; they
+        # meet once resolved.  Every other input is missing and the
+        # clashing one is not a valid file, so any read would exit 2.
+        monkeypatch.chdir(tmp_path)
+        clash = tmp_path / "in.csv"
+        clash.write_text("not read\n")
+        if spelling == "relative-out":
+            given, out = str(clash), "in.csv"
+        else:
+            given, out = "in.csv", str(clash)
+        files = {"{in}": given, "{other}": str(tmp_path / "missing.txt")}
+        argv = [files.get(a, a) for a in argv] + ["--out", out]
+        assert run(argv) == ExitCode.USAGE
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and clash.read_text() == "not read\n"
+        assert err == f"error: --out: {out} is the path of {flag}\n"
+        assert sorted(tmp_path.iterdir()) == [clash]
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
     @pytest.mark.parametrize(
         "argv",
@@ -934,3 +976,164 @@ class TestExitCodes:
             for flag in ("--eps", "--box", "--jobs", "--matrix",
                          "--out", "--deterministic"):
                 assert flag in out
+
+
+class TestSharedParser:
+    """run() parses with one parser per process, built on its first call;
+    nothing one call parses reaches the next."""
+
+    @staticmethod
+    def _fresh_run(argv, cwd):
+        done = subprocess.run(
+            [sys.executable, "-m", "argmaxable", *argv],
+            cwd=cwd,
+            env=dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_a_sequence_in_one_process_matches_fresh_interpreters(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Help and usage text wrap at the terminal width; pin it for both.
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        assert run(["dft", "--n", "12", "--k", "2", "--out", "w.csv"]) == ExitCode.OK
+        Path("ys.txt").write_text("++----------\n-+++--------\n+-+-+-+-----\n")
+        Path("s.csv").write_text(
+            "0.9,0.1,0.5,0.2,0.3\n0.1,0.8,0.3,0.7,0.2\n0.4,0.6,0.9,0.1,0.5\n"
+        )
+        Path("g.txt").write_text("n=5\n1\n2,4\n3,5\n")
+        verify = ["verify", "--matrix", "w.csv", "--labels", "ys.txt", "--deterministic"]
+        metrics = ["metrics", "--scores", "s.csv", "--gold", "g.txt", "--deterministic"]
+        radii = ["radii", "--matrix", "w.csv", "--kind", "active", "--k", "1",
+                 "--deterministic"]
+        sequence = [
+            verify + ["--eps", "1e-6"],
+            verify,
+            ["verify", "--matrix", "w.csv", "--labels", "ys.txt", "--eps", "nope"],
+            metrics + ["--k", "3"],
+            metrics + ["--k", "1,5"],
+            ["--help"],
+            radii + ["--percentiles", "10,90"],
+            ["--version"],
+            radii,
+        ]
+        capsys.readouterr()
+        in_process = []
+        for argv in sequence:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            in_process.append((code, out, err))
+        fresh = [self._fresh_run(argv, tmp_path) for argv in sequence]
+        assert in_process == fresh
+        codes = [code for code, _, _ in in_process]
+        assert codes == [3, 3, 1, 0, 0, 0, 0, 0, 0]
+        # The defaults came back after each override.
+        reports = [json.loads(out) if out.startswith("{") else None
+                   for _, out, _ in in_process]
+        assert [reports[i]["config"]["eps"] for i in (0, 1)] == [1e-6, LpConfig.eps_floor]
+        assert [reports[i]["config"]["k"] for i in (3, 4)] == [[3], [1, 5]]
+        assert reports[6]["config"]["percentiles"] == [10.0, 90.0]
+        assert reports[8]["config"]["percentiles"] == list(DEFAULT_PERCENTILES)
+
+    BUILD_ONCE = r"""
+import argparse, json, sys
+
+made = []
+init = argparse.ArgumentParser.__init__
+
+def counted_init(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted_init
+from argmaxable import cli
+at_import = len(made)
+builds = []
+build = cli.build_parser
+
+def counted_build():
+    builds.append(1)
+    return build()
+
+cli.build_parser = counted_build
+codes = [cli.run(["count", "--n", "20", "--d", str(d)]) for d in range(1, 6)]
+after_runs = len(made)
+build()
+print(json.dumps({"at_import": at_import, "builds": len(builds), "codes": codes,
+                  "after_runs": after_runs, "one_build": len(made) - after_runs}))
+"""
+
+    def test_import_builds_no_parser_and_runs_build_one(self):
+        done = subprocess.run(
+            [sys.executable, "-c", self.BUILD_ONCE],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout.strip().splitlines()[-1])
+        assert out["at_import"] == 0
+        assert out["builds"] == 1 and out["codes"] == [0] * 5
+        assert out["after_runs"] == out["one_build"] > 1
+
+    def test_a_public_parser_is_fresh_and_its_changes_stay_its_own(self, capsys):
+        assert run(["count", "--n", "3", "--d", "2"]) == ExitCode.OK
+        capsys.readouterr()
+        parser = build_parser()
+        assert parser is not build_parser()
+        assert parser is not cli._shared_parser()
+        parser.add_argument("--extra")
+        parser.description = "a changed description"
+        args = parser.parse_args(["--extra=x", "count", "--n", "3", "--d", "2"])
+        assert args.extra == "x"
+        assert run(["--extra=x", "count", "--n", "3", "--d", "2"]) == ExitCode.USAGE
+        assert "unrecognized arguments: --extra=x" in capsys.readouterr().err
+        assert run(["--help"]) == ExitCode.OK
+        out = capsys.readouterr().out
+        assert "--extra" not in out and "a changed description" not in out
+
+    def test_two_threads_write_the_reports_of_serial_runs(self, tmp_path, capsys):
+        matrix, labels = str(tmp_path / "w.csv"), tmp_path / "ys.txt"
+        assert run(["dft", "--n", "16", "--k", "3", "--out", matrix]) == ExitCode.OK
+        labels.write_text("+" + "-" * 15 + "\n" + "++" + "-" * 14 + "\n"
+                          + "+-" * 8 + "\n" + "---++" + "-" * 11 + "\n")
+        argvs = {
+            "check": ["check", "--matrix", matrix, "--deterministic"],
+            "verify": ["verify", "--matrix", matrix, "--labels", str(labels),
+                       "--jobs", "2", "--deterministic"],
+        }
+        expected = {"check": ExitCode.OK, "verify": ExitCode.UNARGMAXABLE}
+        for name, argv in argvs.items():
+            out = str(tmp_path / f"{name}-serial.json")
+            assert run(argv + ["--out", out]) == expected[name]
+        barrier = threading.Barrier(len(argvs))
+        codes = {}
+
+        def go(name, round_):
+            barrier.wait()
+            out = str(tmp_path / f"{name}-{round_}.json")
+            codes[name, round_] = run(argvs[name] + ["--out", out])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(3):
+                threads = [threading.Thread(target=go, args=(name, round_))
+                           for name in argvs]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+        finally:
+            sys.setswitchinterval(old)
+        assert codes == {(name, r): expected[name] for name in argvs for r in range(3)}
+        for name in argvs:
+            serial = (tmp_path / f"{name}-serial.json").read_bytes()
+            for round_ in range(3):
+                assert (tmp_path / f"{name}-{round_}.json").read_bytes() == serial
+        assert capsys.readouterr().err == ""
