@@ -20,7 +20,6 @@ from .linalg import (
     WeightMatrix,
     gr_plus_status,
     is_general_position,
-    maximal_minors,
     sign_vector,
 )
 from .dftlayer import (
@@ -42,7 +41,6 @@ from .verifier import (
 )
 from .oracle import (
     RegionSet,
-    cross_check,
     enumerate_regions_2d,
     enumerate_regions_sampled,
 )

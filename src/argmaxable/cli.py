@@ -477,11 +477,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             )
         try:
             regions = enumerate_regions_2d(w)
-        except DegeneracyError:
+        except DegeneracyError as exc:
             if args.method != "auto":
-                raise
+                raise ParseError(args.matrix, str(exc)) from None
             print(
-                "warning: degenerate 2d instance, falling back to sampling",
+                f"warning: {args.matrix}: degenerate 2d instance, "
+                "falling back to sampling",
                 file=sys.stderr,
             )
     if regions is None:
@@ -584,11 +585,17 @@ def _shared_parser() -> argparse.ArgumentParser:
 _INPUT_FLAGS = ("matrix", "labels", "scores", "gold")
 
 
-def _check_out_is_no_input(args: argparse.Namespace) -> None:
+def _check_out(args: argparse.Namespace) -> None:
+    """Refuse an --out that cannot be written or names an input, before
+    any work."""
     out = args.out
     if out is None or out == "-":
         return
     target = Path(out).resolve()
+    if target.is_dir():
+        raise _UsageError(f"error: --out: {out} is a directory")
+    if not target.parent.is_dir():
+        raise _UsageError(f"error: --out: {out}: no directory {Path(out).parent}")
     for flag in _INPUT_FLAGS:
         path = getattr(args, flag, None)
         if path is None:
@@ -609,7 +616,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "handler", None) is None:
             raise _UsageError(parser.format_usage())
-        _check_out_is_no_input(args)
+        _check_out(args)
         return int(args.handler(args))
     except _UsageError as exc:
         print(exc, file=sys.stderr)
@@ -621,7 +628,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         flag = "--minor-budget" if isinstance(exc, MinorBudgetError) else "--budget"
         print(f"error: {flag}: {exc}", file=sys.stderr)
         return ExitCode.USAGE
-    except (ValueError, OSError, DegeneracyError) as exc:  # ParseError included
+    except (ValueError, OSError) as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.INPUT
 

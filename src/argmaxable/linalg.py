@@ -56,7 +56,6 @@ __all__ = [
     "GrStatus",
     "BoundaryError",
     "MinorBudgetError",
-    "maximal_minors",
     "is_general_position",
     "gr_plus_status",
     "sign_vector",
@@ -296,29 +295,6 @@ def _split_det_blocks(
             half = (len(idx) + 1) // 2
             second = helper.submit(dets, idx[half:])
             yield idx, np.concatenate((dets(idx[:half]), second.result()))
-
-
-def maximal_minors(w: WeightMatrix) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Stream (row index set, d x d minor) pairs for every d-subset of rows.
-
-    Index sets are 0-based ascending tuples, emitted in colexicographic
-    order.  This is a per-minor view over the same chunked scan that
-    ``gr_plus_status`` runs: index sets are built and determinants
-    evaluated in numpy blocks of at most ``_MINOR_CHUNK`` minors.  Raises
-    MinorBudgetError before any work if C(n, d) exceeds
-    ``DEFAULT_MINOR_BUDGET``.
-    """
-    return _per_minor(_minor_blocks(w, DEFAULT_MINOR_BUDGET))
-
-
-def _per_minor(
-    blocks: Iterator[tuple[np.ndarray, np.ndarray]]
-) -> Iterator[tuple[tuple[int, ...], float]]:
-    # Closing the blocks on the way out joins the scan's helper thread as
-    # soon as this iterator is closed or raises, not when it is collected.
-    with closing(blocks):
-        for idx, dets in blocks:
-            yield from zip(map(tuple, idx.tolist()), dets.tolist())
 
 
 def is_general_position(w: WeightMatrix) -> bool:

@@ -47,16 +47,13 @@ from .linalg import (  # noqa: F401
     is_general_position,
     sign_vector,
 )
-from .verifier import LpConfig, VerifyStatus, _lp_results
 
 __all__ = [
     "DegeneracyError",
     "EnumerationMethod",
     "RegionSet",
-    "CrossCheckReport",
     "enumerate_regions_2d",
     "enumerate_regions_sampled",
-    "cross_check",
     "DEFAULT_SAMPLE_BUDGET",
 ]
 
@@ -256,75 +253,4 @@ def enumerate_regions_sampled(
         ),
         samples_used=used,
         boundary_skips=skips,
-    )
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Diff between the LP verdicts over all 2^n assignments and the
-    oracle's region set.
-
-    lp_yes_oracle_no members would be soundness bugs when the oracle is
-    complete.  oracle_yes_lp_no members are expected only for regions
-    whose Chebyshev radius sits below the LP's eps floor.  Indeterminate
-    LP results are listed separately and belong to neither side.
-    """
-
-    n: int
-    d: int
-    oracle: RegionSet
-    lp_yes_oracle_no: tuple[LabelAssignment, ...]
-    oracle_yes_lp_no: tuple[LabelAssignment, ...]
-    indeterminate: tuple[LabelAssignment, ...]
-    agreements: int
-
-    @property
-    def clean(self) -> bool:
-        return not (
-            self.lp_yes_oracle_no or self.oracle_yes_lp_no or self.indeterminate
-        )
-
-
-def cross_check(w: WeightMatrix, seed: int = 0) -> CrossCheckReport:
-    """Run the LP on every assignment and diff against the oracle.
-
-    Exponential in n by design; refuses n > 16.  Uses the exact walk for
-    d = 2 and certificate-stopped sampling otherwise (``seed``,
-    ``DEFAULT_SAMPLE_BUDGET`` probes); the LPs run in one process under
-    the default ``LpConfig``.
-    """
-    n = w.n
-    if n > 16:
-        raise ValueError(f"cross-check enumerates 2^n assignments; n={n} > 16")
-    if w.d == 2:
-        oracle = enumerate_regions_2d(w)
-    else:
-        oracle = enumerate_regions_sampled(w, seed=seed)
-    codes = np.arange(1 << n)
-    everything = _assignments((codes[:, None] >> np.arange(n)) & 1)
-    # The LP itself is on trial here, so no item takes verify_batch's
-    # alternation shortcut.
-    results = _lp_results(w, everything, LpConfig(), 1)
-    lp_only = []
-    oracle_only = []
-    indeterminate = []
-    agreements = 0
-    for y, res in zip(everything, results):
-        in_oracle = y in oracle.members
-        if res.status is VerifyStatus.INDETERMINATE:
-            indeterminate.append(y)
-        elif res.is_argmaxable and not in_oracle:
-            lp_only.append(y)
-        elif in_oracle and not res.is_argmaxable:
-            oracle_only.append(y)
-        else:
-            agreements += 1
-    return CrossCheckReport(
-        n=n,
-        d=w.d,
-        oracle=oracle,
-        lp_yes_oracle_no=tuple(lp_only),
-        oracle_yes_lp_no=tuple(oracle_only),
-        indeterminate=tuple(indeterminate),
-        agreements=agreements,
     )

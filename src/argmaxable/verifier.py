@@ -565,27 +565,6 @@ class BatchResult:
     summary: BatchSummary
 
 
-def _lp_results(
-    w: WeightMatrix,
-    ys: Sequence[LabelAssignment],
-    cfg: LpConfig,
-    jobs: int,
-) -> tuple[VerifyResult, ...]:
-    """One Chebyshev LP per assignment, results in input order.  Each
-    worker thread builds its own session on its first item."""
-    local = threading.local()
-
-    def one(y: LabelAssignment) -> VerifyResult:
-        if not hasattr(local, "session"):
-            local.session = _Session(w, cfg)
-        return chebyshev_verify(w, y, cfg, session=local.session)
-
-    if jobs > 1 and len(ys) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return tuple(pool.map(one, ys))
-    return tuple(map(one, ys))
-
-
 def _decided_by_alternation(w: WeightMatrix, cfg: LpConfig) -> bool:
     """True when w is exactly the unslacked truncated-DFT layer and its
     float error cannot hold a ball of radius eps_floor (module docstring),
@@ -611,7 +590,9 @@ def verify_batch(
     Results come back in input order regardless of completion order.
     Raises ValueError, before any LP, when some item's n is not w's.  On
     the unslacked DFT layer, items with more than d - 1 alternations are
-    decided without an LP (module docstring).
+    decided without an LP (module docstring).  Every other item gets one
+    Chebyshev LP, and each worker thread builds its own session on its
+    first item.
     """
     for i, y in enumerate(ys):
         if y.n != w.n:
@@ -619,9 +600,19 @@ def verify_batch(
     over = {i for i, y in enumerate(ys) if alt(y) > w.d - 1}
     if over and not _decided_by_alternation(w, cfg):
         over = set()
-    solved = iter(
-        _lp_results(w, [y for i, y in enumerate(ys) if i not in over], cfg, jobs)
-    )
+    todo = [y for i, y in enumerate(ys) if i not in over]
+    local = threading.local()
+
+    def one(y: LabelAssignment) -> VerifyResult:
+        if not hasattr(local, "session"):
+            local.session = _Session(w, cfg)
+        return chebyshev_verify(w, y, cfg, session=local.session)
+
+    if jobs > 1 and len(todo) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            solved = iter(tuple(pool.map(one, todo)))
+    else:
+        solved = map(one, todo)
     results = tuple(
         VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE) if i in over else next(solved)
         for i in range(len(ys))

@@ -7,7 +7,8 @@ metrics by explicit sorting loops.  Two small numeric helpers that only
 the tests need (a guarded determinant and a seeded nudge off a
 hyperplane) live here too, and so does the sampled enumeration loop
 with each sign-flipped probe written out, normalised and tested on its
-own.
+own.  One helper is no reference: ``maximal_minors`` reads the
+package's own minor scan, one minor at a time, for tests to judge.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import itertools
 import math
 
 import numpy as np
+
+from argmaxable import linalg
 
 
 def determinant(matrix, dim_cap: int = 512) -> float:
@@ -186,6 +189,17 @@ def reference_minor_scan(entries, tau_det: float = 1e-10):
     else:
         verdict = "uniform-negative"
     return verdict, min_abs, len(minors), minors
+
+
+def maximal_minors(w):
+    """[(row index set, minor), ...] for every d-subset of w's rows, as the
+    package's minor scan gives them: colex order, at its default budget."""
+    blocks = linalg._minor_blocks(w, linalg.DEFAULT_MINOR_BUDGET)
+    return [
+        (tuple(idx), det)
+        for block, dets in blocks
+        for idx, det in zip(block.tolist(), dets.tolist())
+    ]
 
 
 def reference_chebyshev_verify(entries, signs, box_bound=1e4, eps_floor=1e-8, feas_tol=1e-9):

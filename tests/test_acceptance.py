@@ -50,7 +50,6 @@ from argmaxable.linalg import (
     WeightMatrix,
     gr_plus_status,
     is_general_position,
-    maximal_minors,
     sign_vector,
 )
 from argmaxable.metrics import StackedRecords, ndcg_at_k, prec_rec_f1_at_k
@@ -65,7 +64,7 @@ from argmaxable.verifier import (
     chebyshev_verify,
     verify_batch,
 )
-from reference_impls import naive_ndcg_at_k, naive_prec_rec_at_k
+from reference_impls import maximal_minors, naive_ndcg_at_k, naive_prec_rec_at_k
 
 
 @contextmanager

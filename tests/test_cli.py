@@ -318,7 +318,7 @@ class TestEnumerate:
         )
         assert code == ExitCode.OK
         out, err = capsys.readouterr()
-        assert "falling back" in err
+        assert err.startswith(f"warning: {matrix}: ") and "falling back" in err
         obj = json.loads(out)
         validate_report(obj)
         assert obj["payload"]["method"] == "sampled-partial"
@@ -348,11 +348,14 @@ class TestEnumerate:
         assert run(["check", "--matrix", str(matrix), "--out", "-"]) == ExitCode.INPUT
         assert "overflow" in capsys.readouterr().err
 
-    def test_degenerate_explicit_2d_propagates(self, tmp_path):
+    def test_degenerate_explicit_2d_propagates(self, tmp_path, capsys):
         matrix = tmp_path / "w.csv"
         matrix.write_text("1.0,0.0\n2.0,0.0\n")
         code = run(["enumerate", "--matrix", str(matrix), "--method", "2d"])
         assert code == ExitCode.INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {matrix}: collinear rows: coincident boundary directions\n"
 
 
 class TestRadii:
@@ -767,6 +770,35 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and not (tmp_path / "w.json").exists()
         assert err == "error: --out: w.json is the sidecar path of --matrix\n"
+
+    @pytest.mark.parametrize("where", ["directory", "no-parent"])
+    @pytest.mark.parametrize(
+        "argv, handler",
+        [
+            (["check", "--matrix", "w.csv"], "_cmd_check"),
+            (["verify", "--matrix", "w.csv", "--labels", "ys.txt"], "_cmd_verify"),
+            (["dft", "--n", "12", "--k", "2"], "_cmd_dft"),
+        ],
+        ids=["check", "verify", "dft"],
+    )
+    def test_an_unwritable_out_is_usage_before_any_work(
+        self, argv, handler, where, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(args):
+            raise AssertionError(f"{handler} ran")
+
+        # A fresh parser per run picks up the patched handler.
+        monkeypatch.setattr(cli, handler, refuse)
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        monkeypatch.chdir(tmp_path)
+        if where == "directory":
+            out, want = str(tmp_path), f"{tmp_path} is a directory"
+        else:
+            out, want = "missing/r.json", "missing/r.json: no directory missing"
+        assert run(argv + ["--out", out]) == ExitCode.USAGE
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == f"error: --out: {want}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("spelling", ["relative-out", "relative-input"])
     @pytest.mark.parametrize(

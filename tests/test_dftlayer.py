@@ -22,8 +22,8 @@ from argmaxable.linalg import (
     Provenance,
     WeightMatrix,
     gr_plus_status,
-    maximal_minors,
 )
+from reference_impls import maximal_minors
 
 
 class TestDftSpec:

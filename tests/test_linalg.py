@@ -18,13 +18,13 @@ from argmaxable.linalg import (
     WeightMatrix,
     gr_plus_status,
     is_general_position,
-    maximal_minors,
     sign_vector,
 )
 
 from reference_impls import (
     cofactor_det,
     determinant,
+    maximal_minors,
     perturb_input,
     reference_minor_scan,
 )
@@ -366,6 +366,11 @@ def _stops():
     return {"main-half": (first, 1), "helper-half": (second, 57)}
 
 
+def _dft_12x5_blocks():
+    """The minor scan of build_dft_matrix(12, 2), as a lazy block stream."""
+    return linalg._minor_blocks(build_dft_matrix(12, 2), linalg.DEFAULT_MINOR_BUDGET)
+
+
 @pytest.fixture(params=[1, 5, 10**6])
 def chunk(request, monkeypatch):
     monkeypatch.setattr(linalg, "_MINOR_CHUNK", request.param)
@@ -438,12 +443,12 @@ class TestHelperThread:
 
     def test_none_outlives_an_abandoned_iterator(self, chunk):
         before = set(threading.enumerate())
-        minors = maximal_minors(build_dft_matrix(12, 2))
-        assert next(minors)[0] == (0, 1, 2, 3, 4)
+        blocks = _dft_12x5_blocks()
+        assert next(blocks)[0][0].tolist() == [0, 1, 2, 3, 4]
         # The helper lives while a scan of many blocks is suspended.
         helpers = 0 if math.comb(12, 5) <= chunk else 1
         assert len(set(threading.enumerate()) - before) == helpers
-        minors.close()
+        blocks.close()
         assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("name", sorted(_helper_layers()))
@@ -466,10 +471,10 @@ class TestHelperThread:
 
     def test_none_outlives_an_error_thrown_into_the_iterator(self, chunk):
         before = set(threading.enumerate())
-        minors = maximal_minors(build_dft_matrix(12, 2))
-        next(minors)
+        blocks = _dft_12x5_blocks()
+        next(blocks)
         with pytest.raises(ZeroDivisionError) as caught:
-            minors.throw(ZeroDivisionError("caller bug"))
+            blocks.throw(ZeroDivisionError("caller bug"))
         assert caught.tb is not None
         assert set(threading.enumerate()) == before
 

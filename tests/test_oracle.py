@@ -1,7 +1,6 @@
-"""Region enumeration oracles and the LP cross-check."""
+"""Region enumeration oracles: the exact 2D walk and the sampler."""
 
 import threading
-from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from argmaxable.dftlayer import build_dft_matrix
 from argmaxable.labelspace import (
     FamilyKind,
     FamilySpec,
-    LabelAssignment,
     alt,
     cover_count,
     enumerate_family,
@@ -20,7 +18,6 @@ from argmaxable.linalg import BoundaryError, WeightMatrix, is_general_position
 from argmaxable.oracle import (
     DegeneracyError,
     EnumerationMethod,
-    cross_check,
     enumerate_regions_2d,
     enumerate_regions_sampled,
 )
@@ -397,83 +394,3 @@ class TestHelperThread:
             enumerate_regions_sampled(w, budget=10 * _CHUNK)
         assert len(calls) == 2
         assert set(threading.enumerate()) == before
-
-
-class TestCrossCheck:
-    def test_random_six_by_three_is_clean(self):
-        rng = np.random.default_rng(38)
-        w = WeightMatrix(rng.standard_normal((6, 3)))
-        report = cross_check(w, seed=8)
-        assert report.clean
-        assert report.agreements == 64
-        assert len(report.oracle.members) == cover_count(6, 3)
-
-    def test_spectral_instance_is_clean_both_ways(self):
-        report = cross_check(build_dft_matrix(6, 1), seed=9)
-        assert report.clean
-        assert report.lp_yes_oracle_no == ()
-        assert report.oracle_yes_lp_no == ()
-
-    def test_the_lp_judges_every_assignment_of_a_spectral_layer(self, monkeypatch):
-        # verify_batch would answer the 32 over-alternating assignments
-        # without an LP; the cross-check must put each one to the LP.
-        from argmaxable import verifier
-
-        calls = []
-        real = verifier.chebyshev_verify
-
-        def counted(w, y, cfg, session=None):
-            calls.append(y)
-            return real(w, y, cfg, session)
-
-        monkeypatch.setattr(verifier, "chebyshev_verify", counted)
-        report = cross_check(build_dft_matrix(6, 1), seed=9)
-        assert len(calls) == 64
-        assert report.clean
-
-    def test_two_column_instance_uses_the_exact_walk(self):
-        rng = np.random.default_rng(39)
-        w = WeightMatrix(rng.standard_normal((4, 2)))
-        report = cross_check(w)
-        assert report.oracle.method is EnumerationMethod.EXACT_2D
-        assert report.clean
-
-    def test_single_label(self):
-        report = cross_check(WeightMatrix(np.array([[2.5, 1.0, 0.3]])))
-        got = {y.to_dense().replace("−", "-") for y in report.oracle.members}
-        assert got == {"+", "-"}
-        assert report.clean
-
-    def test_refuses_large_n(self):
-        with pytest.raises(ValueError):
-            cross_check(WeightMatrix(np.ones((17, 2))))
-
-    def test_each_disagreement_lands_in_its_list(self, monkeypatch):
-        # The LP is stubbed to be wrong on three items: one INDETERMINATE,
-        # one ARGMAXABLE outside the regions, one NOT_EPS inside them.
-        from argmaxable.verifier import VerifyResult, VerifyStatus
-
-        w = WeightMatrix(np.random.default_rng(40).standard_normal((3, 2)))
-        members = enumerate_regions_2d(w).members
-        assert len(members) == 6
-        signs = product("+-", repeat=3)
-        every = [LabelAssignment.from_dense("".join(s)) for s in signs]
-        inside = [y for y in every if y in members]
-        outside = [y for y in every if y not in members]
-        wrong = {
-            inside[0]: VerifyStatus.INDETERMINATE,
-            outside[0]: VerifyStatus.ARGMAXABLE,
-            inside[1]: VerifyStatus.NOT_EPS_ARGMAXABLE,
-        }
-
-        def stub(w, ys, cfg, jobs):
-            truth = (VerifyStatus.NOT_EPS_ARGMAXABLE, VerifyStatus.ARGMAXABLE)
-            return tuple(VerifyResult(wrong.get(y, truth[y in members])) for y in ys)
-
-        monkeypatch.setattr(oracle, "_lp_results", stub)
-        report = cross_check(w)
-        assert report.indeterminate == (inside[0],)
-        assert report.lp_yes_oracle_no == (outside[0],)
-        assert report.oracle_yes_lp_no == (inside[1],)
-        assert report.agreements == 8 - 3
-        assert not report.clean

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,11 @@ from argmaxable.labelspace import (
 )
 from argmaxable import verifier
 from argmaxable.linalg import WeightMatrix, sign_vector
+from argmaxable.oracle import (
+    EnumerationMethod,
+    enumerate_regions_2d,
+    enumerate_regions_sampled,
+)
 from argmaxable.verifier import (
     BatchSummary,
     LpConfig,
@@ -349,6 +355,28 @@ class TestAgainstEnumeration:
         assert feasible == expected
         assert all(alt(y) <= 2 for y in feasible)
 
+    def test_argmaxable_items_are_the_enumerated_regions(self):
+        """On each layer the LP finds ARGMAXABLE exactly the members of a
+        complete region enumeration and decides every other item.  Each
+        item gets its own call, so none takes the alternation shortcut."""
+        gaussian = WeightMatrix(np.random.default_rng(38).standard_normal((6, 3)))
+        planar = WeightMatrix(np.random.default_rng(39).standard_normal((4, 2)))
+        spectral = build_dft_matrix(6, 1)
+        single = WeightMatrix(np.array([[2.5, 1.0, 0.3]]))
+        cases = [
+            (gaussian, enumerate_regions_sampled(gaussian, seed=8)),
+            (spectral, enumerate_regions_sampled(spectral, seed=9)),
+            (single, enumerate_regions_sampled(single)),
+            (planar, enumerate_regions_2d(planar)),
+        ]
+        for w, regions in cases:
+            assert regions.method is not EnumerationMethod.SAMPLED_PARTIAL
+            results = {y: chebyshev_verify(w, y) for y in all_assignments(w.n)}
+            statuses = {r.status for r in results.values()}
+            assert VerifyStatus.INDETERMINATE not in statuses
+            argmaxable = {y for y, r in results.items() if r.is_argmaxable}
+            assert argmaxable == regions.members, w
+
     def test_every_assignment_of_a_gaussian_layer(self):
         """A 10x4 Gaussian layer is in general position, so its ARGMAXABLE
         assignments are exactly its cover_count(10, 4) = 260 regions, every
@@ -453,6 +481,32 @@ class TestAlternationShortcut:
         w = WeightMatrix(np.roll(build_dft_matrix(8, 1).entries, 1, axis=0))
         batch = self._declined(monkeypatch, w, self._over(8, 3))
         assert batch.summary.argmaxable == 0
+
+    @pytest.mark.parametrize(
+        "n, k, shifts", [(9, 2, (1, 4, 7)), (48, 2, (5, 29))], ids=["9x5", "48x5"]
+    )
+    def test_a_rolled_layer_keeps_every_verdict(self, n, k, shifts):
+        # Rolling the rows and every item by the same r maps each region
+        # onto itself, so each verdict must hold.  The rolled layer is no
+        # build_dft_matrix, so its LP faces the theorem on every item; at
+        # 48 >= 8d row generation runs.
+        w = build_dft_matrix(n, k)
+        if n < 10:
+            ys = list(all_assignments(n))
+        else:
+            rng = np.random.default_rng(48)
+            ys = []
+            for i in range(200):
+                signs = -np.ones(n, dtype=np.int8)
+                signs[rng.choice(n, 1 + i % 5, replace=False)] = 1
+                ys.append(LabelAssignment(signs))
+        plain = [r.status for r in verify_batch(w, ys).results]
+        assert len(set(plain)) == 2
+        for r in shifts:
+            rolled = WeightMatrix(np.roll(w.entries, r, axis=0))
+            assert not verifier._decided_by_alternation(rolled, LpConfig())
+            moved = [LabelAssignment(np.roll(y.signs, r)) for y in ys]
+            assert [res.status for res in verify_batch(rolled, moved).results] == plain
 
     def test_declined_when_the_box_loosens_the_bound(self, monkeypatch):
         from argmaxable.dftlayer import dft_entry_error_bound
@@ -686,6 +740,20 @@ class TestSession:
             assert _bits(verify_batch(w, ys).results) == fresh
             backwards = verify_batch(w, ys[::-1]).results
             assert _bits(backwards[::-1]) == fresh
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_worker_thread_builds_one_session(self, jobs, monkeypatch):
+        built = []
+
+        class Counted(verifier._Session):
+            def __init__(self, *args):
+                built.append(threading.get_ident())
+                super().__init__(*args)
+
+        monkeypatch.setattr(verifier, "_Session", Counted)
+        w, ys = self._layers()[1]
+        verify_batch(w, ys, jobs=jobs)
+        assert 1 <= len(built) <= jobs and len(set(built)) == len(built)
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_more_jobs_match_one(self, jobs):
