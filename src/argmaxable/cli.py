@@ -596,6 +596,10 @@ def _check_out(args: argparse.Namespace) -> None:
         raise _UsageError(f"error: --out: {out} is a directory")
     if not target.parent.is_dir():
         raise _UsageError(f"error: --out: {out}: no directory {Path(out).parent}")
+    if args.command == "dft" and _sidecar_path(target).is_dir():
+        raise _UsageError(
+            f"error: --out: {out}: its sidecar {_sidecar_path(out)} is a directory"
+        )
     for flag in _INPUT_FLAGS:
         path = getattr(args, flag, None)
         if path is None:

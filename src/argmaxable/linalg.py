@@ -18,17 +18,18 @@ and ``sign_vector`` tests logits against ``DEFAULT_TAU_SIGN``.  The
 threshold needs every row norm positive and finite, which
 ``WeightMatrix`` guarantees, and the scan refuses up front a matrix whose
 minors could overflow.  General position and the sign verdict share
-this one threshold and one scan: the d-subsets are generated in
-colexicographic order as numpy index blocks of bounded size, and each
-block gets batched determinant calls and one vectorized threshold test.
-Every block is cut from one colex table per subset size, built once per
-scan, so memory stays flat however large C(n, d) is: d tables of at most
-``_MINOR_CHUNK`` index rows plus the block in hand.  In a scan of more
-than one block, each block's determinants are computed in two halves, the
-second on one helper thread per scan (numpy's det releases the GIL), so a
-free second core takes half the work; the halves are joined before the
-block is handed on, and det runs per matrix, so every value is the one a
-single call would give.  A one-block scan runs on the calling thread.
+this one threshold and one scan, which runs on the calling thread.  It
+computes every minor by Laplace expansion along the columns
+(``_laplace_blocks``): level j holds det W[S, :j] for every j-subset S,
+as one float64 array indexed by colex rank, and level d streams in
+blocks of at most ``_MINOR_CHUNK`` minors cut from one colex table per
+subset size.  Each minor comes with an a priori bound on its rounding
+error; a minor whose bracket lies wholly above the threshold is decided
+by it, and LAPACK's determinant decides every other minor against the
+threshold and gives ``min_abs_minor``, as a LAPACK-only scan does.  A layer with 2d > n + 1 skips the recursion,
+whose lower levels would outnumber its minors, and LAPACK decides every
+minor.  The scan holds two levels of at most C(n, d) floats, d + 1
+tables of at most ``_MINOR_CHUNK`` rows and the block in hand.
 
 Row index sets are reported 0-based; human-facing label/row numbers
 elsewhere are 1-based, and BoundaryError follows the 1-based convention
@@ -38,8 +39,6 @@ because its rows name labels.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, combinations
@@ -188,75 +187,92 @@ class MinorBudgetError(ValueError):
     """Raised when C(n, d) exceeds the minor enumeration budget."""
 
 
-def _colex_blocks(n: int, d: int, chunk: int) -> Iterator[np.ndarray]:
-    """All d-subsets of range(n) in colexicographic order, as fresh intp
-    blocks of at most ``chunk`` rows.
+def _colex_head(m: int, size: int, chunk: int) -> int:
+    """The largest h <= m with C(h, size) <= chunk, and at least size."""
+    head = size
+    while head < m and math.comb(head + 1, size) <= chunk:
+        head += 1
+    return head
+
+
+def _colex_table(m: int, size: int, chunk: int) -> np.ndarray:
+    """The size-subsets of range(h) in colex order, as an intp table of
+    C(h, size) <= chunk rows, with h = ``_colex_head(m, size, chunk)``.
+    Colex order lists the subsets of range(h) first among those of any
+    larger range, so the first C(h', size) rows are the size-subsets of
+    range(h') for every h' <= h, and row r has colex rank r."""
+    head = _colex_head(m, size, chunk)
+    rows = math.comb(head, size)
+    # Lex order over the descending range, reversed on both axes, is
+    # colex order over the ascending one.
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(head - 1, -1, -1), size)),
+        dtype=np.intp,
+        count=rows * size,
+    )
+    return np.ascontiguousarray(flat.reshape(rows, size)[::-1, ::-1])
+
+
+def _colex_parts(
+    m: int, size: int, chunk: int, suffix: tuple[int, ...] = ()
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The size-subsets of range(m), each followed by ``suffix``, in colex
+    order, as parts (p, rows, tail): the first ``rows`` rows of the table
+    of p-subsets, each followed by the constant tail.
 
     The leading sets whose largest element is below ``head`` are all the
-    d-subsets of range(head); they form one block as long as C(head, d)
-    fits.  Past that the sets are split on their largest element ``top``,
-    and each part is the (d-1)-subsets of range(top) followed by top and
-    the tops chosen above it.  A part of size d' is the head of the one
-    colex table of d'-subsets that the call builds up front for that size:
-    colex order lists the subsets of range(h) first among those of any
-    larger range.  So a scan holds d tables of at most ``chunk`` rows
-    plus the block it yields.
+    size-subsets of range(head); they form one part as long as C(head,
+    size) fits in ``chunk``.  Past that the sets are split on their largest
+    element ``top``: the (size-1)-subsets of range(top), followed by top.
     """
+    head = _colex_head(m, size, chunk)
+    yield size, math.comb(head, size), suffix
+    for top in range(head, m):
+        yield from _colex_parts(top, size - 1, chunk, (top,) + suffix)
 
-    def head_of(m: int, size: int) -> int:
-        head = size
-        while head < m and math.comb(head + 1, size) <= chunk:
-            head += 1
-        return head
 
-    tables = []
-    for size in range(d + 1):
-        # A part of size d' splits from at most n - (d - d') elements.
-        head = head_of(n - d + size, size)
-        rows = math.comb(head, size)
-        # Lex order over the descending range, reversed on both axes, is
-        # colex order over the ascending one.
-        flat = np.fromiter(
-            chain.from_iterable(combinations(range(head - 1, -1, -1), size)),
-            dtype=np.intp,
-            count=rows * size,
-        )
-        tables.append(np.ascontiguousarray(flat.reshape(rows, size)[::-1, ::-1]))
-
-    def blocks(m: int, size: int, suffix: tuple[int, ...]) -> Iterator[np.ndarray]:
-        head = head_of(m, size)
-        rows = math.comb(head, size)
+def _colex_blocks(n: int, d: int, chunk: int) -> Iterator[np.ndarray]:
+    """All d-subsets of range(n) in colexicographic order, as fresh intp
+    blocks of at most ``chunk`` rows, one per part of ``_colex_parts``.
+    Each block is cut from the one table per subset size that the call
+    builds up front, so a scan holds d + 1 tables of at most ``chunk``
+    rows plus the block it yields."""
+    # A part of size s splits from at most n - (d - s) elements.
+    tables = [_colex_table(n - d + size, size, chunk) for size in range(d + 1)]
+    for size, rows, suffix in _colex_parts(n, d, chunk):
         block = np.empty((rows, d), dtype=np.intp)
         block[:, :size] = tables[size][:rows]
         block[:, size:] = suffix
         yield block
-        for top in range(head, m):
-            yield from blocks(top, size - 1, (top,) + suffix)
 
-    return blocks(n, d, ())
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
 def _minor_blocks(
     w: WeightMatrix, budget: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Validate the scan, then stream (index block, determinants) pairs.
+) -> Iterator[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """Validate the scan, then stream (index block, minors, bounds) triples
+    in colex order.
 
-    The checks run eagerly so a refusal comes before any work; the
-    blocks themselves are produced lazily, which keeps memory bounded by
-    d index tables of at most ``_MINOR_CHUNK`` rows (read at call time)
-    plus one block of that many d x d matrices, whatever C(n, d) is.
-    A scan of more blocks than one gets each block's determinants in two
-    halves, the second from a helper thread (``_split_det_blocks``); both
-    are done before the block is yielded, and closing the returned
-    generator joins the helper.  A one-block scan starts no thread.
+    The checks run eagerly so a refusal comes before any work; the blocks
+    are produced lazily.  When 2d <= n + 1 the minors come from
+    ``_laplace_blocks``, and ``bounds`` holds for each one a bound on its
+    distance from the exact determinant.  A wider layer takes LAPACK's
+    determinant of every minor, and ``bounds`` is None: there the lower
+    levels of the recursion would outnumber the minors (a square 30 x 30
+    layer has one minor and 2^30 subsets below it).
     """
     n, d = w.n, w.d
     if n < d:
         raise ValueError(f"need n >= d rows for maximal minors, got n={n}, d={d}")
     # Hadamard: no minor, nor any partial product of its LU pivots, exceeds
-    # the product of max(1, ||w_i||) over its rows.
-    largest = np.maximum(np.sort(w.row_norms)[-d:], 1.0).tolist()
-    if not math.isfinite(math.prod(largest)):
+    # the product of max(1, ||w_i||) over its rows.  A value or bound of
+    # the recursion may still overflow; it then goes to LAPACK.
+    largest = math.prod(np.maximum(np.sort(w.row_norms)[-d:], 1.0).tolist())
+    if not math.isfinite(largest):
         raise ValueError(
             "minors may overflow float64: the product of the d largest row "
             "norms is not finite"
@@ -266,35 +282,133 @@ def _minor_blocks(
         raise MinorBudgetError(
             f"{total} maximal minors (C({n},{d})) exceed the budget {budget}"
         )
-    blocks = _colex_blocks(n, d, _MINOR_CHUNK)
-    if total > _MINOR_CHUNK:
-        return _split_det_blocks(w.entries, blocks)
-    # One block: starting the helper would cost more than its half saves.
-    return ((idx, np.linalg.det(w.entries.take(idx, axis=0))) for idx in blocks)
+    if 2 * d <= n + 1:
+        return _laplace_blocks(w, _MINOR_CHUNK, largest)
+    return (
+        (idx, np.linalg.det(w.entries.take(idx, axis=0)), None)
+        for idx in _colex_blocks(n, d, _MINOR_CHUNK)
+    )
 
 
-def _split_det_blocks(
-    entries: np.ndarray, blocks: Iterator[np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pair each index block with its determinants, computed in two halves.
+def _table_steps(
+    n: int, p: int, chunk: int, l1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the colex table of p-subsets, ``_colex_table(n, p, chunk)``: the
+    product of each row's 1-norms, and two (p, rows) arrays, where element
+    t of each row reads its entry from a column followed by its negation
+    (odd t read the negated copy: the sign (-1)^t), and the colex rank of
+    the row without element t."""
+    table = _colex_table(n, p, chunk)
+    with np.errstate(over="ignore"):
+        l1_head = np.prod(l1[table], axis=1)
+    elements = np.array(table.T)
+    head = int(table[-1, -1]) + 1 if p else 0
+    comb = np.array([[math.comb(x, k) for x in range(head)] for k in range(p + 1)])
+    rank = np.empty_like(elements)
+    rest = np.arange(len(table))  # row r has rank r
+    for t in range(p - 1, -1, -1):
+        # Without s_t, each element after t moves down one place.
+        term = comb[t + 1].take(elements[t])
+        rank[t] = rest - term
+        rest -= term - comb[t].take(elements[t])
+    elements[1::2] += n
+    return l1_head, elements, rank
 
-    A single helper thread gathers and factors the second half of each
-    block while this thread does the first (numpy's det releases the GIL),
-    and the two are joined before the block is yielded, so no thread works
-    on a block the caller holds.  det runs per matrix, so the values are
-    those of one call over the whole block.  Leaving the ``with`` joins the
-    helper however the generator ends: exhausted, closed early, or raising
-    in either half.
+
+def _laplace_blocks(
+    w: WeightMatrix, chunk: int, largest: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every maximal minor by Laplace expansion along the columns, with a
+    bound on its error.
+
+    Write M_j(S) = det W[S, :j] for a j-subset S = {s_1 < ... < s_j}.
+    Expanding along column j,
+
+        M_j(S) = sum_t (-1)^(t+j) w_{s_t, j} M_{j-1}(S - s_t),   M_0() = 1,
+
+    so level j follows from level j - 1 alone.  Each level below d is one
+    float64 array indexed by colex rank, rank(S) = sum_t C(s_t, t)
+    (combinatorial number system); the scan holds two of them at a time,
+    C(n, j-1) + C(n, j) floats, and 2d <= n + 1 keeps each at most C(n, d).
+    Level d streams through the parts of ``_colex_parts``.  A part is the
+    first rows of the table of p-subsets, each followed by one constant
+    tail.  Removing a table element gives the row's rank without it, which
+    is computed once per table, plus the tail's terms shifted down one
+    place; removing a tail element gives the row's own rank plus a scalar,
+    so those terms read a contiguous slice of the level below.
+
+    The bound, with u = 2^-53 and gamma_k = k u / (1 - k u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Level 1 is
+    exact.  Level j rounds each term of its sum once in the product and at
+    most j - 1 times in the sum, in any order, so by induction every
+    product of d entries in det's expansion reaches the computed minor
+    with a factor (1 + theta), |theta| <= gamma_K, K = d(d+1)/2 - 1, and
+
+        |fl(M_d(S)) - M_d(S)| <= gamma_K perm(|W_S|) <= gamma_K prod_S ||w_i||_1.
+
+    A product that underflows is off by at most 2^-1075 absolutely rather
+    than relatively.  Entries are at most max(1, ||w_i||) in size, so these
+    errors, carried up the levels, add less than (e/2) d! 2^-1074 prod_S
+    max(1, ||w_i||) (1 + gamma_K), below slop = 4 d! 2^-1074 L with L =
+    ``largest``, the product over the d largest rows; slop also covers what
+    an underflow in the product of 1-norms loses.  The bound yielded is
+    fl(beta fl(prod_S fl(||w_i||_1))) + slop with beta = gamma_{K+2}.  The
+    roundings of the bound itself (the d row sums of d - 1 terms, the
+    d - 1 products of a table row's norms with its tail's, gamma, the
+    product with beta and the sum with slop) scale it by (1 + theta), with
+    |theta| <= gamma_m and m = d^2 + 3.  Since gamma_K gamma_m <= u <=
+    gamma_{K+1} - gamma_K while K m u <= 1/2, true for every d below
+    2,000 (at which C(n, d) > 10^1000 for any n >= 2d - 1), one unit pays
+    for them, and the second is spare.  An overflow shows as an inf or
+    nan value or bound, which ``gr_plus_status`` leaves to LAPACK.
     """
-
-    def dets(rows: np.ndarray) -> np.ndarray:
-        return np.linalg.det(entries.take(rows, axis=0))
-
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for idx in blocks:
-            half = (len(idx) + 1) // 2
-            second = helper.submit(dets, idx[half:])
-            yield idx, np.concatenate((dets(idx[:half]), second.result()))
+    n, d, entries = w.n, w.d, w.entries
+    l1 = np.abs(entries).sum(axis=1)
+    beta = _gamma(d * (d + 1) // 2 + 1)
+    slop = math.ldexp(math.prod(map(float, range(2, d + 1)), start=4.0 * largest), -1074)
+    l1_tails = l1.tolist()
+    l1_heads, reads, ranks = zip(*(_table_steps(n, p, chunk, l1) for p in range(d + 1)))
+    below = np.ones(1)
+    for j in range(1, d + 1):
+        col = entries[:, j - 1] if j % 2 else -entries[:, j - 1]
+        signed = np.concatenate((col, -col))
+        level = np.empty(math.comb(n, j)) if j < d else None
+        start = 0
+        for p, rows, tail in _colex_parts(n, j, chunk):
+            # Tail element c at place q adds C(c, q + 1) to a rank, and
+            # C(c, q) once an element before it is removed.
+            kept = [math.comb(c, q + 1) for q, c in enumerate(tail, p)]
+            moved = [math.comb(c, q) for q, c in enumerate(tail, p)]
+            base = sum(moved)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if p:
+                    sub = ranks[p][:, :rows]
+                    values = np.einsum(
+                        "ij,ij->j",
+                        signed.take(reads[p][:, :rows]),
+                        below.take(sub + base if base else sub),
+                    )
+                else:
+                    values = np.zeros(1)
+                for i, c in enumerate(tail):
+                    base -= moved[i]
+                    coef = col[c] if (p + i) % 2 == 0 else -col[c]
+                    values += coef * below[base : base + rows]
+                    base += kept[i]
+                if level is None:
+                    bounds = l1_heads[p][:rows] * math.prod(l1_tails[c] for c in tail)
+                    bounds *= beta
+                    bounds += slop
+            if level is not None:
+                level[start : start + rows] = values
+                start += rows
+                continue
+            block = np.empty((rows, d), dtype=np.intp)
+            block[:, :p] = reads[p][:, :rows].T
+            block[:, 1:p:2] -= n
+            block[:, p:] = tail
+            yield block, values, bounds
+        below = level
 
 
 def is_general_position(w: WeightMatrix) -> bool:
@@ -328,7 +442,7 @@ class GrVerdict(Enum):
 class GrStatus:
     """Outcome of the all-minors sign scan.
 
-    ``min_abs_minor`` is the smallest |det| seen (raw, not relative);
+    ``min_abs_minor`` is the smallest LAPACK |det| seen (raw, not relative);
     ``checked_minors`` the number of minors evaluated before the verdict
     was reached.  A degenerate minor short-circuits the scan; the mixed
     verdict requires scanning everything, since a later near-zero minor
@@ -355,28 +469,54 @@ def gr_plus_status(
 
     The scan runs block by block in colex order and stops at the first
     degenerate minor, so ``checked_minors`` and ``min_abs_minor`` count
-    exactly the minors up to and including that one.
+    exactly the minors up to and including that one.  Each minor comes
+    with a bracket [v - e, v + e] that holds its exact value
+    (``_minor_blocks``).  A bracket wholly above the threshold decides its
+    minor: |det| clears it and det has the sign of v.  Any other minor,
+    and every minor of a layer too wide for the recursion, is decided by
+    LAPACK's determinant against the threshold.  ``min_abs_minor`` is
+    LAPACK's |det| too, minimised over the minors whose bracket, widened to
+    2e, can hold the smallest: those LAPACK decided, and any other with
+    |v| - 2e at most the least |v| + 2e (or LAPACK |det|) seen so far.
     """
-    norms = w.row_norms
-    min_abs = math.inf
+    norms, entries = w.row_norms, w.entries
+    min_abs = ceiling = math.inf
     checked = 0
     saw_pos = saw_neg = False
-    blocks = _minor_blocks(w, budget)
-    with closing(blocks):
-        for idx, dets in blocks:
-            mags = np.abs(dets)
-            below = mags < tau_det * np.prod(norms[idx], axis=1)
-            degenerate = bool(below.any())
-            if degenerate:
-                mags = mags[: int(np.argmax(below)) + 1]
-            # fmin skips NaN the way a running min() from +inf does.
-            min_abs = float(np.fmin.reduce(mags, initial=min_abs))
-            checked += mags.size
-            if degenerate:
-                return GrStatus(GrVerdict.DEGENERATE, min_abs, checked)
-            positive = dets > 0
-            saw_pos = saw_pos or bool(positive.any())
-            saw_neg = saw_neg or not positive.all()
+    for idx, values, bounds in _minor_blocks(w, budget):
+        floor = tau_det * np.prod(norms[idx], axis=1)
+        if bounds is None:  # LAPACK's determinants
+            clear, dets = np.zeros(values.shape, dtype=bool), values
+        else:
+            mags = np.abs(values)
+            with np.errstate(invalid="ignore"):
+                # Rounding is monotone: fl(|v| - e) > floor only if
+                # |v| - e > floor.
+                clear = (mags - bounds > floor) & (mags < math.inf)
+            dets = np.full(mags.shape, math.nan)
+            open_ = np.flatnonzero(~clear)
+            if open_.size:
+                dets[open_] = np.linalg.det(entries.take(idx[open_], axis=0))
+        below = np.abs(dets) < floor
+        degenerate = bool(below.any())
+        stop = int(np.argmax(below)) + 1 if degenerate else len(idx)
+        clear, dets, values = clear[:stop], dets[:stop], values[:stop]
+        if bounds is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                spread = 2.0 * bounds[:stop]
+                reach = np.where(clear, mags[:stop] + spread, np.abs(dets))
+                ceiling = float(np.fmin.reduce(reach, initial=ceiling))
+                near = np.flatnonzero(clear & (mags[:stop] - spread <= ceiling))
+            if near.size:
+                dets[near] = np.linalg.det(entries.take(idx[near], axis=0))
+        # fmin skips NaN: minors LAPACK did not compute.
+        min_abs = float(np.fmin.reduce(np.abs(dets), initial=min_abs))
+        checked += stop
+        if degenerate:
+            return GrStatus(GrVerdict.DEGENERATE, min_abs, checked)
+        positive = np.where(clear, values > 0, dets > 0)
+        saw_pos = saw_pos or bool(positive.any())
+        saw_neg = saw_neg or not positive.all()
     if saw_pos and saw_neg:
         verdict = GrVerdict.MIXED_SIGNS
     elif saw_pos:

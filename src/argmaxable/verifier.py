@@ -130,7 +130,7 @@ from .labelspace import (
     alt,
     enumerate_family,
 )
-from .linalg import WeightMatrix
+from .linalg import WeightMatrix, _gamma
 
 __all__ = [
     "LpConfig",
@@ -540,11 +540,6 @@ def _checked_ray(
     if not upper < cfg.eps_floor:
         return None
     return VerifyResult(VerifyStatus.NOT_EPS_ARGMAXABLE)
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u = 2^-53."""
-    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ metrics by explicit sorting loops.  Two small numeric helpers that only
 the tests need (a guarded determinant and a seeded nudge off a
 hyperplane) live here too, and so does the sampled enumeration loop
 with each sign-flipped probe written out, normalised and tested on its
-own.  One helper is no reference: ``maximal_minors`` reads the
-package's own minor scan, one minor at a time, for tests to judge.
+own.  Two helpers are no reference: ``minor_brackets`` and ``maximal_minors``
+read the package's own minor scan, one minor at a time, for tests to
+judge.
 """
 
 from __future__ import annotations
@@ -52,15 +53,16 @@ def perturb_input(x, seed: int, scale: float = 1e-9):
 
 
 def cofactor_det(rows):
-    """Determinant by first-row cofactor expansion on a list of lists."""
+    """Determinant by first-row cofactor expansion on a list of lists; on
+    Fraction entries it is exact."""
     size = len(rows)
     assert all(len(r) == size for r in rows)
     if size == 1:
         return rows[0][0]
-    total = 0.0
+    total = 0
     for j in range(size):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        sign = -1.0 if j % 2 else 1.0
+        sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * cofactor_det(minor)
     return total
 
@@ -191,15 +193,23 @@ def reference_minor_scan(entries, tau_det: float = 1e-10):
     return verdict, min_abs, len(minors), minors
 
 
+def minor_brackets(w):
+    """[(row index set, minor, bound), ...] for every d-subset of w's rows,
+    as the package's minor scan gives them: colex order, at its default
+    budget.  The exact minor lies within bound of the value; a bound of 0.0
+    marks a value that is LAPACK's own determinant (a layer too wide for
+    the recursion)."""
+    out = []
+    for block, values, bounds in linalg._minor_blocks(w, linalg.DEFAULT_MINOR_BUDGET):
+        if bounds is None:
+            bounds = np.zeros(len(values))
+        out += zip(map(tuple, block.tolist()), values.tolist(), bounds.tolist())
+    return out
+
+
 def maximal_minors(w):
-    """[(row index set, minor), ...] for every d-subset of w's rows, as the
-    package's minor scan gives them: colex order, at its default budget."""
-    blocks = linalg._minor_blocks(w, linalg.DEFAULT_MINOR_BUDGET)
-    return [
-        (tuple(idx), det)
-        for block, dets in blocks
-        for idx, det in zip(block.tolist(), dets.tolist())
-    ]
+    """[(row index set, minor), ...]: ``minor_brackets`` without the bounds."""
+    return [(idx, value) for idx, value, _ in minor_brackets(w)]
 
 
 def reference_chebyshev_verify(entries, signs, box_bound=1e4, eps_floor=1e-8, feas_tol=1e-9):

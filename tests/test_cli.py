@@ -139,6 +139,21 @@ class TestDftAndCheck:
         assert done.returncode == ExitCode.INPUT, done.stderr
         assert done.stderr.startswith("error: --n: ") and "Traceback" not in done.stderr
 
+    def test_dft_refuses_a_sidecar_path_that_is_a_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(spec):
+            raise AssertionError("the layer was built")
+
+        monkeypatch.setattr(cli, "build_layer", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.json").mkdir()
+        assert run(["dft", "--n", "12", "--k", "2", "--out", "w.csv"]) == ExitCode.USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --out: w.csv: its sidecar w.json is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
+
     def test_dft_to_stdout_prints_csv_without_sidecar(self, capsys):
         assert run(["dft", "--n", "6", "--k", "1", "--out", "-"]) == ExitCode.OK
         lines = capsys.readouterr().out.strip().splitlines()

@@ -3,6 +3,9 @@
 import itertools
 import math
 import threading
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from reference_impls import (
     cofactor_det,
     determinant,
     maximal_minors,
+    minor_brackets,
     perturb_input,
     reference_minor_scan,
 )
@@ -317,7 +321,13 @@ class TestScanMatchesReference:
         assert status.checked_minors == checked
         assert status.min_abs_minor == min_abs
         assert is_general_position(w) == (verdict != "degenerate")
-        assert list(maximal_minors(w)) == minors
+        brackets = minor_brackets(w)
+        assert [idx for idx, _, _ in brackets] == [idx for idx, _ in minors]
+        for (_, value, bound), (_, det) in zip(brackets, minors):
+            # numpy's det is sign * exp(log |det|): even a 1 x 1 minor can be
+            # off its entry by ~|ln |det|| u, which a bracket of the exact
+            # value need not cover.
+            assert abs(value - det) <= bound + 2**-40 * abs(det)
 
     def test_degenerate_cases_stop_where_intended(self):
         cases = _scan_inputs()
@@ -345,6 +355,103 @@ class TestScanMatchesReference:
             assert sets == colex
 
 
+def _exact_layers():
+    """Small layers whose every entry is a float, so a dyadic rational that
+    Fraction holds exactly: integers, dyadic fractions, and Gaussian draws
+    over a wide range of row scales."""
+    rng = np.random.default_rng(33)
+    layers = {
+        "integers-7x3": rng.integers(-9, 10, size=(7, 3)).astype(float),
+        "dyadic-8x4": rng.integers(-2**20, 2**20, size=(8, 4)) / 2.0**17,
+        "gaussian-7x2": rng.standard_normal((7, 2)),
+        "gaussian-8x3": rng.standard_normal((8, 3)),
+        "gaussian-9x4": rng.standard_normal((9, 4)),
+        "scaled-8x4": rng.standard_normal((8, 4)) * 2.0 ** rng.integers(-40, 40, (8, 1)),
+    }
+    ts = np.linspace(0.0, 1.0, 8)
+    layers["near-vandermonde-8x4"] = np.stack([ts**k for k in range(4)], axis=1)
+    return layers
+
+
+def _straddles():
+    """Rows with integer norms, so each relative minor det / prod ||w_i|| is
+    a rational the threshold can be set to."""
+    return {
+        "d2": np.array([[3.0, 4.0], [5.0, 12.0], [8.0, 15.0]]),
+        "d3": np.array(
+            [[1.0, 2.0, 2.0], [2.0, 3.0, 6.0], [4.0, 4.0, 7.0], [1.0, 4.0, 8.0],
+             [2.0, 6.0, 9.0]]
+        ),
+    }
+
+
+class TestBrackets:
+    @pytest.mark.parametrize("name", sorted(_exact_layers()))
+    def test_every_exact_minor_lies_in_its_bracket(self, name):
+        entries = _exact_layers()[name]
+        brackets = minor_brackets(WeightMatrix(entries))
+        n, d = entries.shape
+        assert 2 * d <= n + 1 and len(brackets) == math.comb(n, d)
+        for idx, value, bound in brackets:
+            exact = cofactor_det([[Fraction(x) for x in entries[i]] for i in idx])
+            assert abs(Fraction(value) - exact) <= Fraction(bound), (idx, value, bound)
+            assert 0.0 < bound < math.inf
+
+    @pytest.mark.parametrize("name", sorted(_straddles()))
+    def test_a_threshold_on_a_bracket_is_decided_as_the_reference_does(
+        self, name, monkeypatch
+    ):
+        entries = _straddles()[name]
+        norms = np.linalg.norm(entries, axis=1)
+        assert norms.tolist() == np.round(norms).tolist()
+        w = WeightMatrix(entries)
+        assert all(bound is not None for _, _, bound in linalg._minor_blocks(w, 10**6))
+        n, d = entries.shape
+        real, seen = np.linalg.det, []
+
+        def spy(stack):
+            seen.extend(m.tobytes() for m in stack.reshape(-1, d, d))
+            return real(stack)
+
+        for idx in itertools.combinations(range(n), d):
+            exact = abs(cofactor_det([[Fraction(x) for x in entries[i]] for i in idx]))
+            relative = float(exact / math.prod(int(round(norms[i])) for i in idx))
+            for tau in (np.nextafter(relative, 0.0), relative, np.nextafter(relative, 1.0)):
+                verdict, min_abs, checked, _ = reference_minor_scan(entries, float(tau))
+                seen.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "det", spy)
+                    status = gr_plus_status(w, tau_det=float(tau))
+                # The bracket meets this threshold, so LAPACK decides.
+                assert entries[list(idx)].tobytes() in seen, (idx, tau)
+                assert status.verdict.value == verdict, (idx, tau)
+                assert status.checked_minors == checked, (idx, tau)
+                assert status.min_abs_minor.hex() == min_abs.hex(), (idx, tau)
+
+
+class TestRouting:
+    @pytest.mark.parametrize("shape", [(30, 30), (20, 15), (14, 12)])
+    def test_a_wide_layer_takes_lapack_for_every_minor(self, shape):
+        # The recursion would visit every subset below the top: 2^30 of them
+        # under the one minor of the square layer.
+        entries = np.random.default_rng(34).standard_normal(shape)
+        w = WeightMatrix(entries)
+        assert all(bound is None for _, _, bound in linalg._minor_blocks(w, 10**6))
+        start = time.perf_counter()
+        status = gr_plus_status(w)
+        assert time.perf_counter() - start < 1.0
+        verdict, min_abs, checked, _ = reference_minor_scan(entries)
+        assert status.verdict.value == verdict
+        assert status.checked_minors == checked
+        assert status.min_abs_minor.hex() == min_abs.hex()
+
+    @pytest.mark.parametrize("shape, laplace", [((7, 4), True), ((6, 4), False), ((1, 1), True)])
+    def test_the_recursion_runs_when_2d_is_at_most_n_plus_1(self, shape, laplace):
+        w = WeightMatrix(np.random.default_rng(35).standard_normal(shape))
+        bounds = [b for _, _, b in linalg._minor_blocks(w, 10**6)]
+        assert all((b is not None) == laplace for b in bounds)
+
+
 def _helper_layers():
     rng = np.random.default_rng(31)
     return {
@@ -363,7 +470,7 @@ def _stops():
     first[1] = first[0]  # every set holding {0, 1}, from {0, 1, 2} on
     second = rng.standard_normal((9, 3))
     second[8] = second[0] + second[1]  # {0, 1, 8} alone
-    return {"main-half": (first, 1), "helper-half": (second, 57)}
+    return {"early": (first, 1), "late": (second, 57)}
 
 
 def _dft_12x5_blocks():
@@ -377,55 +484,53 @@ def chunk(request, monkeypatch):
     return request.param
 
 
-class TestHelperThread:
-    """The scan's helper thread is joined on every way out, and splitting a
-    block's determinants between two threads changes no bit of the result.
-    Chunks of 1 and 5 give empty and odd halves; at 10**6 every scan here
-    is one block, which runs inline with no helper."""
+@pytest.fixture
+def no_thread(monkeypatch):
+    """Thread.start raises: whatever runs under it starts no thread."""
+
+    def refuse(thread):
+        raise AssertionError(f"the scan started {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
+class TestScanThreads:
+    """The scan runs on the calling thread alone, at every block size, and
+    its verdicts are those of a serial reference.  Chunks of 1 and 5 cut
+    every scan here into many blocks; at 10**6 each is one block."""
 
     @pytest.mark.parametrize("name", sorted(_helper_layers()))
-    def test_full_scan_matches_a_serial_reference(self, name, chunk):
+    def test_full_scan_matches_a_serial_reference(self, name, chunk, no_thread):
         entries = _helper_layers()[name]
         verdict, min_abs, checked, minors = reference_minor_scan(entries)
-        before = set(threading.enumerate())
         status = gr_plus_status(WeightMatrix(entries))
-        assert set(threading.enumerate()) == before
         assert status.verdict.value == verdict != "degenerate"
         assert status.checked_minors == checked == len(minors)
         assert status.min_abs_minor.hex() == min_abs.hex()
+        assert is_general_position(WeightMatrix(entries))
 
-    @pytest.mark.parametrize("half", sorted(_stops()))
-    def test_degenerate_stop_in_either_half(self, half, chunk):
-        entries, stop = _stops()[half]
+    @pytest.mark.parametrize("where", sorted(_stops()))
+    def test_degenerate_stop_early_or_late_in_a_block(self, where, chunk, no_thread):
+        entries, stop = _stops()[where]
         verdict, min_abs, checked, _ = reference_minor_scan(entries)
         assert (verdict, checked) == ("degenerate", stop)
-        assert (stop <= (math.comb(9, 3) + 1) // 2) == (half == "main-half")
-        before = set(threading.enumerate())
+        assert (stop <= (math.comb(9, 3) + 1) // 2) == (where == "early")
         status = gr_plus_status(WeightMatrix(entries))
-        assert set(threading.enumerate()) == before
         assert status.verdict is GrVerdict.DEGENERATE
         assert status.checked_minors == stop
         assert status.min_abs_minor.hex() == min_abs.hex()
 
-    @pytest.mark.parametrize("half", ["main", "helper"])
-    def test_none_outlives_an_error_in_either_half(self, half, chunk, monkeypatch):
-        real = np.linalg.det
-
-        def broken(a):
-            in_main = threading.current_thread() is threading.main_thread()
-            if in_main == (half == "main"):
-                raise ZeroDivisionError(f"det bug in the {half} half")
-            return real(a)
+    @pytest.mark.parametrize("call", ["det", "einsum"])
+    def test_an_error_in_lapack_or_the_recursion_propagates(
+        self, call, chunk, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError(f"{call} bug")
 
         before = set(threading.enumerate())
-        monkeypatch.setattr(np.linalg, "det", broken)
-        w = build_dft_matrix(12, 2)
-        if half == "helper" and math.comb(12, 5) <= chunk:
-            # A one-block scan has no helper half to fail in.
-            assert gr_plus_status(w).checked_minors == math.comb(12, 5)
-        else:
-            with pytest.raises(ZeroDivisionError, match=half):
-                gr_plus_status(w)
+        monkeypatch.setattr(np.linalg if call == "det" else np, call, broken)
+        with pytest.raises(ZeroDivisionError, match=call):
+            gr_plus_status(build_dft_matrix(12, 2))
         assert set(threading.enumerate()) == before
 
     def test_none_outlives_an_error_between_blocks(self, chunk, monkeypatch):
@@ -436,38 +541,16 @@ class TestHelperThread:
         monkeypatch.setattr(np, "prod", broken)
         with pytest.raises(ZeroDivisionError) as caught:
             gr_plus_status(build_dft_matrix(12, 2))
-        # The live traceback holds the scan's frame, so only an explicit
-        # close can have joined the helper.
         assert caught.tb is not None
         assert set(threading.enumerate()) == before
 
-    def test_none_outlives_an_abandoned_iterator(self, chunk):
+    def test_a_suspended_scan_holds_no_thread(self, chunk):
         before = set(threading.enumerate())
         blocks = _dft_12x5_blocks()
         assert next(blocks)[0][0].tolist() == [0, 1, 2, 3, 4]
-        # The helper lives while a scan of many blocks is suspended.
-        helpers = 0 if math.comb(12, 5) <= chunk else 1
-        assert len(set(threading.enumerate()) - before) == helpers
+        assert set(threading.enumerate()) == before
         blocks.close()
         assert set(threading.enumerate()) == before
-
-    @pytest.mark.parametrize("name", sorted(_helper_layers()))
-    def test_one_block_scan_starts_no_thread(self, name, monkeypatch):
-        # At the default chunk every layer here is one block: the sampler's
-        # general-position test on build_dft_matrix(10, 2) is one such scan.
-        entries = _helper_layers()[name]
-        assert math.comb(*entries.shape) <= linalg._MINOR_CHUNK
-        verdict, min_abs, checked, _ = reference_minor_scan(entries)
-
-        def refuse(thread):
-            raise AssertionError(f"a one-block scan started {thread.name}")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        status = gr_plus_status(WeightMatrix(entries))
-        assert status.verdict.value == verdict
-        assert status.checked_minors == checked
-        assert status.min_abs_minor.hex() == min_abs.hex()
-        assert is_general_position(build_dft_matrix(10, 2))
 
     def test_none_outlives_an_error_thrown_into_the_iterator(self, chunk):
         before = set(threading.enumerate())
@@ -477,6 +560,10 @@ class TestHelperThread:
             blocks.throw(ZeroDivisionError("caller bug"))
         assert caught.tb is not None
         assert set(threading.enumerate()) == before
+
+    def test_the_module_has_no_thread_pool(self):
+        source = Path(linalg.__file__).read_text()
+        assert "concurrent" not in source and "threading" not in source
 
 
 class TestSignVector:
