@@ -259,7 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_nonneg_int,
         default=DEFAULT_SAMPLE_BUDGET,
-        help="sampling budget in probes (default %(default)s)",
+        help=(
+            "sampling budget in probes, the n arc midpoints of each random"
+            " great circle (default %(default)s)"
+        ),
     )
     p.add_argument("--seed", type=_nonneg_int, default=0, help="sampling seed (default 0)")
     p.set_defaults(handler=_cmd_enumerate)

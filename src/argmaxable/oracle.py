@@ -8,21 +8,40 @@ judgment over the LP verifier.  Two routes:
   degrees from its normal; walking the sorted boundary angles around the
   unit circle visits every region exactly once.  Directions closer than
   ``_TAU_ANGLE`` radians count as coincident and are refused.
-* any d: sampled.  Uniform unit-sphere directions, with the region count
+* any d: sampled, along random great circles, with the region count
   formula as a termination certificate.  A central arrangement of n
   hyperplanes in R^d has at most cover_count(n, d) regions, reached in
   general position (Cover, IEEE Trans. Electron. Comput. 14, 1965;
   Zaslavsky, Mem. AMS 154, 1975).  A recorded sign vector is that of a
-  probe whose every |logit| is at least tau_sign, so it names an open
-  region, and so does its antipode; so the members never exceed the
-  count, and once they reach it the set is provably complete, for any W.
-  Budget exhaustion yields an explicitly partial result, never an
-  error.  Each Gaussian draw x gives m = min(2^(d-1), 16) probes D_p x,
-  D_p diagonal +-1 keeping coordinate 0 and flipping coordinate j + 1
-  when bit j of p is set.  Each D_p x is N(0, I) like x
-  (antithetic variates, Hammersley & Morton 1956), and one product with
-  [D_1 W^T | ... | D_m W^T] gives all m probes' logits, so the generator
-  costs a draw per m probes.  Budgets and counts are in probes.
+  unit probe whose every computed |logit| is at least tau_sign, so it
+  names an open region, and so does its antipode; so the members never
+  exceed the count, and once they reach it the set is provably
+  complete, for any W.  Budget exhaustion yields an explicitly partial
+  result, never an error.  Budgets and counts are in probes.
+
+  The probes.  Each circle is spanned by an orthonormal pair (u, v) from
+  two Gaussian draws, so it is a uniformly random great circle.  Along
+  x(t) = cos t u + sin t v row i's logit is a_i cos t + b_i sin t (a = W u,
+  b = W v), which changes sign once per half-turn, so the n boundaries
+  cut [0, pi) into n arcs, each inside one region.  The probes are the
+  arc midpoints, one per arc, the last arc wrapping around by pi: a
+  half-turn gives n probes in n distinct regions, and their antipodes
+  cover the other half.  A uniform point lands in a region of angular
+  radius r with probability of order r^(d-1), but a uniform great circle
+  meets it with probability of order r^(d-2) (the spherical Crofton
+  formula; Santalo, Integral Geometry and Geometric Probability, 1976),
+  so the smallest regions, which set the run time, are reached far
+  sooner.  At d = 2 one circle is the whole plane: its n probes and
+  their antipodes are all 2n regions.  At d = 1 there is no second
+  direction: each draw is one probe, +-1.
+
+  Soundness does not rest on the walk.  Each probe is divided by its
+  own computed length, and its logits are cos t a + sin t b, which is
+  W x for that unit x up to a few roundings of |a_i| + |b_i| <= 2 ||w_i||,
+  the same order as a direct product's.  The tau_sign test then decides
+  whether the probe is recorded; a probe that missed its arc's midpoint
+  through rounding still records the region it lies in.  nan logits,
+  from a zero-length u or v, fail the test and count as skips.
 
 Members come closed under global sign flip by construction: the
 arrangement is central, so sign(W(-x)) = -sign(Wx).
@@ -59,8 +78,6 @@ __all__ = [
 
 DEFAULT_SAMPLE_BUDGET = 10**7
 _SAMPLE_CHUNK = 1 << 15
-# Sign patterns per draw are 2^min(d - 1, 4): at most 16 probes share one.
-_FLIP_BITS = 4
 # Boundary angles of the 2D walk closer than this count as coincident.
 _TAU_ANGLE = 1e-12
 
@@ -83,9 +100,9 @@ class RegionSet:
     ``method`` says whether the set is complete: the exact walk and
     sampling that hit the region-count certificate are; a partial set is
     still sound (every member was witnessed by a concrete x) but may miss
-    regions.  samples_used counts examined probes (sign-flipped draws,
-    see the module docstring); boundary_skips the probes discarded for
-    landing numerically on a hyperplane.
+    regions.  samples_used counts examined probes (arc midpoints of
+    random great circles, see the module docstring); boundary_skips the
+    probes discarded for landing numerically on a hyperplane.
     """
 
     n: int
@@ -141,6 +158,67 @@ def _assignments(bits: np.ndarray) -> list[LabelAssignment]:
     return [LabelAssignment(row) for row in signs]
 
 
+def _dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (rows, d) arrays, as a column."""
+    return np.einsum("ij,ij->i", p, q)[:, None]
+
+
+def _walk_logits(
+    rng: np.random.Generator, transpose: np.ndarray, chunk: int, out: np.ndarray
+) -> np.ndarray:
+    """The logits of one chunk's ``chunk`` probes, written into ``out``.
+
+    Circles of n probes each (one at d = 1), the last cut to the chunk;
+    see the module docstring.  Row i's boundary on the half-turn is at
+    atan2(-a_i, b_i) mod pi.
+    """
+    d, n = transpose.shape
+    per_circle = n if d > 1 else 1
+    circles = -(-chunk // per_circle)
+    # Draw k of every circle in one contiguous block, so that a and b are.
+    draws = rng.standard_normal((min(d, 2), circles, d))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = draws[0]
+        u /= np.sqrt(_dots(u, u))
+        if d == 1:
+            return np.matmul(u, transpose, out=out[:chunk])
+        v = draws[1]
+        v -= _dots(v, u) * u
+        v /= np.sqrt(_dots(v, v))
+        ab = (draws.reshape(-1, d) @ transpose).reshape(2, circles, n)
+        uu, uv, vv = _dots(u, u), _dots(u, v), _dots(v, v)
+        del u, v, draws
+        # The logits' buffer is free until the product fills it, and its
+        # n floats per probe leave room for one: it takes the sorted
+        # boundaries and then the length terms.
+        starts = out.reshape(-1)[: circles * n].reshape(circles, n)
+        # atan2(-a, b) = -atan2(a, b), and mod pi adds pi to the negatives.
+        np.arctan2(ab[0], ab[1], out=starts)
+        np.subtract(np.where(starts > 0.0, np.pi, 0.0), starts, out=starts)
+        starts.sort(axis=1)
+        # The arc midpoints pass through the sines' rows on the way.
+        trig = np.empty((2, circles, n))
+        cos, sin = trig
+        np.add(starts[:, :-1], starts[:, 1:], out=sin[:, :-1])
+        np.add(starts[:, -1], starts[:, 0] + np.pi, out=sin[:, -1])
+        sin *= 0.5
+        np.cos(sin, out=cos)
+        np.sin(sin, out=sin)
+        # |cos t u + sin t v|^2 = cos (cos uu + 2 sin uv) + sin^2 vv.
+        lengths = cos * uu
+        lengths += np.multiply(sin, 2.0 * uv, out=starts)
+        lengths *= cos
+        np.multiply(sin, vv, out=starts)
+        lengths += np.multiply(starts, sin, out=starts)
+        del starts
+        np.sqrt(lengths, out=lengths)
+        trig /= lengths
+        del lengths
+        logits = out[: circles * n].reshape(circles, n, n)
+        np.matmul(trig.transpose(1, 2, 0), ab.transpose(1, 0, 2), out=logits)
+    return out[:chunk]
+
+
 def enumerate_regions_sampled(
     w: WeightMatrix,
     budget: int = DEFAULT_SAMPLE_BUDGET,
@@ -148,16 +226,17 @@ def enumerate_regions_sampled(
 ) -> RegionSet:
     """Sampled region enumeration with a counting-certificate stop rule.
 
-    Examines ``budget`` sphere directions (seeded probes, see the module
-    docstring) in chunks of 2^15, the last cut to the budget, records the
-    sign vector of each and of its antipode (free by central symmetry),
-    and skips probes within tau_sign = ``DEFAULT_TAU_SIGN`` (read at call
-    time) of a hyperplane.  Every recorded vector and its antipode name
-    open regions of W, so there are at most r(W) <= cover_count(n, d) of
-    them (Zaslavsky 1975, see the module docstring).  Reaching that count
-    is proof of completeness and stops sampling early; otherwise the
-    result is SampledPartial however many members were found.  No minor
-    scan is run: only a W in general position has that many regions.
+    Examines ``budget`` probes (arc midpoints of seeded great circles, see
+    the module docstring) in chunks of 2^15, the last cut to the budget,
+    records the sign vector of each and of its antipode (free by central
+    symmetry), and skips probes within tau_sign = ``DEFAULT_TAU_SIGN``
+    (read at call time) of a hyperplane.  Every recorded vector and its
+    antipode name open regions of W, so there are at most r(W) <=
+    cover_count(n, d) of them (Zaslavsky 1975, see the module docstring).
+    Reaching that count is proof of completeness and stops sampling
+    early; otherwise the result is SampledPartial however many members
+    were found.  No minor scan is run: only a W in general position has
+    that many regions.
     """
     n, d = w.n, w.d
     tau_sign = DEFAULT_TAU_SIGN
@@ -174,42 +253,28 @@ def enumerate_regions_sampled(
     seen: set = set()
     used = 0
     skips = 0
-    # Row p of `flips` is the diagonal of D_p, and block p of `stacked` is
-    # D_p W^T: a draw's row of the product holds its probes' logits in turn.
-    flip_bits = min(d - 1, _FLIP_BITS)
-    patterns = 1 << flip_bits
-    flips = np.ones((patterns, d))
-    flipped = np.arange(patterns)[:, None] >> np.arange(flip_bits) & 1
-    flips[:, 1 : 1 + flip_bits] -= 2 * flipped
-    stacked = (flips[:, :, None] * w.entries.T).transpose(1, 0, 2).reshape(d, -1)
+    transpose = np.ascontiguousarray(w.entries.T)
     bit_weights = (
         np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
         if use_int_codes
         else None
     )
-    # Every chunk's product goes into one buffer, which later takes the
+    # Every chunk's logits go into one buffer, which later takes the
     # chunk's signs as int64, so a chunk holds one array of its size.
-    # Freeing the product per chunk instead measured slower.
-    buffer = np.empty((-(-min(budget, _SAMPLE_CHUNK) // patterns), patterns * n))
+    # Freeing the logits per chunk instead measured slower.  The n - 1
+    # extra rows hold the last circle's probes past the cut.
+    buffer = np.empty((min(budget, _SAMPLE_CHUNK) + n - 1, n))
     while used < budget:
         chunk = min(_SAMPLE_CHUNK, budget - used)
-        draws = rng.standard_normal((-(-chunk // patterns), d))
+        logits = _walk_logits(rng, transpose, chunk, buffer)
         used += chunk
-        # ||D_p x|| = ||x||, so one division normalises all m probes.
-        lengths = np.linalg.norm(draws, axis=1, keepdims=True)
-        good_length = lengths[:, 0] > 0.0
-        lengths[~good_length] = 1.0
-        draws /= lengths
-        product = np.matmul(draws, stacked, out=buffer[: len(draws)])
-        logits = product.reshape(-1, n)[:chunk]
         positive = logits > 0.0
         # The signs are read, so |logits| can overwrite them.  np.min
         # passes a nan logit on, so its chunk takes the mask, which skips
         # it.
         np.abs(logits, out=logits)
-        if not (good_length.all() and float(logits.min()) >= tau_sign):
-            clean = np.repeat(good_length, patterns)[:chunk]
-            clean &= (logits >= tau_sign).all(axis=1)
+        if not logits.min() >= tau_sign:
+            clean = (logits >= tau_sign).all(axis=1)
             skips += int(chunk - np.count_nonzero(clean))
             positive = positive[clean]
         # Most probes of a chunk repeat a region, so dedupe in numpy
@@ -221,6 +286,8 @@ def enumerate_regions_sampled(
             # The product is read, so its memory takes the signs as int64.
             signs = logits.view(np.int64)[: len(positive)]
             np.copyto(signs, positive)
+            # Dropped now, so the next chunk's walk does not hold it too.
+            del positive
             codes = signs @ bit_weights
             codes.sort()
             first = np.ones(codes.size, dtype=bool)

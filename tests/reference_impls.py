@@ -243,30 +243,28 @@ def reference_chebyshev_verify(entries, signs, box_bound=1e4, eps_floor=1e-8, fe
 
 
 def reference_sampled_enumeration(entries, budget, seed, tau_sign, target):
-    """Sampled region enumeration with every probe normalised.
+    """Sampled region enumeration along great circles, one circle at a time.
 
-    Each 2^15-probe chunk draws ceil(probes / m) Gaussian vectors x, with
-    m = min(2^(d-1), 16), and writes out the m probes of each: probe p is
-    x with coordinate j + 1 negated when bit j of p is set.  The chunk is
-    cut to its probe count, each probe is scaled to the unit sphere by
-    its own length, multiplied by W^T and tested row by row against
-    tau_sign; clean probes and their antipodes are recorded.  Sampling
-    stops at ``budget`` probes or once ``target`` distinct vectors are
-    seen (None: never early).  Returns (probes used, boundary skips, the
-    set of sign tuples).
+    Each 2^15-probe chunk draws two Gaussian blocks of c vectors, c =
+    ceil(probes / n): circle j takes u from the first and v from the
+    second.  Per circle, Gram-Schmidt makes (u, v) orthonormal; row i's
+    sign changes on the half-turn at atan2(-a_i, b_i) mod pi, with
+    a = W u and b = W v; the n probes are cos t u + sin t v at the
+    midpoints t of the arcs between the sorted boundaries, the last arc
+    ending at the first boundary plus pi.  At d = 1 a circle is one draw
+    and its probe is u.  A circle whose u or v has zero length gives n
+    probes that count as skips.  The chunk is cut to its probe count,
+    each probe is scaled to the unit sphere by its own length,
+    multiplied by W^T and tested row by row against tau_sign; clean
+    probes and their antipodes are recorded.  Sampling stops at
+    ``budget`` probes or once ``target`` distinct vectors are seen (None:
+    never early).  Returns (probes used, boundary skips, the set of sign
+    tuples).
     """
     w = np.asarray(entries, dtype=np.float64)
     n, d = w.shape
     rng = np.random.default_rng(seed)
-    m = 2 ** min(d - 1, 4)
-    patterns = []
-    for p in range(m):
-        pattern = [1.0] * d
-        for j in range(d - 1):
-            if (p >> j) & 1:
-                pattern[j + 1] = -1.0
-        patterns.append(pattern)
-    patterns = np.array(patterns)
+    per_circle = n if d > 1 else 1
     use_int_codes = n <= 62
     full_mask = (
         np.int64((1 << n) - 1)
@@ -276,7 +274,6 @@ def reference_sampled_enumeration(entries, budget, seed, tau_sign, target):
     seen: set = set()
     used = 0
     skips = 0
-    transpose = np.ascontiguousarray(w.T)
     bit_weights = (
         np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
         if use_int_codes
@@ -284,14 +281,28 @@ def reference_sampled_enumeration(entries, budget, seed, tau_sign, target):
     )
     while used < budget:
         chunk = min(1 << 15, budget - used)
-        draws = rng.standard_normal((math.ceil(chunk / m), d))
-        probes = (draws[:, None, :] * patterns).reshape(-1, d)[:chunk]
-        lengths = np.linalg.norm(probes, axis=1, keepdims=True)
-        good_length = lengths[:, 0] > 0.0
-        lengths[~good_length] = 1.0
-        probes /= lengths
-        logits = probes @ transpose
-        clean = good_length & (np.abs(logits) >= tau_sign).all(axis=1)
+        draws = rng.standard_normal((min(d, 2), math.ceil(chunk / per_circle), d))
+        circles = []
+        for j in range(draws.shape[1]):
+            u = draws[0, j] / np.linalg.norm(draws[0, j])
+            if d == 1:
+                circles.append(u[None, :])
+                continue
+            v = draws[1, j] - (draws[1, j] @ u) * u
+            v = v / np.linalg.norm(v)
+            if not (np.isfinite(u).all() and np.isfinite(v).all()):
+                circles.append(np.full((n, d), np.nan))
+                continue
+            a, b = w @ u, w @ v
+            starts = sorted(math.atan2(-a[i], b[i]) % math.pi for i in range(n))
+            ends = starts[1:] + [starts[0] + math.pi]
+            mids = np.array([(s + e) / 2 for s, e in zip(starts, ends)])
+            circles.append(np.cos(mids)[:, None] * u + np.sin(mids)[:, None] * v)
+        probes = np.concatenate(circles)[:chunk]
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        logits = probes @ w.T
+        # A nan probe, from a zero-length u or v, fails every test.
+        clean = (np.abs(logits) >= tau_sign).all(axis=1)
         used += chunk
         skips += int(chunk - np.count_nonzero(clean))
         positive = logits > 0.0

@@ -23,6 +23,8 @@ from argmaxable.oracle import (
 )
 from reference_impls import reference_sampled_enumeration, region_count_formula
 
+_CHUNK = 1 << 15
+
 
 class TestExactWalk2D:
     def test_random_three_rows_give_six_regions(self):
@@ -120,6 +122,8 @@ class TestSampledEnumeration:
             assert y.flip() in regions.members
 
     def test_agrees_with_the_exact_walk_in_two_columns(self):
+        # At d = 2 one great circle is the whole plane: its first half-turn
+        # finds every region, so the first chunk completes.
         rng = np.random.default_rng(35)
         for _ in range(5):
             w = WeightMatrix(rng.standard_normal((5, 2)))
@@ -127,6 +131,7 @@ class TestSampledEnumeration:
             sampled = enumerate_regions_sampled(w, budget=10**6, seed=2)
             assert sampled.method is EnumerationMethod.SAMPLED_COMPLETE
             assert sampled.members == exact.members
+            assert sampled.samples_used == _CHUNK
 
     def test_minor_sign_uniformity_bounds_alternations(self):
         # All-positive minors force every achievable vector below d
@@ -198,12 +203,12 @@ class TestSampledEnumeration:
         w = build_dft_matrix(10, 2)
         regions = enumerate_regions_sampled(w, seed=2)
         assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
-        assert regions.samples_used == 2228224
+        assert regions.samples_used == 163840
         assert regions.boundary_skips == 0
         used, skips, _ = reference_sampled_enumeration(
             w.entries, 10**7, 2, 1e-12, 512
         )
-        assert (used, skips) == (2228224, 0)
+        assert (used, skips) == (163840, 0)
         expected = set(enumerate_family(FamilySpec(10, 4, FamilyKind.ALTERNATING)))
         assert len(expected) == 512
         assert regions.members == frozenset(expected)
@@ -216,6 +221,26 @@ class TestSampledEnumeration:
         sampled = enumerate_regions_sampled(w, budget=10**6, seed=6)
         assert sampled.method is EnumerationMethod.SAMPLED_COMPLETE
         assert sampled.members == enumerate_regions_2d(w).members
+        assert sampled.samples_used == _CHUNK
+
+    def test_spectral_twelve_by_five_is_complete_at_the_default_budget(self):
+        # Uniform point probes stopped at 1,108 of its 1,124 regions here.
+        # Its regions are the sign vectors of at most d - 1 = 4
+        # alternations (Karp 2017).
+        w = build_dft_matrix(12, 2)
+        regions = enumerate_regions_sampled(w)
+        assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
+        expected = set(enumerate_family(FamilySpec(12, 4, FamilyKind.ALTERNATING)))
+        assert len(expected) == cover_count(12, 5) == 1124
+        assert regions.members == frozenset(expected)
+
+    def test_gaussian_twenty_four_by_three_is_complete(self):
+        # Uniform point probes stopped at 550 of its 554 regions after
+        # 10^8 probes.
+        w = WeightMatrix(np.random.default_rng(0).standard_normal((24, 3)))
+        regions = enumerate_regions_sampled(w)
+        assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
+        assert len(regions.members) == cover_count(24, 3) == 554
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(37)
@@ -224,9 +249,6 @@ class TestSampledEnumeration:
         b = enumerate_regions_sampled(w, budget=10**5, seed=11)
         assert a.members == b.members
         assert a.samples_used == b.samples_used
-
-
-_CHUNK = 1 << 15
 
 
 def _random(shape, seed):
@@ -245,9 +267,10 @@ def _with_duplicated_rows(d=3, seed=52):
 
 
 class TestSampledMatchesTheNormalisedLoop:
-    """The sampler, which normalises each draw once for all its sign-flipped
-    probes and builds a boundary mask only for chunks that need one, must
-    report exactly what normalising every probe on its own reports: the
+    """The sampler, which walks a chunk's great circles in whole arrays,
+    takes each probe's logits from W u and W v and builds a boundary mask
+    only for chunks that need one, must report exactly what walking one
+    circle at a time and normalising every probe on its own reports: the
     same probes, skips and members."""
 
     @staticmethod
@@ -320,9 +343,9 @@ class TestSampledMatchesTheNormalisedLoop:
         )
         assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
 
-    # The last chunk draws whole vectors and is cut to the budget; budgets
+    # The last chunk draws whole circles and is cut to the budget; budgets
     # on either side of a chunk edge, and ones that are no multiple of the
-    # m probes per draw, pin that no probe past the cut is counted.
+    # n probes per circle, pin that no probe past the cut is counted.
     @pytest.mark.parametrize(
         "budget", [1, 17, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 1],
         ids=["one", "seventeen", "chunk", "chunk-plus-1", "three-chunks-minus-1"],
@@ -355,6 +378,9 @@ class TestCyclicShift:
         rolled = WeightMatrix(np.roll(w.entries, shift, axis=0))
         regions = enumerate_regions_sampled(rolled, seed=seed)
         assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
+        # A circle's sorted boundaries, and so its probes, do not depend on
+        # the row order.
+        assert regions.samples_used == unshifted.samples_used
         expected = {tuple(np.roll(y.signs, shift)) for y in unshifted.members}
         assert {tuple(y.signs) for y in regions.members} == expected
 
