@@ -39,11 +39,7 @@ from .verifier import (
     radius_report,
     verify_batch,
 )
-from .oracle import (
-    RegionSet,
-    enumerate_regions_2d,
-    enumerate_regions_sampled,
-)
+from .oracle import RegionSet, enumerate_regions_sampled
 from .metrics import (
     StackedRecords,
     metrics_at_k,

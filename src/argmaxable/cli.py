@@ -3,8 +3,8 @@
 One executable, seven subcommands, deterministic exit codes:
 
     0  success
-    1  usage error (bad flags, or a budget, --k or --method flag the input
-       cannot meet)
+    1  usage error (bad flags, or a budget or --k flag the input cannot
+       meet)
     2  input or parse error (bad files, bad data), or a size flag past
        what the machine can hold or Python can print
     3  verification found unargmaxable assignments
@@ -56,12 +56,7 @@ from .metrics import (  # noqa: F401
     ndcg_at_k,
     prec_rec_f1_at_k,
 )
-from .oracle import (
-    DEFAULT_SAMPLE_BUDGET,
-    DegeneracyError,
-    enumerate_regions_2d,
-    enumerate_regions_sampled,
-)
+from .oracle import DEFAULT_SAMPLE_BUDGET, enumerate_regions_sampled
 from .reportio import (
     ParseError,
     ReportEnvelope,
@@ -251,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--method",
-        choices=("auto", "2d", "sampled"),
+        choices=("auto", "sampled"),
         default="auto",
-        help="exact angular walk (d=2 only) or certificate-stopped sampling",
+        help="both values run the certificate-stopped great-circle sampler",
     )
     p.add_argument(
         "--budget",
@@ -469,27 +464,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     w = parse_matrix(args.matrix)
-    method = args.method
-    if method == "auto":
-        method = "2d" if w.d == 2 else "sampled"
-    regions = None
-    if method == "2d":
-        if w.d != 2:  # a well-formed matrix the flag cannot apply to
-            raise _UsageError(
-                f"error: --method: exact walk needs d = 2, matrix has d = {w.d}"
-            )
-        try:
-            regions = enumerate_regions_2d(w)
-        except DegeneracyError as exc:
-            if args.method != "auto":
-                raise ParseError(args.matrix, str(exc)) from None
-            print(
-                f"warning: {args.matrix}: degenerate 2d instance, "
-                "falling back to sampling",
-                file=sys.stderr,
-            )
-    if regions is None:
-        regions = enumerate_regions_sampled(w, budget=args.budget, seed=args.seed)
+    regions = enumerate_regions_sampled(w, budget=args.budget, seed=args.seed)
     members = sorted(y.to_dense() for y in regions.members)
     payload = {
         "n": regions.n,

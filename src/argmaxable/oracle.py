@@ -2,46 +2,45 @@
 
 The n rows of W cut R^d into open sign regions; this module recovers the
 achievable set A(W) = {sign(Wx)} by geometry alone so it can sit in
-judgment over the LP verifier.  Two routes:
+judgment over the LP verifier.  It samples along random great circles,
+with the region count formula as a termination certificate.  A central
+arrangement of n hyperplanes in R^d has at most cover_count(n, d)
+regions, reached in general position (Cover, IEEE Trans. Electron.
+Comput. 14, 1965; Zaslavsky, Mem. AMS 154, 1975).  A recorded sign
+vector is that of a unit probe whose every computed |logit| is at least
+tau_sign, so it names an open region, and so does its antipode; so the
+members never exceed the count, and once they reach it the set is
+provably complete, for any W.  Budget exhaustion yields an explicitly
+partial result, never an error.  Budgets and counts are in probes.
 
-* d = 2: exact.  Each row contributes two boundary directions at +-90
-  degrees from its normal; walking the sorted boundary angles around the
-  unit circle visits every region exactly once.  Directions closer than
-  ``_TAU_ANGLE`` radians count as coincident and are refused.
-* any d: sampled, along random great circles, with the region count
-  formula as a termination certificate.  A central arrangement of n
-  hyperplanes in R^d has at most cover_count(n, d) regions, reached in
-  general position (Cover, IEEE Trans. Electron. Comput. 14, 1965;
-  Zaslavsky, Mem. AMS 154, 1975).  A recorded sign vector is that of a
-  unit probe whose every computed |logit| is at least tau_sign, so it
-  names an open region, and so does its antipode; so the members never
-  exceed the count, and once they reach it the set is provably
-  complete, for any W.  Budget exhaustion yields an explicitly partial
-  result, never an error.  Budgets and counts are in probes.
+The probes.  Each circle is spanned by an orthonormal pair (u, v) from
+two Gaussian draws, so it is a uniformly random great circle.  Along
+x(t) = cos t u + sin t v row i's logit is a_i cos t + b_i sin t (a = W u,
+b = W v), which changes sign once per half-turn, so the n boundaries
+cut [0, pi) into n arcs, each inside one region.  The probes are the
+arc midpoints, one per arc, the last arc wrapping around by pi: a
+half-turn gives n probes in n distinct regions, and their antipodes
+cover the other half.  A uniform point lands in a region of angular
+radius r with probability of order r^(d-1), but a uniform great circle
+meets it with probability of order r^(d-2) (the spherical Crofton
+formula; Santalo, Integral Geometry and Geometric Probability, 1976),
+so the smallest regions, which set the run time, are reached far
+sooner.  At d = 2 one circle is the whole plane: its n probes and
+their antipodes are all 2n regions.  At d = 1 there is no second
+direction: each draw is one probe, +-1.
 
-  The probes.  Each circle is spanned by an orthonormal pair (u, v) from
-  two Gaussian draws, so it is a uniformly random great circle.  Along
-  x(t) = cos t u + sin t v row i's logit is a_i cos t + b_i sin t (a = W u,
-  b = W v), which changes sign once per half-turn, so the n boundaries
-  cut [0, pi) into n arcs, each inside one region.  The probes are the
-  arc midpoints, one per arc, the last arc wrapping around by pi: a
-  half-turn gives n probes in n distinct regions, and their antipodes
-  cover the other half.  A uniform point lands in a region of angular
-  radius r with probability of order r^(d-1), but a uniform great circle
-  meets it with probability of order r^(d-2) (the spherical Crofton
-  formula; Santalo, Integral Geometry and Geometric Probability, 1976),
-  so the smallest regions, which set the run time, are reached far
-  sooner.  At d = 2 one circle is the whole plane: its n probes and
-  their antipodes are all 2n regions.  At d = 1 there is no second
-  direction: each draw is one probe, +-1.
+The first chunk is one circle (one probe at d = 1), so a planar layer
+in general position is complete after its n probes.  Later chunks hold
+2^15 probes, fewer where that would pass about 2^20 logits, but never
+less than one circle.
 
-  Soundness does not rest on the walk.  Each probe is divided by its
-  own computed length, and its logits are cos t a + sin t b, which is
-  W x for that unit x up to a few roundings of |a_i| + |b_i| <= 2 ||w_i||,
-  the same order as a direct product's.  The tau_sign test then decides
-  whether the probe is recorded; a probe that missed its arc's midpoint
-  through rounding still records the region it lies in.  nan logits,
-  from a zero-length u or v, fail the test and count as skips.
+Soundness does not rest on the walk.  Each probe is divided by its
+own computed length, and its logits are cos t a + sin t b, which is
+W x for that unit x up to a few roundings of |a_i| + |b_i| <= 2 ||w_i||,
+the same order as a direct product's.  The tau_sign test then decides
+whether the probe is recorded; a probe that missed its arc's midpoint
+through rounding still records the region it lies in.  nan logits,
+from a zero-length u or v, fail the test and count as skips.
 
 Members come closed under global sign flip by construction: the
 arrangement is central, so sign(W(-x)) = -sign(Wx).
@@ -49,7 +48,6 @@ arrangement is central, so sign(W(-x)) = -sign(Wx).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import FrozenSet
@@ -61,34 +59,24 @@ from .labelspace import LabelAssignment, cover_count
 # module because bench/tracing.py wraps it by name.
 from .linalg import (  # noqa: F401
     DEFAULT_TAU_SIGN,
-    BoundaryError,
     WeightMatrix,
     is_general_position,
-    sign_vector,
 )
 
 __all__ = [
-    "DegeneracyError",
     "EnumerationMethod",
     "RegionSet",
-    "enumerate_regions_2d",
     "enumerate_regions_sampled",
     "DEFAULT_SAMPLE_BUDGET",
 ]
 
 DEFAULT_SAMPLE_BUDGET = 10**7
 _SAMPLE_CHUNK = 1 << 15
-# Boundary angles of the 2D walk closer than this count as coincident.
-_TAU_ANGLE = 1e-12
-
-
-class DegeneracyError(Exception):
-    """The 2D walk found (near-)collinear rows, so sectors are not well
-    separated and the exact enumeration refuses to guess."""
+# A chunk past one circle is cut to about this many logits.
+_CHUNK_LOGITS = 1 << 20
 
 
 class EnumerationMethod(Enum):
-    EXACT_2D = "exact-2d"
     SAMPLED_COMPLETE = "sampled-complete"
     SAMPLED_PARTIAL = "sampled-partial"
 
@@ -97,12 +85,12 @@ class EnumerationMethod(Enum):
 class RegionSet:
     """A set of achievable sign vectors with its provenance.
 
-    ``method`` says whether the set is complete: the exact walk and
-    sampling that hit the region-count certificate are; a partial set is
-    still sound (every member was witnessed by a concrete x) but may miss
-    regions.  samples_used counts examined probes (arc midpoints of
-    random great circles, see the module docstring); boundary_skips the
-    probes discarded for landing numerically on a hyperplane.
+    ``method`` says whether the set is complete: sampling that hit the
+    region-count certificate is; a partial set is still sound (every
+    member was witnessed by a concrete x) but may miss regions.
+    samples_used counts examined probes (arc midpoints of random great
+    circles, see the module docstring); boundary_skips the probes
+    discarded for landing numerically on a hyperplane.
     """
 
     n: int
@@ -113,48 +101,9 @@ class RegionSet:
     boundary_skips: int = 0
 
 
-def enumerate_regions_2d(w: WeightMatrix) -> RegionSet:
-    """Exact region enumeration for d = 2 by walking boundary angles.
-
-    Row i's hyperplane meets the unit circle at the two directions
-    orthogonal to its normal; collecting all 2n such angles, sorting them,
-    and evaluating the sign vector at each sector midpoint yields each of
-    the 2n regions exactly once.  Raises DegeneracyError when two
-    boundary angles lie within ``_TAU_ANGLE`` radians, which happens iff
-    two rows are (near-)collinear, or when a midpoint's sign vector is
-    not clean under ``DEFAULT_TAU_SIGN``.
-    """
-    if w.d != 2:
-        raise ValueError(f"exact walk needs d = 2, got d = {w.d}")
-    normals = np.arctan2(w.entries[:, 1], w.entries[:, 0])
-    boundaries = np.concatenate([normals + np.pi / 2, normals - np.pi / 2])
-    boundaries = np.mod(boundaries, 2 * np.pi)
-    order = np.sort(boundaries)
-    gaps = np.diff(order, append=order[0] + 2 * np.pi)
-    if float(np.min(gaps)) < _TAU_ANGLE:
-        raise DegeneracyError("collinear rows: coincident boundary directions")
-    midpoints = order + gaps / 2.0
-    members = set()
-    for phi in midpoints:
-        direction = np.array([math.cos(phi), math.sin(phi)])
-        try:
-            members.add(sign_vector(w, direction))
-        except BoundaryError as exc:
-            raise DegeneracyError(
-                f"sector midpoint at angle {phi:.6f} has no clean sign vector"
-            ) from exc
-    if len(members) != 2 * w.n:
-        raise DegeneracyError(
-            f"walk found {len(members)} regions, expected {2 * w.n}"
-        )
-    return RegionSet(
-        n=w.n, d=2, members=frozenset(members), method=EnumerationMethod.EXACT_2D
-    )
-
-
 def _assignments(bits: np.ndarray) -> list[LabelAssignment]:
     """One assignment per row of a (rows, n) 0/1 array: bit 1 is +1."""
-    signs = np.where(bits, 1, -1).astype(np.int8)
+    signs = np.where(bits, np.int8(1), np.int8(-1))
     return [LabelAssignment(row) for row in signs]
 
 
@@ -227,16 +176,16 @@ def enumerate_regions_sampled(
     """Sampled region enumeration with a counting-certificate stop rule.
 
     Examines ``budget`` probes (arc midpoints of seeded great circles, see
-    the module docstring) in chunks of 2^15, the last cut to the budget,
-    records the sign vector of each and of its antipode (free by central
-    symmetry), and skips probes within tau_sign = ``DEFAULT_TAU_SIGN``
-    (read at call time) of a hyperplane.  Every recorded vector and its
-    antipode name open regions of W, so there are at most r(W) <=
-    cover_count(n, d) of them (Zaslavsky 1975, see the module docstring).
-    Reaching that count is proof of completeness and stops sampling
-    early; otherwise the result is SampledPartial however many members
-    were found.  No minor scan is run: only a W in general position has
-    that many regions.
+    the module docstring) in chunks, the first one circle and the last
+    cut to the budget, records the sign vector of each and of its
+    antipode (free by central symmetry), and skips probes within
+    tau_sign = ``DEFAULT_TAU_SIGN`` (read at call time) of a hyperplane.
+    Every recorded vector and its antipode name open regions of W, so
+    there are at most r(W) <= cover_count(n, d) of them (Zaslavsky 1975,
+    see the module docstring).  Reaching that count is proof of
+    completeness and stops sampling early; otherwise the result is
+    SampledPartial however many members were found.  No minor scan is
+    run: only a W in general position has that many regions.
     """
     n, d = w.n, w.d
     tau_sign = DEFAULT_TAU_SIGN
@@ -259,13 +208,16 @@ def enumerate_regions_sampled(
         if use_int_codes
         else None
     )
+    per_circle = n if d > 1 else 1
+    chunk_size = max(per_circle, min(_SAMPLE_CHUNK, _CHUNK_LOGITS // n))
     # Every chunk's logits go into one buffer, which later takes the
     # chunk's signs as int64, so a chunk holds one array of its size.
-    # Freeing the logits per chunk instead measured slower.  The n - 1
-    # extra rows hold the last circle's probes past the cut.
-    buffer = np.empty((min(budget, _SAMPLE_CHUNK) + n - 1, n))
+    # Freeing the logits per chunk instead measured slower.  The buffer
+    # holds whole circles, so the last circle's probes past the cut fit.
+    circles = -(-min(budget, chunk_size) // per_circle)
+    buffer = np.empty((circles * per_circle, n))
     while used < budget:
-        chunk = min(_SAMPLE_CHUNK, budget - used)
+        chunk = min(chunk_size if used else per_circle, budget - used)
         logits = _walk_logits(rng, transpose, chunk, buffer)
         used += chunk
         positive = logits > 0.0
@@ -301,13 +253,15 @@ def enumerate_regions_sampled(
             seen.update(row.tobytes() for row in codes ^ full_mask)
         if len(seen) >= target:
             break
+    # Both codes unpack to one byte per label: an int64 code's bit i,
+    # label i, is bit i % 8 of its little-endian byte i // 8.
     if use_int_codes:
-        codes = np.fromiter(seen, dtype=np.int64, count=len(seen))
-        bits = (codes[:, None] >> np.arange(n)) & 1
+        codes = np.fromiter(seen, dtype="<i8", count=len(seen))
+        rows, order = codes.view(np.uint8).reshape(len(seen), 8), "little"
     else:
         blobs = np.frombuffer(b"".join(seen), dtype=np.uint8)
-        rows = blobs.reshape(len(seen), (n + 7) // 8)
-        bits = np.unpackbits(rows, axis=1, count=n)
+        rows, order = blobs.reshape(len(seen), (n + 7) // 8), "big"
+    bits = np.unpackbits(rows, axis=1, count=n, bitorder=order)
     members = frozenset(_assignments(bits))
     return RegionSet(
         n=n,

@@ -5,11 +5,11 @@ package: determinants by cofactor expansion, the minor scan one subset
 at a time, sign-vector families by filtering all 2^n strings, ranked
 metrics by explicit sorting loops.  Two small numeric helpers that only
 the tests need (a guarded determinant and a seeded nudge off a
-hyperplane) live here too, and so does the sampled enumeration loop
-with each sign-flipped probe written out, normalised and tested on its
-own.  Two helpers are no reference: ``minor_brackets`` and ``maximal_minors``
-read the package's own minor scan, one minor at a time, for tests to
-judge.
+hyperplane) live here too, and so do the sampled enumeration loop with
+each probe written out, normalised and tested on its own, and the
+boundary walk of a planar layer.  Two helpers are no reference:
+``minor_brackets`` and ``maximal_minors`` read the package's own minor
+scan, one minor at a time, for tests to judge.
 """
 
 from __future__ import annotations
@@ -245,7 +245,9 @@ def reference_chebyshev_verify(entries, signs, box_bound=1e4, eps_floor=1e-8, fe
 def reference_sampled_enumeration(entries, budget, seed, tau_sign, target):
     """Sampled region enumeration along great circles, one circle at a time.
 
-    Each 2^15-probe chunk draws two Gaussian blocks of c vectors, c =
+    The first chunk is one circle's probes (n, or 1 at d = 1); every
+    later one min(2^15, 2^20 // n) probes, but never less than a circle.
+    Each chunk draws two Gaussian blocks of c vectors, c =
     ceil(probes / n): circle j takes u from the first and v from the
     second.  Per circle, Gram-Schmidt makes (u, v) orthonormal; row i's
     sign changes on the half-turn at atan2(-a_i, b_i) mod pi, with
@@ -279,8 +281,9 @@ def reference_sampled_enumeration(entries, budget, seed, tau_sign, target):
         if use_int_codes
         else None
     )
+    later = max(per_circle, min(1 << 15, (1 << 20) // n))
     while used < budget:
-        chunk = min(1 << 15, budget - used)
+        chunk = min(later if used else per_circle, budget - used)
         draws = rng.standard_normal((min(d, 2), math.ceil(chunk / per_circle), d))
         circles = []
         for j in range(draws.shape[1]):
@@ -324,6 +327,27 @@ def reference_sampled_enumeration(entries, budget, seed, tau_sign, target):
             bits = np.unpackbits(np.frombuffer(code, dtype=np.uint8), count=n)
         members.add(tuple(1 if bit else -1 for bit in bits))
     return used, skips, members
+
+
+def reference_planar_regions(entries) -> set:
+    """The 2n sign tuples of a planar layer in general position, by
+    walking its boundary directions: row i's line meets the unit circle
+    at its normal's angle +-pi/2, and the midpoint of each arc between
+    neighbouring boundaries lies in one region."""
+    w = np.asarray(entries, dtype=np.float64)
+    normals = [math.atan2(row[1], row[0]) for row in w]
+    bounds = sorted(
+        (phi + side * math.pi / 2) % (2 * math.pi)
+        for phi in normals
+        for side in (1, -1)
+    )
+    regions = set()
+    for start, end in zip(bounds, bounds[1:] + [bounds[0] + 2 * math.pi]):
+        mid = (start + end) / 2
+        logits = w @ np.array([math.cos(mid), math.sin(mid)])
+        assert np.all(logits != 0.0), "a boundary midpoint on a line"
+        regions.add(tuple(1 if v > 0 else -1 for v in logits))
+    return regions
 
 
 def reference_from_dense(text: str):

@@ -53,11 +53,7 @@ from argmaxable.linalg import (
     sign_vector,
 )
 from argmaxable.metrics import StackedRecords, ndcg_at_k, prec_rec_f1_at_k
-from argmaxable.oracle import (
-    EnumerationMethod,
-    enumerate_regions_2d,
-    enumerate_regions_sampled,
-)
+from argmaxable.oracle import EnumerationMethod, enumerate_regions_sampled
 from argmaxable.verifier import (
     LpConfig,
     VerifyStatus,
@@ -99,8 +95,9 @@ def _gaussian(n, d, seed):
 
 
 # (n, d, matrix_seed, sample_seed); see the module docstring for how
-# these were screened.  Every instance saturates within its first chunk
-# of 32768 probes, a 305x margin under the budget.
+# these were screened.  Every instance saturates within its first circle
+# (d = 2) or the chunk of 32768 probes after it (at most 32,778 probes in
+# all), a 305x margin under the budget.
 SATURATION_INSTANCES = [
     (4, 3, 1651040388, 423036899),
     (3, 4, 1417995097, 528286721),
@@ -169,7 +166,8 @@ class TestAcceptance:
         with criterion(2, "3x2 regions agree across both routes", limit=1.0):
             w = _gaussian(3, 2, seed=20260402)
             assert is_general_position(w)
-            walked = enumerate_regions_2d(w)
+            regions = enumerate_regions_sampled(w)
+            assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
             ys = _all_assignments(3)
             batch = verify_batch(w, ys)
             lp_yes = {
@@ -177,8 +175,8 @@ class TestAcceptance:
                 for y, r in zip(ys, batch.results)
                 if r.status is VerifyStatus.ARGMAXABLE
             }
-            assert len(walked.members) == 6
-            assert lp_yes == walked.members
+            assert len(regions.members) == 6
+            assert lp_yes == regions.members
             left_out = [y for y in ys if y not in lp_yes]
             assert len(left_out) == 2
             assert left_out[0].flip() == left_out[1]

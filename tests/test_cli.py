@@ -304,28 +304,29 @@ class TestEnumerate:
         assert "++++++" in obj["payload"]["members"]
         assert "+−+−+−" not in obj["payload"]["members"]
 
-    def test_two_columns_use_the_exact_walk(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["auto", "sampled"])
+    def test_two_columns_complete_after_one_circle(self, method, tmp_path, capsys):
         matrix = tmp_path / "w.csv"
         rng = np.random.default_rng(71)
         rows = [",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 2))]
         matrix.write_text("\n".join(rows) + "\n")
-        assert run(["enumerate", "--matrix", str(matrix)]) == ExitCode.OK
+        argv = ["enumerate", "--matrix", str(matrix), "--method", method]
+        assert run(argv) == ExitCode.OK
         obj = _report_from(capsys)
-        assert obj["payload"]["method"] == "exact-2d"
+        assert obj["payload"]["method"] == "sampled-complete"
         assert obj["payload"]["count"] == 8
+        assert obj["payload"]["samples_used"] == 4
 
-    def test_explicit_2d_on_three_columns_is_an_input_error(self, tmp_path, capsys):
-        # The file is well formed; the flag asks for what it cannot give.
+    def test_method_2d_is_no_choice(self, tmp_path, capsys):
         matrix = tmp_path / "w.csv"
-        matrix.write_text("1.0,0.0,0.0\n0.0,1.0,0.0\n")
+        matrix.write_text("1.0,0.0\n0.0,1.0\n")
         code = run(["enumerate", "--matrix", str(matrix), "--method", "2d"])
         assert code == ExitCode.USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: --method: ")
-        assert "d = 2" in err
+        assert "invalid choice: '2d'" in err
 
-    def test_degenerate_auto_falls_back_to_sampling(self, tmp_path, capsys):
+    def test_collinear_rows_are_sampled_partially(self, tmp_path, capsys):
         matrix = tmp_path / "w.csv"
         matrix.write_text("1.0,0.0\n2.0,0.0\n0.0,1.0\n")
         code = run(
@@ -333,7 +334,7 @@ class TestEnumerate:
         )
         assert code == ExitCode.OK
         out, err = capsys.readouterr()
-        assert err.startswith(f"warning: {matrix}: ") and "falling back" in err
+        assert err == ""
         obj = json.loads(out)
         validate_report(obj)
         assert obj["payload"]["method"] == "sampled-partial"
@@ -362,15 +363,6 @@ class TestEnumerate:
         assert obj["payload"]["count"] == cover_count(4, 3)
         assert run(["check", "--matrix", str(matrix), "--out", "-"]) == ExitCode.INPUT
         assert "overflow" in capsys.readouterr().err
-
-    def test_degenerate_explicit_2d_propagates(self, tmp_path, capsys):
-        matrix = tmp_path / "w.csv"
-        matrix.write_text("1.0,0.0\n2.0,0.0\n")
-        code = run(["enumerate", "--matrix", str(matrix), "--method", "2d"])
-        assert code == ExitCode.INPUT
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: {matrix}: collinear rows: coincident boundary directions\n"
 
 
 class TestRadii:

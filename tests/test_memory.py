@@ -130,10 +130,14 @@ else:
 # A first call imports what seeding needs (numpy pulls in ``secrets``,
 # ~0.7 MB), which is no part of what the sampler holds.
 oracle.enumerate_regions_sampled(w, budget=1)
+# The largest chunk the sampler walks, read from its calls.
+chunks = []
+walk = oracle._walk_logits
+oracle._walk_logits = lambda *args: chunks.append(args[2]) or walk(*args)
 tracemalloc.start()
 regions = oracle.enumerate_regions_sampled(w, budget=10**6)
 peak = tracemalloc.get_traced_memory()[1]
-print(json.dumps([w.n, regions.samples_used, peak, oracle._SAMPLE_CHUNK]))
+print(json.dumps([w.n, regions.samples_used, peak, max(chunks)]))
 """
 
 
@@ -156,3 +160,46 @@ def test_sampler_holds_a_few_chunks_of_logits(layer):
     n, used, peak, chunk = json.loads(done.stdout.strip().splitlines()[-1])
     assert used > chunk
     assert peak <= 2 * chunk * n * 8, peak
+
+
+DECODE = r"""
+import json, sys, tracemalloc
+import numpy as np
+from argmaxable import oracle
+from argmaxable.linalg import WeightMatrix
+n, d = map(int, sys.argv[1:3])
+w = WeightMatrix(np.random.default_rng(30).standard_normal((n, d)))
+oracle.enumerate_regions_sampled(w, budget=1)
+chunks = []
+walk = oracle._walk_logits
+oracle._walk_logits = lambda *args: chunks.append(args[2]) or walk(*args)
+tracemalloc.start()
+regions = oracle.enumerate_regions_sampled(w, budget=20_000)
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps([w.n, len(regions.members), peak, max(chunks)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "shape", [(300, 3), (60, 6)], ids=["byte-codes-300x3", "int-codes-60x6"]
+)
+def test_sampler_decodes_its_members_in_int8(shape):
+    # 20,000 probes find ~29,000 members of the 300 x 3 layer and ~39,000
+    # of the 60 x 6 one.  While they are decoded the sampler holds one
+    # chunk's logits, rounded up to whole circles, and per member its
+    # bits, its signs and the assignment's own copy, one byte per label
+    # each, and its objects (array header, dataclass, set entries, code)
+    # in under 512 bytes.  Signs built in int64 first hold 8 bytes per
+    # label more next to the bits, which alone passes the walk's own
+    # bound, and break this one.
+    done = subprocess.run(
+        [sys.executable, "-c", DECODE, *map(str, shape)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    n, members, peak, chunk = json.loads(done.stdout.strip().splitlines()[-1])
+    assert peak <= (chunk + n) * n * 8 + members * (3 * n + 512), (peak, members)
+    assert 8 * members * n > 2 * chunk * n * 8

@@ -1,4 +1,4 @@
-"""Region enumeration oracles: the exact 2D walk and the sampler."""
+"""Region enumeration: the great-circle sampler, at every d."""
 
 import threading
 
@@ -9,83 +9,89 @@ from argmaxable.dftlayer import build_dft_matrix
 from argmaxable.labelspace import (
     FamilyKind,
     FamilySpec,
+    LabelAssignment,
     alt,
     cover_count,
     enumerate_family,
 )
 from argmaxable import linalg, oracle
-from argmaxable.linalg import BoundaryError, WeightMatrix, is_general_position
-from argmaxable.oracle import (
-    DegeneracyError,
-    EnumerationMethod,
-    enumerate_regions_2d,
-    enumerate_regions_sampled,
+from argmaxable.linalg import WeightMatrix, is_general_position
+from argmaxable.oracle import EnumerationMethod, enumerate_regions_sampled
+from reference_impls import (
+    reference_planar_regions,
+    reference_sampled_enumeration,
+    region_count_formula,
 )
-from reference_impls import reference_sampled_enumeration, region_count_formula
 
 _CHUNK = 1 << 15
 
 
-class TestExactWalk2D:
+def _planar(w, **kwargs):
+    """A planar layer's sampled regions, which must be complete after the
+    first circle's n probes: one circle is the whole plane."""
+    regions = enumerate_regions_sampled(w, **kwargs)
+    assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
+    assert regions.samples_used == w.n
+    return regions
+
+
+class TestPlanarLayers:
     def test_random_three_rows_give_six_regions(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             w = WeightMatrix(rng.standard_normal((3, 2)))
-            regions = enumerate_regions_2d(w)
+            regions = _planar(w)
             assert len(regions.members) == 6
-            assert regions.method is EnumerationMethod.EXACT_2D
+            assert regions.members == frozenset(
+                LabelAssignment(y) for y in reference_planar_regions(w.entries)
+            )
 
     def test_increasing_node_rows_give_low_alternation_vectors(self):
         t = np.array([0.0, 1.0, 2.0, 3.0])
         w = WeightMatrix(np.stack([np.ones(4), t], axis=1))
-        regions = enumerate_regions_2d(w)
+        regions = _planar(w)
         expected = set(enumerate_family(FamilySpec(4, 1, FamilyKind.ALTERNATING)))
         assert regions.members == frozenset(expected)
         assert all(alt(y) <= 1 for y in regions.members)
 
     def test_identity_gives_quadrants(self):
-        regions = enumerate_regions_2d(WeightMatrix(np.eye(2)))
+        regions = _planar(WeightMatrix(np.eye(2)))
         got = {y.to_dense().replace("−", "-") for y in regions.members}
         assert got == {"++", "+-", "-+", "--"}
 
     def test_single_row_gives_two_halves(self):
-        regions = enumerate_regions_2d(WeightMatrix(np.array([[1.0, 2.0]])))
-        assert len(regions.members) == 2
+        regions = _planar(WeightMatrix(np.array([[1.0, 2.0]])))
+        got = {y.to_dense().replace("−", "-") for y in regions.members}
+        assert got == {"+", "-"}
 
     def test_antipodal_closure(self):
         rng = np.random.default_rng(32)
         w = WeightMatrix(rng.standard_normal((5, 2)))
-        regions = enumerate_regions_2d(w)
+        regions = _planar(w)
+        assert len(regions.members) == 10
         for y in regions.members:
             assert y.flip() in regions.members
 
-    def test_collinear_rows_refuse(self):
-        w = WeightMatrix(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(DegeneracyError):
-            enumerate_regions_2d(w)
-        anti = WeightMatrix(np.array([[1.0, 1.0], [-3.0, -3.0], [0.0, 1.0]]))
-        with pytest.raises(DegeneracyError):
-            enumerate_regions_2d(anti)
-
-    def test_only_a_boundary_midpoint_becomes_degeneracy(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise RuntimeError("sign bug")
-
-        monkeypatch.setattr(oracle, "sign_vector", broken)
-        w = WeightMatrix(np.random.default_rng(38).standard_normal((3, 2)))
-        with pytest.raises(RuntimeError, match="sign bug"):
-            enumerate_regions_2d(w)
-
-        def on_boundary(*args, **kwargs):
-            raise BoundaryError((1,))
-
-        monkeypatch.setattr(oracle, "sign_vector", on_boundary)
-        with pytest.raises(DegeneracyError):
-            enumerate_regions_2d(w)
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_regions_2d(WeightMatrix(np.eye(3)))
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            ([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], {"+++", "++-", "--+", "---"}),
+            ([[1.0, 1.0], [-3.0, -3.0], [0.0, 1.0]], {"+-+", "+--", "-++", "-+-"}),
+        ],
+        ids=["collinear", "antiparallel"],
+    )
+    def test_parallel_rows_stay_partial_with_their_four_regions(
+        self, entries, expected
+    ):
+        # Two rows on one line cut the plane as one, so the layer has 4
+        # regions, below cover_count(3, 2) = 6: no budget certifies it.
+        regions = enumerate_regions_sampled(
+            WeightMatrix(np.array(entries)), budget=10**5
+        )
+        assert regions.method is EnumerationMethod.SAMPLED_PARTIAL
+        assert regions.samples_used == 10**5
+        got = {y.to_dense().replace("−", "-") for y in regions.members}
+        assert got == expected
 
 
 class TestSampledEnumeration:
@@ -121,17 +127,16 @@ class TestSampledEnumeration:
         for y in regions.members:
             assert y.flip() in regions.members
 
-    def test_agrees_with_the_exact_walk_in_two_columns(self):
+    def test_agrees_with_the_boundary_walk_in_two_columns(self):
         # At d = 2 one great circle is the whole plane: its first half-turn
-        # finds every region, so the first chunk completes.
+        # finds every region, so the first chunk, one circle, completes.
         rng = np.random.default_rng(35)
         for _ in range(5):
             w = WeightMatrix(rng.standard_normal((5, 2)))
-            exact = enumerate_regions_2d(w)
-            sampled = enumerate_regions_sampled(w, budget=10**6, seed=2)
-            assert sampled.method is EnumerationMethod.SAMPLED_COMPLETE
-            assert sampled.members == exact.members
-            assert sampled.samples_used == _CHUNK
+            sampled = _planar(w, budget=10**6, seed=2)
+            assert {tuple(y.signs) for y in sampled.members} == (
+                reference_planar_regions(w.entries)
+            )
 
     def test_minor_sign_uniformity_bounds_alternations(self):
         # All-positive minors force every achievable vector below d
@@ -203,25 +208,25 @@ class TestSampledEnumeration:
         w = build_dft_matrix(10, 2)
         regions = enumerate_regions_sampled(w, seed=2)
         assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
-        assert regions.samples_used == 163840
+        assert regions.samples_used == 163850
         assert regions.boundary_skips == 0
         used, skips, _ = reference_sampled_enumeration(
             w.entries, 10**7, 2, 1e-12, 512
         )
-        assert (used, skips) == (163840, 0)
+        assert (used, skips) == (163850, 0)
         expected = set(enumerate_family(FamilySpec(10, 4, FamilyKind.ALTERNATING)))
         assert len(expected) == 512
         assert regions.members == frozenset(expected)
 
-    def test_byte_codes_beyond_62_rows_match_the_exact_walk(self):
+    def test_byte_codes_beyond_62_rows_match_the_boundary_walk(self):
         # n > 62 does not fit an int64 code and takes the packbits path.
         rng = np.random.default_rng(40)
         angles = np.pi * (np.arange(70) + 0.5 * rng.random(70)) / 70
         w = WeightMatrix(np.stack([np.cos(angles), np.sin(angles)], axis=1))
-        sampled = enumerate_regions_sampled(w, budget=10**6, seed=6)
-        assert sampled.method is EnumerationMethod.SAMPLED_COMPLETE
-        assert sampled.members == enumerate_regions_2d(w).members
-        assert sampled.samples_used == _CHUNK
+        sampled = _planar(w, budget=10**6, seed=6)
+        assert {tuple(y.signs) for y in sampled.members} == (
+            reference_planar_regions(w.entries)
+        )
 
     def test_spectral_twelve_by_five_is_complete_at_the_default_budget(self):
         # Uniform point probes stopped at 1,108 of its 1,124 regions here.
@@ -343,12 +348,16 @@ class TestSampledMatchesTheNormalisedLoop:
         )
         assert regions.method is EnumerationMethod.SAMPLED_COMPLETE
 
-    # The last chunk draws whole circles and is cut to the budget; budgets
-    # on either side of a chunk edge, and ones that are no multiple of the
-    # n probes per circle, pin that no probe past the cut is counted.
+    # The first chunk is one circle and every chunk draws whole circles,
+    # the last cut to the budget; budgets on either side of a chunk edge,
+    # and ones that are no multiple of the n probes per circle, pin that
+    # no probe past the cut is counted.  A budget is given as (chunks,
+    # offset): the probes of that many whole chunks, plus the offset.
     @pytest.mark.parametrize(
-        "budget", [1, 17, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 1],
-        ids=["one", "seventeen", "chunk", "chunk-plus-1", "three-chunks-minus-1"],
+        "chunks, offset",
+        [(0, 1), (0, 17), (1, 0), (1, 1), (2, 0), (2, 1), (3, -1)],
+        ids=["one", "seventeen", "circle", "circle-plus-1", "two-chunks",
+             "two-chunks-plus-1", "three-chunks-minus-1"],
     )
     @pytest.mark.parametrize(
         "entries",
@@ -356,7 +365,10 @@ class TestSampledMatchesTheNormalisedLoop:
          _with_duplicated_rows(2, 58), _with_duplicated_rows(6, 59)],
         ids=["duplicated-rows", "n-70", "d-2", "d-6"],
     )
-    def test_budgets_at_chunk_edges(self, monkeypatch, entries, budget):
+    def test_budgets_at_chunk_edges(self, monkeypatch, entries, chunks, offset):
+        n = entries.shape[0]
+        later = min(oracle._SAMPLE_CHUNK, oracle._CHUNK_LOGITS // n)
+        budget = (n + (chunks - 1) * later if chunks else 0) + offset
         regions = self._assert_matches(monkeypatch, entries, budget, 12, 1e-3)
         assert regions.samples_used == budget
 

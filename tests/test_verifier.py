@@ -22,11 +22,7 @@ from argmaxable.labelspace import (
 )
 from argmaxable import verifier
 from argmaxable.linalg import WeightMatrix, sign_vector
-from argmaxable.oracle import (
-    EnumerationMethod,
-    enumerate_regions_2d,
-    enumerate_regions_sampled,
-)
+from argmaxable.oracle import EnumerationMethod, enumerate_regions_sampled
 from argmaxable.verifier import (
     BatchSummary,
     LpConfig,
@@ -367,7 +363,7 @@ class TestAgainstEnumeration:
             (gaussian, enumerate_regions_sampled(gaussian, seed=8)),
             (spectral, enumerate_regions_sampled(spectral, seed=9)),
             (single, enumerate_regions_sampled(single)),
-            (planar, enumerate_regions_2d(planar)),
+            (planar, enumerate_regions_sampled(planar)),
         ]
         for w, regions in cases:
             assert regions.method is not EnumerationMethod.SAMPLED_PARTIAL
