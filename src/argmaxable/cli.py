@@ -39,6 +39,7 @@ from .labelspace import (
     FamilyKind,
     FamilySpec,
     cover_count,
+    dense_strings,
 )
 from .linalg import (
     DEFAULT_MINOR_BUDGET,
@@ -465,7 +466,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     w = parse_matrix(args.matrix)
     regions = enumerate_regions_sampled(w, budget=args.budget, seed=args.seed)
-    members = sorted(y.to_dense() for y in regions.members)
+    # The codes ascend in the dense strings' order, so no sort is needed.
+    members = [y for bits in regions.bit_blocks() for y in dense_strings(bits)]
     payload = {
         "n": regions.n,
         "d": regions.d,

@@ -54,6 +54,15 @@ def dense_signs(text: str) -> np.ndarray:
     return (codes == ord(PLUS_CHAR)).astype(np.int8) - minus
 
 
+def dense_strings(minus: np.ndarray) -> list[str]:
+    """The dense strings of the rows of a (rows, n) 0/1 array, 1 for a minus.
+
+    Each row becomes n UTF-32 code points, which numpy reads back as one
+    fixed-width string."""
+    points = np.where(minus, np.uint32(ord(MINUS_CHAR)), np.uint32(ord(PLUS_CHAR)))
+    return points.view(np.dtype((np.str_, minus.shape[1]))).ravel().tolist()
+
+
 class EnumerationBudgetError(ValueError):
     """Raised when a family is too large to stream under the given budget."""
 
@@ -108,7 +117,7 @@ class LabelAssignment:
         return cls(signs)
 
     def to_dense(self) -> str:
-        return "".join(PLUS_CHAR if s > 0 else MINUS_CHAR for s in self.signs)
+        return dense_strings(self.signs[None, :] < 0)[0]
 
     def flip(self) -> "LabelAssignment":
         """The antipodal assignment -y."""

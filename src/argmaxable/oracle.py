@@ -25,14 +25,11 @@ radius r with probability of order r^(d-1), but a uniform great circle
 meets it with probability of order r^(d-2) (the spherical Crofton
 formula; Santalo, Integral Geometry and Geometric Probability, 1976),
 so the smallest regions, which set the run time, are reached far
-sooner.  At d = 2 one circle is the whole plane: its n probes and
-their antipodes are all 2n regions.  At d = 1 there is no second
-direction: each draw is one probe, +-1.
-
-The first chunk is one circle (one probe at d = 1), so a planar layer
-in general position is complete after its n probes.  Later chunks hold
-2^15 probes, fewer where that would pass about 2^20 logits, but never
-less than one circle.
+sooner.  At d = 1 there is no second direction: each draw is one
+probe, +-1.  At d = 2 one circle is the whole plane: its n probes and
+their antipodes are all 2n regions, so the first chunk is one circle
+(one probe at d = 1).  Later chunks hold 2^15 probes, fewer where that
+would pass about 2^20 logits, but never less than one circle.
 
 Soundness does not rest on the walk.  Each probe is divided by its
 own computed length, and its logits are cos t a + sin t b, which is
@@ -50,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet
+from typing import FrozenSet, Iterator
 
 import numpy as np
 
@@ -81,10 +78,13 @@ class EnumerationMethod(Enum):
     SAMPLED_PARTIAL = "sampled-partial"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionSet:
     """A set of achievable sign vectors with its provenance.
 
+    ``codes`` holds each member's ``np.packbits`` row, bit 1 for a minus
+    sign, zero-padded to 8 bytes up to 64 labels.  The rows ascend as
+    byte strings, the order of the dense strings ('+' before '−').
     ``method`` says whether the set is complete: sampling that hit the
     region-count certificate is; a partial set is still sound (every
     member was witnessed by a concrete x) but may miss regions.
@@ -95,16 +95,23 @@ class RegionSet:
 
     n: int
     d: int
-    members: FrozenSet[LabelAssignment]
+    codes: np.ndarray
     method: EnumerationMethod
     samples_used: int = 0
     boundary_skips: int = 0
 
+    def bit_blocks(self) -> Iterator[np.ndarray]:
+        """The members in order, as (rows, n) 0/1 blocks of about
+        ``_CHUNK_LOGITS`` labels, 1 for a minus sign."""
+        step = max(1, _CHUNK_LOGITS // self.n)
+        for start in range(0, len(self.codes), step):
+            yield np.unpackbits(self.codes[start : start + step], axis=1, count=self.n)
 
-def _assignments(bits: np.ndarray) -> list[LabelAssignment]:
-    """One assignment per row of a (rows, n) 0/1 array: bit 1 is +1."""
-    signs = np.where(bits, np.int8(1), np.int8(-1))
-    return [LabelAssignment(row) for row in signs]
+    @property
+    def members(self) -> FrozenSet[LabelAssignment]:
+        """The members as assignments, decoded from ``codes`` on each read."""
+        signs = (np.where(b, np.int8(-1), np.int8(1)) for b in self.bit_blocks())
+        return frozenset(LabelAssignment(row) for block in signs for row in block)
 
 
 def _dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -191,27 +198,23 @@ def enumerate_regions_sampled(
     tau_sign = DEFAULT_TAU_SIGN
     target = cover_count(n, d)
     rng = np.random.default_rng(seed)
-    use_int_codes = n <= 62
-    # XOR with the n-bit mask gives the antipode's code; the packbits
-    # padding bits stay zero.
-    full_mask = (
-        np.int64((1 << n) - 1)
-        if use_int_codes
-        else np.packbits(np.ones(n, dtype=bool))
-    )
+    # A code is the packbits row of a probe's signs, bit 1 for a minus,
+    # or up to 64 labels that row read as a big-endian uint64.  XOR with
+    # the n-bit mask gives the antipode's code.
+    use_int_codes = n <= 64
+    if use_int_codes:
+        full_mask = np.uint64(((1 << n) - 1) << (64 - n))
+        bit_weights = np.uint64(1) << np.arange(63, 63 - n, -1, dtype=np.uint64)
+    else:
+        full_mask = np.packbits(np.ones(n, dtype=bool))
     seen: set = set()
     used = 0
     skips = 0
     transpose = np.ascontiguousarray(w.entries.T)
-    bit_weights = (
-        np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
-        if use_int_codes
-        else None
-    )
     per_circle = n if d > 1 else 1
     chunk_size = max(per_circle, min(_SAMPLE_CHUNK, _CHUNK_LOGITS // n))
     # Every chunk's logits go into one buffer, which later takes the
-    # chunk's signs as int64, so a chunk holds one array of its size.
+    # chunk's signs as uint64, so a chunk holds one array of its size.
     # Freeing the logits per chunk instead measured slower.  The buffer
     # holds whole circles, so the last circle's probes past the cut fit.
     circles = -(-min(budget, chunk_size) // per_circle)
@@ -220,7 +223,7 @@ def enumerate_regions_sampled(
         chunk = min(chunk_size if used else per_circle, budget - used)
         logits = _walk_logits(rng, transpose, chunk, buffer)
         used += chunk
-        positive = logits > 0.0
+        minus = logits <= 0.0
         # The signs are read, so |logits| can overwrite them.  np.min
         # passes a nan logit on, so its chunk takes the mask, which skips
         # it.
@@ -228,18 +231,17 @@ def enumerate_regions_sampled(
         if not logits.min() >= tau_sign:
             clean = (logits >= tau_sign).all(axis=1)
             skips += int(chunk - np.count_nonzero(clean))
-            positive = positive[clean]
+            minus = minus[clean]
         # Most probes of a chunk repeat a region, so dedupe in numpy
-        # before anything reaches the Python set.  The codes are sorted
-        # in place and each is kept where it differs from its left
-        # neighbour: np.unique gives the same output, but on numpy >=
-        # 2.3 it hashes int64 codes, several times slower per chunk.
+        # before the Python set: sort in place and keep each code that
+        # differs from its left neighbour (np.unique, on numpy >= 2.3,
+        # hashes integer codes, several times slower per chunk).
         if use_int_codes:
-            # The product is read, so its memory takes the signs as int64.
-            signs = logits.view(np.int64)[: len(positive)]
-            np.copyto(signs, positive)
+            # The product is read, so its memory takes the signs as uint64.
+            signs = logits.view(np.uint64)[: len(minus)]
+            np.copyto(signs, minus)
             # Dropped now, so the next chunk's walk does not hold it too.
-            del positive
+            del minus
             codes = signs @ bit_weights
             codes.sort()
             first = np.ones(codes.size, dtype=bool)
@@ -248,28 +250,26 @@ def enumerate_regions_sampled(
             seen.update(codes.tolist())
             seen.update((codes ^ full_mask).tolist())
         else:
-            codes = np.unique(np.packbits(positive, axis=1), axis=0)
+            codes = np.unique(np.packbits(minus, axis=1), axis=0)
             seen.update(row.tobytes() for row in codes)
             seen.update(row.tobytes() for row in codes ^ full_mask)
         if len(seen) >= target:
             break
-    # Both codes unpack to one byte per label: an int64 code's bit i,
-    # label i, is bit i % 8 of its little-endian byte i // 8.
     if use_int_codes:
-        codes = np.fromiter(seen, dtype="<i8", count=len(seen))
-        rows, order = codes.view(np.uint8).reshape(len(seen), 8), "little"
+        codes = np.sort(np.fromiter(seen, dtype=np.uint64, count=len(seen)))
+        codes = codes.astype(">u8").view(np.uint8).reshape(-1, 8)
     else:
-        blobs = np.frombuffer(b"".join(seen), dtype=np.uint8)
-        rows, order = blobs.reshape(len(seen), (n + 7) // 8), "big"
-    bits = np.unpackbits(rows, axis=1, count=n, bitorder=order)
-    members = frozenset(_assignments(bits))
+        # Byte rows sort as memcmp compares them, label 1 first.
+        codes = np.frombuffer(bytearray().join(seen), dtype=np.uint8)
+        codes = codes.reshape(-1, full_mask.size)
+        codes.view(f"V{full_mask.size}").ravel().sort()
     return RegionSet(
         n=n,
         d=d,
-        members=members,
+        codes=codes,
         method=(
             EnumerationMethod.SAMPLED_COMPLETE
-            if len(members) == target
+            if len(codes) == target
             else EnumerationMethod.SAMPLED_PARTIAL
         ),
         samples_used=used,

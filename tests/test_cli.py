@@ -14,7 +14,8 @@ import pytest
 from argmaxable import cli
 from argmaxable.cli import ExitCode, build_parser, run
 from argmaxable.labelspace import cover_count
-from argmaxable.reportio import validate_report
+from argmaxable.oracle import enumerate_regions_sampled
+from argmaxable.reportio import parse_matrix, validate_report
 from argmaxable.verifier import DEFAULT_PERCENTILES, LpConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -303,6 +304,26 @@ class TestEnumerate:
         # Low-alternation vectors are in, rapidly alternating ones out.
         assert "++++++" in obj["payload"]["members"]
         assert "+−+−+−" not in obj["payload"]["members"]
+
+    @pytest.mark.parametrize(
+        "shape", [(12, 3), (64, 2), (65, 2), (70, 3), (40, 1)],
+        ids=["int-codes-12x3", "int-codes-64x2", "byte-codes-65x2",
+             "byte-codes-70x3", "d-1"],
+    )
+    def test_members_are_the_sorted_dense_strings(self, shape, tmp_path, capsys):
+        # The report renders its members from the packed codes, in their
+        # order; that must be the sorted dense strings of the members.
+        matrix = tmp_path / "w.csv"
+        entries = np.random.default_rng(shape[0]).standard_normal(shape)
+        matrix.write_text("\n".join(",".join(map(repr, row)) for row in entries.tolist()))
+        argv = ["enumerate", "--matrix", str(matrix), "--budget", "3000", "--seed", "4"]
+        assert run([*argv, "--deterministic", "--out", "-"]) == ExitCode.OK
+        payload = _report_from(capsys)["payload"]
+        regions = enumerate_regions_sampled(parse_matrix(matrix), budget=3000, seed=4)
+        expected = sorted(y.to_dense() for y in regions.members)
+        assert payload["members"] == expected
+        assert payload["count"] == len(expected) >= 2
+        assert {len(y) for y in expected} == {shape[0]}
 
     @pytest.mark.parametrize("method", ["auto", "sampled"])
     def test_two_columns_complete_after_one_circle(self, method, tmp_path, capsys):

@@ -65,6 +65,12 @@ class TestLabelAssignment:
             got = str(exc)
         assert got == reference_from_dense(text)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=80))
+    def test_to_dense_matches_the_per_character_join(self, signs):
+        y = LabelAssignment(np.array(signs))
+        assert y.to_dense() == "".join("+" if s > 0 else "−" for s in signs)
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             LabelAssignment.from_dense("+0-")

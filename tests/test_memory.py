@@ -183,15 +183,14 @@ print(json.dumps([w.n, len(regions.members), peak, max(chunks)]))
 @pytest.mark.parametrize(
     "shape", [(300, 3), (60, 6)], ids=["byte-codes-300x3", "int-codes-60x6"]
 )
-def test_sampler_decodes_its_members_in_int8(shape):
+def test_sampler_holds_its_members_packed(shape):
     # 20,000 probes find ~29,000 members of the 300 x 3 layer and ~39,000
-    # of the 60 x 6 one.  While they are decoded the sampler holds one
-    # chunk's logits, rounded up to whole circles, and per member its
-    # bits, its signs and the assignment's own copy, one byte per label
-    # each, and its objects (array header, dataclass, set entries, code)
-    # in under 512 bytes.  Signs built in int64 first hold 8 bytes per
-    # label more next to the bits, which alone passes the walk's own
-    # bound, and break this one.
+    # of the 60 x 6 one.  The sampler holds one chunk's logits, rounded up
+    # to whole circles, and per member its packed code twice (the set's
+    # bytes or int, then the sorted rows) and under 256 bytes of objects
+    # (the set's entry and the object's header).  Members decoded to one
+    # byte per label break the bound at 300 labels, and a frozenset of
+    # assignments at both shapes.
     done = subprocess.run(
         [sys.executable, "-c", DECODE, *map(str, shape)],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -201,5 +200,6 @@ def test_sampler_decodes_its_members_in_int8(shape):
     )
     assert done.returncode == 0, done.stderr
     n, members, peak, chunk = json.loads(done.stdout.strip().splitlines()[-1])
-    assert peak <= (chunk + n) * n * 8 + members * (3 * n + 512), (peak, members)
+    code = 8 if n <= 64 else (n + 7) // 8
+    assert peak <= (chunk + n) * n * 8 + members * (2 * code + 256), (peak, members)
     assert 8 * members * n > 2 * chunk * n * 8

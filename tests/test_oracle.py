@@ -289,6 +289,9 @@ class TestSampledMatchesTheNormalisedLoop:
         assert regions.samples_used == used
         assert regions.boundary_skips == skips
         assert {tuple(int(v) for v in y.signs) for y in regions.members} == members
+        # The packed rows ascend strictly as byte strings.
+        rows = [row.tobytes() for row in regions.codes]
+        assert rows == sorted(set(rows))
         return regions
 
     @pytest.mark.parametrize(
@@ -316,6 +319,12 @@ class TestSampledMatchesTheNormalisedLoop:
             (_random((5, 2), 58), 1e-12),
             (_random((70, 3), 56), 1e-12),
             (_random((70, 3), 56), 1e-3),
+            # Up to 64 labels a code is a uint64; past that, packbits rows.
+            (_random((62, 3), 62), 1e-12),
+            (_random((63, 3), 63), 1e-12),
+            (_random((64, 3), 64), 1e-12),
+            (_random((65, 3), 65), 1e-12),
+            (_random((64, 1), 66), 1e-12),
             (_random((9, 6), 59), 1e-3),
             # Row norms near 2^450 and 2^-450.  The small layer's logits
             # are all below 1e-12, so it is judged at tau_sign 0; the
@@ -326,7 +335,8 @@ class TestSampledMatchesTheNormalisedLoop:
             (_random((8, 3), 61) * 2.0**450, 1e-12),
         ],
         ids=["tau-0", "tiny-row", "duplicated-rows", "d-1", "d-2",
-             "n-70", "n-70-tau-1e-3", "d-6", "d-2-times-2^450",
+             "n-70", "n-70-tau-1e-3", "n-62", "n-63", "n-64", "n-65",
+             "n-64-d-1", "d-6", "d-2-times-2^450",
              "d-2-times-2^-450", "scan-refused-times-2^450"],
     )
     def test_edge_inputs(self, monkeypatch, entries, tau_sign):
