@@ -325,11 +325,18 @@ def _timestamp(args: argparse.Namespace) -> Optional[str]:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+# A report file is written in slices of this many characters, so that a
+# large report is not held as a str and as its encoded bytes at once.
+_EMIT_SLICE = 1 << 20
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            for start in range(0, len(text), _EMIT_SLICE):
+                f.write(text[start : start + _EMIT_SLICE])
 
 
 # Parsed attributes that route a run and its output; every other one is config.

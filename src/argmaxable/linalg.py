@@ -23,13 +23,16 @@ computes every minor by Laplace expansion along the columns
 (``_laplace_blocks``): level j holds det W[S, :j] for every j-subset S,
 as one float64 array indexed by colex rank, and level d streams in
 blocks of at most ``_MINOR_CHUNK`` minors cut from one colex table per
-subset size.  Each minor comes with an a priori bound on its rounding
-error; a minor whose bracket lies wholly above the threshold is decided
-by it, and LAPACK's determinant decides every other minor against the
-threshold and gives ``min_abs_minor``, as a LAPACK-only scan does.  A layer with 2d > n + 1 skips the recursion,
-whose lower levels would outnumber its minors, and LAPACK decides every
-minor.  The scan holds two levels of at most C(n, d) floats, d + 1
-tables of at most ``_MINOR_CHUNK`` rows and the block in hand.
+subset size.  A block carries its minors, a bound on each one's rounding
+error and the product of its rows' norms, multiplied in row order as
+``np.prod`` does.  A minor whose bracket lies wholly above the threshold
+is decided by it; LAPACK's determinant decides every other minor and
+gives ``min_abs_minor``, as a LAPACK-only scan does, and only those
+minors' row index sets are built.  A layer with 2d > n + 1 skips the
+recursion, whose lower levels would outnumber its minors, and LAPACK
+decides every minor.  The scan holds two levels of at most C(n, d)
+floats, d + 1 tables of at most ``_MINOR_CHUNK`` rows and the block in
+hand.
 
 Row index sets are reported 0-based; human-facing label/row numbers
 elsewhere are 1-based, and BoundaryError follows the 1-based convention
@@ -41,8 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, combinations
-from typing import Iterator, Optional
+from functools import partial
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -195,22 +198,23 @@ def _colex_head(m: int, size: int, chunk: int) -> int:
     return head
 
 
-def _colex_table(m: int, size: int, chunk: int) -> np.ndarray:
-    """The size-subsets of range(h) in colex order, as an intp table of
-    C(h, size) <= chunk rows, with h = ``_colex_head(m, size, chunk)``.
-    Colex order lists the subsets of range(h) first among those of any
-    larger range, so the first C(h', size) rows are the size-subsets of
-    range(h') for every h' <= h, and row r has colex rank r."""
-    head = _colex_head(m, size, chunk)
-    rows = math.comb(head, size)
-    # Lex order over the descending range, reversed on both axes, is
-    # colex order over the ascending one.
-    flat = np.fromiter(
-        chain.from_iterable(combinations(range(head - 1, -1, -1), size)),
-        dtype=np.intp,
-        count=rows * size,
-    )
-    return np.ascontiguousarray(flat.reshape(rows, size)[::-1, ::-1])
+def _colex_tables(ms: Sequence[int], chunk: int) -> Iterator[np.ndarray]:
+    """The colex tables of size = 0, 1, ..., len(ms) - 1, each m at most one
+    above the one before.  Table size lists the size-subsets of range(h),
+    h = ``_colex_head(ms[size], size, chunk)``, in colex order: C(h, size)
+    <= chunk intp rows, row r of colex rank r.  Colex order lists the
+    subsets of range(h') first for every h' <= h, so those whose largest
+    element is top are the first C(top, size - 1) rows of the table
+    before, followed by top."""
+    table = np.empty((1, 0), dtype=np.intp)
+    yield table
+    for size, m in enumerate(ms[1:], 1):
+        head = _colex_head(m, size, chunk)
+        counts = [math.comb(top, size - 1) for top in range(size - 1, head)]
+        below, table = table, np.empty((sum(counts), size), dtype=np.intp)
+        table[:, :-1] = np.concatenate([below[:rows] for rows in counts])
+        table[:, -1] = np.repeat(np.arange(size - 1, head), counts)
+        yield table
 
 
 def _colex_parts(
@@ -238,7 +242,7 @@ def _colex_blocks(n: int, d: int, chunk: int) -> Iterator[np.ndarray]:
     builds up front, so a scan holds d + 1 tables of at most ``chunk``
     rows plus the block it yields."""
     # A part of size s splits from at most n - (d - s) elements.
-    tables = [_colex_table(n - d + size, size, chunk) for size in range(d + 1)]
+    tables = list(_colex_tables(range(n - d, n + 1), chunk))
     for size, rows, suffix in _colex_parts(n, d, chunk):
         block = np.empty((rows, d), dtype=np.intp)
         block[:, :size] = tables[size][:rows]
@@ -251,11 +255,11 @@ def _gamma(k: int) -> float:
     return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
-def _minor_blocks(
-    w: WeightMatrix, budget: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-    """Validate the scan, then stream (index block, minors, bounds) triples
-    in colex order.
+def _minor_blocks(w: WeightMatrix, budget: int) -> Iterator[tuple]:
+    """Validate the scan, then stream (sets, minors, bounds, scales) blocks
+    in colex order: ``sets(positions)`` gives those minors' row index sets
+    as a (k, d) intp array, and ``scales`` each minor's product of row
+    2-norms, equal to ``np.prod(w.row_norms[sets], axis=1)`` bit for bit.
 
     The checks run eagerly so a refusal comes before any work; the blocks
     are produced lazily.  When 2d <= n + 1 the minors come from
@@ -285,22 +289,24 @@ def _minor_blocks(
     if 2 * d <= n + 1:
         return _laplace_blocks(w, _MINOR_CHUNK, largest)
     return (
-        (idx, np.linalg.det(w.entries.take(idx, axis=0)), None)
+        (idx.__getitem__, np.linalg.det(w.entries.take(idx, axis=0)), None,
+         np.prod(w.row_norms[idx], axis=1))
         for idx in _colex_blocks(n, d, _MINOR_CHUNK)
     )
 
 
 def _table_steps(
-    n: int, p: int, chunk: int, l1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the colex table of p-subsets, ``_colex_table(n, p, chunk)``: the
-    product of each row's 1-norms, and two (p, rows) arrays, where element
-    t of each row reads its entry from a column followed by its negation
-    (odd t read the negated copy: the sign (-1)^t), and the colex rank of
-    the row without element t."""
-    table = _colex_table(n, p, chunk)
+    n: int, table: np.ndarray, l1: np.ndarray, l2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For a colex table of p-subsets (``_colex_tables``): the products of
+    each row's 1-norms and of its 2-norms, and two (p, rows) arrays, where
+    element t of each row reads its entry from a column followed by its
+    negation (odd t read the negated copy: the sign (-1)^t), and the colex
+    rank of the row without element t."""
+    p = table.shape[1]
     with np.errstate(over="ignore"):
         l1_head = np.prod(l1[table], axis=1)
+    l2_head = np.prod(l2[table], axis=1)
     elements = np.array(table.T)
     head = int(table[-1, -1]) + 1 if p else 0
     comb = np.array([[math.comb(x, k) for x in range(head)] for k in range(p + 1)])
@@ -312,12 +318,21 @@ def _table_steps(
         rank[t] = rest - term
         rest -= term - comb[t].take(elements[t])
     elements[1::2] += n
-    return l1_head, elements, rank
+    return l1_head, l2_head, elements, rank
+
+
+def _part_sets(reads: np.ndarray, tail: tuple, n: int, pos: np.ndarray) -> np.ndarray:
+    """The index sets at rows ``pos`` of a part of ``_laplace_blocks``: the
+    table rows whose elements ``reads`` holds mod n, each followed by ``tail``."""
+    sets = np.empty((len(pos), len(reads) + len(tail)), dtype=np.intp)
+    sets[:, : len(reads)] = reads[:, pos].T % n
+    sets[:, len(reads) :] = tail
+    return sets
 
 
 def _laplace_blocks(
     w: WeightMatrix, chunk: int, largest: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple]:
     """Every maximal minor by Laplace expansion along the columns, with a
     bound on its error.
 
@@ -366,8 +381,10 @@ def _laplace_blocks(
     l1 = np.abs(entries).sum(axis=1)
     beta = _gamma(d * (d + 1) // 2 + 1)
     slop = math.ldexp(math.prod(map(float, range(2, d + 1)), start=4.0 * largest), -1074)
-    l1_tails = l1.tolist()
-    l1_heads, reads, ranks = zip(*(_table_steps(n, p, chunk, l1) for p in range(d + 1)))
+    l1_tails, l2_tails = l1.tolist(), w.row_norms.tolist()
+    tables = _colex_tables([n] * (d + 1), chunk)
+    steps = (_table_steps(n, table, l1, w.row_norms) for table in tables)
+    l1_heads, l2_heads, reads, ranks = zip(*steps)
     below = np.ones(1)
     for j in range(1, d + 1):
         col = entries[:, j - 1] if j % 2 else -entries[:, j - 1]
@@ -403,11 +420,10 @@ def _laplace_blocks(
                 level[start : start + rows] = values
                 start += rows
                 continue
-            block = np.empty((rows, d), dtype=np.intp)
-            block[:, :p] = reads[p][:, :rows].T
-            block[:, 1:p:2] -= n
-            block[:, p:] = tail
-            yield block, values, bounds
+            scales = l2_heads[p][:rows]
+            for c in tail:
+                scales = scales * l2_tails[c]
+            yield partial(_part_sets, reads[p], tail, n), values, bounds, scales
         below = level
 
 
@@ -479,12 +495,12 @@ def gr_plus_status(
     2e, can hold the smallest: those LAPACK decided, and any other with
     |v| - 2e at most the least |v| + 2e (or LAPACK |det|) seen so far.
     """
-    norms, entries = w.row_norms, w.entries
+    entries = w.entries
     min_abs = ceiling = math.inf
     checked = 0
     saw_pos = saw_neg = False
-    for idx, values, bounds in _minor_blocks(w, budget):
-        floor = tau_det * np.prod(norms[idx], axis=1)
+    for sets, values, bounds, scales in _minor_blocks(w, budget):
+        floor = tau_det * scales
         if bounds is None:  # LAPACK's determinants
             clear, dets = np.zeros(values.shape, dtype=bool), values
         else:
@@ -496,10 +512,10 @@ def gr_plus_status(
             dets = np.full(mags.shape, math.nan)
             open_ = np.flatnonzero(~clear)
             if open_.size:
-                dets[open_] = np.linalg.det(entries.take(idx[open_], axis=0))
+                dets[open_] = np.linalg.det(entries.take(sets(open_), axis=0))
         below = np.abs(dets) < floor
         degenerate = bool(below.any())
-        stop = int(np.argmax(below)) + 1 if degenerate else len(idx)
+        stop = int(np.argmax(below)) + 1 if degenerate else len(values)
         clear, dets, values = clear[:stop], dets[:stop], values[:stop]
         if bounds is not None:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -508,7 +524,7 @@ def gr_plus_status(
                 ceiling = float(np.fmin.reduce(reach, initial=ceiling))
                 near = np.flatnonzero(clear & (mags[:stop] - spread <= ceiling))
             if near.size:
-                dets[near] = np.linalg.det(entries.take(idx[near], axis=0))
+                dets[near] = np.linalg.det(entries.take(sets(near), axis=0))
         # fmin skips NaN: minors LAPACK did not compute.
         min_abs = float(np.fmin.reduce(np.abs(dets), initial=min_abs))
         checked += stop

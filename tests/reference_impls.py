@@ -6,8 +6,9 @@ at a time, sign-vector families by filtering all 2^n strings, ranked
 metrics by explicit sorting loops.  Two small numeric helpers that only
 the tests need (a guarded determinant and a seeded nudge off a
 hyperplane) live here too, and so do the sampled enumeration loop with
-each probe written out, normalised and tested on its own, and the
-boundary walk of a planar layer.  Two helpers are no reference:
+each probe written out, normalised and tested on its own, the boundary
+walk of a planar layer and the minor scan's colex tables, built from
+``itertools.combinations``.  Two helpers are no reference:
 ``minor_brackets`` and ``maximal_minors`` read the package's own minor
 scan, one minor at a time, for tests to judge.
 """
@@ -200,11 +201,27 @@ def minor_brackets(w):
     marks a value that is LAPACK's own determinant (a layer too wide for
     the recursion)."""
     out = []
-    for block, values, bounds in linalg._minor_blocks(w, linalg.DEFAULT_MINOR_BUDGET):
+    for sets, values, bounds, _ in linalg._minor_blocks(w, linalg.DEFAULT_MINOR_BUDGET):
         if bounds is None:
             bounds = np.zeros(len(values))
+        block = sets(np.arange(len(values)))
         out += zip(map(tuple, block.tolist()), values.tolist(), bounds.tolist())
     return out
+
+
+def colex_table(m: int, size: int, chunk: int) -> np.ndarray:
+    """The size-subsets of range(h) in colex order, as an intp table of at
+    most ``chunk`` rows, for the largest such h <= m (at least size): lex
+    order over the descending range, reversed on both axes."""
+    fits = [h for h in range(size, m + 1) if math.comb(h, size) <= chunk]
+    head = max(fits, default=size)
+    rows = math.comb(head, size)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(head - 1, -1, -1), size)),
+        dtype=np.intp,
+        count=rows * size,
+    )
+    return np.ascontiguousarray(flat.reshape(rows, size)[::-1, ::-1])
 
 
 def maximal_minors(w):

@@ -26,6 +26,7 @@ from argmaxable.linalg import (
 
 from reference_impls import (
     cofactor_det,
+    colex_table,
     determinant,
     maximal_minors,
     minor_brackets,
@@ -355,6 +356,62 @@ class TestScanMatchesReference:
             assert sets == colex
 
 
+class TestColexTables:
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 10**6])
+    @pytest.mark.parametrize("m", [0, 1, 4, 9, 13])
+    def test_tables_equal_the_itertools_reference(self, m, chunk):
+        # The scan asks for sizes 0..d over range(m) (the recursion) and
+        # over range(m - d + size) (the LAPACK path).  The grid holds size
+        # 0, size = m, and chunks below C(m, size), which cut a table to
+        # a prefix.
+        for d in range(m + 1):
+            for ms in ([m] * (d + 1), range(m - d, m + 1)):
+                tables = list(linalg._colex_tables(ms, chunk))
+                assert len(tables) == d + 1
+                for size, (table, m_size) in enumerate(zip(tables, ms)):
+                    expected = colex_table(m_size, size, chunk)
+                    assert table.dtype == np.intp and table.flags.c_contiguous
+                    assert table.shape == expected.shape and len(table) <= chunk
+                    assert table.tobytes() == expected.tobytes(), (ms, size)
+
+
+def _floor_layers():
+    """Layers whose row norms spread over 1e-30 to 1e30, the bench's DFT
+    layer and a wide layer, each with the chunks to scan it in."""
+    rng = np.random.default_rng(36)
+
+    def spread(n, d):
+        return rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-30, 30, (n, 1))
+
+    return {
+        "spread-9x3": (spread(9, 3), [1, 7, 2048]),
+        "spread-13x5": (spread(13, 5), [1, 7, 2048]),
+        "spread-16x8": (spread(16, 8), [5, 2048]),
+        "dft-20x9": (build_dft_matrix(20, 4).entries, [2048]),
+        "wide-14x12": (spread(14, 12), [1, 7, 2048]),
+    }
+
+
+class TestFloors:
+    @pytest.mark.parametrize("name", sorted(_floor_layers()))
+    def test_every_floor_is_the_product_of_norms_in_row_order(self, name, monkeypatch):
+        entries, chunks = _floor_layers()[name]
+        w = WeightMatrix(entries)
+        tau = linalg.DEFAULT_TAU_DET
+        for chunk in chunks:
+            monkeypatch.setattr(linalg, "_MINOR_CHUNK", chunk)
+            seen = 0
+            for sets, values, _, scales in linalg._minor_blocks(w, 10**6):
+                idx = sets(np.arange(len(values)))
+                floor = tau * np.prod(w.row_norms[idx], axis=1)
+                assert scales.dtype == np.float64 and scales.shape == values.shape
+                assert (tau * scales).tobytes() == floor.tobytes(), (chunk, seen)
+                some = np.arange(len(values))[::3]
+                assert sets(some).tolist() == idx[some].tolist()
+                seen += len(values)
+            assert seen == math.comb(*entries.shape)
+
+
 def _exact_layers():
     """Small layers whose every entry is a float, so a dyadic rational that
     Fraction holds exactly: integers, dyadic fractions, and Gaussian draws
@@ -405,7 +462,7 @@ class TestBrackets:
         norms = np.linalg.norm(entries, axis=1)
         assert norms.tolist() == np.round(norms).tolist()
         w = WeightMatrix(entries)
-        assert all(bound is not None for _, _, bound in linalg._minor_blocks(w, 10**6))
+        assert all(bound is not None for _, _, bound, _ in linalg._minor_blocks(w, 10**6))
         n, d = entries.shape
         real, seen = np.linalg.det, []
 
@@ -436,7 +493,7 @@ class TestRouting:
         # under the one minor of the square layer.
         entries = np.random.default_rng(34).standard_normal(shape)
         w = WeightMatrix(entries)
-        assert all(bound is None for _, _, bound in linalg._minor_blocks(w, 10**6))
+        assert all(bound is None for _, _, bound, _ in linalg._minor_blocks(w, 10**6))
         start = time.perf_counter()
         status = gr_plus_status(w)
         assert time.perf_counter() - start < 1.0
@@ -448,7 +505,7 @@ class TestRouting:
     @pytest.mark.parametrize("shape, laplace", [((7, 4), True), ((6, 4), False), ((1, 1), True)])
     def test_the_recursion_runs_when_2d_is_at_most_n_plus_1(self, shape, laplace):
         w = WeightMatrix(np.random.default_rng(35).standard_normal(shape))
-        bounds = [b for _, _, b in linalg._minor_blocks(w, 10**6)]
+        bounds = [b for _, _, b, _ in linalg._minor_blocks(w, 10**6)]
         assert all((b is not None) == laplace for b in bounds)
 
 
@@ -537,17 +594,19 @@ class TestScanThreads:
         def broken(*args, **kwargs):
             raise ZeroDivisionError("threshold bug")
 
+        w = build_dft_matrix(12, 2)
         before = set(threading.enumerate())
-        monkeypatch.setattr(np, "prod", broken)
-        with pytest.raises(ZeroDivisionError) as caught:
-            gr_plus_status(build_dft_matrix(12, 2))
+        # Only the threshold test, between blocks, calls flatnonzero.
+        monkeypatch.setattr(np, "flatnonzero", broken)
+        with pytest.raises(ZeroDivisionError, match="threshold") as caught:
+            gr_plus_status(w)
         assert caught.tb is not None
         assert set(threading.enumerate()) == before
 
     def test_a_suspended_scan_holds_no_thread(self, chunk):
         before = set(threading.enumerate())
         blocks = _dft_12x5_blocks()
-        assert next(blocks)[0][0].tolist() == [0, 1, 2, 3, 4]
+        assert next(blocks)[0]([0]).tolist() == [[0, 1, 2, 3, 4]]
         assert set(threading.enumerate()) == before
         blocks.close()
         assert set(threading.enumerate()) == before

@@ -5,8 +5,9 @@ A score file is records x labels floats, so every whole-matrix copy the
 pipeline makes is a multiple of the data.  These tests hold the parse to
 the array plus a fixed text budget and the whole ``metrics`` command to
 twice the array.  The minor scan is held to a few blocks, however many
-minors it checks, and the region sampler to a few chunks of logits,
-however many probes it examines.
+minors it checks, the region sampler to a few chunks of logits, however
+many probes it examines, and a report's file write to the text and one
+slice of it.
 """
 
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from argmaxable import reportio
+from argmaxable import cli, reportio
 from argmaxable.cli import run
 from argmaxable.reportio import parse_scores
 
@@ -84,6 +85,23 @@ def test_metrics_command_stays_under_twice_the_array(score_files, tmp_path):
     code, peak = _peak(lambda: run(argv))
     assert code == 0
     assert peak <= 2 * nbytes, (peak, nbytes)
+
+
+def test_emit_holds_the_text_and_one_slice(tmp_path):
+    # Written whole, a report is held as a str and as its encoded bytes at
+    # once, twice the text.  The text is made inside the measured call, so
+    # the bound is the text plus a few slices.
+    target = tmp_path / "report.json"
+    line, lines = "[0.5, 1e-3]\n", 2 * cli._EMIT_SLICE + 1234
+    _, peak = _peak(lambda: cli._emit(line * lines, str(target)))
+    size = len(line) * lines
+    assert peak <= size + 3 * cli._EMIT_SLICE, (peak, size)
+    assert target.read_bytes() == (line * lines).encode()
+    # A small report, one slice, with non-ASCII text and newlines, has the
+    # bytes a whole write gives.
+    small = '{"members": ["+\u2212+"]}\n' * 1000
+    cli._emit(small, str(target))
+    assert target.read_bytes() == small.encode("utf-8")
 
 
 MINOR_SCAN = r"""
