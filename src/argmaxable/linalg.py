@@ -23,16 +23,17 @@ computes every minor by Laplace expansion along the columns
 (``_laplace_blocks``): level j holds det W[S, :j] for every j-subset S,
 as one float64 array indexed by colex rank, and level d streams in
 blocks of at most ``_MINOR_CHUNK`` minors cut from one colex table per
-subset size.  A block carries its minors, a bound on each one's rounding
-error and the product of its rows' norms, multiplied in row order as
-``np.prod`` does.  A minor whose bracket lies wholly above the threshold
-is decided by it; LAPACK's determinant decides every other minor and
-gives ``min_abs_minor``, as a LAPACK-only scan does, and only those
-minors' row index sets are built.  A layer with 2d > n + 1 skips the
+subset size; each level gathers its column through each table once.  A
+block carries its minors, a bound on each one's rounding error and the
+product of its rows' norms, multiplied in row order as ``np.prod`` does.
+A minor whose bracket lies wholly above the threshold is decided by it;
+LAPACK's determinant decides every other minor and gives
+``min_abs_minor``, as a LAPACK-only scan does, and only those minors get
+an index row and a determinant.  A layer with 2d > n + 1 skips the
 recursion, whose lower levels would outnumber its minors, and LAPACK
 decides every minor.  The scan holds two levels of at most C(n, d)
-floats, d + 1 tables of at most ``_MINOR_CHUNK`` rows and the block in
-hand.
+floats, d + 1 tables of at most ``_MINOR_CHUNK`` rows with their reads
+and ranks, one level's gathers through those reads and the block in hand.
 
 Row index sets are reported 0-based; human-facing label/row numbers
 elsewhere are 1-based, and BoundaryError follows the 1-based convention
@@ -264,10 +265,12 @@ def _minor_blocks(w: WeightMatrix, budget: int) -> Iterator[tuple]:
     The checks run eagerly so a refusal comes before any work; the blocks
     are produced lazily.  When 2d <= n + 1 the minors come from
     ``_laplace_blocks``, and ``bounds`` holds for each one a bound on its
-    distance from the exact determinant.  A wider layer takes LAPACK's
-    determinant of every minor, and ``bounds`` is None: there the lower
-    levels of the recursion would outnumber the minors (a square 30 x 30
-    layer has one minor and 2^30 subsets below it).
+    distance from the exact determinant; the scan then holds two levels,
+    its tables' reads and ranks, and one level's gathers through the
+    reads, each of the three at most d(d+1)/2 ``_MINOR_CHUNK`` values.  A
+    wider layer takes LAPACK's determinant of every minor, and ``bounds``
+    is None: there the lower levels of the recursion would outnumber the
+    minors (a square 30 x 30 layer has one minor and 2^30 subsets below it).
     """
     n, d = w.n, w.d
     if n < d:
@@ -347,10 +350,12 @@ def _laplace_blocks(
     C(n, j-1) + C(n, j) floats, and 2d <= n + 1 keeps each at most C(n, d).
     Level d streams through the parts of ``_colex_parts``.  A part is the
     first rows of the table of p-subsets, each followed by one constant
-    tail.  Removing a table element gives the row's rank without it, which
-    is computed once per table, plus the tail's terms shifted down one
-    place; removing a tail element gives the row's own rank plus a scalar,
-    so those terms read a contiguous slice of the level below.
+    tail, and reads its entries from the rows of the level's one gather
+    of the column through that table.  Removing a table element gives the
+    row's rank without it, which is computed once per table, plus the
+    tail's terms shifted down one place, a window of the level below;
+    removing a tail element gives the row's own rank plus a scalar, so
+    those terms read a contiguous slice of it.
 
     The bound, with u = 2^-53 and gamma_k = k u / (1 - k u) (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Level 1 is
@@ -389,6 +394,8 @@ def _laplace_blocks(
     for j in range(1, d + 1):
         col = entries[:, j - 1] if j % 2 else -entries[:, j - 1]
         signed = np.concatenate((col, -col))
+        # One gather per table serves every part of the level.
+        gathered = [signed.take(table_reads) for table_reads in reads[: j + 1]]
         level = np.empty(math.comb(n, j)) if j < d else None
         start = 0
         for p, rows, tail in _colex_parts(n, j, chunk):
@@ -399,11 +406,10 @@ def _laplace_blocks(
             base = sum(moved)
             with np.errstate(over="ignore", invalid="ignore"):
                 if p:
-                    sub = ranks[p][:, :rows]
                     values = np.einsum(
                         "ij,ij->j",
-                        signed.take(reads[p][:, :rows]),
-                        below.take(sub + base if base else sub),
+                        gathered[p][:, :rows],
+                        below[base:].take(ranks[p][:, :rows]),
                     )
                 else:
                     values = np.zeros(1)
@@ -501,36 +507,39 @@ def gr_plus_status(
     saw_pos = saw_neg = False
     for sets, values, bounds, scales in _minor_blocks(w, budget):
         floor = tau_det * scales
-        if bounds is None:  # LAPACK's determinants
-            clear, dets = np.zeros(values.shape, dtype=bool), values
+        # LAPACK's determinants ``dets``, at positions ``at``.
+        if bounds is None:
+            at, dets = np.arange(len(values)), values
         else:
             mags = np.abs(values)
             with np.errstate(invalid="ignore"):
                 # Rounding is monotone: fl(|v| - e) > floor only if
                 # |v| - e > floor.
                 clear = (mags - bounds > floor) & (mags < math.inf)
-            dets = np.full(mags.shape, math.nan)
-            open_ = np.flatnonzero(~clear)
-            if open_.size:
-                dets[open_] = np.linalg.det(entries.take(sets(open_), axis=0))
-        below = np.abs(dets) < floor
+            at = np.flatnonzero(~clear)
+            dets = np.linalg.det(entries[sets(at)]) if at.size else np.empty(0)
+        below = np.abs(dets) < floor[at]
         degenerate = bool(below.any())
-        stop = int(np.argmax(below)) + 1 if degenerate else len(values)
-        clear, dets, values = clear[:stop], dets[:stop], values[:stop]
+        if degenerate:
+            decided = int(np.argmax(below)) + 1
+            at, dets = at[:decided], dets[:decided]
+        stop = int(at[-1]) + 1 if degenerate else len(values)
         if bounds is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 spread = 2.0 * bounds[:stop]
-                reach = np.where(clear, mags[:stop] + spread, np.abs(dets))
+                reach = mags[:stop] + spread
+                reach[at] = np.abs(dets)
                 ceiling = float(np.fmin.reduce(reach, initial=ceiling))
-                near = np.flatnonzero(clear & (mags[:stop] - spread <= ceiling))
+                near = np.flatnonzero(clear[:stop] & (mags[:stop] - spread <= ceiling))
             if near.size:
-                dets[near] = np.linalg.det(entries.take(sets(near), axis=0))
-        # fmin skips NaN: minors LAPACK did not compute.
+                nearby = np.linalg.det(entries[sets(near)])
+                min_abs = float(np.fmin.reduce(np.abs(nearby), initial=min_abs))
         min_abs = float(np.fmin.reduce(np.abs(dets), initial=min_abs))
         checked += stop
         if degenerate:
             return GrStatus(GrVerdict.DEGENERATE, min_abs, checked)
-        positive = np.where(clear, values > 0, dets > 0)
+        positive = values > 0
+        positive[at] = dets > 0
         saw_pos = saw_pos or bool(positive.any())
         saw_neg = saw_neg or not positive.all()
     if saw_pos and saw_neg:

@@ -508,6 +508,48 @@ class TestRouting:
         bounds = [b for _, _, b, _ in linalg._minor_blocks(w, 10**6)]
         assert all((b is not None) == laplace for b in bounds)
 
+    @pytest.mark.parametrize(
+        "layer, shift, decided",
+        [("dft-20x9", 0, 20), ("dft-20x9", 7, 20), ("gaussian-20x9", 0, 3)],
+    )
+    def test_lapack_decides_only_the_minors_the_bounds_leave(
+        self, layer, shift, decided, monkeypatch
+    ):
+        # Every other minor of the 167,960 is decided by its bracket and
+        # its value.  A verdict loop that sends whole blocks to LAPACK, or
+        # a dense fallback, raises the count.
+        if layer == "dft-20x9":
+            entries = np.roll(build_dft_matrix(20, 4).entries, shift, axis=0)
+        else:
+            entries = np.random.default_rng(42).standard_normal((20, 9))
+        real, sizes = np.linalg.det, []
+
+        def spy(stack):
+            sizes.append(len(stack))
+            return real(stack)
+
+        monkeypatch.setattr(np.linalg, "det", spy)
+        status = gr_plus_status(WeightMatrix(entries))
+        assert status.checked_minors == math.comb(20, 9)
+        assert sum(sizes) == decided, sizes
+
+
+class TestCyclicShifts:
+    @pytest.mark.parametrize("n, k", [(20, 4), (12, 2)])
+    def test_every_cyclic_shift_of_a_dft_layer_is_uniform_positive(self, n, k):
+        # Rolled by one, a set's rows are those of another set of the
+        # unrolled layer, in order, or, for a set holding row 0, with the
+        # last moved to the front: a d-cycle, even for odd d = 2k + 1.  So
+        # every shift keeps every maximal minor's sign, which the bench's
+        # geometry ground truth rests on.
+        entries = build_dft_matrix(n, k).entries
+        for shift in range(n):
+            w = WeightMatrix(np.roll(entries, shift, axis=0))
+            status = gr_plus_status(w)
+            assert status.verdict is GrVerdict.UNIFORM_POSITIVE, shift
+            assert status.checked_minors == math.comb(n, 2 * k + 1), shift
+            assert is_general_position(w), shift
+
 
 def _helper_layers():
     rng = np.random.default_rng(31)

@@ -11,6 +11,7 @@ slice of it.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,10 +106,14 @@ def test_emit_holds_the_text_and_one_slice(tmp_path):
 
 
 MINOR_SCAN = r"""
-import json, tracemalloc
+import json, sys, tracemalloc
 import numpy as np
 from argmaxable import linalg
-w = linalg.WeightMatrix(np.random.default_rng(28).standard_normal((400, 2)))
+from argmaxable.dftlayer import build_dft_matrix
+if sys.argv[1] == "spectral":
+    w = build_dft_matrix(20, 4)
+else:
+    w = linalg.WeightMatrix(np.random.default_rng(28).standard_normal((400, 2)))
 tracemalloc.start()
 status = linalg.gr_plus_status(w)
 peak = tracemalloc.get_traced_memory()[1]
@@ -116,23 +121,44 @@ print(json.dumps([status.checked_minors, peak, linalg._MINOR_CHUNK]))
 """
 
 
-def test_minor_scan_holds_a_few_blocks():
-    # 79,800 minors of a 400 x 2 layer in 337 blocks of as many distinct
-    # shapes: an index block kept per shape, or a buffer for every minor,
-    # breaks the bound.  A fresh interpreter keeps what earlier scans left
-    # in this process out of the count.
+def _scan_peak(layer):
+    """The minors a scan of ``layer`` checked, its peak and the chunk, from
+    a fresh interpreter, which keeps what earlier scans left in this
+    process out of the count."""
     done = subprocess.run(
-        [sys.executable, "-c", MINOR_SCAN],
+        [sys.executable, "-c", MINOR_SCAN, layer],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    checked, peak, chunk = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_minor_scan_holds_a_few_blocks():
+    # 79,800 minors of a 400 x 2 layer in 337 blocks of as many distinct
+    # shapes: an index block kept per shape, or a buffer for every minor,
+    # breaks the bound.
+    checked, peak, chunk = _scan_peak("gaussian-400x2")
     assert checked == 79_800
     d = 2
     assert peak <= 4 * chunk * d * (d + 1) * 8, peak
+
+
+def test_minor_scan_of_a_deep_layer_holds_two_levels_and_its_tables():
+    # The 20 x 9 layer runs the recursion through nine levels.  The scan
+    # holds two of them, at most levels d - 2 and d - 1 since level d
+    # streams in blocks; the reads and ranks of its d + 1 colex tables and
+    # one level's gathers of the signed column through those reads, each
+    # of the three at most chunk d(d+1)/2 values; and a block.  A buffer
+    # for every minor, 1.3 MB, breaks the bound.
+    checked, peak, chunk = _scan_peak("spectral")
+    n, d = 20, 9
+    assert checked == math.comb(n, d)
+    levels = 8 * (math.comb(n, d - 2) + math.comb(n, d - 1))
+    bound = levels + 3 * 8 * chunk * d * (d + 1) // 2
+    assert peak <= bound < peak + 8 * math.comb(n, d), (peak, bound)
 
 
 SAMPLER = r"""
