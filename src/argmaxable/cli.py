@@ -20,57 +20,66 @@ times zeroed, so identical inputs and seeds give byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
 from datetime import datetime, timezone
 from enum import IntEnum
+from importlib import import_module
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import __version__
-from .dftlayer import DftSpec, build_layer
-from .labelspace import (
+from . import (
+    DEFAULT_BOX_BOUND,
     DEFAULT_ENUMERATION_BUDGET,
-    EnumerationBudgetError,
-    FamilyKind,
-    FamilySpec,
-    cover_count,
-    dense_strings,
-)
-from .linalg import (
+    DEFAULT_EPS_FLOOR,
     DEFAULT_MINOR_BUDGET,
+    DEFAULT_PERCENTILES,
+    DEFAULT_SAMPLE_BUDGET,
     DEFAULT_TAU_DET,
-    GrVerdict,
-    MinorBudgetError,
-    gr_plus_status,
+    __version__,
 )
-# prec_rec_f1_at_k and ndcg_at_k are not called here; they stay importable
-# from this module because bench/tracing.py wraps them by name.
-from .metrics import (  # noqa: F401
-    StackedRecords,
-    metrics_at_k,
-    micro_macro_f1,
-    ndcg_at_k,
-    prec_rec_f1_at_k,
-)
-from .oracle import DEFAULT_SAMPLE_BUDGET, enumerate_regions_sampled
-from .reportio import (
-    ParseError,
-    ReportEnvelope,
-    _sidecar_path,
-    matrix_csv,
-    parse_labels,
-    parse_matrix,
-    parse_scores,
-    serialize_matrix,
-)
-from .verifier import DEFAULT_PERCENTILES, LpConfig, radius_report, verify_batch
 
 __all__ = ["ExitCode", "run", "main", "build_parser"]
+
+# The names each handler calls, by the module that defines them.  None is
+# imported with this module: a handler binds its modules' names on its
+# first run (_bind), and any other lookup, such as bench/tracing.py
+# patching parse_matrix or ndcg_at_k by name, resolves through
+# __getattr__.  A name already bound is never rebound, so a patch stays
+# in place, and handlers call whatever the name holds at call time.
+_COLLABORATORS = {
+    "dftlayer": ("DftSpec", "build_layer"),
+    "labelspace": ("EnumerationBudgetError", "FamilyKind", "FamilySpec",
+                   "cover_count", "dense_strings"),
+    "linalg": ("GrVerdict", "MinorBudgetError", "gr_plus_status"),
+    # prec_rec_f1_at_k and ndcg_at_k are not called here; they resolve
+    # here because bench/tracing.py wraps them by name.
+    "metrics": ("StackedRecords", "metrics_at_k", "micro_macro_f1",
+                "ndcg_at_k", "prec_rec_f1_at_k"),
+    "oracle": ("enumerate_regions_sampled",),
+    "reportio": ("ParseError", "ReportEnvelope", "_sidecar_path", "matrix_csv",
+                 "parse_labels", "parse_matrix", "parse_scores", "serialize_matrix"),
+    "verifier": ("LpConfig", "radius_report", "verify_batch"),
+}
+_HOME = {name: module for module, names in _COLLABORATORS.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Import each module and bind here those of its names not yet bound."""
+    bound = globals()
+    for module in modules:
+        loaded = import_module(f"{__package__}.{module}")
+        for name in _COLLABORATORS[module]:
+            bound.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 class ExitCode(IntEnum):
@@ -124,6 +133,7 @@ def _positive_float(text: str) -> float:
 def _lp_scale(text: str) -> float:
     """A value LpConfig takes as box_bound or eps_floor."""
     value = float(text)
+    _bind("verifier")
     try:
         return LpConfig.valid_scale(value)
     except ValueError as exc:
@@ -180,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--matrix", required=True, help="matrix CSV path")
     lp = argparse.ArgumentParser(add_help=False)
     for flag, default, text in (
-        ("--eps", LpConfig.eps_floor, "smallest radius that counts as feasible; "
+        ("--eps", DEFAULT_EPS_FLOOR, "smallest radius that counts as feasible; "
          "the solver's feasibility tolerance is a tenth of it, at least 1e-10"),
-        ("--box", LpConfig.box_bound, "coordinate box bound for the witness"),
+        ("--box", DEFAULT_BOX_BOUND, "coordinate box bound for the witness"),
     ):
         help_text = text + " (default %(default)s)"
         lp.add_argument(flag, type=_lp_scale, default=default, help=help_text)
@@ -344,6 +354,7 @@ _NOT_CONFIG = {"command", "handler", "out", "deterministic"}
 
 
 def _emit_report(args: argparse.Namespace, payload: dict) -> None:
+    _bind("reportio")
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     envelope = ReportEnvelope(
         tool_version=__version__,
@@ -368,6 +379,7 @@ def _cover_count_log10_floor(n: int, d: int) -> float:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    _bind("labelspace")
     # Python refuses to print an int of more than this many digits (0: no
     # limit).  The answer's length is bounded first, so a refusal comes
     # before the exact sum; the exact check after it covers the margin.
@@ -389,6 +401,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_dft(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    _bind("dftlayer", "reportio")
     try:
         spec = DftSpec(args.n, args.k, args.s, args.seed)
     except ValueError as exc:  # a --k too large for --n; no file is involved
@@ -419,6 +434,7 @@ def _cmd_dft(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    _bind("reportio", "linalg")
     w = parse_matrix(args.matrix)
     try:
         status = gr_plus_status(w, tau_det=args.tau_det, budget=args.minor_budget)
@@ -441,6 +457,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    _bind("reportio", "verifier")
     cfg = LpConfig(box_bound=args.box, eps_floor=args.eps)
     w = parse_matrix(args.matrix)
     ys = parse_labels(args.labels, w.n)
@@ -460,7 +479,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "matrix": {"n": w.n, "d": w.d, "provenance": w.provenance.to_json()},
         "results": results,
-        "summary": dataclasses.asdict(batch.summary),
+        "summary": asdict(batch.summary),
     }
     _emit_report(args, payload)
     if batch.summary.indeterminate:
@@ -471,6 +490,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    _bind("reportio", "oracle", "labelspace")
     w = parse_matrix(args.matrix)
     regions = enumerate_regions_sampled(w, budget=args.budget, seed=args.seed)
     # The codes ascend in the dense strings' order, so no sort is needed.
@@ -489,6 +509,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_radii(args: argparse.Namespace) -> int:
+    _bind("reportio", "labelspace", "verifier")
     cfg = LpConfig(box_bound=args.box, eps_floor=args.eps)
     w = parse_matrix(args.matrix)
     kind = FamilyKind(args.kind)
@@ -521,6 +542,7 @@ def _cmd_radii(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    _bind("reportio", "metrics")
     scores = parse_scores(args.scores)
     gold = parse_labels(args.gold, scores.shape[1])
     if scores.shape[0] != len(gold):
@@ -578,6 +600,7 @@ def _check_out(args: argparse.Namespace) -> None:
     out = args.out
     if out is None or out == "-":
         return
+    _bind("reportio")
     target = Path(out).resolve()
     if target.is_dir():
         raise _UsageError(f"error: --out: {out} is a directory")
@@ -614,12 +637,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return ExitCode.USAGE
     except SystemExit as exc:  # --help / --version paths
         return int(exc.code or 0)
-    except (EnumerationBudgetError, MinorBudgetError) as exc:
-        # Well-formed input over a budget: the flag is at fault, not the file.
-        flag = "--minor-budget" if isinstance(exc, MinorBudgetError) else "--budget"
-        print(f"error: {flag}: {exc}", file=sys.stderr)
-        return ExitCode.USAGE
     except (ValueError, OSError) as exc:  # ParseError included
+        # The budget errors' modules, bound here if the handler did not.
+        _bind("labelspace", "linalg")
+        if isinstance(exc, (EnumerationBudgetError, MinorBudgetError)):
+            # Well-formed input over a budget: the flag is at fault, not the file.
+            flag = "--minor-budget" if isinstance(exc, MinorBudgetError) else "--budget"
+            print(f"error: {flag}: {exc}", file=sys.stderr)
+            return ExitCode.USAGE
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.INPUT
 

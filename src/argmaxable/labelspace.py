@@ -26,6 +26,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import DEFAULT_ENUMERATION_BUDGET
+
 __all__ = [
     "LabelAssignment",
     "FamilyKind",
@@ -43,8 +45,6 @@ __all__ = [
 # glyph have the same visual width; plain ASCII '-' is accepted on input.
 PLUS_CHAR = "+"
 MINUS_CHAR = "−"
-
-DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
 def dense_signs(text: str) -> np.ndarray:

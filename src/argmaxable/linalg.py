@@ -50,6 +50,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import DEFAULT_MINOR_BUDGET, DEFAULT_TAU_DET
 from .labelspace import LabelAssignment
 
 __all__ = [
@@ -67,9 +68,7 @@ __all__ = [
     "DEFAULT_MINOR_BUDGET",
 ]
 
-DEFAULT_TAU_DET = 1e-10
 DEFAULT_TAU_SIGN = 1e-12
-DEFAULT_MINOR_BUDGET = 10**6
 _MINOR_CHUNK = 2048
 
 _PROVENANCE_KINDS = ("random", "dft", "dft+slack")

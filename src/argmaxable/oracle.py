@@ -51,6 +51,7 @@ from typing import FrozenSet, Iterator
 
 import numpy as np
 
+from . import DEFAULT_SAMPLE_BUDGET
 from .labelspace import LabelAssignment, cover_count
 # is_general_position is not called here; it stays importable from this
 # module because bench/tracing.py wraps it by name.
@@ -67,7 +68,6 @@ __all__ = [
     "DEFAULT_SAMPLE_BUDGET",
 ]
 
-DEFAULT_SAMPLE_BUDGET = 10**7
 _SAMPLE_CHUNK = 1 << 15
 # A chunk past one circle is cut to about this many logits.
 _CHUNK_LOGITS = 1 << 20

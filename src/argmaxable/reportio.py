@@ -19,6 +19,7 @@ carry path/line/column diagnostics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -30,8 +31,6 @@ import numpy as np
 
 from .labelspace import FamilyKind, LabelAssignment, dense_signs
 from .linalg import GrVerdict, Provenance, WeightMatrix
-from .oracle import EnumerationMethod
-from .verifier import VerifyStatus
 
 __all__ = [
     "ParseError",
@@ -390,100 +389,110 @@ _POSITIVE = {"type": "integer", "minimum": 1}
 _COUNT = {"type": "integer", "minimum": 0}
 _NUMBER = {"type": "number"}
 
-_PAYLOAD_SCHEMAS: dict[str, dict] = {
-    "count": _object(
-        {
-            "n": _POSITIVE,
-            "d": _POSITIVE,
-            # Counts can exceed 2^53, so they travel as decimal strings.
-            "count": {"type": "string", "pattern": "^[0-9]+$"},
-        }
-    ),
-    "check": _object(
-        {
-            "n": _POSITIVE,
-            "d": _POSITIVE,
-            "verdict": _enum(GrVerdict),
-            "min_abs_minor": _NUMBER,
-            "checked_minors": _COUNT,
-            "general_position": {"type": "boolean"},
-        }
-    ),
-    "verify": _object(
-        {
-            "matrix": _object(
-                {"n": _POSITIVE, "d": _POSITIVE, "provenance": {"type": "object"}}
-            ),
-            "results": _array(
-                _object(
+
+@functools.cache
+def _payload_schemas() -> dict[str, dict]:
+    """Each command's payload schema, built on the first call: the
+    enums of verify and enumerate reports load oracle and verifier,
+    which parsing and writing reports do not need."""
+    from .oracle import EnumerationMethod
+    from .verifier import VerifyStatus
+
+    return {
+        "count": _object(
+            {
+                "n": _POSITIVE,
+                "d": _POSITIVE,
+                # Counts can exceed 2^53, so they travel as decimal strings.
+                "count": {"type": "string", "pattern": "^[0-9]+$"},
+            }
+        ),
+        "check": _object(
+            {
+                "n": _POSITIVE,
+                "d": _POSITIVE,
+                "verdict": _enum(GrVerdict),
+                "min_abs_minor": _NUMBER,
+                "checked_minors": _COUNT,
+                "general_position": {"type": "boolean"},
+            }
+        ),
+        "verify": _object(
+            {
+                "matrix": _object(
+                    {"n": _POSITIVE, "d": _POSITIVE, "provenance": {"type": "object"}}
+                ),
+                "results": _array(
+                    _object(
+                        {
+                            "index": _COUNT,
+                            "status": _enum(VerifyStatus),
+                            "radius": {"type": ["number", "null"]},
+                            "seconds": _NUMBER,
+                        },
+                        optional={"reason": {"type": "string"}},
+                    )
+                ),
+                "summary": _object(
                     {
-                        "index": _COUNT,
-                        "status": _enum(VerifyStatus),
-                        "radius": {"type": ["number", "null"]},
-                        "seconds": _NUMBER,
-                    },
-                    optional={"reason": {"type": "string"}},
-                )
-            ),
-            "summary": _object(
-                {
-                    "argmaxable": _COUNT,
-                    "one_argmaxable": _COUNT,
-                    "not_eps": _COUNT,
-                    "indeterminate": _COUNT,
-                }
-            ),
-        }
-    ),
-    "enumerate": _object(
-        {
-            "n": _POSITIVE,
-            "d": _POSITIVE,
-            "method": _enum(EnumerationMethod),
-            "count": _COUNT,
-            "members": _array({"type": "string"}),
-        },
-        optional={"samples_used": _COUNT, "boundary_skips": _COUNT},
-    ),
-    "radii": _object(
-        {
-            "family": _object(
-                {"n": _POSITIVE, "k": _COUNT, "kind": _enum(FamilyKind)}
-            ),
-            "percentiles": _array(
-                _object({"percentile": _NUMBER, "radius": _NUMBER})
-            ),
-            "members": _COUNT,
-            "summary": _object(
-                {"argmaxable": _COUNT, "not_eps": _COUNT, "indeterminate": _COUNT}
-            ),
-        }
-    ),
-    "metrics": _object(
-        {
-            "records": _POSITIVE,
-            "at_k": _array(
-                _object(
-                    {
-                        "k": _POSITIVE,
-                        "prec": _NUMBER,
-                        "rec": _NUMBER,
-                        "f1": _NUMBER,
-                        "ndcg": {"type": ["number", "null"]},
+                        "argmaxable": _COUNT,
+                        "one_argmaxable": _COUNT,
+                        "not_eps": _COUNT,
+                        "indeterminate": _COUNT,
                     }
-                )
-            ),
-            "micro_f1": _NUMBER,
-            "macro_f1": _NUMBER,
-        },
-        optional={"zero_support_labels": _COUNT, "empty_gold_records": _COUNT},
-    ),
-}
+                ),
+            }
+        ),
+        "enumerate": _object(
+            {
+                "n": _POSITIVE,
+                "d": _POSITIVE,
+                "method": _enum(EnumerationMethod),
+                "count": _COUNT,
+                "members": _array({"type": "string"}),
+            },
+            optional={"samples_used": _COUNT, "boundary_skips": _COUNT},
+        ),
+        "radii": _object(
+            {
+                "family": _object(
+                    {"n": _POSITIVE, "k": _COUNT, "kind": _enum(FamilyKind)}
+                ),
+                "percentiles": _array(
+                    _object({"percentile": _NUMBER, "radius": _NUMBER})
+                ),
+                "members": _COUNT,
+                "summary": _object(
+                    {"argmaxable": _COUNT, "not_eps": _COUNT, "indeterminate": _COUNT}
+                ),
+            }
+        ),
+        "metrics": _object(
+            {
+                "records": _POSITIVE,
+                "at_k": _array(
+                    _object(
+                        {
+                            "k": _POSITIVE,
+                            "prec": _NUMBER,
+                            "rec": _NUMBER,
+                            "f1": _NUMBER,
+                            "ndcg": {"type": ["number", "null"]},
+                        }
+                    )
+                ),
+                "micro_f1": _NUMBER,
+                "macro_f1": _NUMBER,
+            },
+            optional={"zero_support_labels": _COUNT, "empty_gold_records": _COUNT},
+        ),
+    }
 
 
 def report_schema(command: str) -> dict:
     """JSON schema for a full report envelope of the given command."""
-    if command not in _PAYLOAD_SCHEMAS:
+    schemas = _payload_schemas()
+    if command not in schemas:
         raise KeyError(f"no schema for command {command!r}")
     return _object(
         {
@@ -492,7 +501,7 @@ def report_schema(command: str) -> dict:
             "command": {"const": command},
             "config": {"type": "object"},
             "timestamp": {"type": ["string", "null"]},
-            "payload": _PAYLOAD_SCHEMAS[command],
+            "payload": schemas[command],
         }
     )
 

@@ -89,7 +89,11 @@ so), a refused option or a raised exception is the run's reason.  The
 binding loads with the first session, from its file in scipy's tree
 (``_highs_core``): in a fresh process (Python 3.11, scipy 1.17) that
 takes ~8 ms and ~3 MB, where the ``scipy.optimize`` package import runs
-~320 modules in ~0.4 s and ~47 MB.  No command imports it.
+~320 modules in ~0.4 s and ~47 MB.  No command imports it.  This module
+loads on first use too: the package and ``cli`` resolve their names when
+first called for, so of the commands only ``verify`` and ``radii`` load
+it, and a batch imports ``concurrent.futures`` only when it starts
+worker threads.
 
 ``verify_batch`` answers one class of items without an LP.  When W is
 bit for bit ``build_dft_matrix(n, k)``, every Wx samples a trigonometric
@@ -107,21 +111,19 @@ to ``chebyshev_verify``.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import os
 import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import DEFAULT_BOX_BOUND, DEFAULT_EPS_FLOOR, DEFAULT_PERCENTILES
 from .dftlayer import build_dft_matrix, dft_entry_error_bound
 from .labelspace import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -145,8 +147,6 @@ __all__ = [
     "DEFAULT_PERCENTILES",
 ]
 
-DEFAULT_PERCENTILES = (1.0, 5.0, 25.0, 50.0, 100.0)
-
 # Row generation (module docstring): it runs when n >= _ROWGEN_RATIO * d,
 # starts from 2 * _ROWGEN_BLOCK * d rows and adds at most _ROWGEN_BLOCK * d
 # rows a round until pricing finds none below the tolerance.
@@ -162,8 +162,8 @@ class LpConfig:
     """LP parameters: the coordinate box and the smallest radius that
     counts as robustly feasible, from which the solver tolerance follows."""
 
-    box_bound: float = 1e4
-    eps_floor: float = 1e-8
+    box_bound: float = DEFAULT_BOX_BOUND
+    eps_floor: float = DEFAULT_EPS_FLOOR
 
     def __post_init__(self) -> None:
         for name in ("box_bound", "eps_floor"):
@@ -260,6 +260,9 @@ def _highs_core():
     """scipy's HiGHS binding, loaded once from its file without running
     ``scipy.optimize``'s package import, under its own module name so a
     later ``import scipy.optimize`` shares it; locked for concurrent workers."""
+    import importlib.util
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+
     with _core_lock:
         core = sys.modules.get(_CORE)
         if core is None:
@@ -604,6 +607,8 @@ def verify_batch(
         return chebyshev_verify(w, y, cfg, session=local.session)
 
     if jobs > 1 and len(todo) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             solved = iter(tuple(pool.map(one, todo)))
     else:

@@ -1,8 +1,10 @@
-"""No command loads scipy.optimize: the first LP solve loads only its HiGHS
-binding, by file, under the binding's own module name.
+"""Each command loads only the modules it runs.  Importing the package or
+its CLI loads no other package module; each subcommand loads the ones it
+calls.  No command loads scipy.optimize: the first LP solve loads only
+its HiGHS binding, by file, under the binding's own module name.
 
 Each test that watches sys.modules runs in a fresh interpreter, since this
-process has long since imported scipy.optimize.
+process has long since imported every module.
 """
 
 import json
@@ -30,6 +32,95 @@ def _fresh(script: str, *args: str) -> dict:
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+PACKAGE = ("cli", "dftlayer", "labelspace", "linalg", "metrics", "oracle",
+           "reportio", "verifier")
+POOL = ("concurrent.futures", "logging", "queue")
+
+IMPORT_ONLY = r"""
+import json, sys
+import argmaxable
+package = sorted(m for m in sys.modules if m.startswith("argmaxable."))
+import argmaxable.cli
+print(json.dumps({
+    "package": package,
+    "cli": sorted(m for m in sys.modules if m.startswith("argmaxable.")),
+}))
+"""
+
+
+def test_importing_the_package_or_its_cli_loads_no_other_module():
+    out = _fresh(IMPORT_ONLY)
+    assert out == {"package": [], "cli": ["argmaxable.cli"]}
+
+
+ONE_RUN = r"""
+import json, sys
+import argmaxable.cli
+
+code = argmaxable.cli.run(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "package": sorted(m.split(".")[1] for m in sys.modules if m.startswith("argmaxable.")),
+    "pool": [m for m in %r if m in sys.modules],
+}))
+""" % (POOL,)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    from argmaxable.cli import run
+
+    tmp = tmp_path_factory.mktemp("inputs")
+    assert run(["dft", "--n", "6", "--k", "1", "--out", str(tmp / "w.csv")]) == 0
+    (tmp / "w3.csv").write_text("1,0\n0,1\n1,1\n")
+    (tmp / "labels.txt").write_text("+--\n-+-\n+-+\n")
+    (tmp / "scores.csv").write_text("0.9,0.8,0.1\n0.2,0.1,0.7\n")
+    (tmp / "gold.txt").write_text("++-\n--+\n")
+    return tmp
+
+
+# argv, then the package modules the run may load (beside cli), then
+# whether it starts a thread pool.
+RUNS = {
+    "help": (["--help"], set(), False),
+    "version": (["--version"], set(), False),
+    "count": (["count", "--n", "20", "--d", "4"], {"labelspace"}, False),
+    "check": (["check", "--matrix", "w.csv", "--out", "check.json"],
+              {"reportio", "linalg", "labelspace"}, False),
+    "enumerate": (["enumerate", "--matrix", "w.csv", "--budget", "2000",
+                   "--out", "enumerate.json"],
+                  {"reportio", "oracle", "linalg", "labelspace"}, False),
+    "metrics": (["metrics", "--scores", "scores.csv", "--gold", "gold.txt",
+                 "--k", "1,2", "--out", "metrics.json"],
+                {"reportio", "metrics", "linalg", "labelspace"}, False),
+    "dft": (["dft", "--n", "6", "--k", "1", "--out", "dft.csv"],
+            {"reportio", "dftlayer", "linalg", "labelspace"}, False),
+    "verify": (["verify", "--matrix", "w3.csv", "--labels", "labels.txt",
+                "--jobs", "1", "--out", "verify.json"],
+               {"reportio", "verifier", "dftlayer", "linalg", "labelspace"}, False),
+    "verify-2-jobs": (["verify", "--matrix", "w3.csv", "--labels", "labels.txt",
+                       "--jobs", "2", "--out", "verify.json"],
+                      {"reportio", "verifier", "dftlayer", "linalg", "labelspace"}, True),
+    "radii": (["radii", "--matrix", "w3.csv", "--kind", "active", "--k", "1",
+               "--jobs", "1", "--out", "radii.json"],
+              {"reportio", "verifier", "dftlayer", "linalg", "labelspace"}, False),
+}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_a_command_loads_only_the_modules_it_runs(name, inputs, tmp_path):
+    argv, modules, pool = RUNS[name]
+    argv = [
+        str((inputs if (inputs / a).exists() else tmp_path) / a)
+        if a.endswith((".csv", ".txt", ".json")) else a
+        for a in argv
+    ]
+    out = _fresh(ONE_RUN, *argv)
+    assert out["code"] == 0
+    assert out["package"] == sorted({"cli"} | modules)
+    assert out["pool"] == (list(POOL) if pool else [])
 
 
 COMMANDS = r"""
